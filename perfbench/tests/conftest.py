@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the package under src/ importable.
+
+Run with:  python -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent, HERE.parent.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
