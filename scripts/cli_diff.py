@@ -1,0 +1,54 @@
+"""Check that two checkouts print byte-identical CLI output.
+
+Runs ``python -m logsine`` from each checkout's ``src/`` over every
+subcommand and format at --n-max 12, every verify suite, and the
+envelope edge ``verify --n-max 13`` (exit 3), then compares stdout and
+exit code.  Prints one line per command and exits 1 on any difference.
+
+Usage: python scripts/cli_diff.py OLD_CHECKOUT NEW_CHECKOUT
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+FORMATS = ("plain", "json", "csv")
+SUITES = ("recurrence", "contour", "identities", "fourier", "all")
+
+
+def commands() -> list[list[str]]:
+    out = []
+    for fmt in FORMATS:
+        for sub in ("bernoulli", "zeta", "logsine"):
+            out.append([sub, "--n-max", "12", "--format", fmt])
+        for suite in SUITES:
+            out.append(["verify", "--n-max", "12", "--suite", suite, "--format", fmt])
+    out.append(["verify", "--n-max", "13"])
+    return out
+
+
+def run(checkout: str, argv: list[str]) -> tuple[int, bytes]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "logsine", *argv], env=env, capture_output=True
+    )
+    return proc.returncode, proc.stdout
+
+
+def main(old: str, new: str) -> int:
+    differ = 0
+    for argv in commands():
+        a, b = run(old, argv), run(new, argv)
+        same = a == b
+        differ += not same
+        print(f"{'same' if same else 'DIFFERENT':9} exit {a[0]}/{b[0]}  {' '.join(argv)}")
+    print(f"{differ} of {len(commands())} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1], sys.argv[2]))

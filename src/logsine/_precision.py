@@ -12,6 +12,27 @@ from __future__ import annotations
 import math
 
 from mpmath import mp, mpf, workdps
+from mpmath.ctx_mp import MPContext
+
+# precision in bits -> the private context fixed at it
+_PRIVATE_CONTEXTS: dict[int, MPContext] = {}
+
+
+def private_context(prec: int) -> MPContext:
+    """An mpmath context fixed at ``prec`` bits, for filling memo tables.
+
+    Each precision gets one context, created on first use; its precision is
+    never changed afterwards.  A value computed in it is therefore exactly
+    what the same operations give in the global context at ``prec`` bits,
+    whatever another thread does to the global ``mp.prec`` meanwhile.
+    """
+    ctx = _PRIVATE_CONTEXTS.get(prec)
+    if ctx is None:
+        ctx = MPContext()
+        ctx.prec = prec
+        # two threads may both build one; setdefault keeps the first for all
+        ctx = _PRIVATE_CONTEXTS.setdefault(prec, ctx)
+    return ctx
 
 
 def dps_for(target_abs_error: float, extra_digits: int = 15) -> int:
@@ -39,4 +60,12 @@ def float_with_bound(value_mp: mpf, internal_bound_mp: mpf) -> tuple[float, floa
     return value, math.nextafter(bound, math.inf)
 
 
-__all__ = ["dps_for", "mp_round_slack", "float_with_bound", "mp", "mpf", "workdps"]
+__all__ = [
+    "dps_for",
+    "mp_round_slack",
+    "float_with_bound",
+    "private_context",
+    "mp",
+    "mpf",
+    "workdps",
+]

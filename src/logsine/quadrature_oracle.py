@@ -24,9 +24,17 @@ certificate is honest even when the integrand mass is ~1e5 (x^12 log sin x)
 and the target is 1e-10: the double-rounding floor, about half an ulp of
 the result, is then the dominant claimed term.
 
-Results and node tables are memoized on their full argument tuples; since
-outputs are immutable, behavior is indistinguishable from recomputation
-and safe under concurrent use.
+Results and node tables are memoized on their full argument tuples, and
+the x^n log(sin x) integrand takes log(sin d), d the node's distance from
+its nearer endpoint, from a table keyed by working precision and d, so the
+moments for every n share one evaluation per node.  That table is filled in
+a private mpmath context fixed at the key's precision, so each entry is
+exactly what the global context gives at that precision even while another
+thread changes the global mp.dps.  The result and node caches, by contrast,
+are filled in the global context: every numeric call still sets and reads
+the process-wide mp.dps, so concurrent numeric calls are not safe (a
+threaded call can return, and memoize, a result computed at another
+thread's precision).
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from typing import Callable
 
 from mpmath import mp, mpf, workdps
 
-from ._precision import dps_for, float_with_bound
+from ._precision import dps_for, float_with_bound, private_context
 from .errors import CertificationError, RefinementExhausted
 from .zeta_engine import RealApprox
 
@@ -229,16 +237,28 @@ def _settings_key(settings: QuadratureSettings) -> tuple[float, int]:
     return (settings.target_abs_error, settings.max_refinement_depth)
 
 
+# precision in bits -> {raw tuple of d: raw tuple of log(sin d)}
+_LOGSIN_TABLE: dict[int, dict[tuple, tuple]] = {}
+
+
 @lru_cache(maxsize=None)
 def _logsine_cached(n: int, target: float, depth: int) -> RealApprox:
     settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
 
     def make_f():
+        prec = mp.prec
+        ctx = private_context(prec)
+        table = _LOGSIN_TABLE.setdefault(prec, {})
+
         def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
             # sin is symmetric about the midpoint of [0, pi]: evaluate it
             # at the nearer endpoint distance so nodes hugging pi stay
             # on the positive branch
-            return x ** n * mp.log(mp.sin(min(dist_lower, dist_upper)))
+            d = min(dist_lower, dist_upper)._mpf_
+            log_sin = table.get(d)
+            if log_sin is None:
+                log_sin = table.setdefault(d, ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_)
+            return x ** n * mp.make_mpf(log_sin)
 
         return f, mpf(0), +mp.pi
 

@@ -13,6 +13,19 @@ after m correction pairs is bounded by the first omitted correction term,
 which fixes N and m for any requested tolerance.  The double-precision
 constants used downstream (math.pi, math.log) are good to >= 15 significant
 digits; certified bounds here always include the final rounding to double.
+
+Every numeric zeta value passes through one table, keyed by (s, working
+precision in bits), that holds the series value and its remainder bound as
+raw mpmath tuples.  The contour legs, the closed form and zeta_numeric ask
+for the same zeta(k+2) for every n, so each pair is summed once per
+process.  The table grows by one entry (a few hundred bytes) per distinct
+pair asked for; the precisions are the handful of integer digit counts that
+the callers' tolerances map to, and s is at most n + 2, so a sweep over
+n <= 12 at one tolerance adds about 55 entries.  A missing entry is summed
+in a private mpmath context fixed at the key's precision: the stored value
+is then bit for bit what the global context gives at that precision, and a
+thread that changes the global mp.dps mid-sum cannot store a value computed
+at another precision under the key.
 """
 
 from __future__ import annotations
@@ -21,7 +34,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._precision import dps_for, float_with_bound, mp, mp_round_slack, mpf, workdps
+from mpmath.ctx_mp import MPContext
+
+from ._precision import (
+    dps_for,
+    float_with_bound,
+    mp,
+    mp_round_slack,
+    mpf,
+    private_context,
+    workdps,
+)
 from .errors import CertificationError
 from .exact_core import BernoulliTable, bernoulli_table
 
@@ -88,28 +111,34 @@ def zeta_series_partial(s: float, terms: int) -> float:
     return math.fsum(l ** (-s) for l in range(1, terms + 1))
 
 
-def _euler_maclaurin(s: int, n_head: int) -> tuple[mpf, mpf]:
-    """Series head + integral tail + correction ladder at the current mp
-    precision.  Returns (value, analytic remainder bound).
+def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
+    """Series head + integral tail + correction ladder at the precision of
+    ``ctx``.  Returns (value, analytic remainder bound).
 
     Correction pairs are added until the next one drops below the working
     precision; the remainder is bounded by twice the first omitted term
     (the exact remainder has the magnitude and sign of that term for this
-    completely monotone summand; the factor 2 is slack).
+    completely monotone summand; the factor 2 is slack).  The exact
+    coefficients come from one Bernoulli table that doubles when the
+    ladder outgrows it.
     """
+    mpf = ctx.mpf
     head = mpf(0)
     for l in range(1, n_head):
         head += mpf(l) ** (-s)
     big_n = mpf(n_head)
     value = head + big_n ** (1 - s) / (s - 1) + big_n ** (-s) / 2
-    threshold = mpf(10) ** (-(mp.dps + 6))
+    threshold = mpf(10) ** (-(ctx.dps + 6))
+    table = bernoulli_table(16)
     j = 0
     term = mpf(0)
     while True:
         j += 1
         if j > 60:
             raise CertificationError("correction ladder failed to close")
-        b2j = bernoulli_table(2 * j + 2)[2 * j]
+        if 2 * j > table.max_index:
+            table = bernoulli_table(2 * table.max_index)
+        b2j = table[2 * j]
         rising = math.prod(range(s, s + 2 * j - 1))
         term = (
             mpf(b2j.numerator)
@@ -124,9 +153,19 @@ def _euler_maclaurin(s: int, n_head: int) -> tuple[mpf, mpf]:
     return value, 2 * abs(term)
 
 
+# (s, precision in bits) -> raw mpmath tuples of (value, remainder bound)
+_ZETA_TABLE: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+
+
 def _zeta_mpf(s: int) -> tuple[mpf, mpf]:
     """zeta(s) at the current mp precision: (value, analytic bound)."""
-    return _euler_maclaurin(s, n_head=max(64, mp.dps))
+    prec = mp.prec
+    entry = _ZETA_TABLE.get((s, prec))
+    if entry is None:
+        ctx = private_context(prec)
+        value, bound = _euler_maclaurin(s, n_head=max(64, ctx.dps), ctx=ctx)
+        entry = _ZETA_TABLE.setdefault((s, prec), (value._mpf_, bound._mpf_))
+    return mp.make_mpf(entry[0]), mp.make_mpf(entry[1])
 
 
 def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:

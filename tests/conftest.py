@@ -1,5 +1,6 @@
 import pytest
 
+from logsine import quadrature_oracle, zeta_engine
 from logsine.exact_core import bernoulli_table
 
 
@@ -7,3 +8,21 @@ from logsine.exact_core import bernoulli_table
 def table_202():
     """Shared Bernoulli table covering every sweep in the suite."""
     return bernoulli_table(202)
+
+
+def clear_numeric_caches():
+    """Empty the zeta table, the log-sin node table and the quadrature
+    caches built on them."""
+    zeta_engine._ZETA_TABLE.clear()
+    quadrature_oracle._LOGSIN_TABLE.clear()
+    quadrature_oracle._logsine_cached.cache_clear()
+    quadrature_oracle._nodes.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Run the test from empty numeric caches and leave none of its
+    entries behind; the test may call the fixture to empty them again."""
+    clear_numeric_caches()
+    yield clear_numeric_caches
+    clear_numeric_caches()

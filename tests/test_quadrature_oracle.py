@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from logsine import quadrature_oracle
 from logsine.errors import CertificationError, RefinementExhausted
 from logsine.logsine_closed_form import logsine_numeric
 from logsine.quadrature_oracle import (
@@ -151,3 +152,22 @@ class TestCertification:
     def test_unreachable_tolerance_fails(self):
         with pytest.raises(CertificationError):
             integrate_logsine(2, QuadratureSettings(target_abs_error=1e-30))
+
+
+class TestLogSinTable:
+    def test_moments_share_one_log_sin_per_node(self, cold_caches):
+        first = [integrate_logsine(n, TIGHT) for n in range(13)]
+        sizes = {prec: len(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()}
+        quadrature_oracle._logsine_cached.cache_clear()
+        again = [integrate_logsine(n, TIGHT) for n in range(13)]
+        assert again == first
+        assert {prec: len(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()} == sizes
+
+    def test_results_independent_of_call_order(self, cold_caches):
+        cold = [integrate_logsine(n, TIGHT) for n in range(13)]
+        cold_caches()
+        for target in (1e-7, 3e-9, 2e-10):
+            for n in range(13):
+                integrate_logsine(n, QuadratureSettings(target_abs_error=target))
+        warm = [integrate_logsine(n, TIGHT) for n in reversed(range(13))]
+        assert warm[::-1] == cold

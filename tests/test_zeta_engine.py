@@ -4,9 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, workdps
 
+from logsine import zeta_engine
+from logsine.contour_verifier import verify_null, verify_real_part
 from logsine.errors import CertificationError
 from logsine.exact_core import bernoulli_table
+from logsine.logsine_closed_form import logsine_numeric
 from logsine.zeta_engine import (
     RealApprox,
     zeta_even_exact,
@@ -129,3 +133,52 @@ def test_euler_connection_numerically(table_202):
         coeff = zeta_even_exact(k, table_202).coefficient
         approx = zeta_numeric(2 * k, 1e-12)
         assert abs(approx.value - float(coeff) * math.pi ** (2 * k)) <= 1e-12
+
+
+class TestZetaTable:
+    def test_repeated_call_sums_no_new_series(self, cold_caches, monkeypatch):
+        calls = []
+        series = zeta_engine._euler_maclaurin
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(zeta_engine, "_euler_maclaurin", counting)
+        first = logsine_numeric(9, 1e-10)
+        assert [args[0] for args in calls] == [3, 5, 7, 9]
+        assert logsine_numeric(9, 1e-10) == first
+        assert len(calls) == 4
+
+    def test_entry_is_the_global_context_sum_at_its_precision(self, cold_caches):
+        for dps in (40, 20, 40, 20):
+            with workdps(dps):
+                expected = zeta_engine._euler_maclaurin(3, n_head=64, ctx=mp)
+                assert zeta_engine._zeta_mpf(3) == expected
+
+    def test_results_independent_of_call_order(self, cold_caches):
+        def outcome(fn, n, tol):
+            try:
+                return fn(n, tol)
+            except CertificationError as exc:  # verify_real_part(12, tol < 1e-9)
+                return str(exc)
+
+        def run(tol, order):
+            return {
+                n: [outcome(fn, n, tol) for fn in (logsine_numeric, verify_null, verify_real_part)]
+                for n in order
+            }
+
+        cold = run(1e-10, range(13))
+        cold_caches()
+        for tol in (1e-7, 3e-9, 2e-10):
+            run(tol, range(13))
+        warm = run(1e-10, reversed(range(13)))
+        assert warm == cold
+
+    def test_ladder_grows_one_bernoulli_table_by_doubling(self, cold_caches):
+        bernoulli_table.cache_clear()
+        for tol in (1e-6, 1e-9, 1e-12):
+            for s in range(2, 31):
+                zeta_numeric(s, tol)
+        assert bernoulli_table.cache_info().misses <= 3
