@@ -12,10 +12,8 @@ tanh-sinh quadrature of the defining integral.
 from .errors import CertificationError, RefinementExhausted
 from .exact_core import (
     BernoulliTable,
-    ExactRational,
     bernoulli_table,
     binomial,
-    rational_str,
     verify_binomial_identity,
     verify_recurrence,
 )
@@ -53,7 +51,6 @@ from .contour_verifier import (
     verify_reduction_chain,
 )
 from .fourier_appendix import (
-    FourierPartialSum,
     logsin_series_partial,
     logsine_via_fourier,
     parseval_logsquared,
@@ -65,11 +62,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificationError",
     "RefinementExhausted",
-    "ExactRational",
     "BernoulliTable",
     "binomial",
     "bernoulli_table",
-    "rational_str",
     "verify_recurrence",
     "verify_binomial_identity",
     "RealApprox",
@@ -97,7 +92,6 @@ __all__ = [
     "verify_imag_identity_exact",
     "verify_reduction_chain",
     "report_to_json",
-    "FourierPartialSum",
     "logsin_series_partial",
     "sawtooth_series_partial",
     "parseval_logsquared",

@@ -5,26 +5,34 @@ far beyond double, then rounding once to float.  The reported bound must
 then cover (a) the analytic truncation error of whatever series/rule was
 used, (b) mpmath rounding at the working precision, and (c) the single
 final rounding to double, which is at most half an ulp of the result.
+
+Every computation runs in a private mpmath context fixed at its working
+precision (``context_for``); nothing reads or sets the global ``mp``
+precision, so calls in different threads cannot change each other's
+arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from mpmath import mp, mpf, workdps
+from mpmath import mpf
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import dps_to_prec
 
 # precision in bits -> the private context fixed at it
 _PRIVATE_CONTEXTS: dict[int, MPContext] = {}
 
 
 def private_context(prec: int) -> MPContext:
-    """An mpmath context fixed at ``prec`` bits, for filling memo tables.
+    """An mpmath context fixed at ``prec`` bits.
 
     Each precision gets one context, created on first use; its precision is
-    never changed afterwards.  A value computed in it is therefore exactly
-    what the same operations give in the global context at ``prec`` bits,
-    whatever another thread does to the global ``mp.prec`` meanwhile.
+    never changed afterwards, so it may be shared by every caller and
+    thread.  Code that computes in it must not call mpmath functions that
+    raise the context's precision while they run (``expm1``, ``log1p`` and
+    the other wrapped special functions).
     """
     ctx = _PRIVATE_CONTEXTS.get(prec)
     if ctx is None:
@@ -35,18 +43,26 @@ def private_context(prec: int) -> MPContext:
     return ctx
 
 
-def dps_for(target_abs_error: float, extra_digits: int = 15) -> int:
-    """Working decimal precision comfortably below a target absolute error."""
+def context_for(target_abs_error: float, extra_digits: int, min_dps: int) -> MPContext:
+    """The private context for a target absolute error: ``extra_digits``
+    decimal digits below the target, and never fewer than ``min_dps``."""
     if target_abs_error <= 0 or not math.isfinite(target_abs_error):
         raise ValueError("target absolute error must be positive and finite")
     digits = -math.log10(target_abs_error) if target_abs_error < 1 else 0.0
-    return max(25, int(math.ceil(digits)) + extra_digits)
+    dps = max(min_dps, int(math.ceil(digits)) + extra_digits)
+    return private_context(dps_to_prec(dps))
 
 
-def mp_round_slack(scale: mpf, dps: int) -> mpf:
-    """Bound on accumulated mpmath rounding for an O(100)-operation
-    computation whose intermediates are at most ``scale`` in magnitude."""
-    return abs(scale) * mpf(10) ** (-dps + 4)
+@lru_cache(maxsize=None)
+def _slack_unit(prec: int) -> mpf:
+    ctx = private_context(prec)
+    return ctx.mpf(10) ** (4 - ctx.dps)
+
+
+def round_slack(x: mpf, ctx: MPContext) -> mpf:
+    """Bound on accumulated rounding in ``ctx`` for an O(100)-operation
+    computation whose intermediates are at most ``|x|`` in magnitude."""
+    return abs(x) * _slack_unit(ctx.prec)
 
 
 def float_with_bound(value_mp: mpf, internal_bound_mp: mpf) -> tuple[float, float]:
@@ -61,11 +77,8 @@ def float_with_bound(value_mp: mpf, internal_bound_mp: mpf) -> tuple[float, floa
 
 
 __all__ = [
-    "dps_for",
-    "mp_round_slack",
+    "context_for",
     "float_with_bound",
     "private_context",
-    "mp",
-    "mpf",
-    "workdps",
+    "round_slack",
 ]

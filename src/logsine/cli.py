@@ -43,7 +43,6 @@ class RunConfig:
     tolerance: float = 1e-10
     n_max: int = 10
     output_format: str = "plain"
-    deterministic: bool = True  # always on; kept for interface stability
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -82,7 +81,7 @@ def _emit_csv(header: list[str], rows: list[list[str]], out: io.TextIOBase) -> N
 
 def _cmd_bernoulli(cfg: RunConfig, out: io.TextIOBase) -> int:
     table = exact_core.bernoulli_table(cfg.n_max)
-    rows = [(k, exact_core.rational_str(table[k])) for k in range(cfg.n_max + 1)]
+    rows = [(k, str(table[k])) for k in range(cfg.n_max + 1)]
     if cfg.output_format == "plain":
         for k, b in rows:
             print(f"{k} {b}", file=out)
@@ -100,7 +99,7 @@ def _cmd_zeta(cfg: RunConfig, out: io.TextIOBase) -> int:
         exact = None
         if s % 2 == 0:
             ev = zeta_engine.zeta_even_exact(s // 2, exact_core.bernoulli_table(s))
-            exact = f"{exact_core.rational_str(ev.coefficient)} · pi^{ev.pi_power}"
+            exact = f"{ev.coefficient} · pi^{ev.pi_power}"
         records.append(
             {
                 "s": s,

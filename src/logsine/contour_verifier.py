@@ -27,7 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from ._precision import float_with_bound, mp, mpf, workdps
+from mpmath import mpf
+from mpmath.ctx_mp import MPContext
+
+from ._precision import context_for, float_with_bound, round_slack
 from .errors import CertificationError
 from .exact_core import BernoulliTable, binomial
 from .logsine_closed_form import logsine_numeric
@@ -68,14 +71,13 @@ class ComplexApprox:
         return self.re.abs_error + self.im.abs_error
 
 
-def _dps_for_tol(tol: float) -> int:
-    digits = -math.log10(tol) if tol < 1 else 0.0
-    return max(30, int(math.ceil(digits)) + 25)
-
-
 def _validate_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be positive and finite")
+
+
+def _leg_context(tol: float) -> MPContext:
+    return context_for(tol, extra_digits=25, min_dps=30)
 
 
 def leg_L(n: int, tol: float) -> ComplexApprox:
@@ -86,14 +88,12 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
     if n < 0:
         raise ValueError("n must be nonnegative")
     _validate_tol(tol)
-    with workdps(_dps_for_tol(tol)):
-        zeta_mp, zeta_bound = _zeta_mpf(n + 2)
-        coeff = Fraction(math.factorial(n), 2 ** (n + 1))
-        mag = mpf(coeff.numerator) / coeff.denominator * zeta_mp
-        err = mpf(coeff.numerator) / coeff.denominator * zeta_bound + abs(mag) * mpf(
-            10
-        ) ** (-mp.dps + 4)
-        value, bound = float_with_bound(mag, err)
+    ctx = _leg_context(tol)
+    zeta_mp, zeta_bound = _zeta_mpf(n + 2, ctx)
+    coeff = Fraction(math.factorial(n), 2 ** (n + 1))
+    scale = ctx.mpf(coeff.numerator) / coeff.denominator
+    mag = scale * zeta_mp
+    value, bound = float_with_bound(mag, scale * zeta_bound + round_slack(mag, ctx))
     if bound > tol:
         raise CertificationError(f"leg L(n={n}) certified to {bound:.3e} > {tol:.3e}")
     comp, sign = _PHASE_SIGN[(n + 1) % 4]
@@ -102,21 +102,21 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
     return ComplexApprox(re=parts[0], im=parts[1])
 
 
-def _leg_r_terms_mp(n: int) -> list[tuple[int, mpf, mpf]]:
-    """Summands of the right leg at current precision: (phase, value, bound).
+def _leg_r_terms_mp(n: int, ctx: MPContext) -> list[tuple[int, mpf, mpf]]:
+    """Summands of the right leg at the precision of ``ctx``:
+    (phase, value, bound).
 
     Term k carries -i * i^k = i^(k+3), magnitude
     C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2).
     """
-    eps = mpf(10) ** (-mp.dps + 4)
-    pi = +mp.pi
+    pi = +ctx.pi
     out = []
     for k in range(n + 1):
-        zeta_mp, zeta_bound = _zeta_mpf(k + 2)
+        zeta_mp, zeta_bound = _zeta_mpf(k + 2, ctx)
         coeff = Fraction(binomial(n, k) * math.factorial(k), 2 ** (k + 1))
-        scale = mpf(coeff.numerator) / coeff.denominator * pi ** (n - k)
+        scale = ctx.mpf(coeff.numerator) / coeff.denominator * pi ** (n - k)
         mag = scale * zeta_mp
-        err = scale * zeta_bound + abs(mag) * eps
+        err = scale * zeta_bound + round_slack(mag, ctx)
         out.append(((k + 3) % 4, mag, err))
     return out
 
@@ -131,23 +131,22 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
         raise ValueError("n must be nonnegative")
     _validate_tol(tol)
     share = tol / (n + 1)
-    with workdps(_dps_for_tol(tol)):
-        re = im = mpf(0)
-        re_err = im_err = mpf(0)
-        for phase, mag, err in _leg_r_terms_mp(n):
-            if err > share:
-                raise CertificationError(
-                    f"leg R(n={n}) term exceeds its error share {share:.3e}"
-                )
-            comp, sign = _PHASE_SIGN[phase]
-            if comp == 0:
-                re += sign * mag
-                re_err += err
-            else:
-                im += sign * mag
-                im_err += err
-        re_val, re_bound = float_with_bound(re, re_err)
-        im_val, im_bound = float_with_bound(im, im_err)
+    ctx = _leg_context(tol)
+    re = im = re_err = im_err = ctx.mpf(0)
+    for phase, mag, err in _leg_r_terms_mp(n, ctx):
+        if err > share:
+            raise CertificationError(
+                f"leg R(n={n}) term exceeds its error share {share:.3e}"
+            )
+        comp, sign = _PHASE_SIGN[phase]
+        if comp == 0:
+            re += sign * mag
+            re_err += err
+        else:
+            im += sign * mag
+            im_err += err
+    re_val, re_bound = float_with_bound(re, re_err)
+    im_val, im_bound = float_with_bound(im, im_err)
     if re_bound + im_bound > tol:
         raise CertificationError(
             f"leg R(n={n}) certified to {re_bound + im_bound:.3e} > {tol:.3e}"
@@ -163,9 +162,8 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     if not 0 <= k <= n:
         raise ValueError("require 0 <= k <= n")
     _validate_tol(tol)
-    with workdps(_dps_for_tol(tol)):
-        phase, mag, err = _leg_r_terms_mp(n)[k]
-        value, bound = float_with_bound(mag, err)
+    phase, mag, err = _leg_r_terms_mp(n, _leg_context(tol))[k]
+    value, bound = float_with_bound(mag, err)
     comp, sign = _PHASE_SIGN[phase]
     parts = [RealApprox(0.0, 0.0), RealApprox(0.0, 0.0)]
     parts[comp] = RealApprox(sign * value, bound)
@@ -191,16 +189,16 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
         raise ValueError("n must be nonnegative")
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
-    with workdps(_dps_for_tol(settings.target_abs_error)):
-        eps = mpf(10) ** (-mp.dps + 4)
-        pi = +mp.pi
-        log2_term = pi ** (n + 1) / (n + 1) * mp.log(2)
-        re_val, re_bound = float_with_bound(
-            log2_term + oracle.value, abs(log2_term) * eps + mpf(oracle.abs_error)
-        )
-        r = leg_H_im_coefficient(n)
-        im_mp = mpf(r.numerator) / r.denominator * pi ** (n + 2)
-        im_val, im_bound = float_with_bound(im_mp, abs(im_mp) * eps)
+    ctx = _leg_context(settings.target_abs_error)
+    pi = +ctx.pi
+    log2_term = pi ** (n + 1) / (n + 1) * ctx.log(2)
+    re_val, re_bound = float_with_bound(
+        log2_term + oracle.value,
+        round_slack(log2_term, ctx) + ctx.mpf(oracle.abs_error),
+    )
+    r = leg_H_im_coefficient(n)
+    im_mp = ctx.mpf(r.numerator) / r.denominator * pi ** (n + 2)
+    im_val, im_bound = float_with_bound(im_mp, round_slack(im_mp, ctx))
     return ComplexApprox(
         re=RealApprox(re_val, re_bound), im=RealApprox(im_val, im_bound)
     )
@@ -288,12 +286,10 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     L = leg_L(n, tol / 4)
     R = leg_R(n, tol / 4)
     closed = logsine_numeric(n, tol / 4)
-    with workdps(_dps_for_tol(tol)):
-        pi = +mp.pi
-        log2_term = pi ** (n + 1) / (n + 1) * mp.log(2)
-        log2_val, log2_bound = float_with_bound(
-            log2_term, abs(log2_term) * mpf(10) ** (-mp.dps + 4)
-        )
+    ctx = _leg_context(tol)
+    pi = +ctx.pi
+    log2_term = pi ** (n + 1) / (n + 1) * ctx.log(2)
+    log2_val, log2_bound = float_with_bound(log2_term, round_slack(log2_term, ctx))
     return _sum_components(
         [
             L.re,

@@ -24,23 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-# All exact coefficients in this package are plain Fractions.
-ExactRational = Fraction
-
 __all__ = [
-    "ExactRational",
     "BernoulliTable",
     "binomial",
     "bernoulli_table",
     "verify_recurrence",
     "verify_binomial_identity",
-    "rational_str",
 ]
-
-
-def rational_str(q: Fraction) -> str:
-    """Render a rational as a decimal-free ``p/q`` string (``p`` if integral)."""
-    return str(q)
 
 
 def binomial(n: int, k: int) -> int:

@@ -23,18 +23,11 @@ Both series diverge on the lattice theta = 0 mod 2pi; angles within
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
 
 from .logsine_closed_form import SymbolicLogSine
 
 __all__ = [
-    "FourierPartialSum",
-    "logsin_partial_sum",
-    "sawtooth_partial_sum",
     "logsin_series_partial",
     "sawtooth_series_partial",
     "parseval_logsquared",
@@ -60,41 +53,14 @@ def logsin_series_partial(theta: float, terms: int) -> float:
     """-sum_{l=1}^{terms} cos(l*theta)/l, the log(2|sin(theta/2)|) series."""
     _validate_theta(theta)
     _validate_terms(terms)
-    l = np.arange(1, terms + 1, dtype=np.float64)
-    return float(-np.sum(np.cos(l * theta) / l))
+    return -math.fsum(math.cos(l * theta) / l for l in range(1, terms + 1))
 
 
 def sawtooth_series_partial(theta: float, terms: int) -> float:
     """-sum_{l=1}^{terms} sin(l*theta)/l, the (theta - pi)/2 series."""
     _validate_theta(theta)
     _validate_terms(terms)
-    l = np.arange(1, terms + 1, dtype=np.float64)
-    return float(-np.sum(np.sin(l * theta) / l))
-
-
-@dataclass(frozen=True)
-class FourierPartialSum:
-    """A fixed-length partial sum, evaluated pointwise on (0, 2pi)."""
-
-    terms: int
-    evaluate: Callable[[float], float]
-
-    def __call__(self, theta: float) -> float:
-        return self.evaluate(theta)
-
-
-def logsin_partial_sum(terms: int) -> FourierPartialSum:
-    _validate_terms(terms)
-    return FourierPartialSum(
-        terms=terms, evaluate=lambda theta: logsin_series_partial(theta, terms)
-    )
-
-
-def sawtooth_partial_sum(terms: int) -> FourierPartialSum:
-    _validate_terms(terms)
-    return FourierPartialSum(
-        terms=terms, evaluate=lambda theta: sawtooth_series_partial(theta, terms)
-    )
+    return -math.fsum(math.sin(l * theta) / l for l in range(1, terms + 1))
 
 
 def parseval_logsquared(terms: int) -> float:
@@ -105,8 +71,7 @@ def parseval_logsquared(terms: int) -> float:
     terms is below (pi/4)/N.
     """
     _validate_terms(terms)
-    l = np.arange(1, terms + 1, dtype=np.float64)
-    return float(math.pi / 4 * np.sum(1.0 / (l * l)))
+    return math.pi / 4 * math.fsum(1.0 / (l * l) for l in range(1, terms + 1))
 
 
 def _theta_cosine_moments(n: int) -> dict[int, Fraction]:

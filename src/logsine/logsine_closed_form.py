@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from ._precision import float_with_bound, mp, mpf, workdps
+from ._precision import context_for, float_with_bound, round_slack
 from .errors import CertificationError
-from .exact_core import rational_str
 from .zeta_engine import RealApprox, _zeta_mpf
 
 __all__ = [
@@ -79,28 +78,26 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
         raise ValueError("target absolute error must be positive and finite")
     sym = logsine_symbolic(n)
     share = target_abs_error / (n // 2 + 1)
-    digits = -math.log10(target_abs_error) if target_abs_error < 1 else 0.0
-    dps = max(30, int(math.ceil(digits)) + 25)
-    with workdps(dps):
-        eps = mpf(10) ** (-dps + 4)
-        pi = +mp.pi
-        c0 = sym.log2_coefficient
-        total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * mp.log(2)
-        internal = abs(total) * eps
-        if internal > share:
-            raise CertificationError("log-2 term exceeds its error share")
-        for arg, coeff in sym.zeta_terms:
-            zeta_mp, zeta_bound = _zeta_mpf(arg)
-            scale = mpf(coeff.numerator) / coeff.denominator * pi ** sym.pi_power(arg)
-            term = scale * zeta_mp
-            term_err = abs(scale) * zeta_bound + abs(term) * eps
-            if term_err > share:
-                raise CertificationError(
-                    f"zeta({arg}) term exceeds its error share {share:.3e}"
-                )
-            total += term
-            internal += term_err
-        value, bound = float_with_bound(total, internal)
+    ctx = context_for(target_abs_error, extra_digits=25, min_dps=30)
+    mpf = ctx.mpf
+    pi = +ctx.pi
+    c0 = sym.log2_coefficient
+    total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * ctx.log(2)
+    internal = round_slack(total, ctx)
+    if internal > share:
+        raise CertificationError("log-2 term exceeds its error share")
+    for arg, coeff in sym.zeta_terms:
+        zeta_mp, zeta_bound = _zeta_mpf(arg, ctx)
+        scale = mpf(coeff.numerator) / coeff.denominator * pi ** sym.pi_power(arg)
+        term = scale * zeta_mp
+        term_err = abs(scale) * zeta_bound + round_slack(term, ctx)
+        if term_err > share:
+            raise CertificationError(
+                f"zeta({arg}) term exceeds its error share {share:.3e}"
+            )
+        total += term
+        internal += term_err
+    value, bound = float_with_bound(total, internal)
     if bound > target_abs_error:
         raise CertificationError(
             f"I_{n} certified to {bound:.3e}, target {target_abs_error:.3e}"
@@ -112,12 +109,12 @@ def symbolic_to_json(sym: SymbolicLogSine) -> dict[str, Any]:
     """JSON form with rationals as exact decimal-free "p/q" strings."""
     return {
         "n": sym.n,
-        "log2_coeff": rational_str(sym.log2_coefficient),
+        "log2_coeff": str(sym.log2_coefficient),
         "pi_power_log2": sym.n + 1,
         "zeta_terms": [
             {
                 "arg": arg,
-                "coeff": rational_str(coeff),
+                "coeff": str(coeff),
                 "pi_power": sym.pi_power(arg),
             }
             for arg, coeff in sym.zeta_terms

@@ -27,14 +27,9 @@ the result, is then the dominant claimed term.
 Results and node tables are memoized on their full argument tuples, and
 the x^n log(sin x) integrand takes log(sin d), d the node's distance from
 its nearer endpoint, from a table keyed by working precision and d, so the
-moments for every n share one evaluation per node.  That table is filled in
-a private mpmath context fixed at the key's precision, so each entry is
-exactly what the global context gives at that precision even while another
-thread changes the global mp.dps.  The result and node caches, by contrast,
-are filled in the global context: every numeric call still sets and reads
-the process-wide mp.dps, so concurrent numeric calls are not safe (a
-threaded call can return, and memoize, a result computed at another
-thread's precision).
+moments for every n share one evaluation per node.  Each rule runs in the
+fixed-precision context of its target, so every memoized value depends on
+its key alone.
 """
 
 from __future__ import annotations
@@ -44,9 +39,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from mpmath import mp, mpf, workdps
+from mpmath import mpf
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import dps_to_prec
 
-from ._precision import dps_for, float_with_bound, private_context
+from ._precision import context_for, float_with_bound, private_context, round_slack
 from .errors import CertificationError, RefinementExhausted
 from .zeta_engine import RealApprox
 
@@ -95,9 +92,6 @@ class QuadratureSettings:
 
     target_abs_error: float = 1e-10
     max_refinement_depth: int = 12
-    semi_infinite_cutoff_policy: Callable[[int, float], float] = (
-        default_semi_infinite_cutoff_policy
-    )
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.target_abs_error) and self.target_abs_error > 0):
@@ -118,7 +112,7 @@ def _t_limit(dps: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _nodes(dps: int, level: int) -> tuple[tuple[mpf, mpf], ...]:
+def _nodes(prec: int, level: int) -> tuple[tuple[mpf, mpf], ...]:
     """New (offset-fraction, weight) pairs introduced at a refinement level.
 
     For a positive abscissa t:  u = (pi/2) sinh t,  q = e^(-2u),
@@ -127,26 +121,33 @@ def _nodes(dps: int, level: int) -> tuple[tuple[mpf, mpf], ...]:
     w = 2 pi cosh(t) q/(1+q)^2.  Level 0 contributes the integer abscissas
     t = 0..T; level k >= 1 contributes the odd multiples of 2^-k up to T.
     Mirrored nodes share g and w by symmetry.
+
+    The pairs are computed 10 digits above the caller's precision ``prec``
+    and handed out unrounded in the caller's context, so that products with
+    them round at ``prec`` (mpmath rounds at the left operand's precision).
     """
-    with workdps(dps + 10):
-        t_max = _t_limit(dps)
-        if level == 0:
-            ts = [mpf(j) for j in range(t_max + 1)]
-        else:
-            h = mpf(1) / 2 ** level
-            ts = []
-            j = 1
-            while j * h <= t_max:
-                ts.append(j * h)
-                j += 2
-        out = []
-        for t in ts:
-            u = mp.pi / 2 * mp.sinh(t)
-            q = mp.exp(-2 * u)
-            g = q / (1 + q)
-            w = 2 * mp.pi * mp.cosh(t) * q / (1 + q) ** 2
-            out.append((g, w))
-        return tuple(out)
+    caller = private_context(prec)
+    dps = caller.dps
+    ctx = private_context(dps_to_prec(dps + 10))
+    mpf = ctx.mpf
+    t_max = _t_limit(dps)
+    if level == 0:
+        ts = [mpf(j) for j in range(t_max + 1)]
+    else:
+        h = mpf(1) / 2 ** level
+        ts = []
+        j = 1
+        while j * h <= t_max:
+            ts.append(j * h)
+            j += 2
+    out = []
+    for t in ts:
+        u = ctx.pi / 2 * ctx.sinh(t)
+        q = ctx.exp(-2 * u)
+        g = q / (1 + q)
+        w = 2 * ctx.pi * ctx.cosh(t) * q / (1 + q) ** 2
+        out.append((caller.make_mpf(g._mpf_), caller.make_mpf(w._mpf_)))
+    return tuple(out)
 
 
 def _tanh_sinh(
@@ -155,8 +156,10 @@ def _tanh_sinh(
     b: mpf,
     rule_target: mpf,
     max_depth: int,
+    ctx: MPContext,
 ) -> tuple[mpf, mpf, mpf]:
-    """Refine until two successive level sums differ by <= rule_target.
+    """Refine until two successive level sums differ by <= rule_target,
+    computing at the precision of ``ctx``.
 
     Integrands receive (x, dist_lower, dist_upper): the offsets from the
     endpoints are exact by construction, so a singular factor can be
@@ -166,7 +169,7 @@ def _tanh_sinh(
     Returns (value, rule error estimate, accumulated |weight*f| mass).
     Raises RefinementExhausted if max_depth levels are not enough.
     """
-    dps = mp.dps
+    mpf = ctx.mpf
     width = b - a
     r = width / 2
     total = mpf(0)
@@ -176,7 +179,7 @@ def _tanh_sinh(
         h = mpf(1) / 2 ** level
         part = mpf(0)
         part_mass = mpf(0)
-        for i, (g, w) in enumerate(_nodes(dps, level)):
+        for i, (g, w) in enumerate(_nodes(ctx.prec, level)):
             off = width * g
             far = width - off
             if level == 0 and i == 0:
@@ -205,22 +208,21 @@ def _tanh_sinh(
 
 
 def _certify(
-    make_f: Callable[[], tuple[Callable[[mpf, mpf, mpf], mpf], mpf, mpf]],
+    make_f: Callable[[MPContext], tuple[Callable[[mpf, mpf, mpf], mpf], mpf, mpf]],
     settings: QuadratureSettings,
     truncation_bound: float = 0.0,
 ) -> RealApprox:
-    """Run the rule and assemble the certified bound:
+    """Run the rule on the integrand and interval ``make_f`` builds in the
+    working context, and assemble the certified bound:
     rule estimate + truncation + precision slack + double rounding."""
     target = settings.target_abs_error
-    dps = dps_for(target, extra_digits=12)
-    with workdps(dps):
-        f, a, b = make_f()
-        rule_target = mpf(target) / 4
-        value_mp, rule_est, mass = _tanh_sinh(
-            f, a, b, rule_target, settings.max_refinement_depth
-        )
-        internal = rule_est + mpf(truncation_bound) + mass * mpf(10) ** (-dps + 4)
-        value, bound = float_with_bound(value_mp, internal)
+    ctx = context_for(target, extra_digits=12, min_dps=25)
+    f, a, b = make_f(ctx)
+    value_mp, rule_est, mass = _tanh_sinh(
+        f, a, b, ctx.mpf(target) / 4, settings.max_refinement_depth, ctx
+    )
+    internal = rule_est + ctx.mpf(truncation_bound) + round_slack(mass, ctx)
+    value, bound = float_with_bound(value_mp, internal)
     if bound > target:
         raise CertificationError(
             f"quadrature certified to {bound:.3e}, target {target:.3e}"
@@ -245,10 +247,8 @@ _LOGSIN_TABLE: dict[int, dict[tuple, tuple]] = {}
 def _logsine_cached(n: int, target: float, depth: int) -> RealApprox:
     settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
 
-    def make_f():
-        prec = mp.prec
-        ctx = private_context(prec)
-        table = _LOGSIN_TABLE.setdefault(prec, {})
+    def make_f(ctx):
+        table = _LOGSIN_TABLE.setdefault(ctx.prec, {})
 
         def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
             # sin is symmetric about the midpoint of [0, pi]: evaluate it
@@ -258,9 +258,9 @@ def _logsine_cached(n: int, target: float, depth: int) -> RealApprox:
             log_sin = table.get(d)
             if log_sin is None:
                 log_sin = table.setdefault(d, ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_)
-            return x ** n * mp.make_mpf(log_sin)
+            return x ** n * ctx.make_mpf(log_sin)
 
-        return f, mpf(0), +mp.pi
+        return f, ctx.mpf(0), +ctx.pi
 
     return _certify(make_f, settings)
 
@@ -281,11 +281,11 @@ def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> Rea
 def _logsquared_cached(target: float, depth: int) -> RealApprox:
     settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
 
-    def make_f():
+    def make_f(ctx):
         def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
-            return mp.log(2 * mp.sin(dist_lower)) ** 2  # x == dist_lower here
+            return ctx.log(2 * ctx.sin(dist_lower)) ** 2  # x == dist_lower here
 
-        return f, mpf(0), mp.pi / 2
+        return f, ctx.mpf(0), ctx.pi / 2
 
     return _certify(make_f, settings)
 
@@ -302,16 +302,22 @@ def _vertical_leg_cached(
 ) -> RealApprox:
     settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
 
-    def make_f():
+    def make_f(ctx):
+        # expm1 and log1p raise their context's precision while they run,
+        # so they run in a context of this call's own, not the shared one
+        own = MPContext()
+        own.prec = ctx.prec
+        split = ctx.mpf("0.35")
+
         def f(y: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
             # log(1 - e^(-2y)): expm1 form near 0, log1p form elsewhere
-            if y < mpf("0.35"):
-                val = mp.log(-mp.expm1(-2 * y))
+            if y < split:
+                val = own.log(-own.expm1(-2 * y))
             else:
-                val = mp.log1p(-mp.exp(-2 * y))
+                val = own.log1p(-own.exp(-2 * y))
             return y ** n * val
 
-        return f, mpf(0), mpf(cutoff)
+        return f, ctx.mpf(0), ctx.mpf(cutoff)
 
     return _certify(make_f, settings, truncation_bound=vertical_tail_bound(n, cutoff))
 
@@ -320,11 +326,11 @@ def integrate_vertical_leg(
     n: int, settings: QuadratureSettings | None = None
 ) -> RealApprox:
     """int_0^inf y^n log(1 - e^(-2y)) dy (negative), truncated by the
-    settings' cutoff policy with the dropped tail added to the bound."""
+    cutoff policy with the dropped tail added to the bound."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     settings = settings or QuadratureSettings()
-    cutoff = settings.semi_infinite_cutoff_policy(n, settings.target_abs_error)
+    cutoff = default_semi_infinite_cutoff_policy(n, settings.target_abs_error)
     return _vertical_leg_cached(n, *_settings_key(settings), cutoff)
 
 
@@ -332,11 +338,11 @@ def integrate_vertical_leg(
 def _cosine_moment_cached(l: int, power: int, target: float, depth: int) -> RealApprox:
     settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
 
-    def make_f():
+    def make_f(ctx):
         def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
-            return x ** power * mp.cos(2 * l * x) if power else mp.cos(2 * l * x)
+            return x ** power * ctx.cos(2 * l * x) if power else ctx.cos(2 * l * x)
 
-        return f, mpf(0), +mp.pi
+        return f, ctx.mpf(0), +ctx.pi
 
     return _certify(make_f, settings)
 
@@ -361,11 +367,11 @@ def cosine_moment(
 def _cosine_orth_cached(l: int, lp: int, target: float, depth: int) -> RealApprox:
     settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
 
-    def make_f():
+    def make_f(ctx):
         def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
-            return mp.cos(2 * l * x) * mp.cos(2 * lp * x)
+            return ctx.cos(2 * l * x) * ctx.cos(2 * lp * x)
 
-        return f, mpf(0), +mp.pi
+        return f, ctx.mpf(0), +ctx.pi
 
     return _certify(make_f, settings)
 

@@ -22,10 +22,8 @@ process.  The table grows by one entry (a few hundred bytes) per distinct
 pair asked for; the precisions are the handful of integer digit counts that
 the callers' tolerances map to, and s is at most n + 2, so a sweep over
 n <= 12 at one tolerance adds about 55 entries.  A missing entry is summed
-in a private mpmath context fixed at the key's precision: the stored value
-is then bit for bit what the global context gives at that precision, and a
-thread that changes the global mp.dps mid-sum cannot store a value computed
-at another precision under the key.
+in the caller's fixed-precision context, so what is stored depends on its
+key alone.
 """
 
 from __future__ import annotations
@@ -34,17 +32,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mpmath import mpf
 from mpmath.ctx_mp import MPContext
 
-from ._precision import (
-    dps_for,
-    float_with_bound,
-    mp,
-    mp_round_slack,
-    mpf,
-    private_context,
-    workdps,
-)
+from ._precision import context_for, float_with_bound, round_slack
 from .errors import CertificationError
 from .exact_core import BernoulliTable, bernoulli_table
 
@@ -157,15 +148,14 @@ def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
 _ZETA_TABLE: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
 
-def _zeta_mpf(s: int) -> tuple[mpf, mpf]:
-    """zeta(s) at the current mp precision: (value, analytic bound)."""
-    prec = mp.prec
-    entry = _ZETA_TABLE.get((s, prec))
+def _zeta_mpf(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
+    """zeta(s) at the precision of ``ctx``: (value, analytic bound)."""
+    key = (s, ctx.prec)
+    entry = _ZETA_TABLE.get(key)
     if entry is None:
-        ctx = private_context(prec)
         value, bound = _euler_maclaurin(s, n_head=max(64, ctx.dps), ctx=ctx)
-        entry = _ZETA_TABLE.setdefault((s, prec), (value._mpf_, bound._mpf_))
-    return mp.make_mpf(entry[0]), mp.make_mpf(entry[1])
+        entry = _ZETA_TABLE.setdefault(key, (value._mpf_, bound._mpf_))
+    return ctx.make_mpf(entry[0]), ctx.make_mpf(entry[1])
 
 
 def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:
@@ -180,11 +170,9 @@ def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:
         raise ValueError("require integer s >= 2")
     if not target_abs_error > 0:
         raise ValueError("target absolute error must be positive")
-    dps = dps_for(target_abs_error)
-    with workdps(dps):
-        value_mp, analytic = _zeta_mpf(s)
-        internal = analytic + mp_round_slack(mpf(2), dps)
-        value, bound = float_with_bound(value_mp, internal)
+    ctx = context_for(target_abs_error, extra_digits=15, min_dps=25)
+    value_mp, analytic = _zeta_mpf(s, ctx)
+    value, bound = float_with_bound(value_mp, analytic + round_slack(ctx.mpf(2), ctx))
     if bound > target_abs_error:
         raise CertificationError(
             f"zeta({s}) certified to {bound:.3e}, target {target_abs_error:.3e}"

@@ -1,9 +1,7 @@
-"""The zeta table and the log-sin node table hold, under any thread
-interleaving, exactly the values a serial run computes at each entry's
-precision.
-
-Numeric calls still share the global mp.dps, so the results themselves may
-differ from serial ones under threads; only the memo tables are checked.
+"""Under any thread interleaving, numeric calls return what a serial run
+returns, leave the global mpmath precision alone, and fill the zeta table,
+the log-sin node table and the result caches with exactly the values a
+serial run computes at each entry's precision.
 """
 
 import sys
@@ -12,11 +10,16 @@ import threading
 from mpmath import mp
 from mpmath.ctx_mp import MPContext
 
-from logsine import quadrature_oracle, zeta_engine
+from logsine import _precision, quadrature_oracle, zeta_engine
 from logsine.contour_verifier import leg_R
 from logsine.errors import CertificationError
 from logsine.logsine_closed_form import logsine_numeric
-from logsine.quadrature_oracle import QuadratureSettings, integrate_logsine
+from logsine.quadrature_oracle import (
+    QuadratureSettings,
+    integrate_logsine,
+    integrate_vertical_leg,
+)
+from logsine.zeta_engine import zeta_numeric
 
 TOLERANCES = (1e-6, 1e-12, 1e-7, 1e-11, 1e-8, 1e-10, 1e-9, 3e-8)
 
@@ -32,7 +35,7 @@ def _calls(tol: float) -> None:
             try:
                 call()
             except CertificationError:
-                pass  # past the envelope, or a bound spoiled by the shared mp.dps
+                pass  # past the certified envelope
 
 
 def _fresh_context(prec: int) -> MPContext:
@@ -53,7 +56,7 @@ def test_tables_match_serial_values_under_threads(cold_caches):
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(saved_interval)
-        # interleaved workdps blocks can leave the global precision changed
+        # a numeric call that set the global precision would leave it changed
         mp.prec = saved_prec
 
     assert len(zeta_engine._ZETA_TABLE) > 0
@@ -67,3 +70,86 @@ def test_tables_match_serial_values_under_threads(cold_caches):
         ctx = _fresh_context(prec)
         for d, log_sin in table.items():
             assert log_sin == ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_, (prec, d)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CertificationError as exc:
+        return str(exc)
+
+
+def _outcomes(tol: float) -> dict:
+    """Every result, or the error text, of four numeric calls for n = 0..12."""
+    settings = QuadratureSettings(target_abs_error=tol)
+    out = {}
+    for n in range(13):
+        out["logsine_numeric", n] = _outcome(lambda: logsine_numeric(n, tol))
+        out["leg_R", n] = _outcome(lambda: leg_R(n, tol))
+        out["integrate_logsine", n] = _outcome(lambda: integrate_logsine(n, settings))
+        out["zeta_numeric", n] = _outcome(lambda: zeta_numeric(n + 2, tol))
+    return out
+
+
+def test_threaded_results_match_serial(cold_caches):
+    serial = {tol: _outcomes(tol) for tol in TOLERANCES}
+    cold_caches()
+    threaded: dict = {}
+
+    def run(tol: float) -> None:
+        threaded[tol] = _outcomes(tol)
+
+    saved_interval, saved_prec = sys.getswitchinterval(), mp.prec
+    threads = [threading.Thread(target=run, args=(tol,), daemon=True) for tol in TOLERANCES]
+    try:
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+            assert not t.is_alive()
+        prec_after = mp.prec
+    finally:
+        sys.setswitchinterval(saved_interval)
+        mp.prec = saved_prec
+
+    assert prec_after == saved_prec
+    for tol in TOLERANCES:
+        assert threaded[tol] == serial[tol], tol
+        settings = QuadratureSettings(target_abs_error=tol)
+        for n in range(13):
+            cached = _outcome(lambda: integrate_logsine(n, settings))
+            assert cached == serial[tol]["integrate_logsine", n], (tol, n)
+
+
+def test_threaded_vertical_legs_leave_shared_contexts_fixed(cold_caches):
+    # the targets share one working precision, so every thread computes in
+    # one private context; expm1 and log1p, which raise their context's
+    # precision while they run, must not run in it
+    targets = (1e-8, 9e-9, 8e-9, 7e-9)
+
+    def legs(tol: float) -> list:
+        settings = QuadratureSettings(target_abs_error=tol)
+        return [integrate_vertical_leg(n, settings) for n in range(4)]
+
+    serial = {tol: legs(tol) for tol in targets}
+    quadrature_oracle._vertical_leg_cached.cache_clear()
+    threaded: dict = {}
+    saved_interval = sys.getswitchinterval()
+    threads = [
+        threading.Thread(target=lambda tol=tol: threaded.update({tol: legs(tol)}), daemon=True)
+        for tol in targets
+    ]
+    try:
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(saved_interval)
+
+    moved = {p: ctx.prec for p, ctx in _precision._PRIVATE_CONTEXTS.items() if ctx.prec != p}
+    assert moved == {}
+    assert threaded == serial

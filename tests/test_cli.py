@@ -174,6 +174,3 @@ class TestRunConfig:
             cli.RunConfig(n_max=-1)
         with pytest.raises(ValueError):
             cli.RunConfig(output_format="xml")
-
-    def test_determinism_flag_always_on(self):
-        assert cli.RunConfig().deterministic is True

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from logsine.exact_core import (
     bernoulli_table,
     binomial,
-    rational_str,
     verify_binomial_identity,
     verify_recurrence,
 )
@@ -112,12 +111,6 @@ class TestBinomialIdentity:
     @given(st.integers(1, 300))
     def test_holds_for_all_admissible_k(self, n):
         assert all(verify_binomial_identity(n, k) for k in range(n // 2 + 1))
-
-
-def test_rational_str_is_decimal_free():
-    assert rational_str(Fraction(1)) == "1"
-    assert rational_str(Fraction(-1, 2)) == "-1/2"
-    assert rational_str(Fraction(-691, 2730)) == "-691/2730"
 
 
 def test_recurrence_sum_is_exact_zero(table_202):

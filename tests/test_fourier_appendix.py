@@ -5,12 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsine.fourier_appendix import (
-    FourierPartialSum,
-    logsin_partial_sum,
     logsin_series_partial,
     logsine_via_fourier,
     parseval_logsquared,
-    sawtooth_partial_sum,
     sawtooth_series_partial,
 )
 from logsine.logsine_closed_form import logsine_symbolic
@@ -78,23 +75,6 @@ class TestSawtoothSeries:
     def test_lattice_rejection(self):
         with pytest.raises(ValueError):
             sawtooth_series_partial(2 * math.pi, 10)
-
-
-class TestPartialSumObjects:
-    def test_fields_and_call(self):
-        ps = logsin_partial_sum(100)
-        assert isinstance(ps, FourierPartialSum)
-        assert ps.terms == 100
-        assert ps(math.pi) == logsin_series_partial(math.pi, 100)
-        assert ps.evaluate(1.0) == logsin_series_partial(1.0, 100)
-
-    def test_sawtooth_wrapper(self):
-        ps = sawtooth_partial_sum(64)
-        assert ps(2.0) == sawtooth_series_partial(2.0, 64)
-
-    def test_deterministic_at_fixed_angle(self):
-        ps = logsin_partial_sum(1000)
-        assert ps(2.2) == ps(2.2)
 
 
 class TestParseval:
