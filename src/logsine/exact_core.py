@@ -6,15 +6,19 @@ Everything in this module is exact.  Rationals are ``fractions.Fraction``
 rounding can occur anywhere; equality checks below are true identities, not
 approximate comparisons.
 
-The Bernoulli numbers are generated from the binomial-weighted sum rule
+The Bernoulli numbers are generated from the tangent numbers T_k
+(Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
+numbers", 2011) with integer arithmetic alone:
+
+    B_{2k} = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)),
+
+with B_0 = 1, B_1 = -1/2 and every later odd-index value zero.  The
+binomial-weighted sum rule
 
     sum_{k=0}^{n-1} C(n,k) * B_k = 0        (n >= 2)
 
-with B_0 = 1, which forces B_1 = -1/2 and every later odd-index value to
-vanish.  Solving the rule at n = m+1 for the single unknown B_m gives each
-new entry in O(m) rational operations:
-
-    B_m = -(1/(m+1)) * sum_{k=0}^{m-1} C(m+1,k) * B_k
+plays no part in generating the table; ``verify_recurrence`` checks it
+against the table, so the check is independent of the generator.
 """
 
 from __future__ import annotations
@@ -60,21 +64,35 @@ class BernoulliTable:
         return self.max_index + 1
 
 
+def _tangent_numbers(count: int) -> list[int]:
+    """Tangent numbers T_1 .. T_count (1, 2, 16, 272, ...), where
+    tan x = sum_k T_k x^(2k-1) / (2k-1)!.
+
+    Brent and Harvey's in-place recurrence: O(count^2) integer
+    operations, no division.
+    """
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1 : count + 1]
+
+
 @lru_cache(maxsize=None)
 def bernoulli_table(max_index: int) -> BernoulliTable:
-    """Generate B_0 .. B_max_index by solving the sum rule for each new index.
+    """Generate B_0 .. B_max_index from the tangent numbers.
 
     Deterministic and pure: equal arguments always produce equal tables.
     """
     if max_index < 0:
         raise ValueError("max_index must be nonnegative")
-    values: list[Fraction] = [Fraction(1)]
-    for m in range(1, max_index + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += binomial(m + 1, k) * values[k]
-        values.append(-acc / (m + 1))
-    return BernoulliTable(max_index=max_index, values=tuple(values))
+    values: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+    for k, t_k in enumerate(_tangent_numbers(max_index // 2), start=1):
+        four_k = 4**k
+        values += [Fraction((-1) ** (k - 1) * 2 * k * t_k, four_k * (four_k - 1)), Fraction(0)]
+    return BernoulliTable(max_index=max_index, values=tuple(values[: max_index + 1]))
 
 
 def verify_recurrence(n: int, table: BernoulliTable) -> bool:

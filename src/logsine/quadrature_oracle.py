@@ -30,6 +30,17 @@ its nearer endpoint, from a table keyed by working precision and d, so the
 moments for every n share one evaluation per node.  Each rule runs in the
 fixed-precision context of its target, so every memoized value depends on
 its key alone.
+
+The engine and the x^n log(sin x) integrand compute on raw mpmath tuples
+with ``mpmath.libmp`` calls, skipping the type checks and object
+allocation of the ``mpf`` operators.  Each step makes the very call, at
+the working precision with round-to-nearest, that the operator of the
+``mpf`` expression it replaces makes, and every sum and product keeps its
+association order, so each rounding and every bit of a result is what
+the ``mpf`` expressions give.  The node tables hold raw tuples 10 digits
+finer than the working precision; a product with them rounds at the
+working precision.  The other integrands keep their ``mpf`` code behind
+``_on_mpf``.
 """
 
 from __future__ import annotations
@@ -41,7 +52,23 @@ from typing import Callable
 
 from mpmath import mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import (
+    dps_to_prec,
+    fone,
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sub,
+    prec_to_dps,
+    round_nearest,
+    to_float,
+)
 
 from ._precision import context_for, float_with_bound, private_context, round_slack
 from .errors import CertificationError, RefinementExhausted
@@ -105,6 +132,10 @@ class QuadratureSettings:
 # ---------------------------------------------------------------------------
 
 
+# (x, dist_lower, dist_upper) -> f(x), all raw mpmath tuples
+RawIntegrand = Callable[[tuple, tuple, tuple], tuple]
+
+
 def _t_limit(dps: int) -> int:
     """Integer t-range such that the double-exponential weight underflows
     the working precision beyond it."""
@@ -112,8 +143,9 @@ def _t_limit(dps: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _nodes(prec: int, level: int) -> tuple[tuple[mpf, mpf], ...]:
-    """New (offset-fraction, weight) pairs introduced at a refinement level.
+def _nodes(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
+    """New (offset-fraction, weight) pairs introduced at a refinement level,
+    as raw mpmath tuples computed 10 digits above ``prec``.
 
     For a positive abscissa t:  u = (pi/2) sinh t,  q = e^(-2u),
     offset-fraction g = q/(1+q) (distance of each mirrored node from its
@@ -121,13 +153,8 @@ def _nodes(prec: int, level: int) -> tuple[tuple[mpf, mpf], ...]:
     w = 2 pi cosh(t) q/(1+q)^2.  Level 0 contributes the integer abscissas
     t = 0..T; level k >= 1 contributes the odd multiples of 2^-k up to T.
     Mirrored nodes share g and w by symmetry.
-
-    The pairs are computed 10 digits above the caller's precision ``prec``
-    and handed out unrounded in the caller's context, so that products with
-    them round at ``prec`` (mpmath rounds at the left operand's precision).
     """
-    caller = private_context(prec)
-    dps = caller.dps
+    dps = prec_to_dps(prec)
     ctx = private_context(dps_to_prec(dps + 10))
     mpf = ctx.mpf
     t_max = _t_limit(dps)
@@ -146,12 +173,12 @@ def _nodes(prec: int, level: int) -> tuple[tuple[mpf, mpf], ...]:
         q = ctx.exp(-2 * u)
         g = q / (1 + q)
         w = 2 * ctx.pi * ctx.cosh(t) * q / (1 + q) ** 2
-        out.append((caller.make_mpf(g._mpf_), caller.make_mpf(w._mpf_)))
+        out.append((g._mpf_, w._mpf_))
     return tuple(out)
 
 
 def _tanh_sinh(
-    f: Callable[[mpf, mpf, mpf], mpf],
+    f: RawIntegrand,
     a: mpf,
     b: mpf,
     rule_target: mpf,
@@ -161,54 +188,61 @@ def _tanh_sinh(
     """Refine until two successive level sums differ by <= rule_target,
     computing at the precision of ``ctx``.
 
-    Integrands receive (x, dist_lower, dist_upper): the offsets from the
-    endpoints are exact by construction, so a singular factor can be
-    evaluated from the nearer distance without cancellation even when a
-    node sits within 1e-100 of an endpoint.
+    Integrands receive (x, dist_lower, dist_upper) as raw mpmath tuples
+    and return a raw tuple: the offsets from the endpoints are exact by
+    construction, so a singular factor can be evaluated from the nearer
+    distance without cancellation even when a node sits within 1e-100 of
+    an endpoint.
 
     Returns (value, rule error estimate, accumulated |weight*f| mass).
     Raises RefinementExhausted if max_depth levels are not enough.
     """
-    mpf = ctx.mpf
-    width = b - a
-    r = width / 2
-    total = mpf(0)
-    mass = mpf(0)
-    prev = None
+    prec, rnd = ctx.prec, round_nearest
+    a, b, rule_target = a._mpf_, b._mpf_, rule_target._mpf_
+    width = mpf_sub(b, a, prec, rnd)
+    r = mpf_div(width, from_int(2), prec, rnd)
+    total = mass = prev = None
     for level in range(max_depth + 1):
-        h = mpf(1) / 2 ** level
-        part = mpf(0)
-        part_mass = mpf(0)
-        for i, (g, w) in enumerate(_nodes(ctx.prec, level)):
-            off = width * g
-            far = width - off
+        h = mpf_div(fone, from_int(2**level), prec, rnd)  # mpf(1) / 2 ** level
+        rh = mpf_mul(r, h, prec, rnd)
+        part = part_mass = fzero
+        for i, (g, w) in enumerate(_nodes(prec, level)):
+            off = mpf_mul(width, g, prec, rnd)
+            far = mpf_sub(width, off, prec, rnd)
             if level == 0 and i == 0:
-                contrib = w * f(a + off, off, far)  # center node, g = 1/2
-                part += contrib
-                part_mass += abs(contrib)
+                # contrib = w * f(a + off, off, far), the center node g = 1/2
+                contrib = mpf_mul(w, f(mpf_add(a, off, prec, rnd), off, far), prec, rnd)
+                part = mpf_add(part, contrib, prec, rnd)
+                part_mass = mpf_add(part_mass, mpf_abs(contrib, prec, rnd), prec, rnd)
             else:
-                lo = f(a + off, off, far)
-                hi = f(b - off, far, off)
-                part += w * (lo + hi)
-                part_mass += abs(w * lo) + abs(w * hi)
+                lo = f(mpf_add(a, off, prec, rnd), off, far)
+                hi = f(mpf_sub(b, off, prec, rnd), far, off)
+                # part += w * (lo + hi)
+                both = mpf_mul(w, mpf_add(lo, hi, prec, rnd), prec, rnd)
+                part = mpf_add(part, both, prec, rnd)
+                # part_mass += abs(w * lo) + abs(w * hi)
+                lo_mass = mpf_abs(mpf_mul(w, lo, prec, rnd), prec, rnd)
+                hi_mass = mpf_abs(mpf_mul(w, hi, prec, rnd), prec, rnd)
+                part_mass = mpf_add(part_mass, mpf_add(lo_mass, hi_mass, prec, rnd), prec, rnd)
+        # total = r * h * part at level 0, total / 2 + r * h * part after it
+        part = mpf_mul(rh, part, prec, rnd)
+        part_mass = mpf_mul(rh, part_mass, prec, rnd)
         if level == 0:
-            total = r * h * part
-            mass = r * h * part_mass
+            total, mass = part, part_mass
         else:
-            total = total / 2 + r * h * part
-            mass = mass / 2 + r * h * part_mass
+            total = mpf_add(mpf_div(total, from_int(2), prec, rnd), part, prec, rnd)
+            mass = mpf_add(mpf_div(mass, from_int(2), prec, rnd), part_mass, prec, rnd)
         if prev is not None and level >= _MIN_ACCEPT_LEVEL:
-            diff = abs(total - prev)
-            if diff <= rule_target:
-                return total, diff, mass
+            diff = mpf_abs(mpf_sub(total, prev, prec, rnd), prec, rnd)
+            if mpf_le(diff, rule_target):
+                return ctx.make_mpf(total), ctx.make_mpf(diff), ctx.make_mpf(mass)
         prev = total
-    raise RefinementExhausted(
-        f"no convergence to {float(rule_target):.3e} within depth {max_depth}"
-    )
+    target = to_float(rule_target, rnd=rnd)  # float(rule_target)
+    raise RefinementExhausted(f"no convergence to {target:.3e} within depth {max_depth}")
 
 
 def _certify(
-    make_f: Callable[[MPContext], tuple[Callable[[mpf, mpf, mpf], mpf], mpf, mpf]],
+    make_f: Callable[[MPContext], tuple[RawIntegrand, mpf, mpf]],
     settings: QuadratureSettings,
     truncation_bound: float = 0.0,
 ) -> RealApprox:
@@ -239,6 +273,11 @@ def _settings_key(settings: QuadratureSettings) -> tuple[float, int]:
     return (settings.target_abs_error, settings.max_refinement_depth)
 
 
+def _on_mpf(f: Callable[[mpf, mpf, mpf], mpf], ctx: MPContext) -> RawIntegrand:
+    """The raw-tuple form of an integrand written on ``mpf`` values of ``ctx``."""
+    return lambda *xs: f(*map(ctx.make_mpf, xs))._mpf_
+
+
 # precision in bits -> {raw tuple of d: raw tuple of log(sin d)}
 _LOGSIN_TABLE: dict[int, dict[tuple, tuple]] = {}
 
@@ -248,17 +287,19 @@ def _logsine_cached(n: int, target: float, depth: int) -> RealApprox:
     settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
 
     def make_f(ctx):
-        table = _LOGSIN_TABLE.setdefault(ctx.prec, {})
+        prec, rnd = ctx.prec, round_nearest
+        table = _LOGSIN_TABLE.setdefault(prec, {})
 
-        def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
+        def f(x: tuple, dist_lower: tuple, dist_upper: tuple) -> tuple:
             # sin is symmetric about the midpoint of [0, pi]: evaluate it
             # at the nearer endpoint distance so nodes hugging pi stay
-            # on the positive branch
-            d = min(dist_lower, dist_upper)._mpf_
+            # on the positive branch; min(dist_lower, dist_upper)
+            d = dist_upper if mpf_lt(dist_upper, dist_lower) else dist_lower
             log_sin = table.get(d)
             if log_sin is None:
                 log_sin = table.setdefault(d, ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_)
-            return x ** n * ctx.make_mpf(log_sin)
+            # x ** n * log_sin
+            return mpf_mul(mpf_pow_int(x, n, prec, rnd), log_sin, prec, rnd)
 
         return f, ctx.mpf(0), +ctx.pi
 
@@ -285,7 +326,7 @@ def _logsquared_cached(target: float, depth: int) -> RealApprox:
         def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
             return ctx.log(2 * ctx.sin(dist_lower)) ** 2  # x == dist_lower here
 
-        return f, ctx.mpf(0), ctx.pi / 2
+        return _on_mpf(f, ctx), ctx.mpf(0), ctx.pi / 2
 
     return _certify(make_f, settings)
 
@@ -317,7 +358,7 @@ def _vertical_leg_cached(
                 val = own.log1p(-own.exp(-2 * y))
             return y ** n * val
 
-        return f, ctx.mpf(0), ctx.mpf(cutoff)
+        return _on_mpf(f, ctx), ctx.mpf(0), ctx.mpf(cutoff)
 
     return _certify(make_f, settings, truncation_bound=vertical_tail_bound(n, cutoff))
 
@@ -342,7 +383,7 @@ def _cosine_moment_cached(l: int, power: int, target: float, depth: int) -> Real
         def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
             return x ** power * ctx.cos(2 * l * x) if power else ctx.cos(2 * l * x)
 
-        return f, ctx.mpf(0), +ctx.pi
+        return _on_mpf(f, ctx), ctx.mpf(0), +ctx.pi
 
     return _certify(make_f, settings)
 
@@ -371,7 +412,7 @@ def _cosine_orth_cached(l: int, lp: int, target: float, depth: int) -> RealAppro
         def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
             return ctx.cos(2 * l * x) * ctx.cos(2 * lp * x)
 
-        return f, ctx.mpf(0), +ctx.pi
+        return _on_mpf(f, ctx), ctx.mpf(0), +ctx.pi
 
     return _certify(make_f, settings)
 

@@ -24,6 +24,13 @@ the callers' tolerances map to, and s is at most n + 2, so a sweep over
 n <= 12 at one tolerance adds about 55 entries.  A missing entry is summed
 in the caller's fixed-precision context, so what is stored depends on its
 key alone.
+
+The series is summed on raw mpmath tuples with ``mpmath.libmp`` calls,
+skipping the type checks and object allocation of the ``mpf`` operators.
+Each step makes the very call, at the context's precision with
+round-to-nearest, that the operator of the ``mpf`` expression it replaces
+makes, and every sum keeps its association order, so each rounding and
+therefore every bit of the result is what the ``mpf`` expression gives.
 """
 
 from __future__ import annotations
@@ -34,6 +41,19 @@ from fractions import Fraction
 
 from mpmath import mpf
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_le,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pos,
+    mpf_pow_int,
+    round_nearest,
+)
 
 from ._precision import context_for, float_with_bound, round_slack
 from .errors import CertificationError
@@ -112,17 +132,25 @@ def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
     completely monotone summand; the factor 2 is slack).  The exact
     coefficients come from one Bernoulli table that doubles when the
     ladder outgrows it.
+
+    Each comment gives the ``mpf`` expression whose operator makes the
+    ``libmp`` calls below it (see the module docstring).
     """
-    mpf = ctx.mpf
-    head = mpf(0)
+    prec, rnd = ctx.prec, round_nearest
+    head = fzero
     for l in range(1, n_head):
-        head += mpf(l) ** (-s)
-    big_n = mpf(n_head)
-    value = head + big_n ** (1 - s) / (s - 1) + big_n ** (-s) / 2
-    threshold = mpf(10) ** (-(ctx.dps + 6))
+        # head += mpf(l) ** (-s)
+        term = mpf_pow_int(mpf_pos(from_int(l), prec, rnd), -s, prec, rnd)
+        head = mpf_add(head, term, prec, rnd)
+    big_n = mpf_pos(from_int(n_head), prec, rnd)
+    # value = head + big_n ** (1 - s) / (s - 1) + big_n ** (-s) / 2
+    tail = mpf_div(mpf_pow_int(big_n, 1 - s, prec, rnd), from_int(s - 1), prec, rnd)
+    half = mpf_div(mpf_pow_int(big_n, -s, prec, rnd), from_int(2), prec, rnd)
+    value = mpf_add(mpf_add(head, tail, prec, rnd), half, prec, rnd)
+    # threshold = mpf(10) ** (-(ctx.dps + 6))
+    threshold = mpf_pow_int(mpf_pos(from_int(10), prec, rnd), -(ctx.dps + 6), prec, rnd)
     table = bernoulli_table(16)
     j = 0
-    term = mpf(0)
     while True:
         j += 1
         if j > 60:
@@ -131,17 +159,19 @@ def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
             table = bernoulli_table(2 * table.max_index)
         b2j = table[2 * j]
         rising = math.prod(range(s, s + 2 * j - 1))
-        term = (
-            mpf(b2j.numerator)
-            / b2j.denominator
-            / math.factorial(2 * j)
-            * rising
-            * big_n ** (-s - 2 * j + 1)
-        )
-        if abs(term) <= threshold:
+        # term = (mpf(b2j.numerator) / b2j.denominator / math.factorial(2 * j)
+        #         * rising * big_n ** (-s - 2 * j + 1))
+        term = mpf_pos(from_int(b2j.numerator), prec, rnd)
+        term = mpf_div(term, from_int(b2j.denominator), prec, rnd)
+        term = mpf_div(term, from_int(math.factorial(2 * j)), prec, rnd)
+        term = mpf_mul_int(term, rising, prec, rnd)
+        term = mpf_mul(term, mpf_pow_int(big_n, -s - 2 * j + 1, prec, rnd), prec, rnd)
+        if mpf_le(mpf_abs(term, prec, rnd), threshold):  # abs(term) <= threshold
             break
-        value += term
-    return value, 2 * abs(term)
+        value = mpf_add(value, term, prec, rnd)
+    # 2 * abs(term)
+    bound = mpf_mul_int(mpf_abs(term, prec, rnd), 2, prec, rnd)
+    return ctx.make_mpf(value), ctx.make_mpf(bound)
 
 
 # (s, precision in bits) -> raw mpmath tuples of (value, remainder bound)

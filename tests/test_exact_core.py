@@ -72,6 +72,31 @@ class TestBernoulliTable:
         assert len(table) == 5
 
 
+def _sum_rule_solver(max_index: int) -> tuple[Fraction, ...]:
+    """B_0..B_max_index by solving the sum rule for each new index, an
+    independent reference for the tangent-number generator."""
+    values = [Fraction(1)]
+    for m in range(1, max_index + 1):
+        acc = sum(binomial(m + 1, k) * values[k] for k in range(m))
+        values.append(-acc / (m + 1))
+    return tuple(values)
+
+
+class TestTangentGenerator:
+    def test_matches_sum_rule_solver(self):
+        solved = _sum_rule_solver(200)
+        for n in [*range(41), 199, 200]:
+            assert bernoulli_table(n).values == solved[: n + 1], n
+
+    def test_matches_sympy(self, table_202):
+        sympy = pytest.importorskip("sympy")
+        for k in range(203):
+            if k == 1:
+                continue  # sympy uses B_1 = +1/2
+            expected = sympy.bernoulli(k)
+            assert table_202[k] == Fraction(int(expected.p), int(expected.q)), k
+
+
 class TestRecurrence:
     def test_forced_by_first_two(self):
         assert verify_recurrence(2, bernoulli_table(1))
