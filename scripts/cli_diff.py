@@ -3,8 +3,10 @@
 Runs ``python -m logsine`` from each checkout's ``src/`` over every
 subcommand and format at --n-max 12, every verify suite, the numeric
 subcommands again at ``--tolerance 1e-3`` (where the working-precision
-floors set the precision), and the envelope edge ``verify --n-max 13``
-(exit 3), then compares stdout and exit code.  Prints one line per command and exits 1 on any difference.
+floors set the precision), ``zeta --n-max 30`` (the s range the
+benchmark covers), and the envelope edge ``verify --n-max 13`` (exit 3),
+then compares stdout and exit code.  Prints one line per command and
+exits 1 on any difference.
 
 Usage: python scripts/cli_diff.py OLD_CHECKOUT NEW_CHECKOUT
 """
@@ -28,6 +30,7 @@ def commands() -> list[list[str]]:
             out.append(["verify", "--n-max", "12", "--suite", suite, "--format", fmt])
     for sub in ("zeta", "logsine", "verify"):
         out.append([sub, "--n-max", "12", "--tolerance", "1e-3"])
+    out.append(["zeta", "--n-max", "30"])
     out.append(["verify", "--n-max", "13"])
     return out
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from mpmath import mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, mpf_abs, mpf_mul, round_nearest
 
 # precision in bits -> the private context fixed at it
 _PRIVATE_CONTEXTS: dict[int, MPContext] = {}
@@ -59,10 +59,18 @@ def _slack_unit(prec: int) -> mpf:
     return ctx.mpf(10) ** (4 - ctx.dps)
 
 
+def slack_raw(x: tuple, prec: int) -> tuple:
+    """``round_slack`` of a raw tuple at ``prec`` bits, as a raw tuple."""
+    # abs(x) * _slack_unit(prec)
+    rnd = round_nearest
+    return mpf_mul(mpf_abs(x, prec, rnd), _slack_unit(prec)._mpf_, prec, rnd)
+
+
 def round_slack(x: mpf, ctx: MPContext) -> mpf:
     """Bound on accumulated rounding in ``ctx`` for an O(100)-operation
-    computation whose intermediates are at most ``|x|`` in magnitude."""
-    return abs(x) * _slack_unit(ctx.prec)
+    computation whose intermediates are at most ``|x|`` in magnitude;
+    ``x`` is a value of ``ctx``."""
+    return ctx.make_mpf(slack_raw(x._mpf_, ctx.prec))
 
 
 def float_with_bound(value_mp: mpf, internal_bound_mp: mpf) -> tuple[float, float]:
@@ -81,4 +89,5 @@ __all__ = [
     "float_with_bound",
     "private_context",
     "round_slack",
+    "slack_raw",
 ]

@@ -94,11 +94,12 @@ def _cmd_bernoulli(cfg: RunConfig, out: io.TextIOBase) -> int:
 
 def _cmd_zeta(cfg: RunConfig, out: io.TextIOBase) -> int:
     records = []
+    table = exact_core.bernoulli_table(cfg.n_max)  # B_s for every even s shown
     for s in range(2, cfg.n_max + 1):
         approx = zeta_engine.zeta_numeric(s, cfg.tolerance)
         exact = None
         if s % 2 == 0:
-            ev = zeta_engine.zeta_even_exact(s // 2, exact_core.bernoulli_table(s))
+            ev = zeta_engine.zeta_even_exact(s // 2, table)
             exact = f"{ev.coefficient} · pi^{ev.pi_power}"
         records.append(
             {

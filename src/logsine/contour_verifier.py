@@ -18,6 +18,13 @@ identities checked with no floating arithmetic at all.
 
 Powers of i are resolved by residue mod 4, never by complex
 exponentials, so parity structure is exact.
+
+The legs L and R take each term (p/q) pi^m zeta(k+2) and its bound from
+zeta_engine's raw-tuple kernel, with pi^m from its table keyed by
+(precision in bits, m), and R sums its components on raw tuples.  Every
+step makes the ``libmp`` call that the ``mpf`` operator it replaces made,
+at the working precision with round-to-nearest and in the same order, so
+every bit of every leg is unchanged.
 """
 
 from __future__ import annotations
@@ -27,15 +34,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from mpmath import mpf
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_float, fzero, mpf_add, mpf_gt, mpf_mul_int, round_nearest
 
 from ._precision import context_for, float_with_bound, round_slack
 from .errors import CertificationError
 from .exact_core import BernoulliTable, binomial
 from .logsine_closed_form import logsine_numeric
 from .quadrature_oracle import QuadratureSettings, integrate_logsine
-from .zeta_engine import RealApprox, _zeta_mpf
+from .zeta_engine import RealApprox, _zeta_term
 
 __all__ = [
     "ComplexApprox",
@@ -80,6 +87,14 @@ def _leg_context(tol: float) -> MPContext:
     return context_for(tol, extra_digits=25, min_dps=30)
 
 
+def _one_component(phase: int, value: float, bound: float) -> ComplexApprox:
+    """i^phase times a real value: one nonzero component."""
+    comp, sign = _PHASE_SIGN[phase]
+    parts = [RealApprox(0.0, 0.0), RealApprox(0.0, 0.0)]
+    parts[comp] = RealApprox(sign * value, bound)
+    return ComplexApprox(re=parts[0], im=parts[1])
+
+
 def leg_L(n: int, tol: float) -> ComplexApprox:
     """Left vertical leg: i^(n+1) (n!/2^(n+1)) zeta(n+2).
 
@@ -89,64 +104,53 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
         raise ValueError("n must be nonnegative")
     _validate_tol(tol)
     ctx = _leg_context(tol)
-    zeta_mp, zeta_bound = _zeta_mpf(n + 2, ctx)
-    coeff = Fraction(math.factorial(n), 2 ** (n + 1))
-    scale = ctx.mpf(coeff.numerator) / coeff.denominator
-    mag = scale * zeta_mp
-    value, bound = float_with_bound(mag, scale * zeta_bound + round_slack(mag, ctx))
+    mag, err = _zeta_term(n + 2, Fraction(math.factorial(n), 2 ** (n + 1)), 0, ctx)
+    value, bound = float_with_bound(ctx.make_mpf(mag), ctx.make_mpf(err))
     if bound > tol:
         raise CertificationError(f"leg L(n={n}) certified to {bound:.3e} > {tol:.3e}")
-    comp, sign = _PHASE_SIGN[(n + 1) % 4]
-    parts = [RealApprox(0.0, 0.0), RealApprox(0.0, 0.0)]
-    parts[comp] = RealApprox(sign * value, bound)
-    return ComplexApprox(re=parts[0], im=parts[1])
+    return _one_component((n + 1) % 4, value, bound)
 
 
-def _leg_r_terms_mp(n: int, ctx: MPContext) -> list[tuple[int, mpf, mpf]]:
-    """Summands of the right leg at the precision of ``ctx``:
-    (phase, value, bound).
+def _leg_r_term(n: int, k: int, ctx: MPContext) -> tuple[int, tuple, tuple]:
+    """Summand k of the right leg at the precision of ``ctx``:
+    (phase, value, bound), the last two raw tuples.
 
     Term k carries -i * i^k = i^(k+3), magnitude
     C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2).
     """
-    pi = +ctx.pi
-    out = []
-    for k in range(n + 1):
-        zeta_mp, zeta_bound = _zeta_mpf(k + 2, ctx)
-        coeff = Fraction(binomial(n, k) * math.factorial(k), 2 ** (k + 1))
-        scale = ctx.mpf(coeff.numerator) / coeff.denominator * pi ** (n - k)
-        mag = scale * zeta_mp
-        err = scale * zeta_bound + round_slack(mag, ctx)
-        out.append(((k + 3) % 4, mag, err))
-    return out
+    coeff = Fraction(binomial(n, k) * math.factorial(k), 2 ** (k + 1))
+    return ((k + 3) % 4, *_zeta_term(k + 2, coeff, n - k, ctx))
 
 
 def leg_R(n: int, tol: float) -> ComplexApprox:
     """Right vertical leg: the binomial sum over zeta(k+2), k = 0..n.
 
     Each summand's certified error must fit tol/(n+1), so the assembled
-    component bounds stay within tol overall.
+    component bounds stay within tol overall.  The components are summed
+    on raw tuples; each comment gives the ``mpf`` expression whose
+    operator makes the ``libmp`` calls below it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     _validate_tol(tol)
     share = tol / (n + 1)
+    share_raw = from_float(share)
     ctx = _leg_context(tol)
-    re = im = re_err = im_err = ctx.mpf(0)
-    for phase, mag, err in _leg_r_terms_mp(n, ctx):
-        if err > share:
+    prec, rnd = ctx.prec, round_nearest
+    sums = [fzero, fzero]  # re, im
+    errs = [fzero, fzero]  # re_err, im_err
+    # every summand, and so every zeta value it needs, before any check
+    for phase, mag, err in [_leg_r_term(n, k, ctx) for k in range(n + 1)]:
+        if mpf_gt(err, share_raw):  # err > share
             raise CertificationError(
                 f"leg R(n={n}) term exceeds its error share {share:.3e}"
             )
         comp, sign = _PHASE_SIGN[phase]
-        if comp == 0:
-            re += sign * mag
-            re_err += err
-        else:
-            im += sign * mag
-            im_err += err
-    re_val, re_bound = float_with_bound(re, re_err)
-    im_val, im_bound = float_with_bound(im, im_err)
+        # component += sign * mag; component_err += err
+        sums[comp] = mpf_add(sums[comp], mpf_mul_int(mag, sign, prec, rnd), prec, rnd)
+        errs[comp] = mpf_add(errs[comp], err, prec, rnd)
+    re_val, re_bound = float_with_bound(ctx.make_mpf(sums[0]), ctx.make_mpf(errs[0]))
+    im_val, im_bound = float_with_bound(ctx.make_mpf(sums[1]), ctx.make_mpf(errs[1]))
     if re_bound + im_bound > tol:
         raise CertificationError(
             f"leg R(n={n}) certified to {re_bound + im_bound:.3e} > {tol:.3e}"
@@ -162,12 +166,9 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     if not 0 <= k <= n:
         raise ValueError("require 0 <= k <= n")
     _validate_tol(tol)
-    phase, mag, err = _leg_r_terms_mp(n, _leg_context(tol))[k]
-    value, bound = float_with_bound(mag, err)
-    comp, sign = _PHASE_SIGN[phase]
-    parts = [RealApprox(0.0, 0.0), RealApprox(0.0, 0.0)]
-    parts[comp] = RealApprox(sign * value, bound)
-    return ComplexApprox(re=parts[0], im=parts[1])
+    ctx = _leg_context(tol)
+    phase, mag, err = _leg_r_term(n, k, ctx)
+    return _one_component(phase, *float_with_bound(ctx.make_mpf(mag), ctx.make_mpf(err)))
 
 
 def leg_H_im_coefficient(n: int) -> Fraction:

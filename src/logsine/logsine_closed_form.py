@@ -11,6 +11,12 @@ The decomposition is carried exactly (SymbolicLogSine); floating-point
 enters only in the final substitution of pi, log 2 and zeta(2k+1), which
 keeps the numeric error budget auditable.  The n = 0 and n = 1 cases have
 empty zeta sums and reduce to -pi log 2 and -(pi^2/2) log 2.
+
+The numeric form runs on raw mpmath tuples: each zeta term and its bound
+come from zeta_engine's kernel, pi^m from its table keyed by (precision
+in bits, m), and the sums make the ``libmp`` calls the ``mpf`` operators
+made, in the same order at the same precision, so every bit of the value
+and of its bound is unchanged.
 """
 
 from __future__ import annotations
@@ -20,9 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from ._precision import context_for, float_with_bound, round_slack
+from mpmath.libmp import from_float, mpf_add, mpf_gt, mpf_mul, round_nearest
+
+from ._precision import context_for, float_with_bound, slack_raw
 from .errors import CertificationError
-from .zeta_engine import RealApprox, _zeta_mpf
+from .zeta_engine import RealApprox, _scale, _zeta_term
 
 __all__ = [
     "SymbolicLogSine",
@@ -78,26 +86,24 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
         raise ValueError("target absolute error must be positive and finite")
     sym = logsine_symbolic(n)
     share = target_abs_error / (n // 2 + 1)
+    share_raw = from_float(share)
     ctx = context_for(target_abs_error, extra_digits=25, min_dps=30)
-    mpf = ctx.mpf
-    pi = +ctx.pi
-    c0 = sym.log2_coefficient
-    total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * ctx.log(2)
-    internal = round_slack(total, ctx)
-    if internal > share:
+    prec, rnd = ctx.prec, round_nearest
+    # total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * ctx.log(2)
+    total = mpf_mul(_scale(sym.log2_coefficient, n + 1, prec), ctx.log(2)._mpf_, prec, rnd)
+    internal = slack_raw(total, prec)
+    if mpf_gt(internal, share_raw):  # internal > share
         raise CertificationError("log-2 term exceeds its error share")
     for arg, coeff in sym.zeta_terms:
-        zeta_mp, zeta_bound = _zeta_mpf(arg, ctx)
-        scale = mpf(coeff.numerator) / coeff.denominator * pi ** sym.pi_power(arg)
-        term = scale * zeta_mp
-        term_err = abs(scale) * zeta_bound + round_slack(term, ctx)
-        if term_err > share:
+        term, term_err = _zeta_term(arg, coeff, sym.pi_power(arg), ctx)
+        if mpf_gt(term_err, share_raw):  # term_err > share
             raise CertificationError(
                 f"zeta({arg}) term exceeds its error share {share:.3e}"
             )
-        total += term
-        internal += term_err
-    value, bound = float_with_bound(total, internal)
+        # total += term; internal += term_err
+        total = mpf_add(total, term, prec, rnd)
+        internal = mpf_add(internal, term_err, prec, rnd)
+    value, bound = float_with_bound(ctx.make_mpf(total), ctx.make_mpf(internal))
     if bound > target_abs_error:
         raise CertificationError(
             f"I_{n} certified to {bound:.3e}, target {target_abs_error:.3e}"

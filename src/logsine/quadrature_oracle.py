@@ -27,9 +27,17 @@ the result, is then the dominant claimed term.
 Results and node tables are memoized on their full argument tuples, and
 the x^n log(sin x) integrand takes log(sin d), d the node's distance from
 its nearer endpoint, from a table keyed by working precision and d, so the
-moments for every n share one evaluation per node.  Each rule runs in the
-fixed-precision context of its target, so every memoized value depends on
-its key alone.
+moments for every n share one evaluation per node.  The node positions on
+an interval and their distances from its two endpoints come from a
+geometry table keyed by (working precision in bits, level, a, b): the
+moments for every n, and the cosine integrals, run on [0, pi] and share
+one entry per level.  An entry holds five raw tuples for each node its
+level adds, about T * 2^(k-1) nodes at level k >= 1 with T = 4..7 the
+t-range: all the levels on [0, pi] at 1e-10 hold about 60 KB.  Each
+vertical leg has a cutoff of its own and so entries of its own, which no
+other call reuses: about 60 KB per leg at 1e-10.  Each rule runs in the
+fixed-precision context of its target, so every memoized value depends
+on its key alone.
 
 The engine and the x^n log(sin x) integrand compute on raw mpmath tuples
 with ``mpmath.libmp`` calls, skipping the type checks and object
@@ -39,8 +47,12 @@ the working precision with round-to-nearest, that the operator of the
 association order, so each rounding and every bit of a result is what
 the ``mpf`` expressions give.  The node tables hold raw tuples 10 digits
 finer than the working precision; a product with them rounds at the
-working precision.  The other integrands keep their ``mpf`` code behind
-``_on_mpf``.
+working precision.  They are built on raw tuples too, with one
+``mpf_cosh_sinh`` call per abscissa, of which ``ctx.sinh`` and
+``ctx.cosh`` each return one half.  A geometry entry holds the very
+tuples that the engine's per-node calls returned when it computed them
+for each integral, so hoisting them changes no bit.  The other integrands
+keep their ``mpf`` code behind ``_on_mpf``.
 """
 
 from __future__ import annotations
@@ -59,10 +71,15 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
+    mpf_cosh_sinh,
     mpf_div,
+    mpf_exp,
     mpf_le,
     mpf_lt,
     mpf_mul,
+    mpf_mul_int,
+    mpf_pi,
+    mpf_pos,
     mpf_pow_int,
     mpf_sub,
     prec_to_dps,
@@ -70,7 +87,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from ._precision import context_for, float_with_bound, private_context, round_slack
+from ._precision import context_for, float_with_bound, round_slack
 from .errors import CertificationError, RefinementExhausted
 from .zeta_engine import RealApprox
 
@@ -155,26 +172,57 @@ def _nodes(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
     Mirrored nodes share g and w by symmetry.
     """
     dps = prec_to_dps(prec)
-    ctx = private_context(dps_to_prec(dps + 10))
-    mpf = ctx.mpf
+    wp, rnd = dps_to_prec(dps + 10), round_nearest
+    one = from_int(1)
     t_max = _t_limit(dps)
     if level == 0:
-        ts = [mpf(j) for j in range(t_max + 1)]
+        ts = [mpf_pos(from_int(j), wp, rnd) for j in range(t_max + 1)]  # mpf(j)
     else:
-        h = mpf(1) / 2 ** level
+        # h = mpf(1) / 2 ** level; the multiples j * h while j * h <= t_max
+        h = mpf_div(mpf_pos(one, wp, rnd), from_int(2**level), wp, rnd)
+        top = from_int(t_max)
         ts = []
         j = 1
-        while j * h <= t_max:
-            ts.append(j * h)
+        while mpf_le(mpf_mul_int(h, j, wp, rnd), top):
+            ts.append(mpf_mul_int(h, j, wp, rnd))
             j += 2
+    pi = mpf_pi(wp, rnd)
+    half_pi = mpf_div(pi, from_int(2), wp, rnd)  # ctx.pi / 2
+    two_pi = mpf_mul_int(pi, 2, wp, rnd)  # 2 * ctx.pi
     out = []
     for t in ts:
-        u = ctx.pi / 2 * ctx.sinh(t)
-        q = ctx.exp(-2 * u)
-        g = q / (1 + q)
-        w = 2 * ctx.pi * ctx.cosh(t) * q / (1 + q) ** 2
-        out.append((g._mpf_, w._mpf_))
+        # ctx.sinh(t) and ctx.cosh(t) are the two halves of one call
+        cosh_t, sinh_t = mpf_cosh_sinh(t, wp, rnd)
+        u = mpf_mul(half_pi, sinh_t, wp, rnd)
+        q = mpf_exp(mpf_mul_int(u, -2, wp, rnd), wp, rnd)  # ctx.exp(-2 * u)
+        one_q = mpf_add(q, one, wp, rnd)  # 1 + q
+        g = mpf_div(q, one_q, wp, rnd)
+        # w = 2 * ctx.pi * ctx.cosh(t) * q / (1 + q) ** 2
+        w = mpf_mul(mpf_mul(two_pi, cosh_t, wp, rnd), q, wp, rnd)
+        w = mpf_div(w, mpf_pow_int(one_q, 2, wp, rnd), wp, rnd)
+        out.append((g, w))
     return tuple(out)
+
+
+# (precision in bits, level, a, b) -> per node of the level, the raw tuples
+# (weight, a + off, b - off, off, (b - a) - off) with off = (b - a) * g
+_GEOMETRY: dict[tuple[int, int, tuple, tuple], tuple[tuple, ...]] = {}
+
+
+def _geometry(prec: int, level: int, a: tuple, b: tuple) -> tuple[tuple, ...]:
+    """Node positions and endpoint distances of one level on [a, b]."""
+    key = (prec, level, a, b)
+    nodes = _GEOMETRY.get(key)
+    if nodes is None:
+        rnd = round_nearest
+        width = mpf_sub(b, a, prec, rnd)
+        out = []
+        for g, w in _nodes(prec, level):
+            off = mpf_mul(width, g, prec, rnd)
+            far = mpf_sub(width, off, prec, rnd)
+            out.append((w, mpf_add(a, off, prec, rnd), mpf_sub(b, off, prec, rnd), off, far))
+        nodes = _GEOMETRY.setdefault(key, tuple(out))
+    return nodes
 
 
 def _tanh_sinh(
@@ -206,17 +254,15 @@ def _tanh_sinh(
         h = mpf_div(fone, from_int(2**level), prec, rnd)  # mpf(1) / 2 ** level
         rh = mpf_mul(r, h, prec, rnd)
         part = part_mass = fzero
-        for i, (g, w) in enumerate(_nodes(prec, level)):
-            off = mpf_mul(width, g, prec, rnd)
-            far = mpf_sub(width, off, prec, rnd)
+        for i, (w, x_lo, x_hi, off, far) in enumerate(_geometry(prec, level, a, b)):
             if level == 0 and i == 0:
                 # contrib = w * f(a + off, off, far), the center node g = 1/2
-                contrib = mpf_mul(w, f(mpf_add(a, off, prec, rnd), off, far), prec, rnd)
+                contrib = mpf_mul(w, f(x_lo, off, far), prec, rnd)
                 part = mpf_add(part, contrib, prec, rnd)
                 part_mass = mpf_add(part_mass, mpf_abs(contrib, prec, rnd), prec, rnd)
             else:
-                lo = f(mpf_add(a, off, prec, rnd), off, far)
-                hi = f(mpf_sub(b, off, prec, rnd), far, off)
+                lo = f(x_lo, off, far)
+                hi = f(x_hi, far, off)
                 # part += w * (lo + hi)
                 both = mpf_mul(w, mpf_add(lo, hi, prec, rnd), prec, rnd)
                 part = mpf_add(part, both, prec, rnd)

@@ -31,6 +31,22 @@ Each step makes the very call, at the context's precision with
 round-to-nearest, that the operator of the ``mpf`` expression it replaces
 makes, and every sum keeps its association order, so each rounding and
 therefore every bit of the result is what the ``mpf`` expression gives.
+The head powers only its odd bases: l^-s for l = 2^a m is m^-s with its
+exponent lowered by a*s, because ``mpf_pow_int`` and ``mpf_div`` round
+the mantissa alone; all head terms are still added in order.  The parts
+of the correction ladder that do not depend on s come from two tables:
+the coefficient B_2j/(2j)!, keyed by (precision in bits, j) with j <= 60,
+and the stopping threshold 10^-(digits+6), keyed by (precision in bits,
+decimal digits).  Each entry is the raw tuple the same calls returned
+when they ran inside every series.
+
+The contour legs and the closed form compute each of their terms
+coeff * pi^m * zeta(s) with one raw-tuple kernel, ``_zeta_term``, which
+also returns the term's bound |coeff * pi^m| * (zeta's remainder bound)
++ round_slack.  pi^m comes from a table keyed by (precision in bits, m);
+the callers ask for m <= n + 1, so a sweep over n <= 12 adds 13 entries
+per precision.  The kernel makes the calls the ``mpf`` expressions of the
+callers made, so every bit is unchanged.
 """
 
 from __future__ import annotations
@@ -50,12 +66,13 @@ from mpmath.libmp import (
     mpf_le,
     mpf_mul,
     mpf_mul_int,
+    mpf_pi,
     mpf_pos,
     mpf_pow_int,
     round_nearest,
 )
 
-from ._precision import context_for, float_with_bound, round_slack
+from ._precision import context_for, float_with_bound, round_slack, slack_raw
 from .errors import CertificationError
 from .exact_core import BernoulliTable, bernoulli_table
 
@@ -122,6 +139,29 @@ def zeta_series_partial(s: float, terms: int) -> float:
     return math.fsum(l ** (-s) for l in range(1, terms + 1))
 
 
+# (precision in bits, decimal digits) -> raw 10^-(digits+6), where the
+# correction ladder stops
+_LADDER_STOP: dict[tuple[int, int], tuple] = {}
+# (precision in bits, j) -> raw B_2j / (2j)!, the s-free factor of the
+# j-th correction term
+_LADDER_COEFF: dict[tuple[int, int], tuple] = {}
+
+
+def _ladder_coefficient(j: int, table: BernoulliTable, prec: int) -> tuple:
+    """B_2j / (2j)! at ``prec`` bits, from a table holding B_2j."""
+    key = (prec, j)
+    coeff = _LADDER_COEFF.get(key)
+    if coeff is None:
+        rnd = round_nearest
+        b2j = table[2 * j]
+        # mpf(b2j.numerator) / b2j.denominator / math.factorial(2 * j)
+        coeff = mpf_pos(from_int(b2j.numerator), prec, rnd)
+        coeff = mpf_div(coeff, from_int(b2j.denominator), prec, rnd)
+        coeff = mpf_div(coeff, from_int(math.factorial(2 * j)), prec, rnd)
+        coeff = _LADDER_COEFF.setdefault(key, coeff)
+    return coeff
+
+
 def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
     """Series head + integral tail + correction ladder at the precision of
     ``ctx``.  Returns (value, analytic remainder bound).
@@ -137,18 +177,32 @@ def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
     ``libmp`` calls below it (see the module docstring).
     """
     prec, rnd = ctx.prec, round_nearest
+    # head += mpf(l) ** (-s) for l = 1..n_head-1, in that order.  For
+    # l = 2^a m with m odd, mpf(l) is mpf(m) with its exponent raised by a;
+    # mpf_pow_int and mpf_div round the mantissa alone, so l^-s is m^-s
+    # with its exponent lowered by a*s, and only odd bases are powered.
     head = fzero
+    odd_terms = []  # m^-s at index m // 2
     for l in range(1, n_head):
-        # head += mpf(l) ** (-s)
-        term = mpf_pow_int(mpf_pos(from_int(l), prec, rnd), -s, prec, rnd)
+        if l & 1:
+            term = mpf_pow_int(mpf_pos(from_int(l), prec, rnd), -s, prec, rnd)
+            odd_terms.append(term)
+        else:
+            a = (l & -l).bit_length() - 1
+            sign, man, exp, bc = odd_terms[l >> (a + 1)]
+            term = (sign, man, exp - a * s, bc)
         head = mpf_add(head, term, prec, rnd)
     big_n = mpf_pos(from_int(n_head), prec, rnd)
     # value = head + big_n ** (1 - s) / (s - 1) + big_n ** (-s) / 2
     tail = mpf_div(mpf_pow_int(big_n, 1 - s, prec, rnd), from_int(s - 1), prec, rnd)
     half = mpf_div(mpf_pow_int(big_n, -s, prec, rnd), from_int(2), prec, rnd)
     value = mpf_add(mpf_add(head, tail, prec, rnd), half, prec, rnd)
-    # threshold = mpf(10) ** (-(ctx.dps + 6))
-    threshold = mpf_pow_int(mpf_pos(from_int(10), prec, rnd), -(ctx.dps + 6), prec, rnd)
+    stop_key = (prec, ctx.dps)
+    threshold = _LADDER_STOP.get(stop_key)
+    if threshold is None:
+        # mpf(10) ** (-(ctx.dps + 6))
+        threshold = mpf_pow_int(mpf_pos(from_int(10), prec, rnd), -(ctx.dps + 6), prec, rnd)
+        threshold = _LADDER_STOP.setdefault(stop_key, threshold)
     table = bernoulli_table(16)
     j = 0
     while True:
@@ -157,14 +211,10 @@ def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
             raise CertificationError("correction ladder failed to close")
         if 2 * j > table.max_index:
             table = bernoulli_table(2 * table.max_index)
-        b2j = table[2 * j]
         rising = math.prod(range(s, s + 2 * j - 1))
         # term = (mpf(b2j.numerator) / b2j.denominator / math.factorial(2 * j)
         #         * rising * big_n ** (-s - 2 * j + 1))
-        term = mpf_pos(from_int(b2j.numerator), prec, rnd)
-        term = mpf_div(term, from_int(b2j.denominator), prec, rnd)
-        term = mpf_div(term, from_int(math.factorial(2 * j)), prec, rnd)
-        term = mpf_mul_int(term, rising, prec, rnd)
+        term = mpf_mul_int(_ladder_coefficient(j, table, prec), rising, prec, rnd)
         term = mpf_mul(term, mpf_pow_int(big_n, -s - 2 * j + 1, prec, rnd), prec, rnd)
         if mpf_le(mpf_abs(term, prec, rnd), threshold):  # abs(term) <= threshold
             break
@@ -178,14 +228,59 @@ def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
 _ZETA_TABLE: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
 
-def _zeta_mpf(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
-    """zeta(s) at the precision of ``ctx``: (value, analytic bound)."""
+def _zeta_raw(s: int, ctx: MPContext) -> tuple[tuple, tuple]:
+    """zeta(s) at the precision of ``ctx`` as raw tuples: (value, bound)."""
     key = (s, ctx.prec)
     entry = _ZETA_TABLE.get(key)
     if entry is None:
         value, bound = _euler_maclaurin(s, n_head=max(64, ctx.dps), ctx=ctx)
         entry = _ZETA_TABLE.setdefault(key, (value._mpf_, bound._mpf_))
-    return ctx.make_mpf(entry[0]), ctx.make_mpf(entry[1])
+    return entry
+
+
+def _zeta_mpf(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
+    """zeta(s) at the precision of ``ctx``: (value, analytic bound)."""
+    value, bound = _zeta_raw(s, ctx)
+    return ctx.make_mpf(value), ctx.make_mpf(bound)
+
+
+# (precision in bits, m) -> raw pi^m
+_PI_POWERS: dict[tuple[int, int], tuple] = {}
+
+
+def _scale(coeff: Fraction, pi_power: int, prec: int) -> tuple:
+    """Raw ``mpf(p) / q * pi ** m`` at ``prec`` bits for coeff = p/q.  At
+    m = 0 the product with pi^0 = 1 would round nothing, so it is left out."""
+    rnd = round_nearest
+    scale = mpf_pos(from_int(coeff.numerator), prec, rnd)
+    scale = mpf_div(scale, from_int(coeff.denominator), prec, rnd)
+    if pi_power:
+        key = (prec, pi_power)
+        power = _PI_POWERS.get(key)
+        if power is None:
+            # (+ctx.pi) ** m
+            pi = mpf_pos(mpf_pi(prec, rnd), prec, rnd)
+            power = _PI_POWERS.setdefault(key, mpf_pow_int(pi, pi_power, prec, rnd))
+        scale = mpf_mul(scale, power, prec, rnd)
+    return scale
+
+
+def _zeta_term(s: int, coeff: Fraction, pi_power: int, ctx: MPContext) -> tuple[tuple, tuple]:
+    """One certified term coeff * pi^m * zeta(s) at the precision of
+    ``ctx``, as raw tuples (value, bound): with scale = coeff * pi^m,
+    value = scale * zeta(s) and
+    bound = |scale| * (zeta's remainder bound) + round_slack(value)."""
+    prec, rnd = ctx.prec, round_nearest
+    zeta, zeta_bound = _zeta_raw(s, ctx)
+    scale = _scale(coeff, pi_power, prec)
+    value = mpf_mul(scale, zeta, prec, rnd)
+    bound = mpf_add(
+        mpf_mul(mpf_abs(scale, prec, rnd), zeta_bound, prec, rnd),
+        slack_raw(value, prec),
+        prec,
+        rnd,
+    )
+    return value, bound
 
 
 def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:

@@ -1,9 +1,11 @@
 """Under any thread interleaving, numeric calls return what a serial run
 returns, leave the global mpmath precision alone, and fill the zeta table,
-the log-sin node table and the result caches with exactly the values a
-serial run computes at each entry's precision.
+the series and pi-power tables, the log-sin node table, the node geometry
+and the result caches with exactly the values a serial run computes at
+each entry's precision.
 """
 
+import math
 import sys
 import threading
 
@@ -13,6 +15,7 @@ from mpmath.ctx_mp import MPContext
 from logsine import _precision, quadrature_oracle, zeta_engine
 from logsine.contour_verifier import leg_R
 from logsine.errors import CertificationError
+from logsine.exact_core import bernoulli_table
 from logsine.logsine_closed_form import logsine_numeric
 from logsine.quadrature_oracle import (
     QuadratureSettings,
@@ -65,11 +68,39 @@ def test_tables_match_serial_values_under_threads(cold_caches):
         value, bound = zeta_engine._euler_maclaurin(s, n_head=max(64, ctx.dps), ctx=ctx)
         assert entry == (value._mpf_, bound._mpf_), (s, prec)
 
+    assert len(zeta_engine._LADDER_STOP) > 0
+    for (prec, dps), threshold in zeta_engine._LADDER_STOP.items():
+        ctx = _fresh_context(prec)
+        assert threshold == (ctx.mpf(10) ** (-(dps + 6)))._mpf_, (prec, dps)
+
+    assert len(zeta_engine._LADDER_COEFF) > 0
+    for (prec, j), coeff in zeta_engine._LADDER_COEFF.items():
+        ctx = _fresh_context(prec)
+        b2j = bernoulli_table(2 * j)[2 * j]
+        expected = ctx.mpf(b2j.numerator) / b2j.denominator / math.factorial(2 * j)
+        assert coeff == expected._mpf_, (prec, j)
+
+    assert len(zeta_engine._PI_POWERS) > 0
+    for (prec, m), power in zeta_engine._PI_POWERS.items():
+        ctx = _fresh_context(prec)
+        assert power == ((+ctx.pi) ** m)._mpf_, (prec, m)
+
     assert len(quadrature_oracle._LOGSIN_TABLE) > 0
     for prec, table in quadrature_oracle._LOGSIN_TABLE.items():
         ctx = _fresh_context(prec)
         for d, log_sin in table.items():
             assert log_sin == ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_, (prec, d)
+
+    assert len(quadrature_oracle._GEOMETRY) > 0
+    for (prec, level, a, b), nodes in quadrature_oracle._GEOMETRY.items():
+        ctx = _fresh_context(prec)
+        a, b = ctx.make_mpf(a), ctx.make_mpf(b)
+        width = b - a
+        expected = []
+        for g, w in quadrature_oracle._nodes(prec, level):
+            off = width * ctx.make_mpf(g)
+            expected.append((w, (a + off)._mpf_, (b - off)._mpf_, off._mpf_, (width - off)._mpf_))
+        assert nodes == tuple(expected), (prec, level)
 
 
 def _outcome(call):

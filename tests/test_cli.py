@@ -67,6 +67,19 @@ class TestZeta:
         proc = run_cli("zeta", "--n-max", "4", "--tolerance", "1e-30")
         assert proc.returncode == 3
 
+    def test_one_bernoulli_table_per_run(self, monkeypatch, capsys):
+        sizes = []
+        build = cli.exact_core.bernoulli_table
+
+        def counting(max_index):
+            sizes.append(max_index)
+            return build(max_index)
+
+        monkeypatch.setattr(cli.exact_core, "bernoulli_table", counting)
+        assert cli.main(["zeta", "--n-max", "30", "--tolerance", "1e-10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 29
+        assert len(sizes) <= 1
+
 
 class TestLogsine:
     def test_plain_matches_closed_constants(self):

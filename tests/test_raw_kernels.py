@@ -1,19 +1,30 @@
-"""The zeta series and the tanh-sinh engine compute on raw mpmath tuples.
-Their earlier bodies on ``mpf`` objects are kept here verbatim as the
-reference: at every working precision the library uses, each value, rule
-estimate and mass must be the same raw tuple, bit for bit."""
+"""The zeta series, the tanh-sinh engine and its node tables, the contour
+legs L and R and the closed form compute on raw mpmath tuples.  Their
+earlier bodies on ``mpf`` objects are kept here verbatim as the reference:
+at every working precision the library uses, each value, rule estimate,
+mass, node and summand must be the same raw tuple, bit for bit, and each
+result or error the same."""
 
 import math
+from fractions import Fraction
 from typing import Callable
 
 import pytest
 from mpmath import mpf
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import dps_to_prec, prec_to_dps
 
-from logsine import quadrature_oracle, zeta_engine
-from logsine._precision import context_for, private_context
+from logsine import contour_verifier, logsine_closed_form, quadrature_oracle, zeta_engine
+from logsine._precision import _slack_unit, context_for, float_with_bound, private_context
+from logsine.contour_verifier import (
+    _PHASE_SIGN,
+    ComplexApprox,
+    _leg_context,
+    _validate_tol,
+)
 from logsine.errors import CertificationError, RefinementExhausted
-from logsine.exact_core import bernoulli_table
+from logsine.exact_core import bernoulli_table, binomial
+from logsine.logsine_closed_form import logsine_symbolic
 from logsine.quadrature_oracle import (
     _MIN_ACCEPT_LEVEL,
     QuadratureSettings,
@@ -23,6 +34,7 @@ from logsine.quadrature_oracle import (
     integrate_logsquared,
     integrate_vertical_leg,
 )
+from logsine.zeta_engine import RealApprox, _zeta_mpf
 
 TOLERANCES = (1e-3, 1e-6, 1e-10, 1e-12)
 # (extra digits, floor) of zeta_numeric and of the legs and the closed form,
@@ -30,6 +42,8 @@ TOLERANCES = (1e-3, 1e-6, 1e-10, 1e-12)
 ZETA_PRECISIONS = sorted(
     {context_for(tol, *rule).prec for tol in TOLERANCES for rule in ((15, 25), (25, 30))}
 )
+# the quadrature's working precisions
+QUAD_PRECISIONS = sorted({context_for(tol, 12, 25).prec for tol in TOLERANCES})
 
 
 def _raw(values) -> tuple:
@@ -84,6 +98,40 @@ def _nodes(prec: int, level: int) -> tuple[tuple[mpf, mpf], ...]:
     caller = private_context(prec)
     pairs = quadrature_oracle._nodes(prec, level)
     return tuple((caller.make_mpf(g), caller.make_mpf(w)) for g, w in pairs)
+
+
+def _nodes_reference(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
+    """New (offset-fraction, weight) pairs introduced at a refinement level,
+    as raw mpmath tuples computed 10 digits above ``prec``.
+
+    For a positive abscissa t:  u = (pi/2) sinh t,  q = e^(-2u),
+    offset-fraction g = q/(1+q) (distance of each mirrored node from its
+    nearer endpoint, as a fraction of the interval), weight
+    w = 2 pi cosh(t) q/(1+q)^2.  Level 0 contributes the integer abscissas
+    t = 0..T; level k >= 1 contributes the odd multiples of 2^-k up to T.
+    Mirrored nodes share g and w by symmetry.
+    """
+    dps = prec_to_dps(prec)
+    ctx = private_context(dps_to_prec(dps + 10))
+    mpf = ctx.mpf
+    t_max = quadrature_oracle._t_limit(dps)
+    if level == 0:
+        ts = [mpf(j) for j in range(t_max + 1)]
+    else:
+        h = mpf(1) / 2 ** level
+        ts = []
+        j = 1
+        while j * h <= t_max:
+            ts.append(j * h)
+            j += 2
+    out = []
+    for t in ts:
+        u = ctx.pi / 2 * ctx.sinh(t)
+        q = ctx.exp(-2 * u)
+        g = q / (1 + q)
+        w = 2 * ctx.pi * ctx.cosh(t) * q / (1 + q) ** 2
+        out.append((g._mpf_, w._mpf_))
+    return tuple(out)
 
 
 def _tanh_sinh(
@@ -191,13 +239,22 @@ def _run(call):
         pass
 
 
-@pytest.mark.parametrize("prec", ZETA_PRECISIONS)
-def test_euler_maclaurin_matches_mpf_reference(prec):
+# a precision of 80 digits makes the series head longer than 64 terms
+@pytest.mark.parametrize("prec", [*ZETA_PRECISIONS, dps_to_prec(80)])
+def test_euler_maclaurin_matches_mpf_reference(cold_caches, prec):
     ctx = private_context(prec)
+    n_head = max(64, ctx.dps)  # the head length the zeta table asks for
     for s in range(2, 31):
-        assert _raw(zeta_engine._euler_maclaurin(s, 64, ctx)) == _raw(
-            _euler_maclaurin(s, 64, ctx)
+        assert _raw(zeta_engine._euler_maclaurin(s, n_head, ctx)) == _raw(
+            _euler_maclaurin(s, n_head, ctx)
         ), (s, prec)
+
+
+# the quadrature's precision at every tolerance above, and two finer ones
+@pytest.mark.parametrize("prec", [*QUAD_PRECISIONS, dps_to_prec(40), dps_to_prec(80)])
+def test_node_tables_match_mpf_reference(cold_caches, prec):
+    for level in range(8):
+        assert quadrature_oracle._nodes(prec, level) == _nodes_reference(prec, level), level
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
@@ -228,3 +285,189 @@ def test_other_integrands_match_mpf_reference(engine_calls, tol):
             return ctx.make_mpf(f(x._mpf_, dist_lower._mpf_, dist_upper._mpf_))
 
         assert _raw(out) == _raw(_tanh_sinh(on_mpf, a, b, target, depth, ctx))
+
+
+# ---------------------------------------------------------------------------
+# the legs L and R and the closed form
+# ---------------------------------------------------------------------------
+
+
+def round_slack(x: mpf, ctx: MPContext) -> mpf:
+    """Bound on accumulated rounding in ``ctx`` for an O(100)-operation
+    computation whose intermediates are at most ``|x|`` in magnitude."""
+    return abs(x) * _slack_unit(ctx.prec)
+
+
+def leg_L(n: int, tol: float) -> ComplexApprox:
+    """Left vertical leg: i^(n+1) (n!/2^(n+1)) zeta(n+2).
+
+    Exactly one component is nonzero, selected by (n+1) mod 4.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _validate_tol(tol)
+    ctx = _leg_context(tol)
+    zeta_mp, zeta_bound = _zeta_mpf(n + 2, ctx)
+    coeff = Fraction(math.factorial(n), 2 ** (n + 1))
+    scale = ctx.mpf(coeff.numerator) / coeff.denominator
+    mag = scale * zeta_mp
+    value, bound = float_with_bound(mag, scale * zeta_bound + round_slack(mag, ctx))
+    if bound > tol:
+        raise CertificationError(f"leg L(n={n}) certified to {bound:.3e} > {tol:.3e}")
+    comp, sign = _PHASE_SIGN[(n + 1) % 4]
+    parts = [RealApprox(0.0, 0.0), RealApprox(0.0, 0.0)]
+    parts[comp] = RealApprox(sign * value, bound)
+    return ComplexApprox(re=parts[0], im=parts[1])
+
+
+def _leg_r_terms_mp(n: int, ctx: MPContext) -> list[tuple[int, mpf, mpf]]:
+    """Summands of the right leg at the precision of ``ctx``:
+    (phase, value, bound).
+
+    Term k carries -i * i^k = i^(k+3), magnitude
+    C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2).
+    """
+    pi = +ctx.pi
+    out = []
+    for k in range(n + 1):
+        zeta_mp, zeta_bound = _zeta_mpf(k + 2, ctx)
+        coeff = Fraction(binomial(n, k) * math.factorial(k), 2 ** (k + 1))
+        scale = ctx.mpf(coeff.numerator) / coeff.denominator * pi ** (n - k)
+        mag = scale * zeta_mp
+        err = scale * zeta_bound + round_slack(mag, ctx)
+        out.append(((k + 3) % 4, mag, err))
+    return out
+
+
+def leg_R(n: int, tol: float) -> ComplexApprox:
+    """Right vertical leg: the binomial sum over zeta(k+2), k = 0..n.
+
+    Each summand's certified error must fit tol/(n+1), so the assembled
+    component bounds stay within tol overall.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    _validate_tol(tol)
+    share = tol / (n + 1)
+    ctx = _leg_context(tol)
+    re = im = re_err = im_err = ctx.mpf(0)
+    for phase, mag, err in _leg_r_terms_mp(n, ctx):
+        if err > share:
+            raise CertificationError(
+                f"leg R(n={n}) term exceeds its error share {share:.3e}"
+            )
+        comp, sign = _PHASE_SIGN[phase]
+        if comp == 0:
+            re += sign * mag
+            re_err += err
+        else:
+            im += sign * mag
+            im_err += err
+    re_val, re_bound = float_with_bound(re, re_err)
+    im_val, im_bound = float_with_bound(im, im_err)
+    if re_bound + im_bound > tol:
+        raise CertificationError(
+            f"leg R(n={n}) certified to {re_bound + im_bound:.3e} > {tol:.3e}"
+        )
+    return ComplexApprox(
+        re=RealApprox(re_val, re_bound), im=RealApprox(im_val, im_bound)
+    )
+
+
+def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
+    """Single right-leg summand (index k); the k = n term always cancels
+    the left leg."""
+    if not 0 <= k <= n:
+        raise ValueError("require 0 <= k <= n")
+    _validate_tol(tol)
+    phase, mag, err = _leg_r_terms_mp(n, _leg_context(tol))[k]
+    value, bound = float_with_bound(mag, err)
+    comp, sign = _PHASE_SIGN[phase]
+    parts = [RealApprox(0.0, 0.0), RealApprox(0.0, 0.0)]
+    parts[comp] = RealApprox(sign * value, bound)
+    return ComplexApprox(re=parts[0], im=parts[1])
+
+
+def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
+    """Evaluate the closed form of I_n with a certified absolute bound.
+
+    The budget is split evenly across the floor(n/2)+1 summands; each
+    zeta(2k+1) substitution must fit its share, and the final rounding to
+    double must fit the total, else CertificationError.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if not (math.isfinite(target_abs_error) and target_abs_error > 0):
+        raise ValueError("target absolute error must be positive and finite")
+    sym = logsine_symbolic(n)
+    share = target_abs_error / (n // 2 + 1)
+    ctx = context_for(target_abs_error, extra_digits=25, min_dps=30)
+    mpf = ctx.mpf
+    pi = +ctx.pi
+    c0 = sym.log2_coefficient
+    total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * ctx.log(2)
+    internal = round_slack(total, ctx)
+    if internal > share:
+        raise CertificationError("log-2 term exceeds its error share")
+    for arg, coeff in sym.zeta_terms:
+        zeta_mp, zeta_bound = _zeta_mpf(arg, ctx)
+        scale = mpf(coeff.numerator) / coeff.denominator * pi ** sym.pi_power(arg)
+        term = scale * zeta_mp
+        term_err = abs(scale) * zeta_bound + round_slack(term, ctx)
+        if term_err > share:
+            raise CertificationError(
+                f"zeta({arg}) term exceeds its error share {share:.3e}"
+            )
+        total += term
+        internal += term_err
+    value, bound = float_with_bound(total, internal)
+    if bound > target_abs_error:
+        raise CertificationError(
+            f"I_{n} certified to {bound:.3e}, target {target_abs_error:.3e}"
+        )
+    return RealApprox(value=value, abs_error=bound)
+
+
+def _outcome(call) -> str:
+    """The repr of the result, which tells -0.0 from 0.0, or the error."""
+    try:
+        return repr(call())
+    except CertificationError as exc:
+        return f"raised {exc}"
+
+
+# past the certified envelope for the larger n, so errors are compared too
+LEG_N = range(21)
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_leg_r_summands_match_mpf_reference(cold_caches, tol):
+    ctx = _leg_context(tol)
+    for n in LEG_N:
+        expected = [(p, v._mpf_, e._mpf_) for p, v, e in _leg_r_terms_mp(n, ctx)]
+        assert [contour_verifier._leg_r_term(n, k, ctx) for k in range(n + 1)] == expected, n
+
+
+def test_legs_and_closed_form_match_mpf_reference(cold_caches):
+    outcomes = {"new": [], "reference": []}
+    for side, legs, closed, term in (
+        (
+            "new",
+            (contour_verifier.leg_L, contour_verifier.leg_R),
+            logsine_closed_form.logsine_numeric,
+            contour_verifier.leg_R_term,
+        ),
+        ("reference", (leg_L, leg_R), logsine_numeric, leg_R_term),
+    ):
+        cold_caches()
+        for tol in TOLERANCES:
+            for n in LEG_N:
+                row = [_outcome(lambda: leg(n, tol)) for leg in legs]
+                row.append(_outcome(lambda: closed(n, tol)))
+                row += [_outcome(lambda: term(n, k, tol)) for k in range(n + 1)]
+                outcomes[side].append(row)
+    assert outcomes["new"] == outcomes["reference"]
+    # both certified results and errors are compared
+    flat = [x for row in outcomes["new"] for x in row]
+    assert any(x.startswith("raised") for x in flat)
+    assert any(not x.startswith("raised") for x in flat)
