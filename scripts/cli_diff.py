@@ -4,9 +4,12 @@ Runs ``python -m logsine`` from each checkout's ``src/`` over every
 subcommand and format at --n-max 12, every verify suite, the numeric
 subcommands again at ``--tolerance 1e-3`` (where the working-precision
 floors set the precision), ``zeta --n-max 30`` (the s range the
-benchmark covers), and the envelope edge ``verify --n-max 13`` (exit 3),
-then compares stdout and exit code.  Prints one line per command and
-exits 1 on any difference.
+benchmark covers), the envelope edge ``verify --n-max 13`` (exit 3),
+commands with no records to print (``zeta --n-max 1`` in every format,
+``verify --suite recurrence --n-max 1 --format csv``), where CSV output is
+its header alone, and ``bernoulli --n-max 0 --format csv``, whose one
+record is B_0.  It then compares stdout and exit code.  Prints one line
+per command and exits 1 on any difference.
 
 Usage: python scripts/cli_diff.py OLD_CHECKOUT NEW_CHECKOUT
 """
@@ -32,6 +35,10 @@ def commands() -> list[list[str]]:
         out.append([sub, "--n-max", "12", "--tolerance", "1e-3"])
     out.append(["zeta", "--n-max", "30"])
     out.append(["verify", "--n-max", "13"])
+    for fmt in FORMATS:
+        out.append(["zeta", "--n-max", "1", "--format", fmt])
+    out.append(["verify", "--suite", "recurrence", "--n-max", "1", "--format", "csv"])
+    out.append(["bernoulli", "--n-max", "0", "--format", "csv"])
     return out
 
 

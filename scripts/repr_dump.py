@@ -4,18 +4,25 @@ Imports ``logsine`` from each checkout's ``src/`` in a fresh process and
 dumps the repr of every numeric entry point over n = 0..12 (zeta over
 s = 2..30) at tolerances from 3e-2, where the working-precision floors
 apply, down to 1e-14, past the certified envelope.  A call that raises
-is recorded as its error type and text.  The two dumps are compared line
-by line.  Each checkout is then dumped again in a fresh process that
-makes the same calls in reverse order, and that dump is compared with
-its forward one: a result that changes is one that depends on what ran
+is recorded as its error type and text.  After the results, each dump
+lists every entry of the working-precision memo tables the calls filled
+(``RAW_TABLES``), one line per key in sorted key order with the entry's
+raw tuples, or the sha256 of their repr when that is long, so an error in
+bits that rounding to double hides still shows; a table that a checkout
+lacks is listed as ``absent``.  The two dumps are compared entry by
+entry.  Each checkout is then dumped again in a fresh process that makes
+the same calls in reverse order, and that dump is compared with its
+forward one: a result that changes is one that depends on what ran
 before it, through a memo table.  The script prints each differing
-result and exits 1 on any difference of either kind.
+result or table entry and exits 1 on any difference of either kind.
 
 Usage: python scripts/repr_dump.py OLD_CHECKOUT NEW_CHECKOUT
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -25,6 +32,16 @@ TOLERANCES = (3e-2, 1e-3, 2e-5, 1e-6, 3e-8, 1e-10, 1e-12, 1e-14)
 N_RANGE = range(13)
 S_RANGE = range(2, 31)
 L_RANGE = range(1, 4)
+# (module, table); _LOGSIN_TABLE maps precision to a table of its own
+RAW_TABLES = (
+    ("zeta_engine", "_ZETA_TABLE"),
+    ("zeta_engine", "_PI_POWERS"),
+    ("zeta_engine", "_LADDER_COEFF"),
+    ("zeta_engine", "_LADDER_STOP"),
+    ("quadrature_oracle", "_GEOMETRY"),
+    ("quadrature_oracle", "_LOGSIN_TABLE"),
+)
+TABLES_MARK = "-- raw tables --"  # the line between results and table entries
 
 
 def calls():
@@ -65,7 +82,8 @@ def calls():
 
 def dump(reverse: bool) -> None:
     """Print every result, making the calls in the fixed order or in its
-    reverse; the lines come out in the fixed order either way."""
+    reverse, then every raw-table entry; the lines come out in the same
+    order either way."""
     todo = list(calls())
     lines = {}
     for label, thunk in reversed(todo) if reverse else todo:
@@ -76,9 +94,23 @@ def dump(reverse: bool) -> None:
         lines[label] = f"{label} -> {out}"
     for label, _ in todo:
         print(lines[label])
+    print(TABLES_MARK)
+    for module, name in RAW_TABLES:
+        table = getattr(importlib.import_module(f"logsine.{module}"), name, None)
+        if table is None:
+            print(f"{name} -> absent")
+            continue
+        if name == "_LOGSIN_TABLE":
+            table = {(prec, d): v for prec, inner in table.items() for d, v in inner.items()}
+        for key in sorted(table):
+            text = repr(table[key])
+            if len(text) > 200:
+                text = "sha256 " + hashlib.sha256(text.encode()).hexdigest()
+            print(f"{name}[{key!r}] -> {text}")
 
 
-def run(checkout: str, reverse: bool = False) -> list[str]:
+def run(checkout: str, reverse: bool = False) -> tuple[list[str], list[str]]:
+    """The result lines and the raw-table lines of one checkout's dump."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--dump-reversed" if reverse else "--dump"],
@@ -87,33 +119,41 @@ def run(checkout: str, reverse: bool = False) -> list[str]:
         text=True,
         check=True,
     )
-    return proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    mark = lines.index(TABLES_MARK)
+    return lines[:mark], lines[mark + 1 :]
 
 
 def compare(a: list[str], b: list[str], names: tuple[str, str]) -> int:
-    """Print each differing result of two dumps; return how many differ."""
-    if len(a) != len(b):
-        print(f"result counts differ: {len(a)} vs {len(b)}")
-        return max(len(a), len(b))
-    differ = [(x, y) for x, y in zip(a, b) if x != y]
-    for x, y in differ:
-        print(f"{names[0]} {x}\n{names[1]} {y}")
-    return len(differ)
+    """Print each entry, keyed by what precedes its " -> ", that differs
+    between two dumps or that only one of them has; return how many."""
+    da = dict(line.split(" -> ", 1) for line in a)
+    db = dict(line.split(" -> ", 1) for line in b)
+    differ = 0
+    for label in dict.fromkeys([*da, *db]):  # in dump order
+        x, y = da.get(label, "(missing)"), db.get(label, "(missing)")
+        if x != y:
+            print(f"{names[0]} {label} -> {x}\n{names[1]} {label} -> {y}")
+            differ += 1
+    return differ
 
 
 def main(old: str, new: str) -> int:
-    a, b = run(old), run(new)
+    (a, a_raw), (b, b_raw) = run(old), run(new)
     differ = compare(a, b, ("OLD", "NEW"))
     raised = sum(" -> raised " in x for x in a)
     print(f"{differ} of {len(a)} results differ ({raised} of them raised at OLD)")
+    raw = compare(a_raw, b_raw, ("OLD", "NEW"))
+    print(f"{raw} of {len(a_raw)} raw-table entries differ ({len(b_raw)} entries at NEW)")
     # every result must depend on its arguments alone, not on what ran before
     order = 0
-    for name, checkout, forward in (("OLD", old, a), ("NEW", new, b)):
+    for name, checkout, forward in (("OLD", old, (a, a_raw)), ("NEW", new, (b, b_raw))):
         backward = run(checkout, reverse=True)
-        here = compare(forward, backward, (name, f"{name}-REVERSED"))
-        print(f"{here} of {len(forward)} {name} results change in reverse call order")
-        order += here
-    return 1 if differ or order else 0
+        for kind, x, y in zip(("results", "raw-table entries"), forward, backward):
+            here = compare(x, y, (name, f"{name}-REVERSED"))
+            print(f"{here} of {len(x)} {name} {kind} change in reverse call order")
+            order += here
+    return 1 if differ or raw or order else 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from . import contour_verifier, exact_core, fourier_appendix
 from . import logsine_closed_form as closed_form
@@ -73,22 +74,46 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _emit_csv(header: list[str], rows: list[list[str]], out: io.TextIOBase) -> None:
-    writer = csv.writer(out)  # RFC 4180: comma-separated, CRLF line ends
-    writer.writerow(header)
-    writer.writerows(rows)
+def _compact(value: object) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _csv_cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return _compact(value)
+    return str(value)
+
+
+def _emit(
+    records: list[dict],
+    header: list[str],
+    plain_line: Callable[[dict], str],
+    cfg: RunConfig,
+    out: io.TextIOBase,
+) -> None:
+    """Print the records as plain lines, one JSON document, or CSV with the
+    given header, which is printed even when there are no records."""
+    if cfg.output_format == "plain":
+        for r in records:
+            print(plain_line(r), file=out)
+    elif cfg.output_format == "json":
+        print(json.dumps(records, indent=2, ensure_ascii=False), file=out)
+    else:
+        writer = csv.writer(out)  # RFC 4180: comma-separated, CRLF line ends
+        writer.writerow(header)
+        writer.writerows([_csv_cell(r[key]) for key in header] for r in records)
 
 
 def _cmd_bernoulli(cfg: RunConfig, out: io.TextIOBase) -> int:
     table = exact_core.bernoulli_table(cfg.n_max)
-    rows = [(k, str(table[k])) for k in range(cfg.n_max + 1)]
-    if cfg.output_format == "plain":
-        for k, b in rows:
-            print(f"{k} {b}", file=out)
-    elif cfg.output_format == "json":
-        print(json.dumps([{"k": k, "B": b} for k, b in rows], indent=2), file=out)
-    else:
-        _emit_csv(["k", "B"], [[str(k), b] for k, b in rows], out)
+    records = [{"k": k, "B": str(table[k])} for k in range(cfg.n_max + 1)]
+    _emit(records, ["k", "B"], lambda r: f"{r['k']} {r['B']}", cfg, out)
     return 0
 
 
@@ -109,24 +134,12 @@ def _cmd_zeta(cfg: RunConfig, out: io.TextIOBase) -> int:
                 "abs_error": approx.abs_error,
             }
         )
-    if cfg.output_format == "plain":
-        for r in records:
-            exact = f" exact={r['exact']}" if r["exact"] else ""
-            print(
-                f"s={r['s']} value={r['value']!r} abs_error={r['abs_error']!r}{exact}",
-                file=out,
-            )
-    elif cfg.output_format == "json":
-        print(json.dumps(records, indent=2, ensure_ascii=False), file=out)
-    else:
-        _emit_csv(
-            ["s", "exact", "value", "abs_error"],
-            [
-                [str(r["s"]), r["exact"] or "", repr(r["value"]), repr(r["abs_error"])]
-                for r in records
-            ],
-            out,
-        )
+
+    def plain_line(r: dict) -> str:
+        exact = f" exact={r['exact']}" if r["exact"] else ""
+        return f"s={r['s']} value={r['value']!r} abs_error={r['abs_error']!r}{exact}"
+
+    _emit(records, ["s", "exact", "value", "abs_error"], plain_line, cfg, out)
     return 0
 
 
@@ -143,30 +156,14 @@ def _cmd_logsine(cfg: RunConfig, out: io.TextIOBase) -> int:
                 "symbolic": sym,
             }
         )
-    if cfg.output_format == "plain":
-        for r in records:
-            compact = json.dumps(r["symbolic"], separators=(",", ":"))
-            print(
-                f"n={r['n']} value={r['value']!r} abs_error={r['abs_error']!r} "
-                f"symbolic={compact}",
-                file=out,
-            )
-    elif cfg.output_format == "json":
-        print(json.dumps(records, indent=2), file=out)
-    else:
-        _emit_csv(
-            ["n", "value", "abs_error", "symbolic"],
-            [
-                [
-                    str(r["n"]),
-                    repr(r["value"]),
-                    repr(r["abs_error"]),
-                    json.dumps(r["symbolic"], separators=(",", ":")),
-                ]
-                for r in records
-            ],
-            out,
+
+    def plain_line(r: dict) -> str:
+        return (
+            f"n={r['n']} value={r['value']!r} abs_error={r['abs_error']!r} "
+            f"symbolic={_compact(r['symbolic'])}"
         )
+
+    _emit(records, ["n", "value", "abs_error", "symbolic"], plain_line, cfg, out)
     return 0
 
 
@@ -296,22 +293,13 @@ def _cmd_verify(cfg: RunConfig, suite: str, out: io.TextIOBase) -> int:
         block = builders[name](cfg)
         block.sort(key=lambda c: (c["n"], c["check"]))
         checks.extend(block)
-    if cfg.output_format == "plain":
-        for c in checks:
-            status = "PASS" if c["pass"] else "FAIL"
-            detail = f" {c['detail']}" if c["detail"] else ""
-            print(f"{status} {c['suite']}/{c['check']} n={c['n']}{detail}", file=out)
-    elif cfg.output_format == "json":
-        print(json.dumps(checks, indent=2), file=out)
-    else:
-        _emit_csv(
-            ["suite", "check", "n", "pass", "detail"],
-            [
-                [c["suite"], c["check"], str(c["n"]), str(c["pass"]).lower(), c["detail"]]
-                for c in checks
-            ],
-            out,
-        )
+
+    def plain_line(c: dict) -> str:
+        status = "PASS" if c["pass"] else "FAIL"
+        detail = f" {c['detail']}" if c["detail"] else ""
+        return f"{status} {c['suite']}/{c['check']} n={c['n']}{detail}"
+
+    _emit(checks, ["suite", "check", "n", "pass", "detail"], plain_line, cfg, out)
     return 0 if all(c["pass"] for c in checks) else 1
 
 

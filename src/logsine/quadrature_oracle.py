@@ -24,18 +24,22 @@ certificate is honest even when the integrand mass is ~1e5 (x^12 log sin x)
 and the target is 1e-10: the double-rounding floor, about half an ulp of
 the result, is then the dominant claimed term.
 
-Results and node tables are memoized on their full argument tuples, and
-the x^n log(sin x) integrand takes log(sin d), d the node's distance from
-its nearer endpoint, from a table keyed by working precision and d, so the
+Every result is memoized in one cache keyed by (integrand builder, its
+arguments, target, depth), and node tables by (precision, level).  The
+x^n log(sin x) integrand takes log(sin d), d the node's distance from its
+nearer endpoint, from a table keyed by working precision and d, so the
 moments for every n share one evaluation per node.  The node positions on
 an interval and their distances from its two endpoints come from a
 geometry table keyed by (working precision in bits, level, a, b): the
 moments for every n, and the cosine integrals, run on [0, pi] and share
 one entry per level.  An entry holds five raw tuples for each node its
 level adds, about T * 2^(k-1) nodes at level k >= 1 with T = 4..7 the
-t-range: all the levels on [0, pi] at 1e-10 hold about 60 KB.  Each
-vertical leg has a cutoff of its own and so entries of its own, which no
-other call reuses: about 60 KB per leg at 1e-10.  Each rule runs in the
+t-range: all the levels on [0, pi] at 1e-10 hold about 60 KB.  A
+vertical leg runs on [0, cutoff], so legs share entries only where they
+share a working precision and a cutoff.  The cutoff policy gives n = 0..4
+the cutoff 20 at every target from 1e-3 to 1e-12, so those five legs
+share one set of entries; at one target, each n >= 5 has a cutoff, and
+about 60 KB of entries at 1e-10, of its own.  Each rule runs in the
 fixed-precision context of its target, so every memoized value depends
 on its key alone.
 
@@ -51,8 +55,9 @@ working precision.  They are built on raw tuples too, with one
 ``mpf_cosh_sinh`` call per abscissa, of which ``ctx.sinh`` and
 ``ctx.cosh`` each return one half.  A geometry entry holds the very
 tuples that the engine's per-node calls returned when it computed them
-for each integral, so hoisting them changes no bit.  The other integrands
-keep their ``mpf`` code behind ``_on_mpf``.
+for each integral, so hoisting them changes no bit.  The builders of the
+other integrands write them on ``mpf`` values and hand them to the engine
+through ``_on_mpf``.
 """
 
 from __future__ import annotations
@@ -287,20 +292,26 @@ def _tanh_sinh(
     raise RefinementExhausted(f"no convergence to {target:.3e} within depth {max_depth}")
 
 
-def _certify(
-    make_f: Callable[[MPContext], tuple[RawIntegrand, mpf, mpf]],
-    settings: QuadratureSettings,
-    truncation_bound: float = 0.0,
+# ---------------------------------------------------------------------------
+# oracle integrals
+# ---------------------------------------------------------------------------
+
+# What an integrand builder returns for (ctx, *args): the raw integrand and
+# its interval [a, b] in the working context ``ctx``, and a bound on the part
+# of the integral that the interval leaves out.
+Integrand = tuple[RawIntegrand, mpf, mpf, float]
+
+
+@lru_cache(maxsize=None)
+def _certified(
+    integrand: Callable[..., Integrand], args: tuple, target: float, depth: int
 ) -> RealApprox:
-    """Run the rule on the integrand and interval ``make_f`` builds in the
-    working context, and assemble the certified bound:
+    """Run the rule on what ``integrand(ctx, *args)`` builds in the working
+    context of ``target``, and assemble the certified bound:
     rule estimate + truncation + precision slack + double rounding."""
-    target = settings.target_abs_error
     ctx = context_for(target, extra_digits=12, min_dps=25)
-    f, a, b = make_f(ctx)
-    value_mp, rule_est, mass = _tanh_sinh(
-        f, a, b, ctx.mpf(target) / 4, settings.max_refinement_depth, ctx
-    )
+    f, a, b, truncation_bound = integrand(ctx, *args)
+    value_mp, rule_est, mass = _tanh_sinh(f, a, b, ctx.mpf(target) / 4, depth, ctx)
     internal = rule_est + ctx.mpf(truncation_bound) + round_slack(mass, ctx)
     value, bound = float_with_bound(value_mp, internal)
     if bound > target:
@@ -308,15 +319,6 @@ def _certify(
             f"quadrature certified to {bound:.3e}, target {target:.3e}"
         )
     return RealApprox(value=value, abs_error=bound)
-
-
-# ---------------------------------------------------------------------------
-# oracle integrals
-# ---------------------------------------------------------------------------
-
-
-def _settings_key(settings: QuadratureSettings) -> tuple[float, int]:
-    return (settings.target_abs_error, settings.max_refinement_depth)
 
 
 def _on_mpf(f: Callable[[mpf, mpf, mpf], mpf], ctx: MPContext) -> RawIntegrand:
@@ -328,28 +330,69 @@ def _on_mpf(f: Callable[[mpf, mpf, mpf], mpf], ctx: MPContext) -> RawIntegrand:
 _LOGSIN_TABLE: dict[int, dict[tuple, tuple]] = {}
 
 
-@lru_cache(maxsize=None)
-def _logsine_cached(n: int, target: float, depth: int) -> RealApprox:
-    settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
+def _logsine(ctx: MPContext, n: int) -> Integrand:
+    """x^n log(sin x) on [0, pi]."""
+    prec, rnd = ctx.prec, round_nearest
+    table = _LOGSIN_TABLE.setdefault(prec, {})
 
-    def make_f(ctx):
-        prec, rnd = ctx.prec, round_nearest
-        table = _LOGSIN_TABLE.setdefault(prec, {})
+    def f(x: tuple, dist_lower: tuple, dist_upper: tuple) -> tuple:
+        # sin is symmetric about the midpoint of [0, pi]: evaluate it at the
+        # nearer endpoint distance so nodes hugging pi stay on the positive
+        # branch; min(dist_lower, dist_upper)
+        d = dist_upper if mpf_lt(dist_upper, dist_lower) else dist_lower
+        log_sin = table.get(d)
+        if log_sin is None:
+            log_sin = table.setdefault(d, ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_)
+        # x ** n * log_sin
+        return mpf_mul(mpf_pow_int(x, n, prec, rnd), log_sin, prec, rnd)
 
-        def f(x: tuple, dist_lower: tuple, dist_upper: tuple) -> tuple:
-            # sin is symmetric about the midpoint of [0, pi]: evaluate it
-            # at the nearer endpoint distance so nodes hugging pi stay
-            # on the positive branch; min(dist_lower, dist_upper)
-            d = dist_upper if mpf_lt(dist_upper, dist_lower) else dist_lower
-            log_sin = table.get(d)
-            if log_sin is None:
-                log_sin = table.setdefault(d, ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_)
-            # x ** n * log_sin
-            return mpf_mul(mpf_pow_int(x, n, prec, rnd), log_sin, prec, rnd)
+    return f, ctx.mpf(0), +ctx.pi, 0
 
-        return f, ctx.mpf(0), +ctx.pi
 
-    return _certify(make_f, settings)
+def _logsquared(ctx: MPContext) -> Integrand:
+    """(log(2 sin x))^2 on [0, pi/2]."""
+
+    def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
+        return ctx.log(2 * ctx.sin(dist_lower)) ** 2  # x == dist_lower here
+
+    return _on_mpf(f, ctx), ctx.mpf(0), ctx.pi / 2, 0
+
+
+def _vertical_leg(ctx: MPContext, n: int, cutoff: float) -> Integrand:
+    """y^n log(1 - e^(-2y)) on [0, cutoff], with the dropped tail's bound."""
+    # expm1 and log1p raise their context's precision while they run, so
+    # they run in a context of this call's own, not the shared one
+    own = MPContext()
+    own.prec = ctx.prec
+    split = ctx.mpf("0.35")
+
+    def f(y: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
+        # log(1 - e^(-2y)): expm1 form near 0, log1p form elsewhere
+        if y < split:
+            val = own.log(-own.expm1(-2 * y))
+        else:
+            val = own.log1p(-own.exp(-2 * y))
+        return y ** n * val
+
+    return _on_mpf(f, ctx), ctx.mpf(0), ctx.mpf(cutoff), vertical_tail_bound(n, cutoff)
+
+
+def _cosine_moment(ctx: MPContext, l: int, power: int) -> Integrand:
+    """theta^power cos(2 l theta) on [0, pi]."""
+
+    def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
+        return x ** power * ctx.cos(2 * l * x) if power else ctx.cos(2 * l * x)
+
+    return _on_mpf(f, ctx), ctx.mpf(0), +ctx.pi, 0
+
+
+def _cosine_orth(ctx: MPContext, l: int, lp: int) -> Integrand:
+    """cos(2 l theta) cos(2 l' theta) on [0, pi]."""
+
+    def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
+        return ctx.cos(2 * l * x) * ctx.cos(2 * lp * x)
+
+    return _on_mpf(f, ctx), ctx.mpf(0), +ctx.pi, 0
 
 
 def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> RealApprox:
@@ -360,53 +403,14 @@ def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> Rea
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    settings = settings or QuadratureSettings()
-    return _logsine_cached(n, *_settings_key(settings))
-
-
-@lru_cache(maxsize=None)
-def _logsquared_cached(target: float, depth: int) -> RealApprox:
-    settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
-
-    def make_f(ctx):
-        def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
-            return ctx.log(2 * ctx.sin(dist_lower)) ** 2  # x == dist_lower here
-
-        return _on_mpf(f, ctx), ctx.mpf(0), ctx.pi / 2
-
-    return _certify(make_f, settings)
+    s = settings or QuadratureSettings()
+    return _certified(_logsine, (n,), s.target_abs_error, s.max_refinement_depth)
 
 
 def integrate_logsquared(settings: QuadratureSettings | None = None) -> RealApprox:
     """int_0^{pi/2} (log(2 sin x))^2 dx; log-squared singularity at x = 0."""
-    settings = settings or QuadratureSettings()
-    return _logsquared_cached(*_settings_key(settings))
-
-
-@lru_cache(maxsize=None)
-def _vertical_leg_cached(
-    n: int, target: float, depth: int, cutoff: float
-) -> RealApprox:
-    settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
-
-    def make_f(ctx):
-        # expm1 and log1p raise their context's precision while they run,
-        # so they run in a context of this call's own, not the shared one
-        own = MPContext()
-        own.prec = ctx.prec
-        split = ctx.mpf("0.35")
-
-        def f(y: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
-            # log(1 - e^(-2y)): expm1 form near 0, log1p form elsewhere
-            if y < split:
-                val = own.log(-own.expm1(-2 * y))
-            else:
-                val = own.log1p(-own.exp(-2 * y))
-            return y ** n * val
-
-        return _on_mpf(f, ctx), ctx.mpf(0), ctx.mpf(cutoff)
-
-    return _certify(make_f, settings, truncation_bound=vertical_tail_bound(n, cutoff))
+    s = settings or QuadratureSettings()
+    return _certified(_logsquared, (), s.target_abs_error, s.max_refinement_depth)
 
 
 def integrate_vertical_leg(
@@ -416,22 +420,9 @@ def integrate_vertical_leg(
     cutoff policy with the dropped tail added to the bound."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    settings = settings or QuadratureSettings()
-    cutoff = default_semi_infinite_cutoff_policy(n, settings.target_abs_error)
-    return _vertical_leg_cached(n, *_settings_key(settings), cutoff)
-
-
-@lru_cache(maxsize=None)
-def _cosine_moment_cached(l: int, power: int, target: float, depth: int) -> RealApprox:
-    settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
-
-    def make_f(ctx):
-        def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
-            return x ** power * ctx.cos(2 * l * x) if power else ctx.cos(2 * l * x)
-
-        return _on_mpf(f, ctx), ctx.mpf(0), +ctx.pi
-
-    return _certify(make_f, settings)
+    s = settings or QuadratureSettings()
+    cutoff = default_semi_infinite_cutoff_policy(n, s.target_abs_error)
+    return _certified(_vertical_leg, (n, cutoff), s.target_abs_error, s.max_refinement_depth)
 
 
 def cosine_moment(
@@ -446,21 +437,8 @@ def cosine_moment(
         raise ValueError("l must be a positive integer")
     if power not in (0, 1):
         raise ValueError("power must be 0 or 1")
-    settings = settings or QuadratureSettings(target_abs_error=1e-12)
-    return _cosine_moment_cached(l, power, *_settings_key(settings))
-
-
-@lru_cache(maxsize=None)
-def _cosine_orth_cached(l: int, lp: int, target: float, depth: int) -> RealApprox:
-    settings = QuadratureSettings(target_abs_error=target, max_refinement_depth=depth)
-
-    def make_f(ctx):
-        def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
-            return ctx.cos(2 * l * x) * ctx.cos(2 * lp * x)
-
-        return _on_mpf(f, ctx), ctx.mpf(0), +ctx.pi
-
-    return _certify(make_f, settings)
+    s = settings or QuadratureSettings(target_abs_error=1e-12)
+    return _certified(_cosine_moment, (l, power), s.target_abs_error, s.max_refinement_depth)
 
 
 def cosine_orthogonality(
@@ -470,5 +448,5 @@ def cosine_orthogonality(
     zero otherwise."""
     if l < 1 or l_prime < 1:
         raise ValueError("l and l' must be positive integers")
-    settings = settings or QuadratureSettings(target_abs_error=1e-12)
-    return _cosine_orth_cached(l, l_prime, *_settings_key(settings))
+    s = settings or QuadratureSettings(target_abs_error=1e-12)
+    return _certified(_cosine_orth, (l, l_prime), s.target_abs_error, s.max_refinement_depth)

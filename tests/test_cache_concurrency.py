@@ -164,7 +164,7 @@ def test_threaded_vertical_legs_leave_shared_contexts_fixed(cold_caches):
         return [integrate_vertical_leg(n, settings) for n in range(4)]
 
     serial = {tol: legs(tol) for tol in targets}
-    quadrature_oracle._vertical_leg_cached.cache_clear()
+    quadrature_oracle._certified.cache_clear()
     threaded: dict = {}
     saved_interval = sys.getswitchinterval()
     threads = [

@@ -129,6 +129,11 @@ class TestVerify:
         proc = run_cli("verify", "--suite", "contour", "--n-max", "1", "--tolerance", "1e-30")
         assert proc.returncode == 3
 
+    def test_envelope_edge_at_default_tolerance(self):
+        # n <= 12 certifies at 1e-10; leg R of n = 13 does not
+        assert run_cli("verify", "--suite", "contour", "--n-max", "12").returncode == 0
+        assert run_cli("verify", "--suite", "contour", "--n-max", "13").returncode == 3
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

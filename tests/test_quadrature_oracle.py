@@ -158,7 +158,7 @@ class TestLogSinTable:
     def test_moments_share_one_log_sin_per_node(self, cold_caches):
         first = [integrate_logsine(n, TIGHT) for n in range(13)]
         sizes = {prec: len(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()}
-        quadrature_oracle._logsine_cached.cache_clear()
+        quadrature_oracle._certified.cache_clear()
         again = [integrate_logsine(n, TIGHT) for n in range(13)]
         assert again == first
         assert {prec: len(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()} == sizes
@@ -171,3 +171,35 @@ class TestLogSinTable:
                 integrate_logsine(n, QuadratureSettings(target_abs_error=target))
         warm = [integrate_logsine(n, TIGHT) for n in reversed(range(13))]
         assert warm[::-1] == cold
+
+
+_LOOSE = QuadratureSettings(target_abs_error=1e-8)
+
+
+@pytest.mark.parametrize(
+    "integral",
+    [
+        lambda: integrate_logsine(3, _LOOSE),
+        lambda: integrate_logsquared(_LOOSE),
+        lambda: integrate_vertical_leg(2, _LOOSE),
+        lambda: cosine_moment(2, 1, _LOOSE),
+        lambda: cosine_orthogonality(1, 2, _LOOSE),
+    ],
+    ids=["logsine", "logsquared", "vertical_leg", "cosine_moment", "cosine_orthogonality"],
+)
+def test_result_cache_serves_repeats_until_cleared(integral, cold_caches, monkeypatch):
+    calls = []
+    engine = quadrature_oracle._tanh_sinh
+
+    def counting(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(quadrature_oracle, "_tanh_sinh", counting)
+    first = integral()
+    assert len(calls) == 1
+    assert integral() == first
+    assert len(calls) == 1
+    cold_caches()
+    assert integral() == first
+    assert len(calls) == 2

@@ -213,13 +213,6 @@ def _logsine_integrand(n: int, ctx: MPContext) -> Callable[[mpf, mpf, mpf], mpf]
 def engine_calls(cold_caches, monkeypatch):
     """Every call into the tanh-sinh engine, with its arguments and result,
     from empty result caches."""
-    for cached in (
-        quadrature_oracle._logsquared_cached,
-        quadrature_oracle._vertical_leg_cached,
-        quadrature_oracle._cosine_moment_cached,
-        quadrature_oracle._cosine_orth_cached,
-    ):
-        cached.cache_clear()
     calls = []
     engine = quadrature_oracle._tanh_sinh
 
