@@ -1,15 +1,22 @@
 """Check that two checkouts print byte-identical CLI output.
 
-Runs ``python -m logsine`` from each checkout's ``src/`` over every
-subcommand and format at --n-max 12, every verify suite, the numeric
-subcommands again at ``--tolerance 1e-3`` (where the working-precision
-floors set the precision), ``zeta --n-max 30`` (the s range the
-benchmark covers), the envelope edge ``verify --n-max 13`` (exit 3),
-commands with no records to print (``zeta --n-max 1`` in every format,
-``verify --suite recurrence --n-max 1 --format csv``), where CSV output is
-its header alone, and ``bernoulli --n-max 0 --format csv``, whose one
-record is B_0.  It then compares stdout and exit code.  Prints one line
-per command and exits 1 on any difference.
+Runs ``python -m logsine`` from each checkout's ``src/`` over:
+
+- every subcommand and format at --n-max 12, and every verify suite;
+- the numeric subcommands again at ``--tolerance 1e-3``, where the
+  working-precision floors set the precision;
+- ``zeta --n-max 30``, the s range the benchmark covers;
+- the envelope edge ``verify --n-max 13`` (exit 3), and
+  ``verify --suite contour --n-max 13`` in JSON and CSV (exit 3, no output);
+- commands with no records to print (``zeta --n-max 1`` in every format,
+  ``verify --suite recurrence --n-max 1 --format csv``), where CSV output
+  is its header alone, and ``bernoulli --n-max 0 --format csv``, whose one
+  record is B_0;
+- five usage errors (exit 2, no output): a zero, infinite and NaN
+  ``--tolerance``, ``--format xml`` and ``verify --n-max -1``.
+
+It compares stdout and exit code, prints one line per command and exits 1
+on any difference.
 
 Usage: python scripts/cli_diff.py OLD_CHECKOUT NEW_CHECKOUT
 """
@@ -35,10 +42,16 @@ def commands() -> list[list[str]]:
         out.append([sub, "--n-max", "12", "--tolerance", "1e-3"])
     out.append(["zeta", "--n-max", "30"])
     out.append(["verify", "--n-max", "13"])
+    for fmt in ("json", "csv"):
+        out.append(["verify", "--suite", "contour", "--n-max", "13", "--format", fmt])
     for fmt in FORMATS:
         out.append(["zeta", "--n-max", "1", "--format", fmt])
     out.append(["verify", "--suite", "recurrence", "--n-max", "1", "--format", "csv"])
     out.append(["bernoulli", "--n-max", "0", "--format", "csv"])
+    for bad in ("0", "inf", "nan"):
+        out.append(["zeta", "--n-max", "3", "--tolerance", bad])
+    out.append(["bernoulli", "--format", "xml"])
+    out.append(["verify", "--n-max", "-1"])
     return out
 
 

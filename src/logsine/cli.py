@@ -8,7 +8,11 @@ machine-readable output:
     logsine logsine   --n-max 8  --tolerance 1e-10 --format csv
     logsine verify    --suite all --n-max 10
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error,
+Each command is a record builder: it returns its records and prints
+nothing.  ``main`` builds them all, then prints them at once as plain
+lines, one JSON document, or CSV, so a failure prints no partial output.
+
+Exit codes: 0 success, 1 some verification check failed, 2 usage error,
 3 a tolerance could not be certified.  Output is deterministic: identical
 arguments produce byte-identical output.  The default tolerance is 1e-10,
 overridable by the LOGSINE_TOLERANCE environment variable (a --tolerance
@@ -19,12 +23,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from . import contour_verifier, exact_core, fourier_appendix
@@ -32,26 +34,10 @@ from . import logsine_closed_form as closed_form
 from . import zeta_engine
 from .errors import CertificationError
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
-_SUITES = ("recurrence", "contour", "identities", "fourier", "all")
 _FORMATS = ("plain", "json", "csv")
 _PARSEVAL_TERMS = 10 ** 6
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float = 1e-10
-    n_max: int = 10
-    output_format: str = "plain"
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be positive and finite")
-        if self.n_max < 0:
-            raise ValueError("n-max must be nonnegative")
-        if self.output_format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
 
 
 def _nonnegative_int(text: str) -> int:
@@ -91,216 +77,149 @@ def _csv_cell(value: object) -> str:
 
 
 def _emit(
-    records: list[dict],
-    header: list[str],
-    plain_line: Callable[[dict], str],
-    cfg: RunConfig,
-    out: io.TextIOBase,
+    records: list[dict], header: list[str], plain_line: Callable[[dict], str], fmt: str
 ) -> None:
     """Print the records as plain lines, one JSON document, or CSV with the
     given header, which is printed even when there are no records."""
-    if cfg.output_format == "plain":
+    if fmt == "plain":
         for r in records:
-            print(plain_line(r), file=out)
-    elif cfg.output_format == "json":
-        print(json.dumps(records, indent=2, ensure_ascii=False), file=out)
+            print(plain_line(r))
+    elif fmt == "json":
+        print(json.dumps(records, indent=2, ensure_ascii=False))
     else:
-        writer = csv.writer(out)  # RFC 4180: comma-separated, CRLF line ends
+        writer = csv.writer(sys.stdout)  # RFC 4180: comma-separated, CRLF line ends
         writer.writerow(header)
         writer.writerows([_csv_cell(r[key]) for key in header] for r in records)
 
 
-def _cmd_bernoulli(cfg: RunConfig, out: io.TextIOBase) -> int:
-    table = exact_core.bernoulli_table(cfg.n_max)
-    records = [{"k": k, "B": str(table[k])} for k in range(cfg.n_max + 1)]
-    _emit(records, ["k", "B"], lambda r: f"{r['k']} {r['B']}", cfg, out)
-    return 0
+def _bernoulli(args: argparse.Namespace) -> list[dict]:
+    table = exact_core.bernoulli_table(args.n_max)
+    return [{"k": k, "B": str(table[k])} for k in range(args.n_max + 1)]
 
 
-def _cmd_zeta(cfg: RunConfig, out: io.TextIOBase) -> int:
+def _zeta(args: argparse.Namespace) -> list[dict]:
     records = []
-    table = exact_core.bernoulli_table(cfg.n_max)  # B_s for every even s shown
-    for s in range(2, cfg.n_max + 1):
-        approx = zeta_engine.zeta_numeric(s, cfg.tolerance)
+    table = exact_core.bernoulli_table(args.n_max)  # B_s for every even s shown
+    for s in range(2, args.n_max + 1):
+        approx = zeta_engine.zeta_numeric(s, args.tolerance)
         exact = None
         if s % 2 == 0:
             ev = zeta_engine.zeta_even_exact(s // 2, table)
             exact = f"{ev.coefficient} · pi^{ev.pi_power}"
         records.append(
-            {
-                "s": s,
-                "exact": exact,
-                "value": approx.value,
-                "abs_error": approx.abs_error,
-            }
+            {"s": s, "exact": exact, "value": approx.value, "abs_error": approx.abs_error}
         )
-
-    def plain_line(r: dict) -> str:
-        exact = f" exact={r['exact']}" if r["exact"] else ""
-        return f"s={r['s']} value={r['value']!r} abs_error={r['abs_error']!r}{exact}"
-
-    _emit(records, ["s", "exact", "value", "abs_error"], plain_line, cfg, out)
-    return 0
+    return records
 
 
-def _cmd_logsine(cfg: RunConfig, out: io.TextIOBase) -> int:
+def _zeta_line(r: dict) -> str:
+    exact = f" exact={r['exact']}" if r["exact"] else ""
+    return f"s={r['s']} value={r['value']!r} abs_error={r['abs_error']!r}{exact}"
+
+
+def _logsine(args: argparse.Namespace) -> list[dict]:
     records = []
-    for n in range(cfg.n_max + 1):
+    for n in range(args.n_max + 1):
         sym = closed_form.symbolic_to_json(closed_form.logsine_symbolic(n))
-        approx = closed_form.logsine_numeric(n, cfg.tolerance)
+        approx = closed_form.logsine_numeric(n, args.tolerance)
         records.append(
-            {
-                "n": n,
-                "value": approx.value,
-                "abs_error": approx.abs_error,
-                "symbolic": sym,
-            }
+            {"n": n, "value": approx.value, "abs_error": approx.abs_error, "symbolic": sym}
         )
-
-    def plain_line(r: dict) -> str:
-        return (
-            f"n={r['n']} value={r['value']!r} abs_error={r['abs_error']!r} "
-            f"symbolic={_compact(r['symbolic'])}"
-        )
-
-    _emit(records, ["n", "value", "abs_error", "symbolic"], plain_line, cfg, out)
-    return 0
+    return records
 
 
-def _suite_recurrence(cfg: RunConfig) -> list[dict]:
-    table = exact_core.bernoulli_table(max(1, cfg.n_max))
-    checks = []
-    for n in range(2, cfg.n_max + 1):
-        checks.append(
-            {
-                "suite": "recurrence",
-                "check": "recurrence",
-                "n": n,
-                "pass": exact_core.verify_recurrence(n, table),
-                "detail": "",
-            }
-        )
-    for m in range(3, cfg.n_max + 1, 2):
-        checks.append(
-            {
-                "suite": "recurrence",
-                "check": "odd-zero",
-                "n": m,
-                "pass": table[m] == 0,
-                "detail": "",
-            }
-        )
+def _logsine_line(r: dict) -> str:
+    return (
+        f"n={r['n']} value={r['value']!r} abs_error={r['abs_error']!r} "
+        f"symbolic={_compact(r['symbolic'])}"
+    )
+
+
+def _check(suite: str, check: str, n: int, ok: bool, detail: str = "") -> dict:
+    """One verify record; JSON prints its keys in this order."""
+    return {"suite": suite, "check": check, "n": n, "pass": ok, "detail": detail}
+
+
+def _suite_recurrence(n_max: int, tol: float) -> list[dict]:
+    table = exact_core.bernoulli_table(max(1, n_max))
+    checks = [
+        _check("recurrence", "recurrence", n, exact_core.verify_recurrence(n, table))
+        for n in range(2, n_max + 1)
+    ]
+    checks += [
+        _check("recurrence", "odd-zero", m, table[m] == 0) for m in range(3, n_max + 1, 2)
+    ]
     return checks
 
 
-def _suite_contour(cfg: RunConfig) -> list[dict]:
+def _suite_contour(n_max: int, tol: float) -> list[dict]:
     checks = []
-    for n in range(cfg.n_max + 1):
-        report = contour_verifier.verify_null(n, cfg.tolerance)
+    for n in range(n_max + 1):
+        report = contour_verifier.verify_null(n, tol)
         if report.failure:
             raise CertificationError(report.failure)
-        checks.append(
-            {
-                "suite": "contour",
-                "check": "null-quadrature",
-                "n": n,
-                "pass": report.passed,
-                "detail": (
-                    f"residual={report.residual_modulus!r} "
-                    f"bound={report.certified_bound!r}"
-                ),
-            }
-        )
+        detail = f"residual={report.residual_modulus!r} bound={report.certified_bound!r}"
+        checks.append(_check("contour", "null-quadrature", n, report.passed, detail))
     return checks
 
 
-def _suite_identities(cfg: RunConfig) -> list[dict]:
-    table = exact_core.bernoulli_table(max(2, cfg.n_max + 1))
+def _suite_identities(n_max: int, tol: float) -> list[dict]:
+    table = exact_core.bernoulli_table(max(2, n_max + 1))
     checks = []
-    for n in range(1, cfg.n_max + 1):
-        checks.append(
-            {
-                "suite": "identities",
-                "check": "imag-identity",
-                "n": n,
-                "pass": contour_verifier.verify_imag_identity_exact(n, table),
-                "detail": "",
-            }
-        )
+    for n in range(1, n_max + 1):
+        imag_ok = contour_verifier.verify_imag_identity_exact(n, table)
+        checks.append(_check("identities", "imag-identity", n, imag_ok))
         steps = contour_verifier.reduction_chain_steps(n, table)
         failed = [name for name, ok in steps.items() if not ok]
-        checks.append(
-            {
-                "suite": "identities",
-                "check": "reduction-chain",
-                "n": n,
-                "pass": not failed,
-                "detail": f"failed steps: {','.join(failed)}" if failed else "",
-            }
-        )
-        binom_ok = all(
-            exact_core.verify_binomial_identity(n, k) for k in range(n // 2 + 1)
-        )
-        checks.append(
-            {
-                "suite": "identities",
-                "check": "binomial-identity",
-                "n": n,
-                "pass": binom_ok,
-                "detail": "",
-            }
-        )
+        detail = f"failed steps: {','.join(failed)}" if failed else ""
+        checks.append(_check("identities", "reduction-chain", n, not failed, detail))
+        binom_ok = all(exact_core.verify_binomial_identity(n, k) for k in range(n // 2 + 1))
+        checks.append(_check("identities", "binomial-identity", n, binom_ok))
     return checks
 
 
-def _suite_fourier(cfg: RunConfig) -> list[dict]:
+def _suite_fourier(n_max: int, tol: float) -> list[dict]:
     checks = []
-    for n in range(cfg.n_max + 1):
+    for n in range(n_max + 1):
         same = fourier_appendix.logsine_via_fourier(n) == closed_form.logsine_symbolic(n)
-        checks.append(
-            {
-                "suite": "fourier",
-                "check": "route-equivalence",
-                "n": n,
-                "pass": same,
-                "detail": "",
-            }
-        )
+        checks.append(_check("fourier", "route-equivalence", n, same))
     value = fourier_appendix.parseval_logsquared(_PARSEVAL_TERMS)
-    target = math.pi ** 3 / 24
-    checks.append(
-        {
-            "suite": "fourier",
-            "check": "parseval",
-            "n": _PARSEVAL_TERMS,
-            "pass": abs(value - target) <= 1e-6,
-            "detail": f"value={value!r}",
-        }
-    )
+    ok = abs(value - math.pi ** 3 / 24) <= 1e-6
+    checks.append(_check("fourier", "parseval", _PARSEVAL_TERMS, ok, f"value={value!r}"))
     return checks
 
 
-def _cmd_verify(cfg: RunConfig, suite: str, out: io.TextIOBase) -> int:
-    builders = {
-        "recurrence": _suite_recurrence,
-        "contour": _suite_contour,
-        "identities": _suite_identities,
-        "fourier": _suite_fourier,
-    }
-    names = list(builders) if suite == "all" else [suite]
+_SUITE_BUILDERS = {
+    "recurrence": _suite_recurrence,
+    "contour": _suite_contour,
+    "identities": _suite_identities,
+    "fourier": _suite_fourier,
+}
+_SUITES = (*_SUITE_BUILDERS, "all")
+
+
+def _verify(args: argparse.Namespace) -> list[dict]:
+    names = list(_SUITE_BUILDERS) if args.suite == "all" else [args.suite]
     checks: list[dict] = []
     for name in names:
-        block = builders[name](cfg)
-        block.sort(key=lambda c: (c["n"], c["check"]))
-        checks.extend(block)
+        block = _SUITE_BUILDERS[name](args.n_max, args.tolerance)
+        checks += sorted(block, key=lambda c: (c["n"], c["check"]))
+    return checks
 
-    def plain_line(c: dict) -> str:
-        status = "PASS" if c["pass"] else "FAIL"
-        detail = f" {c['detail']}" if c["detail"] else ""
-        return f"{status} {c['suite']}/{c['check']} n={c['n']}{detail}"
 
-    _emit(checks, ["suite", "check", "n", "pass", "detail"], plain_line, cfg, out)
-    return 0 if all(c["pass"] for c in checks) else 1
+def _check_line(c: dict) -> str:
+    status = "PASS" if c["pass"] else "FAIL"
+    detail = f" {c['detail']}" if c["detail"] else ""
+    return f"{status} {c['suite']}/{c['check']} n={c['n']}{detail}"
+
+
+# command -> (record builder, CSV header, plain-format line of one record)
+_COMMANDS = {
+    "bernoulli": (_bernoulli, ["k", "B"], lambda r: f"{r['k']} {r['B']}"),
+    "zeta": (_zeta, ["s", "exact", "value", "abs_error"], _zeta_line),
+    "logsine": (_logsine, ["n", "value", "abs_error", "symbolic"], _logsine_line),
+    "verify": (_verify, ["suite", "check", "n", "pass", "detail"], _check_line),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -342,26 +261,18 @@ def _resolve_tolerance(flag_value: float | None, parser: argparse.ArgumentParser
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        tolerance=_resolve_tolerance(args.tolerance, parser),
-        n_max=args.n_max,
-        output_format=args.format,
-    )
-    out = sys.stdout
+    args.tolerance = _resolve_tolerance(args.tolerance, parser)
+    build, header, plain_line = _COMMANDS[args.command]
     try:
-        if args.command == "bernoulli":
-            return _cmd_bernoulli(cfg, out)
-        if args.command == "zeta":
-            return _cmd_zeta(cfg, out)
-        if args.command == "logsine":
-            return _cmd_logsine(cfg, out)
-        return _cmd_verify(cfg, args.suite, out)
+        records = build(args)
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(records, header, plain_line, args.format)
+    return 0 if all(r.get("pass", True) for r in records) else 1
 
 
 if __name__ == "__main__":

@@ -82,12 +82,10 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if not (math.isfinite(target_abs_error) and target_abs_error > 0):
-        raise ValueError("target absolute error must be positive and finite")
+    ctx = context_for(target_abs_error, extra_digits=25, min_dps=30)
     sym = logsine_symbolic(n)
     share = target_abs_error / (n // 2 + 1)
     share_raw = from_float(share)
-    ctx = context_for(target_abs_error, extra_digits=25, min_dps=30)
     prec, rnd = ctx.prec, round_nearest
     # total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * ctx.log(2)
     total = mpf_mul(_scale(sym.log2_coefficient, n + 1, prec), ctx.log(2)._mpf_, prec, rnd)

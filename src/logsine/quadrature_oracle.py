@@ -25,7 +25,8 @@ and the target is 1e-10: the double-rounding floor, about half an ulp of
 the result, is then the dominant claimed term.
 
 Every result is memoized in one cache keyed by (integrand builder, its
-arguments, target, depth), and node tables by (precision, level).  The
+arguments, target), and node tables by (precision, level); every rule
+stops by level ``_MAX_DEPTH`` = 12, so depth is no part of the key.  The
 x^n log(sin x) integrand takes log(sin d), d the node's distance from its
 nearer endpoint, from a table keyed by working precision and d, so the
 moments for every n share one evaluation per node.  The node positions on
@@ -110,6 +111,8 @@ __all__ = [
 # Refinement levels below this never certify: a lucky small difference on a
 # coarse mesh is not evidence of convergence.
 _MIN_ACCEPT_LEVEL = 3
+# The deepest refinement level any oracle integral visits.
+_MAX_DEPTH = 12
 
 
 def vertical_tail_bound(n: int, cutoff: float) -> float:
@@ -140,13 +143,10 @@ class QuadratureSettings:
     """Certification parameters shared by all oracle integrals."""
 
     target_abs_error: float = 1e-10
-    max_refinement_depth: int = 12
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.target_abs_error) and self.target_abs_error > 0):
             raise ValueError("target_abs_error must be positive and finite")
-        if self.max_refinement_depth < 1:
-            raise ValueError("max_refinement_depth must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +303,13 @@ Integrand = tuple[RawIntegrand, mpf, mpf, float]
 
 
 @lru_cache(maxsize=None)
-def _certified(
-    integrand: Callable[..., Integrand], args: tuple, target: float, depth: int
-) -> RealApprox:
+def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) -> RealApprox:
     """Run the rule on what ``integrand(ctx, *args)`` builds in the working
     context of ``target``, and assemble the certified bound:
     rule estimate + truncation + precision slack + double rounding."""
     ctx = context_for(target, extra_digits=12, min_dps=25)
     f, a, b, truncation_bound = integrand(ctx, *args)
-    value_mp, rule_est, mass = _tanh_sinh(f, a, b, ctx.mpf(target) / 4, depth, ctx)
+    value_mp, rule_est, mass = _tanh_sinh(f, a, b, ctx.mpf(target) / 4, _MAX_DEPTH, ctx)
     internal = rule_est + ctx.mpf(truncation_bound) + round_slack(mass, ctx)
     value, bound = float_with_bound(value_mp, internal)
     if bound > target:
@@ -404,13 +402,13 @@ def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> Rea
     if n < 0:
         raise ValueError("n must be nonnegative")
     s = settings or QuadratureSettings()
-    return _certified(_logsine, (n,), s.target_abs_error, s.max_refinement_depth)
+    return _certified(_logsine, (n,), s.target_abs_error)
 
 
 def integrate_logsquared(settings: QuadratureSettings | None = None) -> RealApprox:
     """int_0^{pi/2} (log(2 sin x))^2 dx; log-squared singularity at x = 0."""
     s = settings or QuadratureSettings()
-    return _certified(_logsquared, (), s.target_abs_error, s.max_refinement_depth)
+    return _certified(_logsquared, (), s.target_abs_error)
 
 
 def integrate_vertical_leg(
@@ -422,7 +420,7 @@ def integrate_vertical_leg(
         raise ValueError("n must be nonnegative")
     s = settings or QuadratureSettings()
     cutoff = default_semi_infinite_cutoff_policy(n, s.target_abs_error)
-    return _certified(_vertical_leg, (n, cutoff), s.target_abs_error, s.max_refinement_depth)
+    return _certified(_vertical_leg, (n, cutoff), s.target_abs_error)
 
 
 def cosine_moment(
@@ -438,7 +436,7 @@ def cosine_moment(
     if power not in (0, 1):
         raise ValueError("power must be 0 or 1")
     s = settings or QuadratureSettings(target_abs_error=1e-12)
-    return _certified(_cosine_moment, (l, power), s.target_abs_error, s.max_refinement_depth)
+    return _certified(_cosine_moment, (l, power), s.target_abs_error)
 
 
 def cosine_orthogonality(
@@ -449,4 +447,4 @@ def cosine_orthogonality(
     if l < 1 or l_prime < 1:
         raise ValueError("l and l' must be positive integers")
     s = settings or QuadratureSettings(target_abs_error=1e-12)
-    return _certified(_cosine_orth, (l, l_prime), s.target_abs_error, s.max_refinement_depth)
+    return _certified(_cosine_orth, (l, l_prime), s.target_abs_error)

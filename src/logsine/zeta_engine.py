@@ -293,8 +293,6 @@ def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:
         raise ValueError("s must be an integer")
     if s < 2:
         raise ValueError("require integer s >= 2")
-    if not target_abs_error > 0:
-        raise ValueError("target absolute error must be positive")
     ctx = context_for(target_abs_error, extra_digits=15, min_dps=25)
     value_mp, analytic = _zeta_mpf(s, ctx)
     value, bound = float_with_bound(value_mp, analytic + round_slack(ctx.mpf(2), ctx))

@@ -184,11 +184,19 @@ class TestExitOne:
         assert "FAIL fourier/parseval" in out
 
 
-class TestRunConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cli.RunConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            cli.RunConfig(n_max=-1)
-        with pytest.raises(ValueError):
-            cli.RunConfig(output_format="xml")
+@pytest.mark.parametrize(
+    "args,env",
+    [
+        (("zeta", "--tolerance", "0"), None),
+        (("zeta", "--tolerance", "inf"), None),
+        (("zeta", "--tolerance", "nan"), None),
+        (("bernoulli", "--format", "xml"), None),
+        (("verify", "--n-max", "-1"), None),
+        (("logsine", "--n-max", "1"), {"LOGSINE_TOLERANCE": "-1"}),
+    ],
+)
+def test_invalid_input_is_usage_error(args, env):
+    proc = run_cli(*args, env_extra=env)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr

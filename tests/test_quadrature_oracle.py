@@ -33,10 +33,6 @@ class TestSettings:
         with pytest.raises(ValueError):
             QuadratureSettings(target_abs_error=math.inf)
 
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            QuadratureSettings(max_refinement_depth=0)
-
     def test_cutoff_policy_meets_tail_budget(self):
         for n in (0, 3, 8):
             cutoff = default_semi_infinite_cutoff_policy(n, 1e-12)
@@ -84,10 +80,10 @@ class TestLogsquared:
         assert loose.abs_error <= 1e-4
         assert abs(loose.value - tight.value) <= loose.abs_error + tight.abs_error
 
-    def test_depth_exhaustion_is_distinct_failure(self):
-        starved = QuadratureSettings(target_abs_error=1e-14, max_refinement_depth=1)
+    def test_depth_exhaustion_is_distinct_failure(self, monkeypatch, cold_caches):
+        monkeypatch.setattr(quadrature_oracle, "_MAX_DEPTH", 1)
         with pytest.raises(RefinementExhausted):
-            integrate_logsquared(starved)
+            integrate_logsquared(QuadratureSettings(target_abs_error=1e-14))
 
 
 class TestVerticalLeg:
