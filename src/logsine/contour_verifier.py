@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from mpmath import mpf
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_float, fzero, mpf_add, mpf_gt, mpf_mul_int, round_nearest
 
@@ -78,11 +79,6 @@ class ComplexApprox:
         return self.re.abs_error + self.im.abs_error
 
 
-def _validate_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be positive and finite")
-
-
 def _leg_context(tol: float) -> MPContext:
     return context_for(tol, extra_digits=25, min_dps=30)
 
@@ -102,9 +98,8 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _validate_tol(tol)
     ctx = _leg_context(tol)
-    mag, err = _zeta_term(n + 2, Fraction(math.factorial(n), 2 ** (n + 1)), 0, ctx)
+    _, mag, err = _leg_r_term(n, n, ctx)  # the right leg's last summand
     value, bound = float_with_bound(ctx.make_mpf(mag), ctx.make_mpf(err))
     if bound > tol:
         raise CertificationError(f"leg L(n={n}) certified to {bound:.3e} > {tol:.3e}")
@@ -132,10 +127,9 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _validate_tol(tol)
+    ctx = _leg_context(tol)
     share = tol / (n + 1)
     share_raw = from_float(share)
-    ctx = _leg_context(tol)
     prec, rnd = ctx.prec, round_nearest
     sums = [fzero, fzero]  # re, im
     errs = [fzero, fzero]  # re_err, im_err
@@ -165,7 +159,6 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     the left leg."""
     if not 0 <= k <= n:
         raise ValueError("require 0 <= k <= n")
-    _validate_tol(tol)
     ctx = _leg_context(tol)
     phase, mag, err = _leg_r_term(n, k, ctx)
     return _one_component(phase, *float_with_bound(ctx.make_mpf(mag), ctx.make_mpf(err)))
@@ -177,6 +170,11 @@ def leg_H_im_coefficient(n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return Fraction(1, n + 2) - Fraction(1, 2 * (n + 1))
+
+
+def _log2_term(n: int, ctx: MPContext) -> mpf:
+    """pi^(n+1) log(2) / (n+1), the term that sits beside I_n in Re(H_n)."""
+    return (+ctx.pi) ** (n + 1) / (n + 1) * ctx.log(2)
 
 
 def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
@@ -191,14 +189,13 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
     ctx = _leg_context(settings.target_abs_error)
-    pi = +ctx.pi
-    log2_term = pi ** (n + 1) / (n + 1) * ctx.log(2)
+    log2_term = _log2_term(n, ctx)
     re_val, re_bound = float_with_bound(
         log2_term + oracle.value,
         round_slack(log2_term, ctx) + ctx.mpf(oracle.abs_error),
     )
     r = leg_H_im_coefficient(n)
-    im_mp = ctx.mpf(r.numerator) / r.denominator * pi ** (n + 2)
+    im_mp = ctx.mpf(r.numerator) / r.denominator * (+ctx.pi) ** (n + 2)
     im_val, im_bound = float_with_bound(im_mp, round_slack(im_mp, ctx))
     return ComplexApprox(
         re=RealApprox(re_val, re_bound), im=RealApprox(im_val, im_bound)
@@ -240,7 +237,6 @@ def verify_null(n: int, tol: float) -> ContourReport:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _validate_tol(tol)
     try:
         L = leg_L(n, tol)
         R = leg_R(n, tol)
@@ -283,13 +279,11 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _validate_tol(tol)
     L = leg_L(n, tol / 4)
     R = leg_R(n, tol / 4)
     closed = logsine_numeric(n, tol / 4)
     ctx = _leg_context(tol)
-    pi = +ctx.pi
-    log2_term = pi ** (n + 1) / (n + 1) * ctx.log(2)
+    log2_term = _log2_term(n, ctx)
     log2_val, log2_bound = float_with_bound(log2_term, round_slack(log2_term, ctx))
     return _sum_components(
         [

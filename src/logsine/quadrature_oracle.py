@@ -1,11 +1,12 @@
 """Ground-truth numerical integration for every definite integral the
 library verifies, with certified absolute-error bounds.
 
-All rules share one mechanism: double-exponential (tanh-sinh) node
-placement, x = mid + r*tanh((pi/2)*sinh(t)), trapezoid in t with step
-halving.  Node weights decay like exp(-exp|t|), which damps integrable
-logarithmic endpoint singularities without any explicit subtraction; the
-same rule therefore covers the log(sin) endpoints, the log(2 sin) corner,
+Every integral runs on an interval [0, b], and all rules share one
+mechanism: double-exponential (tanh-sinh) node placement,
+x = (b/2)(1 + tanh((pi/2)*sinh(t))), trapezoid in t with step halving.
+Node weights decay like exp(-exp|t|), which damps integrable logarithmic
+endpoint singularities without any explicit subtraction; the same rule
+therefore covers the log(sin) endpoints, the log(2 sin) corner,
 and the y=0 edge of the semi-infinite integrals uniformly.
 
 Semi-infinite domains are truncated at a cutoff Y chosen by a policy rule:
@@ -29,18 +30,18 @@ arguments, target), and node tables by (precision, level); every rule
 stops by level ``_MAX_DEPTH`` = 12, so depth is no part of the key.  The
 x^n log(sin x) integrand takes log(sin d), d the node's distance from its
 nearer endpoint, from a table keyed by working precision and d, so the
-moments for every n share one evaluation per node.  The node positions on
-an interval and their distances from its two endpoints come from a
-geometry table keyed by (working precision in bits, level, a, b): the
-moments for every n, and the cosine integrals, run on [0, pi] and share
-one entry per level.  An entry holds five raw tuples for each node its
-level adds, about T * 2^(k-1) nodes at level k >= 1 with T = 4..7 the
-t-range: all the levels on [0, pi] at 1e-10 hold about 60 KB.  A
-vertical leg runs on [0, cutoff], so legs share entries only where they
-share a working precision and a cutoff.  The cutoff policy gives n = 0..4
-the cutoff 20 at every target from 1e-3 to 1e-12, so those five legs
-share one set of entries; at one target, each n >= 5 has a cutoff, and
-about 60 KB of entries at 1e-10, of its own.  Each rule runs in the
+moments for every n share one evaluation per node.  A node's distances
+from the two ends, x and b - x, come from a geometry table keyed by
+(working precision in bits, level, b): the moments for every n, and the
+cosine integrals, run on [0, pi] and share one entry per level.  An entry
+holds three raw tuples for each node its level adds (the weight, x and
+b - x), about T * 2^(k-1) nodes at level k >= 1 with T = 4..7 the
+t-range: all the levels on [0, pi] at 1e-10 hold about 46 KB.  A vertical
+leg runs on [0, cutoff], so legs share entries only where they share a
+working precision and a cutoff.  The cutoff policy gives n = 0..4 the
+cutoff 20 at every target from 1e-3 to 1e-12, so those five legs share
+one set of entries; at one target, each n >= 5 has a cutoff, and about
+44 KB of entries at 1e-10, of its own.  Each rule runs in the
 fixed-precision context of its target, so every memoized value depends
 on its key alone.
 
@@ -57,8 +58,8 @@ working precision.  They are built on raw tuples too, with one
 ``ctx.cosh`` each return one half.  A geometry entry holds the very
 tuples that the engine's per-node calls returned when it computed them
 for each integral, so hoisting them changes no bit.  The builders of the
-other integrands write them on ``mpf`` values and hand them to the engine
-through ``_on_mpf``.
+other integrands write them on ``mpf`` values as functions of x alone and
+hand them to the engine through ``_on_mpf``.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ class QuadratureSettings:
 # ---------------------------------------------------------------------------
 
 
-# (x, dist_lower, dist_upper) -> f(x), all raw mpmath tuples
-RawIntegrand = Callable[[tuple, tuple, tuple], tuple]
+# (x, b - x) -> f(x) on [0, b], all raw mpmath tuples
+RawIntegrand = Callable[[tuple, tuple], tuple]
 
 
 def _t_limit(dps: int) -> int:
@@ -209,65 +210,56 @@ def _nodes(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(out)
 
 
-# (precision in bits, level, a, b) -> per node of the level, the raw tuples
-# (weight, a + off, b - off, off, (b - a) - off) with off = (b - a) * g
-_GEOMETRY: dict[tuple[int, int, tuple, tuple], tuple[tuple, ...]] = {}
+# (precision in bits, level, b) -> per node of the level, the raw tuples
+# (weight, off, b - off) with off = b * g
+_GEOMETRY: dict[tuple[int, int, tuple], tuple[tuple, ...]] = {}
 
 
-def _geometry(prec: int, level: int, a: tuple, b: tuple) -> tuple[tuple, ...]:
-    """Node positions and endpoint distances of one level on [a, b]."""
-    key = (prec, level, a, b)
+def _geometry(prec: int, level: int, b: tuple) -> tuple[tuple, ...]:
+    """The distances of one level's nodes from the two ends of [0, b]."""
+    key = (prec, level, b)
     nodes = _GEOMETRY.get(key)
     if nodes is None:
         rnd = round_nearest
-        width = mpf_sub(b, a, prec, rnd)
         out = []
         for g, w in _nodes(prec, level):
-            off = mpf_mul(width, g, prec, rnd)
-            far = mpf_sub(width, off, prec, rnd)
-            out.append((w, mpf_add(a, off, prec, rnd), mpf_sub(b, off, prec, rnd), off, far))
+            off = mpf_mul(b, g, prec, rnd)
+            out.append((w, off, mpf_sub(b, off, prec, rnd)))
         nodes = _GEOMETRY.setdefault(key, tuple(out))
     return nodes
 
 
 def _tanh_sinh(
-    f: RawIntegrand,
-    a: mpf,
-    b: mpf,
-    rule_target: mpf,
-    max_depth: int,
-    ctx: MPContext,
+    f: RawIntegrand, b: mpf, rule_target: mpf, ctx: MPContext
 ) -> tuple[mpf, mpf, mpf]:
-    """Refine until two successive level sums differ by <= rule_target,
-    computing at the precision of ``ctx``.
+    """Integrate over [0, b], refining until two successive level sums
+    differ by <= rule_target, computing at the precision of ``ctx``.
 
-    Integrands receive (x, dist_lower, dist_upper) as raw mpmath tuples
-    and return a raw tuple: the offsets from the endpoints are exact by
-    construction, so a singular factor can be evaluated from the nearer
-    distance without cancellation even when a node sits within 1e-100 of
-    an endpoint.
+    Integrands receive (x, b - x) as raw mpmath tuples and return a raw
+    tuple: both are a node's exact distances from the two ends, so a
+    singular factor can be evaluated from the nearer one without
+    cancellation even when a node sits within 1e-100 of an end.
 
     Returns (value, rule error estimate, accumulated |weight*f| mass).
-    Raises RefinementExhausted if max_depth levels are not enough.
+    Raises RefinementExhausted if ``_MAX_DEPTH`` levels are not enough.
     """
     prec, rnd = ctx.prec, round_nearest
-    a, b, rule_target = a._mpf_, b._mpf_, rule_target._mpf_
-    width = mpf_sub(b, a, prec, rnd)
-    r = mpf_div(width, from_int(2), prec, rnd)
+    b, rule_target = b._mpf_, rule_target._mpf_
+    r = mpf_div(b, from_int(2), prec, rnd)
     total = mass = prev = None
-    for level in range(max_depth + 1):
+    for level in range(_MAX_DEPTH + 1):
         h = mpf_div(fone, from_int(2**level), prec, rnd)  # mpf(1) / 2 ** level
         rh = mpf_mul(r, h, prec, rnd)
         part = part_mass = fzero
-        for i, (w, x_lo, x_hi, off, far) in enumerate(_geometry(prec, level, a, b)):
+        for i, (w, off, far) in enumerate(_geometry(prec, level, b)):
             if level == 0 and i == 0:
-                # contrib = w * f(a + off, off, far), the center node g = 1/2
-                contrib = mpf_mul(w, f(x_lo, off, far), prec, rnd)
+                # contrib = w * f(off, far), the center node g = 1/2
+                contrib = mpf_mul(w, f(off, far), prec, rnd)
                 part = mpf_add(part, contrib, prec, rnd)
                 part_mass = mpf_add(part_mass, mpf_abs(contrib, prec, rnd), prec, rnd)
             else:
-                lo = f(x_lo, off, far)
-                hi = f(x_hi, far, off)
+                lo = f(off, far)
+                hi = f(far, off)
                 # part += w * (lo + hi)
                 both = mpf_mul(w, mpf_add(lo, hi, prec, rnd), prec, rnd)
                 part = mpf_add(part, both, prec, rnd)
@@ -289,7 +281,7 @@ def _tanh_sinh(
                 return ctx.make_mpf(total), ctx.make_mpf(diff), ctx.make_mpf(mass)
         prev = total
     target = to_float(rule_target, rnd=rnd)  # float(rule_target)
-    raise RefinementExhausted(f"no convergence to {target:.3e} within depth {max_depth}")
+    raise RefinementExhausted(f"no convergence to {target:.3e} within depth {_MAX_DEPTH}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +289,9 @@ def _tanh_sinh(
 # ---------------------------------------------------------------------------
 
 # What an integrand builder returns for (ctx, *args): the raw integrand and
-# its interval [a, b] in the working context ``ctx``, and a bound on the part
-# of the integral that the interval leaves out.
-Integrand = tuple[RawIntegrand, mpf, mpf, float]
+# the upper end b of its interval [0, b] in the working context ``ctx``, and
+# a bound on the part of the integral that the interval leaves out.
+Integrand = tuple[RawIntegrand, mpf, float]
 
 
 @lru_cache(maxsize=None)
@@ -308,8 +300,8 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     context of ``target``, and assemble the certified bound:
     rule estimate + truncation + precision slack + double rounding."""
     ctx = context_for(target, extra_digits=12, min_dps=25)
-    f, a, b, truncation_bound = integrand(ctx, *args)
-    value_mp, rule_est, mass = _tanh_sinh(f, a, b, ctx.mpf(target) / 4, _MAX_DEPTH, ctx)
+    f, b, truncation_bound = integrand(ctx, *args)
+    value_mp, rule_est, mass = _tanh_sinh(f, b, ctx.mpf(target) / 4, ctx)
     internal = rule_est + ctx.mpf(truncation_bound) + round_slack(mass, ctx)
     value, bound = float_with_bound(value_mp, internal)
     if bound > target:
@@ -319,9 +311,10 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     return RealApprox(value=value, abs_error=bound)
 
 
-def _on_mpf(f: Callable[[mpf, mpf, mpf], mpf], ctx: MPContext) -> RawIntegrand:
-    """The raw-tuple form of an integrand written on ``mpf`` values of ``ctx``."""
-    return lambda *xs: f(*map(ctx.make_mpf, xs))._mpf_
+def _on_mpf(f: Callable[[mpf], mpf], ctx: MPContext) -> RawIntegrand:
+    """The raw-tuple form of an integrand of x alone written on ``mpf``
+    values of ``ctx``."""
+    return lambda x, dist_upper: f(ctx.make_mpf(x))._mpf_
 
 
 # precision in bits -> {raw tuple of d: raw tuple of log(sin d)}
@@ -333,27 +326,27 @@ def _logsine(ctx: MPContext, n: int) -> Integrand:
     prec, rnd = ctx.prec, round_nearest
     table = _LOGSIN_TABLE.setdefault(prec, {})
 
-    def f(x: tuple, dist_lower: tuple, dist_upper: tuple) -> tuple:
+    def f(x: tuple, dist_upper: tuple) -> tuple:
         # sin is symmetric about the midpoint of [0, pi]: evaluate it at the
         # nearer endpoint distance so nodes hugging pi stay on the positive
-        # branch; min(dist_lower, dist_upper)
-        d = dist_upper if mpf_lt(dist_upper, dist_lower) else dist_lower
+        # branch; min(x, dist_upper)
+        d = dist_upper if mpf_lt(dist_upper, x) else x
         log_sin = table.get(d)
         if log_sin is None:
             log_sin = table.setdefault(d, ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_)
         # x ** n * log_sin
         return mpf_mul(mpf_pow_int(x, n, prec, rnd), log_sin, prec, rnd)
 
-    return f, ctx.mpf(0), +ctx.pi, 0
+    return f, +ctx.pi, 0
 
 
 def _logsquared(ctx: MPContext) -> Integrand:
     """(log(2 sin x))^2 on [0, pi/2]."""
 
-    def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
-        return ctx.log(2 * ctx.sin(dist_lower)) ** 2  # x == dist_lower here
+    def f(x: mpf) -> mpf:
+        return ctx.log(2 * ctx.sin(x)) ** 2
 
-    return _on_mpf(f, ctx), ctx.mpf(0), ctx.pi / 2, 0
+    return _on_mpf(f, ctx), ctx.pi / 2, 0
 
 
 def _vertical_leg(ctx: MPContext, n: int, cutoff: float) -> Integrand:
@@ -364,7 +357,7 @@ def _vertical_leg(ctx: MPContext, n: int, cutoff: float) -> Integrand:
     own.prec = ctx.prec
     split = ctx.mpf("0.35")
 
-    def f(y: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
+    def f(y: mpf) -> mpf:
         # log(1 - e^(-2y)): expm1 form near 0, log1p form elsewhere
         if y < split:
             val = own.log(-own.expm1(-2 * y))
@@ -372,25 +365,32 @@ def _vertical_leg(ctx: MPContext, n: int, cutoff: float) -> Integrand:
             val = own.log1p(-own.exp(-2 * y))
         return y ** n * val
 
-    return _on_mpf(f, ctx), ctx.mpf(0), ctx.mpf(cutoff), vertical_tail_bound(n, cutoff)
+    return _on_mpf(f, ctx), ctx.mpf(cutoff), vertical_tail_bound(n, cutoff)
 
 
 def _cosine_moment(ctx: MPContext, l: int, power: int) -> Integrand:
     """theta^power cos(2 l theta) on [0, pi]."""
 
-    def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
+    def f(x: mpf) -> mpf:
         return x ** power * ctx.cos(2 * l * x) if power else ctx.cos(2 * l * x)
 
-    return _on_mpf(f, ctx), ctx.mpf(0), +ctx.pi, 0
+    return _on_mpf(f, ctx), +ctx.pi, 0
 
 
 def _cosine_orth(ctx: MPContext, l: int, lp: int) -> Integrand:
     """cos(2 l theta) cos(2 l' theta) on [0, pi]."""
 
-    def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
+    def f(x: mpf) -> mpf:
         return ctx.cos(2 * l * x) * ctx.cos(2 * lp * x)
 
-    return _on_mpf(f, ctx), ctx.mpf(0), +ctx.pi, 0
+    return _on_mpf(f, ctx), +ctx.pi, 0
+
+
+def _require_int(value: int, least: int, message: str) -> None:
+    """Raise ValueError(message) unless ``value`` is an int, not a bool,
+    and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(message)
 
 
 def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> RealApprox:
@@ -399,8 +399,7 @@ def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> Rea
     The integrand has logarithmic singularities at both endpoints; the
     double-exponential nodes absorb them (see module docstring).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     s = settings or QuadratureSettings()
     return _certified(_logsine, (n,), s.target_abs_error)
 
@@ -416,8 +415,7 @@ def integrate_vertical_leg(
 ) -> RealApprox:
     """int_0^inf y^n log(1 - e^(-2y)) dy (negative), truncated by the
     cutoff policy with the dropped tail added to the bound."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     s = settings or QuadratureSettings()
     cutoff = default_semi_infinite_cutoff_policy(n, s.target_abs_error)
     return _certified(_vertical_leg, (n, cutoff), s.target_abs_error)
@@ -431,8 +429,7 @@ def cosine_moment(
     Exactly zero for every l >= 1 at both powers; the returned value is the
     quadrature's independent confirmation.
     """
-    if l < 1:
-        raise ValueError("l must be a positive integer")
+    _require_int(l, 1, "l must be a positive integer")
     if power not in (0, 1):
         raise ValueError("power must be 0 or 1")
     s = settings or QuadratureSettings(target_abs_error=1e-12)
@@ -444,7 +441,7 @@ def cosine_orthogonality(
 ) -> RealApprox:
     """int_0^pi cos(2 l theta) cos(2 l' theta) dtheta: pi/2 when l = l',
     zero otherwise."""
-    if l < 1 or l_prime < 1:
-        raise ValueError("l and l' must be positive integers")
+    for value in (l, l_prime):
+        _require_int(value, 1, "l and l' must be positive integers")
     s = settings or QuadratureSettings(target_abs_error=1e-12)
     return _certified(_cosine_orth, (l, l_prime), s.target_abs_error)

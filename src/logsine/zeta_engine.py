@@ -162,9 +162,10 @@ def _ladder_coefficient(j: int, table: BernoulliTable, prec: int) -> tuple:
     return coeff
 
 
-def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
-    """Series head + integral tail + correction ladder at the precision of
-    ``ctx``.  Returns (value, analytic remainder bound).
+def _euler_maclaurin(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
+    """Series head of max(64, ctx.dps) terms + integral tail + correction
+    ladder at the precision of ``ctx``.  Returns (value, analytic remainder
+    bound).
 
     Correction pairs are added until the next one drops below the working
     precision; the remainder is bounded by twice the first omitted term
@@ -177,6 +178,7 @@ def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
     ``libmp`` calls below it (see the module docstring).
     """
     prec, rnd = ctx.prec, round_nearest
+    n_head = max(64, ctx.dps)
     # head += mpf(l) ** (-s) for l = 1..n_head-1, in that order.  For
     # l = 2^a m with m odd, mpf(l) is mpf(m) with its exponent raised by a;
     # mpf_pow_int and mpf_div round the mantissa alone, so l^-s is m^-s
@@ -233,7 +235,7 @@ def _zeta_raw(s: int, ctx: MPContext) -> tuple[tuple, tuple]:
     key = (s, ctx.prec)
     entry = _ZETA_TABLE.get(key)
     if entry is None:
-        value, bound = _euler_maclaurin(s, n_head=max(64, ctx.dps), ctx=ctx)
+        value, bound = _euler_maclaurin(s, ctx)
         entry = _ZETA_TABLE.setdefault(key, (value._mpf_, bound._mpf_))
     return entry
 

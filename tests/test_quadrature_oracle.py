@@ -199,3 +199,41 @@ def test_result_cache_serves_repeats_until_cleared(integral, cold_caches, monkey
     cold_caches()
     assert integral() == first
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate_logsine(2.5, TIGHT),
+        lambda: integrate_logsine(True, TIGHT),
+        lambda: integrate_vertical_leg(2.5, TIGHT),
+        lambda: cosine_moment(1.5, 0),
+        lambda: cosine_orthogonality(1.5, 1),
+        lambda: cosine_orthogonality(1, 2.5),
+    ],
+    ids=["logsine", "logsine_bool", "vertical_leg", "cosine_moment", "orth_l", "orth_l_prime"],
+)
+def test_rejects_non_integer_index(call):
+    # x^2.5 log sin x is no moment the oracle certifies; it must not
+    # silently return I_2
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_shared_geometry_is_independent_of_call_order(cold_caches):
+    # all of these run at one working precision; the log-sine moments and
+    # the cosine integrals share the geometry entries of [0, pi]
+    calls = [
+        *(lambda n=n: integrate_logsine(n, TIGHT) for n in (0, 5, 12)),
+        *(lambda n=n: integrate_vertical_leg(n, TIGHT) for n in (0, 7)),
+        lambda: integrate_logsquared(TIGHT),
+        lambda: cosine_moment(2, 1, TIGHT),
+        lambda: cosine_orthogonality(1, 3, TIGHT),
+    ]
+    forward = [call() for call in calls]
+    geometry = dict(quadrature_oracle._GEOMETRY)
+    cold_caches()
+    backward = [call() for call in reversed(calls)][::-1]
+    assert backward == forward
+    assert quadrature_oracle._GEOMETRY == geometry
+    assert len({key[0] for key in geometry}) == 1  # one working precision

@@ -16,16 +16,12 @@ from mpmath.libmp import dps_to_prec, prec_to_dps
 
 from logsine import contour_verifier, logsine_closed_form, quadrature_oracle, zeta_engine
 from logsine._precision import _slack_unit, context_for, float_with_bound, private_context
-from logsine.contour_verifier import (
-    _PHASE_SIGN,
-    ComplexApprox,
-    _leg_context,
-    _validate_tol,
-)
+from logsine.contour_verifier import _PHASE_SIGN, ComplexApprox, _leg_context
 from logsine.errors import CertificationError, RefinementExhausted
 from logsine.exact_core import bernoulli_table, binomial
 from logsine.logsine_closed_form import logsine_symbolic
 from logsine.quadrature_oracle import (
+    _MAX_DEPTH,
     _MIN_ACCEPT_LEVEL,
     QuadratureSettings,
     cosine_moment,
@@ -238,7 +234,7 @@ def test_euler_maclaurin_matches_mpf_reference(cold_caches, prec):
     ctx = private_context(prec)
     n_head = max(64, ctx.dps)  # the head length the zeta table asks for
     for s in range(2, 31):
-        assert _raw(zeta_engine._euler_maclaurin(s, n_head, ctx)) == _raw(
+        assert _raw(zeta_engine._euler_maclaurin(s, ctx)) == _raw(
             _euler_maclaurin(s, n_head, ctx)
         ), (s, prec)
 
@@ -255,8 +251,8 @@ def test_logsine_moments_match_mpf_reference(engine_calls, tol):
     settings = QuadratureSettings(target_abs_error=tol)
     for n in range(13):
         _run(lambda: integrate_logsine(n, settings))
-        ((_, a, b, target, depth, ctx), out) = engine_calls.pop()
-        expected = _tanh_sinh(_logsine_integrand(n, ctx), a, b, target, depth, ctx)
+        ((_, b, target, ctx), out) = engine_calls.pop()
+        expected = _tanh_sinh(_logsine_integrand(n, ctx), ctx.mpf(0), b, target, _MAX_DEPTH, ctx)
         assert _raw(out) == _raw(expected), n
 
 
@@ -270,19 +266,24 @@ def test_other_integrands_match_mpf_reference(engine_calls, tol):
         lambda: cosine_orthogonality(1, 3, settings),
     ):
         _run(call)
-        ((f, a, b, target, depth, ctx), out) = engine_calls.pop()
+        ((f, b, target, ctx), out) = engine_calls.pop()
 
         # these integrands are written on mpf values behind a raw adaptor;
         # unwrapping it gives the mpf integrand back
         def on_mpf(x, dist_lower, dist_upper):
-            return ctx.make_mpf(f(x._mpf_, dist_lower._mpf_, dist_upper._mpf_))
+            return ctx.make_mpf(f(x._mpf_, dist_upper._mpf_))
 
-        assert _raw(out) == _raw(_tanh_sinh(on_mpf, a, b, target, depth, ctx))
+        assert _raw(out) == _raw(_tanh_sinh(on_mpf, ctx.mpf(0), b, target, _MAX_DEPTH, ctx))
 
 
 # ---------------------------------------------------------------------------
 # the legs L and R and the closed form
 # ---------------------------------------------------------------------------
+
+
+def _validate_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be positive and finite")
 
 
 def round_slack(x: mpf, ctx: MPContext) -> mpf:
