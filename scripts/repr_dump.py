@@ -9,11 +9,9 @@ lists every entry of the working-precision memo tables the calls filled
 (``RAW_TABLES``), one line per key in sorted key order with the entry's
 raw tuples, or the sha256 of their repr when that is long, so an error in
 bits that rounding to double hides still shows; a table that a checkout
-lacks is listed as ``absent``.  ``_GEOMETRY`` is listed in the layout
-(prec, level, b) -> (w, off, b - off) of the rule on [0, b]; an entry of
-the earlier layout (prec, level, a, b) -> (w, a + off, b - off, off,
-(b - a) - off) is listed in that form only where a is zero and the two
-extra tuples equal the kept ones, and as it is otherwise.  The two dumps
+lacks is listed as ``absent``.  The tanh-sinh engine's tables are its
+node table in integer form, ``_FIXED_NODES``, keyed by (prec, level), and
+the log-sin values, keyed by precision and node distance.  The two dumps
 are compared entry by entry.  Each checkout is then dumped again in a
 fresh process that makes the same calls in reverse order, and that dump
 is compared with its forward one: a result that changes is one that
@@ -42,22 +40,10 @@ RAW_TABLES = (
     ("zeta_engine", "_PI_POWERS"),
     ("zeta_engine", "_LADDER_COEFF"),
     ("zeta_engine", "_LADDER_STOP"),
-    ("quadrature_oracle", "_GEOMETRY"),
+    ("quadrature_oracle", "_FIXED_NODES"),
     ("quadrature_oracle", "_LOGSIN_TABLE"),
 )
 TABLES_MARK = "-- raw tables --"  # the line between results and table entries
-ZERO = (0, 0, 0, 0)  # the raw tuple of 0
-
-
-def geometry_entry(key: tuple, nodes: tuple) -> tuple[tuple, tuple]:
-    """A ``_GEOMETRY`` entry in the layout (prec, level, b) -> (w, off, b - off),
-    mapped from the earlier layout with a lower end only where that lower end
-    is zero and the dropped tuples equal the kept ones."""
-    if len(key) == 4:
-        prec, level, a, b = key
-        if a == ZERO and all(x == off and hi == far for _, x, hi, off, far in nodes):
-            return (prec, level, b), tuple((w, off, hi) for w, _, hi, off, _ in nodes)
-    return key, nodes
 
 
 def calls():
@@ -118,8 +104,6 @@ def dump(reverse: bool) -> None:
             continue
         if name == "_LOGSIN_TABLE":
             table = {(prec, d): v for prec, inner in table.items() for d, v in inner.items()}
-        elif name == "_GEOMETRY":
-            table = dict(geometry_entry(*item) for item in table.items())
         for key in sorted(table):
             text = repr(table[key])
             if len(text) > 200:

@@ -39,7 +39,7 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_float, fzero, mpf_add, mpf_gt, mpf_mul_int, round_nearest
 
 from ._precision import context_for, float_with_bound, round_slack
-from .errors import CertificationError
+from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable, binomial
 from .logsine_closed_form import logsine_numeric
 from .quadrature_oracle import QuadratureSettings, integrate_logsine
@@ -96,8 +96,7 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
 
     Exactly one component is nonzero, selected by (n+1) mod 4.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     ctx = _leg_context(tol)
     _, mag, err = _leg_r_term(n, n, ctx)  # the right leg's last summand
     value, bound = float_with_bound(ctx.make_mpf(mag), ctx.make_mpf(err))
@@ -125,8 +124,7 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
     on raw tuples; each comment gives the ``mpf`` expression whose
     operator makes the ``libmp`` calls below it.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     ctx = _leg_context(tol)
     share = tol / (n + 1)
     share_raw = from_float(share)
@@ -157,7 +155,9 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
 def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     """Single right-leg summand (index k); the k = n term always cancels
     the left leg."""
-    if not 0 <= k <= n:
+    _require_int(n, 0, "n must be a nonnegative integer")
+    _require_int(k, 0, "require 0 <= k <= n")
+    if k > n:
         raise ValueError("require 0 <= k <= n")
     ctx = _leg_context(tol)
     phase, mag, err = _leg_r_term(n, k, ctx)
@@ -167,8 +167,7 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
 def leg_H_im_coefficient(n: int) -> Fraction:
     """Exact rational r with Im(H_n) = r * pi^(n+2): the two imaginary
     bottom-leg terms collapse to n/(2(n+1)(n+2))."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     return Fraction(1, n + 2) - Fraction(1, 2 * (n + 1))
 
 
@@ -184,8 +183,7 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     closed form, so downstream nullity checks stay independent.  The
     imaginary part is the exact rational times pi^(n+2), floated once.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
     ctx = _leg_context(settings.target_abs_error)
@@ -235,8 +233,7 @@ def verify_null(n: int, tol: float) -> ContourReport:
     and those bounds total at most 10*tol.  A leg that cannot certify its
     tolerance yields a failed report carrying the cause.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     try:
         L = leg_L(n, tol)
         R = leg_R(n, tol)
@@ -277,8 +274,7 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     This is the converse of verify_null: here the closed form must
     annihilate the real part it was derived from.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     L = leg_L(n, tol / 4)
     R = leg_R(n, tol / 4)
     closed = logsine_numeric(n, tol / 4)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import _require_int
 from .logsine_closed_form import SymbolicLogSine
 
 __all__ = [
@@ -100,8 +101,7 @@ def logsine_via_fourier(n: int) -> SymbolicLogSine:
     the theta^n moments termwise turns sum_l 1/l^(2k+1) into zeta(2k+1);
     the result must agree with logsine_symbolic(n) field by field.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     moments = _theta_cosine_moments(n) if n >= 2 else {}
     terms = tuple((2 * k + 1, -c) for k, c in sorted(moments.items()))
     return SymbolicLogSine(

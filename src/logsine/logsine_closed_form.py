@@ -29,7 +29,7 @@ from typing import Any
 from mpmath.libmp import from_float, mpf_add, mpf_gt, mpf_mul, round_nearest
 
 from ._precision import context_for, float_with_bound, slack_raw
-from .errors import CertificationError
+from .errors import CertificationError, _require_int
 from .zeta_engine import RealApprox, _scale, _zeta_term
 
 __all__ = [
@@ -59,8 +59,7 @@ class SymbolicLogSine:
 
 def logsine_symbolic(n: int) -> SymbolicLogSine:
     """Exact decomposition of I_n (empty zeta sum for n in {0, 1})."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     terms = []
     for k in range(1, n // 2 + 1):
         coeff = Fraction(
@@ -80,8 +79,7 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     zeta(2k+1) substitution must fit its share, and the final rounding to
     double must fit the total, else CertificationError.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int(n, 0, "n must be a nonnegative integer")
     ctx = context_for(target_abs_error, extra_digits=25, min_dps=30)
     sym = logsine_symbolic(n)
     share = target_abs_error / (n // 2 + 1)

@@ -14,52 +14,39 @@ the dropped tail of y^n * log(1 - e^(-2y)) is bounded through
 |log(1-u)| <= u/(1-u) by an exact incomplete-gamma sum, and Y is grown
 until that bound is below half the target.
 
-The reported abs_error is the sum of the rule error estimate (difference
-of the last two refinement levels), the tail-truncation bound, the
-working-precision rounding slack, and the final rounding to double --
-conservative, and auditable term by term.  Refinement is deterministic:
-identical inputs visit identical nodes.
+The reported abs_error is the sum of five terms, auditable one by one:
+the rule estimate |T_k - T_(k-1)| of the last two refinement levels (an
+estimate, not a proof); the tail-truncation bound of a semi-infinite
+integral; the working-precision slack ``round_slack(mass)`` for the
+mpmath-evaluated nodes, weights, abscissae and integrand values; the
+engine's counted fixed-point truncations; and the final rounding to
+double, half an ulp of the result.  Refinement is deterministic:
+identical inputs visit identical nodes.  Evaluation runs at a working
+precision well beyond double, so the double-rounding floor dominates
+even when the integrand mass is ~1e5 (x^12 log sin x) and the target is
+1e-10.
 
-Evaluation runs in mpmath at a working precision well beyond double so the
-certificate is honest even when the integrand mass is ~1e5 (x^12 log sin x)
-and the target is 1e-10: the double-rounding floor, about half an ulp of
-the result, is then the dominant claimed term.
+The engine sums on Python integers with F = working precision + ``_GUARD``
+fractional bits, the idiom of ``libmp``'s ``to_fixed``.  A node's
+distances b g and b (1 - g) reach the integrand exactly, as (mantissa,
+exponent) pairs, so a node within 1e-100 of an end still gets its
+log(sin d) or mpmath call on its floating distance: only products and
+sums go fixed.  Each integrand value is within one unit 2^-F, and each
+product with a weight w < 2 rounds down once, so it is off by under 3
+units; the rule's value (b/2) 2^-k sum rounds down once more.  The
+counted term is 3 units per evaluation scaled by b/2^(k+1), plus 2.
 
-Every result is memoized in one cache keyed by (integrand builder, its
-arguments, target), and node tables by (precision, level); every rule
-stops by level ``_MAX_DEPTH`` = 12, so depth is no part of the key.  The
-x^n log(sin x) integrand takes log(sin d), d the node's distance from its
-nearer endpoint, from a table keyed by working precision and d, so the
-moments for every n share one evaluation per node.  A node's distances
-from the two ends, x and b - x, come from a geometry table keyed by
-(working precision in bits, level, b): the moments for every n, and the
-cosine integrals, run on [0, pi] and share one entry per level.  An entry
-holds three raw tuples for each node its level adds (the weight, x and
-b - x), about T * 2^(k-1) nodes at level k >= 1 with T = 4..7 the
-t-range: all the levels on [0, pi] at 1e-10 hold about 46 KB.  A vertical
-leg runs on [0, cutoff], so legs share entries only where they share a
-working precision and a cutoff.  The cutoff policy gives n = 0..4 the
-cutoff 20 at every target from 1e-3 to 1e-12, so those five legs share
-one set of entries; at one target, each n >= 5 has a cutoff, and about
-44 KB of entries at 1e-10, of its own.  Each rule runs in the
-fixed-precision context of its target, so every memoized value depends
-on its key alone.
-
-The engine and the x^n log(sin x) integrand compute on raw mpmath tuples
-with ``mpmath.libmp`` calls, skipping the type checks and object
-allocation of the ``mpf`` operators.  Each step makes the very call, at
-the working precision with round-to-nearest, that the operator of the
-``mpf`` expression it replaces makes, and every sum and product keeps its
-association order, so each rounding and every bit of a result is what
-the ``mpf`` expressions give.  The node tables hold raw tuples 10 digits
-finer than the working precision; a product with them rounds at the
-working precision.  They are built on raw tuples too, with one
-``mpf_cosh_sinh`` call per abscissa, of which ``ctx.sinh`` and
-``ctx.cosh`` each return one half.  A geometry entry holds the very
-tuples that the engine's per-node calls returned when it computed them
-for each integral, so hoisting them changes no bit.  The builders of the
-other integrands write them on ``mpf`` values as functions of x alone and
-hand them to the engine through ``_on_mpf``.
+Results are memoized in one cache keyed by (integrand builder, its
+arguments, target), and node tables by (precision, level), as raw tuples
+10 digits finer than the working precision and as the engine's integers;
+every rule stops by level ``_MAX_DEPTH`` = 12, so depth is no part of the
+key.  The x^n log(sin x) integrand takes log(sin d), d the node's
+distance from its nearer end, from a table keyed by working precision
+and d, so the moments for every n share one evaluation per node.  Each
+rule runs in the fixed-precision context of its target, so every
+memoized value depends on its key alone.  The other integrands are
+written on ``mpf`` values as functions of x alone and reach the engine
+through ``_on_mpf``.
 """
 
 from __future__ import annotations
@@ -73,29 +60,25 @@ from mpmath import mpf
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     dps_to_prec,
-    fone,
     from_int,
-    fzero,
-    mpf_abs,
+    from_man_exp,
     mpf_add,
     mpf_cosh_sinh,
     mpf_div,
     mpf_exp,
     mpf_le,
-    mpf_lt,
     mpf_mul,
     mpf_mul_int,
     mpf_pi,
     mpf_pos,
     mpf_pow_int,
-    mpf_sub,
     prec_to_dps,
     round_nearest,
-    to_float,
+    to_fixed,
 )
 
 from ._precision import context_for, float_with_bound, round_slack
-from .errors import CertificationError, RefinementExhausted
+from .errors import CertificationError, RefinementExhausted, _require_int
 from .zeta_engine import RealApprox
 
 __all__ = [
@@ -155,8 +138,18 @@ class QuadratureSettings:
 # ---------------------------------------------------------------------------
 
 
-# (x, b - x) -> f(x) on [0, b], all raw mpmath tuples
-RawIntegrand = Callable[[tuple, tuple], tuple]
+_GUARD = 16  # fractional bits of the engine's integers beyond the working precision
+
+# An exact nonnegative number man * 2^exp as the pair (man, exp).
+Distance = tuple[int, int]
+# (x, d) -> f(x) on [0, b] as an integer, within one unit of 2^-(prec + _GUARD);
+# d is the distance of x from the nearer end, and both are exact
+RawIntegrand = Callable[[Distance, Distance], int]
+
+
+def _shift(value: int, bits: int) -> int:
+    """value * 2^bits, rounded down."""
+    return value << bits if bits >= 0 else value >> -bits
 
 
 def _t_limit(dps: int) -> int:
@@ -210,78 +203,73 @@ def _nodes(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(out)
 
 
-# (precision in bits, level, b) -> per node of the level, the raw tuples
-# (weight, off, b - off) with off = b * g
-_GEOMETRY: dict[tuple[int, int, tuple], tuple[tuple, ...]] = {}
+# (precision in bits, level) -> per node of ``_nodes(prec, level)`` the
+# integers (gm, ge, cm, wm, ws) with g = gm 2^ge, 1 - g = cm 2^ge and
+# w = wm 2^-ws, all exact; the center node g = 1/2, its own mirror, holds
+# half its weight, since the engine evaluates every node and its mirror
+_FIXED_NODES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
-def _geometry(prec: int, level: int, b: tuple) -> tuple[tuple, ...]:
-    """The distances of one level's nodes from the two ends of [0, b]."""
-    key = (prec, level, b)
-    nodes = _GEOMETRY.get(key)
+def _fixed_nodes(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
+    """The nodes of ``_nodes(prec, level)`` as the engine's integers."""
+    key = (prec, level)
+    nodes = _FIXED_NODES.get(key)
     if nodes is None:
-        rnd = round_nearest
-        out = []
-        for g, w in _nodes(prec, level):
-            off = mpf_mul(b, g, prec, rnd)
-            out.append((w, off, mpf_sub(b, off, prec, rnd)))
-        nodes = _GEOMETRY.setdefault(key, tuple(out))
+        # g <= 1/2 and w < 2 with odd mantissas, so ge < 0 and we <= 0
+        out = tuple(
+            (gm, ge, (1 << -ge) - gm, wm, -we + (level == 0 and i == 0))
+            for i, ((_, gm, ge, _), (_, wm, we, _)) in enumerate(_nodes(prec, level))
+        )
+        nodes = _FIXED_NODES.setdefault(key, out)
     return nodes
 
 
 def _tanh_sinh(
     f: RawIntegrand, b: mpf, rule_target: mpf, ctx: MPContext
-) -> tuple[mpf, mpf, mpf]:
+) -> tuple[mpf, mpf, mpf, mpf]:
     """Integrate over [0, b], refining until two successive level sums
-    differ by <= rule_target, computing at the precision of ``ctx``.
+    differ by <= rule_target, at the precision of ``ctx``.
 
-    Integrands receive (x, b - x) as raw mpmath tuples and return a raw
-    tuple: both are a node's exact distances from the two ends, so a
-    singular factor can be evaluated from the nearer one without
-    cancellation even when a node sits within 1e-100 of an end.
+    The integrand receives a node's abscissa x = b g or b (1 - g) and its
+    distance d = b g from the nearer end as exact pairs, so a singular
+    factor can be evaluated from d without cancellation.  It returns a
+    fixed-point integer, on which the sums are accumulated.
 
-    Returns (value, rule error estimate, accumulated |weight*f| mass).
-    Raises RefinementExhausted if ``_MAX_DEPTH`` levels are not enough.
+    Returns (value, rule error estimate, accumulated |weight*f| mass,
+    bound on the fixed-point truncations).  Raises RefinementExhausted if
+    ``_MAX_DEPTH`` levels are not enough.
     """
-    prec, rnd = ctx.prec, round_nearest
-    b, rule_target = b._mpf_, rule_target._mpf_
-    r = mpf_div(b, from_int(2), prec, rnd)
-    total = mass = prev = None
+    prec = ctx.prec
+    frac = prec + _GUARD
+    _, bm, be, _ = b._mpf_
+    target = to_fixed(rule_target._mpf_, frac)
+    # sums of w f and |w f| over the nodes of every level so far
+    total_sum = mass_sum = evals = 0
+    prev = None
     for level in range(_MAX_DEPTH + 1):
-        h = mpf_div(fone, from_int(2**level), prec, rnd)  # mpf(1) / 2 ** level
-        rh = mpf_mul(r, h, prec, rnd)
-        part = part_mass = fzero
-        for i, (w, off, far) in enumerate(_geometry(prec, level, b)):
-            if level == 0 and i == 0:
-                # contrib = w * f(off, far), the center node g = 1/2
-                contrib = mpf_mul(w, f(off, far), prec, rnd)
-                part = mpf_add(part, contrib, prec, rnd)
-                part_mass = mpf_add(part_mass, mpf_abs(contrib, prec, rnd), prec, rnd)
-            else:
-                lo = f(off, far)
-                hi = f(far, off)
-                # part += w * (lo + hi)
-                both = mpf_mul(w, mpf_add(lo, hi, prec, rnd), prec, rnd)
-                part = mpf_add(part, both, prec, rnd)
-                # part_mass += abs(w * lo) + abs(w * hi)
-                lo_mass = mpf_abs(mpf_mul(w, lo, prec, rnd), prec, rnd)
-                hi_mass = mpf_abs(mpf_mul(w, hi, prec, rnd), prec, rnd)
-                part_mass = mpf_add(part_mass, mpf_add(lo_mass, hi_mass, prec, rnd), prec, rnd)
-        # total = r * h * part at level 0, total / 2 + r * h * part after it
-        part = mpf_mul(rh, part, prec, rnd)
-        part_mass = mpf_mul(rh, part_mass, prec, rnd)
-        if level == 0:
-            total, mass = part, part_mass
-        else:
-            total = mpf_add(mpf_div(total, from_int(2), prec, rnd), part, prec, rnd)
-            mass = mpf_add(mpf_div(mass, from_int(2), prec, rnd), part_mass, prec, rnd)
+        for gm, ge, cm, wm, ws in _fixed_nodes(prec, level):
+            near = (bm * gm, be + ge)
+            lo = (wm * f(near, near)) >> ws
+            hi = (wm * f((bm * cm, be + ge), near)) >> ws
+            total_sum += lo + hi
+            mass_sum += abs(lo) + abs(hi)
+            evals += 2
+        # the rule's value is (b/2) h total_sum with h = 2^-level
+        total = _shift(bm * total_sum, be - level - 1)
         if prev is not None and level >= _MIN_ACCEPT_LEVEL:
-            diff = mpf_abs(mpf_sub(total, prev, prec, rnd), prec, rnd)
-            if mpf_le(diff, rule_target):
-                return ctx.make_mpf(total), ctx.make_mpf(diff), ctx.make_mpf(mass)
+            diff = abs(total - prev)
+            if diff <= target:
+                # under 3 units per w f, one for the value's rounding and
+                # one for the ceiling of the scaled count
+                units = _shift(3 * evals * bm, be - level - 1) + 2
+                mass = _shift(bm * mass_sum, be - level - 1)
+                return tuple(
+                    ctx.make_mpf(from_man_exp(x, -frac)) for x in (total, diff, mass, units)
+                )
         prev = total
-    target = to_float(rule_target, rnd=rnd)  # float(rule_target)
-    raise RefinementExhausted(f"no convergence to {target:.3e} within depth {_MAX_DEPTH}")
+    raise RefinementExhausted(
+        f"no convergence to {float(rule_target):.3e} within depth {_MAX_DEPTH}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +286,12 @@ Integrand = tuple[RawIntegrand, mpf, float]
 def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) -> RealApprox:
     """Run the rule on what ``integrand(ctx, *args)`` builds in the working
     context of ``target``, and assemble the certified bound:
-    rule estimate + truncation + precision slack + double rounding."""
+    rule estimate + truncation + precision slack + fixed-point truncations
+    + double rounding."""
     ctx = context_for(target, extra_digits=12, min_dps=25)
     f, b, truncation_bound = integrand(ctx, *args)
-    value_mp, rule_est, mass = _tanh_sinh(f, b, ctx.mpf(target) / 4, ctx)
-    internal = rule_est + ctx.mpf(truncation_bound) + round_slack(mass, ctx)
+    value_mp, rule_est, mass, fixed_err = _tanh_sinh(f, b, ctx.mpf(target) / 4, ctx)
+    internal = rule_est + ctx.mpf(truncation_bound) + round_slack(mass, ctx) + fixed_err
     value, bound = float_with_bound(value_mp, internal)
     if bound > target:
         raise CertificationError(
@@ -312,30 +301,39 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
 
 
 def _on_mpf(f: Callable[[mpf], mpf], ctx: MPContext) -> RawIntegrand:
-    """The raw-tuple form of an integrand of x alone written on ``mpf``
-    values of ``ctx``."""
-    return lambda x, dist_upper: f(ctx.make_mpf(x))._mpf_
+    """The engine's form of an integrand of x alone written on ``mpf``
+    values of ``ctx``: x rounded to the working precision, f(x) to a
+    fixed-point integer."""
+    prec, frac = ctx.prec, ctx.prec + _GUARD
+
+    return lambda x, d: to_fixed(f(ctx.make_mpf(from_man_exp(*x, prec, round_nearest)))._mpf_, frac)
 
 
-# precision in bits -> {raw tuple of d: raw tuple of log(sin d)}
-_LOGSIN_TABLE: dict[int, dict[tuple, tuple]] = {}
+# precision in bits -> {exact distance d from the nearer end of [0, pi]:
+# raw tuple of log(sin d), d rounded to the precision}
+_LOGSIN_TABLE: dict[int, dict[Distance, tuple]] = {}
 
 
 def _logsine(ctx: MPContext, n: int) -> Integrand:
     """x^n log(sin x) on [0, pi]."""
-    prec, rnd = ctx.prec, round_nearest
+    prec = ctx.prec
+    frac = prec + _GUARD
     table = _LOGSIN_TABLE.setdefault(prec, {})
 
-    def f(x: tuple, dist_upper: tuple) -> tuple:
+    def f(x: Distance, d: Distance) -> int:
         # sin is symmetric about the midpoint of [0, pi]: evaluate it at the
         # nearer endpoint distance so nodes hugging pi stay on the positive
-        # branch; min(x, dist_upper)
-        d = dist_upper if mpf_lt(dist_upper, x) else x
+        # branch
         log_sin = table.get(d)
         if log_sin is None:
-            log_sin = table.setdefault(d, ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_)
-        # x ** n * log_sin
-        return mpf_mul(mpf_pow_int(x, n, prec, rnd), log_sin, prec, rnd)
+            near = ctx.make_mpf(from_man_exp(*d, prec, round_nearest))
+            log_sin = table.setdefault(d, ctx.log(ctx.sin(near))._mpf_)
+        sign, man, exp, _ = log_sin
+        # x ** n * log_sin, exact once x is cut to the working precision
+        cut = max(x[0].bit_length() - prec, 0)
+        x_man, x_exp = x[0] >> cut, x[1] + cut
+        value = _shift(x_man**n * man, n * x_exp + exp + frac)  # toward zero
+        return -value if sign else value
 
     return f, +ctx.pi, 0
 
@@ -384,13 +382,6 @@ def _cosine_orth(ctx: MPContext, l: int, lp: int) -> Integrand:
         return ctx.cos(2 * l * x) * ctx.cos(2 * lp * x)
 
     return _on_mpf(f, ctx), +ctx.pi, 0
-
-
-def _require_int(value: int, least: int, message: str) -> None:
-    """Raise ValueError(message) unless ``value`` is an int, not a bool,
-    and at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(message)
 
 
 def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> RealApprox:

@@ -12,14 +12,14 @@ def table_202():
 
 def clear_numeric_caches():
     """Empty the zeta table and the per-precision tables of the series,
-    the log-sin node table, the node geometry and the quadrature result
-    and node caches built on them."""
+    the log-sin node table, and the quadrature result cache and node
+    tables built on them."""
     zeta_engine._ZETA_TABLE.clear()
     zeta_engine._LADDER_STOP.clear()
     zeta_engine._LADDER_COEFF.clear()
     zeta_engine._PI_POWERS.clear()
     quadrature_oracle._LOGSIN_TABLE.clear()
-    quadrature_oracle._GEOMETRY.clear()
+    quadrature_oracle._FIXED_NODES.clear()
     quadrature_oracle._certified.cache_clear()
     quadrature_oracle._nodes.cache_clear()
 

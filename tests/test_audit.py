@@ -4,9 +4,11 @@ Every numeric entry point is run over the tolerances 1e-6..1e-12 and every
 n inside the certified envelope, and each result must lie within its own
 claimed abs_error of a reference computed in a 60-digit mpmath context of
 this module's own: ``zeta`` for the zeta values, the closed form with those
-zeta values for I_n (itself spot-checked against ``quad``), and the zeta
-forms of the vertical and contour legs.  Inside the envelope no call may
-raise; one step past its edge the call must raise CertificationError.
+zeta values for I_n (itself spot-checked against ``quad``), the zeta
+forms of the vertical and contour legs, pi^3/24 for the Monthly integral,
+and 0 or (pi/2) delta for the Fourier gloss's cosine integrals.  Inside the
+envelope no call may raise; one step past its edge the call must raise
+CertificationError.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 import logsine
+from logsine import quadrature_oracle
 from logsine.errors import CertificationError
 
 REF = MPContext()
@@ -22,6 +25,7 @@ REF.dps = 60
 
 TOLERANCES = (1e-6, 1e-8, 1e-10, 1e-12)
 ZETA_S = range(2, 41)
+L_RANGE = range(1, 5)
 
 # largest certified n per tolerance; at 1e-10 the closed form stops at 12
 # because |I_13| > 2^20, where half an ulp of a double exceeds 1e-10
@@ -128,5 +132,29 @@ def test_bounds_hold_against_references(tol):
             re, im = ref(n)
             audit.check(f"{name}({n}).re", approx.re, re)
             audit.check(f"{name}({n}).im", approx.im, im)
+    audit.check("integrate_logsquared", logsine.integrate_logsquared(settings), REF.pi**3 / 24)
+    for l in L_RANGE:
+        for power in (0, 1):
+            audit.check(
+                f"cosine_moment({l}, {power})", logsine.cosine_moment(l, power, settings), 0
+            )
+        for lp in L_RANGE:
+            audit.check(
+                f"cosine_orthogonality({l}, {lp})",
+                logsine.cosine_orthogonality(l, lp, settings),
+                REF.pi / 2 if l == lp else 0,
+            )
     ratio, label = audit.worst
     print(f"tolerance {tol:g}: worst error/bound {ratio:.5f} at {label}")
+
+
+def test_coarse_fixed_point_stays_certified(cold_caches, monkeypatch):
+    # with 26 fractional bits the tanh-sinh engine's own truncations are
+    # far above every other term of the bound: only their counted term
+    # keeps the certificate honest
+    monkeypatch.setattr(quadrature_oracle, "_GUARD", -60)
+    audit = Audit()
+    settings = logsine.QuadratureSettings(target_abs_error=1e-3)
+    for n in range(13):
+        approx = logsine.integrate_logsine(n, settings)
+        audit.check(f"integrate_logsine({n})", approx, ref_logsine(n))

@@ -1,15 +1,17 @@
 """Under any thread interleaving, numeric calls return what a serial run
 returns, leave the global mpmath precision alone, and fill the zeta table,
-the series and pi-power tables, the log-sin node table, the node geometry
-and the result caches with exactly the values a serial run computes at
+the series and pi-power tables, the log-sin node table, the engine's node
+table and the result caches with exactly the values a serial run computes at
 each entry's precision.
 """
 
 import math
 import sys
+from fractions import Fraction
 import threading
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 from mpmath.ctx_mp import MPContext
 
 from logsine import _precision, quadrature_oracle, zeta_engine
@@ -89,17 +91,27 @@ def test_tables_match_serial_values_under_threads(cold_caches):
     for prec, table in quadrature_oracle._LOGSIN_TABLE.items():
         ctx = _fresh_context(prec)
         for d, log_sin in table.items():
-            assert log_sin == ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_, (prec, d)
+            near = ctx.make_mpf(from_man_exp(*d, prec, round_nearest))
+            assert log_sin == ctx.log(ctx.sin(near))._mpf_, (prec, d)
 
-    assert len(quadrature_oracle._GEOMETRY) > 0
-    for (prec, level, b), nodes in quadrature_oracle._GEOMETRY.items():
-        ctx = _fresh_context(prec)
-        b = ctx.make_mpf(b)
-        expected = []
-        for g, w in quadrature_oracle._nodes(prec, level):
-            off = b * ctx.make_mpf(g)
-            expected.append((w, off._mpf_, (b - off)._mpf_))
-        assert nodes == tuple(expected), (prec, level)
+    assert len(quadrature_oracle._FIXED_NODES) > 0
+    for (prec, level), nodes in quadrature_oracle._FIXED_NODES.items():
+        # the node pairs computed afresh, past the lru cache
+        fresh = quadrature_oracle._nodes.__wrapped__(prec, level)
+        for i, ((gm, ge, cm, wm, ws), (g, w)) in enumerate(zip(nodes, fresh, strict=True)):
+            g, w = _exact(g), _exact(w)
+            if level == 0 and i == 0:  # the center node, its own mirror
+                w /= 2
+            assert (_value(gm, ge), _value(cm, ge), _value(wm, -ws)) == (g, 1 - g, w)
+
+
+def _value(man: int, exp: int) -> Fraction:
+    return man * Fraction(2) ** exp
+
+
+def _exact(raw: tuple) -> Fraction:
+    """The exact value of a positive raw tuple."""
+    return _value(raw[1], raw[2])
 
 
 def _outcome(call):

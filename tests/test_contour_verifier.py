@@ -18,6 +18,7 @@ from logsine.contour_verifier import (
     verify_reduction_chain,
 )
 from logsine.exact_core import bernoulli_table, verify_recurrence
+from logsine.logsine_closed_form import logsine_numeric, logsine_symbolic
 from logsine.quadrature_oracle import QuadratureSettings
 
 TOL = 1e-10
@@ -90,6 +91,12 @@ class TestLegR:
     def test_term_index_validated(self):
         with pytest.raises(ValueError):
             leg_R_term(3, 4, TOL)
+
+    @pytest.mark.parametrize("k", [-1, 1.5, True])
+    def test_term_index_must_be_an_integer(self, k):
+        # True must not certify as k = 1
+        with pytest.raises(ValueError, match="require 0 <= k <= n"):
+            leg_R_term(3, k, TOL)
 
 
 class TestLegH:
@@ -206,3 +213,32 @@ class TestExactIdentities:
             verify_reduction_chain(0, table_202)
         with pytest.raises(ValueError):
             verify_reduction_chain(50, bernoulli_table(20))
+
+
+@pytest.mark.parametrize("n", [2.5, True, -1], ids=["float", "bool", "negative"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: logsine_numeric(n, TOL),
+        logsine_symbolic,
+        lambda n: leg_L(n, TOL),
+        lambda n: leg_R(n, TOL),
+        lambda n: leg_R_term(n, 0, TOL),
+        lambda n: verify_null(n, TOL),
+        lambda n: verify_real_part(n, TOL),
+    ],
+    ids=[
+        "logsine_numeric",
+        "logsine_symbolic",
+        "leg_L",
+        "leg_R",
+        "leg_R_term",
+        "verify_null",
+        "verify_real_part",
+    ],
+)
+def test_index_must_be_a_nonnegative_integer(call, n):
+    # True must not certify as n = 1, nor 2.5 fail with a TypeError deep
+    # inside the ladder
+    with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+        call(n)

@@ -221,8 +221,8 @@ def test_rejects_non_integer_index(call):
 
 
 def test_shared_geometry_is_independent_of_call_order(cold_caches):
-    # all of these run at one working precision; the log-sine moments and
-    # the cosine integrals share the geometry entries of [0, pi]
+    # all of these run at one working precision and share its node table;
+    # the log-sine moments share the log-sin values of [0, pi]
     calls = [
         *(lambda n=n: integrate_logsine(n, TIGHT) for n in (0, 5, 12)),
         *(lambda n=n: integrate_vertical_leg(n, TIGHT) for n in (0, 7)),
@@ -230,10 +230,16 @@ def test_shared_geometry_is_independent_of_call_order(cold_caches):
         lambda: cosine_moment(2, 1, TIGHT),
         lambda: cosine_orthogonality(1, 3, TIGHT),
     ]
+
+    def tables():
+        log_sin = {prec: dict(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()}
+        return dict(quadrature_oracle._FIXED_NODES), log_sin
+
     forward = [call() for call in calls]
-    geometry = dict(quadrature_oracle._GEOMETRY)
+    nodes, log_sin = tables()
     cold_caches()
     backward = [call() for call in reversed(calls)][::-1]
     assert backward == forward
-    assert quadrature_oracle._GEOMETRY == geometry
-    assert len({key[0] for key in geometry}) == 1  # one working precision
+    assert tables() == (nodes, log_sin)
+    assert len({prec for prec, _ in nodes}) == 1  # one working precision
+    assert set(log_sin) == {prec for prec, _ in nodes}

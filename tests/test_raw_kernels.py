@@ -1,27 +1,30 @@
-"""The zeta series, the tanh-sinh engine and its node tables, the contour
-legs L and R and the closed form compute on raw mpmath tuples.  Their
-earlier bodies on ``mpf`` objects are kept here verbatim as the reference:
-at every working precision the library uses, each value, rule estimate,
-mass, node and summand must be the same raw tuple, bit for bit, and each
-result or error the same."""
+"""The zeta series, the tanh-sinh node tables, the contour legs L and R
+and the closed form compute on raw mpmath tuples.  Their earlier bodies on
+``mpf`` objects are kept here verbatim as the reference: at every working
+precision the library uses, each value, node and summand must be the same
+raw tuple, bit for bit, and each result or error the same.
+
+The tanh-sinh engine accumulates on fixed-point integers.  Its reference
+is the same rule summed exactly on ``mpf`` values over the same nodes and
+integrand values, and each integrand value is checked against the
+integrand evaluated in a finer context: the results lie within the
+engine's counted truncation bound of the exact sums."""
 
 import math
 from fractions import Fraction
-from typing import Callable
 
 import pytest
 from mpmath import mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec, prec_to_dps
+from mpmath.libmp import dps_to_prec, from_man_exp, prec_to_dps, round_nearest
 
 from logsine import contour_verifier, logsine_closed_form, quadrature_oracle, zeta_engine
 from logsine._precision import _slack_unit, context_for, float_with_bound, private_context
 from logsine.contour_verifier import _PHASE_SIGN, ComplexApprox, _leg_context
-from logsine.errors import CertificationError, RefinementExhausted
+from logsine.errors import CertificationError
 from logsine.exact_core import bernoulli_table, binomial
 from logsine.logsine_closed_form import logsine_symbolic
 from logsine.quadrature_oracle import (
-    _MAX_DEPTH,
     _MIN_ACCEPT_LEVEL,
     QuadratureSettings,
     cosine_moment,
@@ -88,14 +91,6 @@ def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
     return value, 2 * abs(term)
 
 
-def _nodes(prec: int, level: int) -> tuple[tuple[mpf, mpf], ...]:
-    """The node pairs as the reference engine took them: ``mpf`` values of
-    the caller's context holding the unrounded raw tuples."""
-    caller = private_context(prec)
-    pairs = quadrature_oracle._nodes(prec, level)
-    return tuple((caller.make_mpf(g), caller.make_mpf(w)) for g, w in pairs)
-
-
 def _nodes_reference(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
     """New (offset-fraction, weight) pairs introduced at a refinement level,
     as raw mpmath tuples computed 10 digits above ``prec``.
@@ -130,104 +125,6 @@ def _nodes_reference(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(out)
 
 
-def _tanh_sinh(
-    f: Callable[[mpf, mpf, mpf], mpf],
-    a: mpf,
-    b: mpf,
-    rule_target: mpf,
-    max_depth: int,
-    ctx: MPContext,
-) -> tuple[mpf, mpf, mpf]:
-    """Refine until two successive level sums differ by <= rule_target,
-    computing at the precision of ``ctx``.
-
-    Integrands receive (x, dist_lower, dist_upper): the offsets from the
-    endpoints are exact by construction, so a singular factor can be
-    evaluated from the nearer distance without cancellation even when a
-    node sits within 1e-100 of an endpoint.
-
-    Returns (value, rule error estimate, accumulated |weight*f| mass).
-    Raises RefinementExhausted if max_depth levels are not enough.
-    """
-    mpf = ctx.mpf
-    width = b - a
-    r = width / 2
-    total = mpf(0)
-    mass = mpf(0)
-    prev = None
-    for level in range(max_depth + 1):
-        h = mpf(1) / 2 ** level
-        part = mpf(0)
-        part_mass = mpf(0)
-        for i, (g, w) in enumerate(_nodes(ctx.prec, level)):
-            off = width * g
-            far = width - off
-            if level == 0 and i == 0:
-                contrib = w * f(a + off, off, far)  # center node, g = 1/2
-                part += contrib
-                part_mass += abs(contrib)
-            else:
-                lo = f(a + off, off, far)
-                hi = f(b - off, far, off)
-                part += w * (lo + hi)
-                part_mass += abs(w * lo) + abs(w * hi)
-        if level == 0:
-            total = r * h * part
-            mass = r * h * part_mass
-        else:
-            total = total / 2 + r * h * part
-            mass = mass / 2 + r * h * part_mass
-        if prev is not None and level >= _MIN_ACCEPT_LEVEL:
-            diff = abs(total - prev)
-            if diff <= rule_target:
-                return total, diff, mass
-        prev = total
-    raise RefinementExhausted(
-        f"no convergence to {float(rule_target):.3e} within depth {max_depth}"
-    )
-
-
-# precision in bits -> {raw tuple of d: raw tuple of log(sin d)}
-_LOGSIN_TABLE: dict[int, dict[tuple, tuple]] = {}
-
-
-def _logsine_integrand(n: int, ctx: MPContext) -> Callable[[mpf, mpf, mpf], mpf]:
-    """The x^n log(sin x) integrand as written on ``mpf`` values."""
-    table = _LOGSIN_TABLE.setdefault(ctx.prec, {})
-
-    def f(x: mpf, dist_lower: mpf, dist_upper: mpf) -> mpf:
-        d = min(dist_lower, dist_upper)._mpf_
-        log_sin = table.get(d)
-        if log_sin is None:
-            log_sin = table.setdefault(d, ctx.log(ctx.sin(ctx.make_mpf(d)))._mpf_)
-        return x ** n * ctx.make_mpf(log_sin)
-
-    return f
-
-
-@pytest.fixture
-def engine_calls(cold_caches, monkeypatch):
-    """Every call into the tanh-sinh engine, with its arguments and result,
-    from empty result caches."""
-    calls = []
-    engine = quadrature_oracle._tanh_sinh
-
-    def recording(*args):
-        out = engine(*args)
-        calls.append((args, out))
-        return out
-
-    monkeypatch.setattr(quadrature_oracle, "_tanh_sinh", recording)
-    return calls
-
-
-def _run(call):
-    try:
-        call()
-    except CertificationError:  # past the envelope the engine still ran
-        pass
-
-
 # a precision of 80 digits makes the series head longer than 64 terms
 @pytest.mark.parametrize("prec", [*ZETA_PRECISIONS, dps_to_prec(80)])
 def test_euler_maclaurin_matches_mpf_reference(cold_caches, prec):
@@ -246,34 +143,139 @@ def test_node_tables_match_mpf_reference(cold_caches, prec):
         assert quadrature_oracle._nodes(prec, level) == _nodes_reference(prec, level), level
 
 
+# ---------------------------------------------------------------------------
+# the fixed-point tanh-sinh engine
+# ---------------------------------------------------------------------------
+
+# exact for every sum and product the rule checks below make
+EXACT = MPContext()
+EXACT.prec = 4000
+
+
+def _exact(pair: tuple[int, int]) -> mpf:
+    """The exact value of a (mantissa, exponent) pair."""
+    return EXACT.make_mpf(from_man_exp(*pair))
+
+
+@pytest.fixture
+def engine_runs(cold_caches, monkeypatch):
+    """Every call into the tanh-sinh engine from empty caches: its
+    arguments, each integrand call's (x, d, value), and its result."""
+    runs = []
+    engine = quadrature_oracle._tanh_sinh
+
+    def recording(f, b, rule_target, ctx):
+        seen = []
+
+        def g(x, d):
+            value = f(x, d)
+            seen.append((x, d, value))
+            return value
+
+        out = engine(g, b, rule_target, ctx)
+        runs.append((b, rule_target, ctx, seen, out))
+        return out
+
+    monkeypatch.setattr(quadrature_oracle, "_tanh_sinh", recording)
+    return runs
+
+
+def _run(call):
+    try:
+        call()
+    except CertificationError:  # past the envelope the engine still ran
+        pass
+
+
+def _check_rule(b, rule_target, ctx, seen, out) -> None:
+    """The engine's nodes, and its sums against exact sums of the same
+    integrand values: the value and the mass lie within the counted
+    truncation bound of the exact ones, the estimate within twice it, and
+    the rule stops at the first level from ``_MIN_ACCEPT_LEVEL`` on whose
+    estimate meets the target."""
+    value, estimate, mass, bound = (EXACT.make_mpf(x._mpf_) for x in out)
+    target = EXACT.make_mpf(rule_target._mpf_)
+    unit = EXACT.ldexp(1, -(ctx.prec + quadrature_oracle._GUARD))
+    b = EXACT.make_mpf(b._mpf_)
+    calls = iter(seen)
+    totals, masses = [], []
+    total_sum = mass_sum = EXACT.mpf(0)
+    evals = level = 0
+    while evals < len(seen):
+        for i, (g, w) in enumerate(quadrature_oracle._nodes(ctx.prec, level)):
+            g, w = EXACT.make_mpf(g), EXACT.make_mpf(w)
+            if level == 0 and i == 0:  # the center node g = 1/2, its own mirror
+                w /= 2
+            # the lower node at b g, then its mirror at b (1 - g)
+            for x_exact in (b * g, b - b * g):
+                x, d, v = next(calls)
+                assert (_exact(x), _exact(d)) == (x_exact, b * g), (level, i)
+                total_sum += w * v * unit
+                mass_sum += abs(w * v * unit)
+                evals += 1
+        totals.append(b / 2 * total_sum / 2**level)
+        masses.append(b / 2 * mass_sum / 2**level)
+        level += 1
+    assert next(calls, None) is None
+    last = level - 1
+    assert last >= _MIN_ACCEPT_LEVEL
+    assert abs(value - totals[last]) <= bound
+    assert abs(mass - masses[last]) <= bound
+    assert abs(estimate - abs(totals[last] - totals[last - 1])) <= 2 * bound
+    assert estimate <= target
+    for k in range(_MIN_ACCEPT_LEVEL, last):
+        assert abs(totals[k] - totals[k - 1]) > target - 2 * bound, k
+    # under 3 units per product w f, scaled by the rule, and 2 more
+    assert bound <= (3 * evals * b / 2 ** (last + 1) + 2) * unit
+
+
+def _check_values(ctx, seen, reference) -> None:
+    """Each integrand value against ``reference(fine, x, d)``, computed in
+    a context 64 bits finer: within one fixed-point unit and 2^(8 - prec)
+    of 1 + |value|, well inside the precision slack 10^(4 - dps) per unit
+    of mass that the certificate charges for the mpmath evaluations."""
+    fine = MPContext()
+    fine.prec = ctx.prec + 64
+    unit = fine.ldexp(1, -(ctx.prec + quadrature_oracle._GUARD))
+    for x, d, v in seen:
+        # the rounded distances the mpmath calls receive
+        x_r, d_r = (fine.make_mpf(from_man_exp(*p, ctx.prec, round_nearest)) for p in (x, d))
+        expected = reference(fine, x_r, d_r)
+        slack = fine.ldexp(1 + abs(expected), 8 - ctx.prec)
+        assert abs(v * unit - expected) <= unit + slack, (x, d)
+
+
 @pytest.mark.parametrize("tol", TOLERANCES)
-def test_logsine_moments_match_mpf_reference(engine_calls, tol):
+def test_logsine_moments_match_mpf_reference(engine_runs, tol):
     settings = QuadratureSettings(target_abs_error=tol)
     for n in range(13):
         _run(lambda: integrate_logsine(n, settings))
-        ((_, b, target, ctx), out) = engine_calls.pop()
-        expected = _tanh_sinh(_logsine_integrand(n, ctx), ctx.mpf(0), b, target, _MAX_DEPTH, ctx)
-        assert _raw(out) == _raw(expected), n
+        b, target, ctx, seen, out = engine_runs.pop()
+        _check_rule(b, target, ctx, seen, out)
+        _check_values(ctx, seen, lambda fine, x, d: x**n * fine.log(fine.sin(d)))
+
+
+def _leg_integrand(fine, y, d):
+    # y^3 log(1 - e^(-2y)) without the cancellation of 1 - e^(-2y) near 0
+    return y**3 * fine.log(-fine.expm1(-2 * y))
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
-def test_other_integrands_match_mpf_reference(engine_calls, tol):
+def test_other_integrands_match_mpf_reference(engine_runs, tol):
     settings = QuadratureSettings(target_abs_error=tol)
-    for call in (
-        lambda: integrate_logsquared(settings),
-        lambda: integrate_vertical_leg(3, settings),
-        lambda: cosine_moment(2, 1, settings),
-        lambda: cosine_orthogonality(1, 3, settings),
+    for call, reference in (
+        (lambda: integrate_logsquared(settings), lambda fine, x, d: fine.log(2 * fine.sin(x)) ** 2),
+        (lambda: integrate_vertical_leg(3, settings), _leg_integrand),
+        (lambda: cosine_moment(2, 1, settings), lambda fine, x, d: x * fine.cos(4 * x)),
+        (
+            lambda: cosine_orthogonality(1, 3, settings),
+            lambda fine, x, d: fine.cos(2 * x) * fine.cos(6 * x),
+        ),
     ):
         _run(call)
-        ((f, b, target, ctx), out) = engine_calls.pop()
-
-        # these integrands are written on mpf values behind a raw adaptor;
-        # unwrapping it gives the mpf integrand back
-        def on_mpf(x, dist_lower, dist_upper):
-            return ctx.make_mpf(f(x._mpf_, dist_upper._mpf_))
-
-        assert _raw(out) == _raw(_tanh_sinh(on_mpf, ctx.mpf(0), b, target, _MAX_DEPTH, ctx))
+        b, target, ctx, seen, out = engine_runs.pop()
+        _check_rule(b, target, ctx, seen, out)
+        _check_values(ctx, seen, reference)
 
 
 # ---------------------------------------------------------------------------
