@@ -18,6 +18,12 @@ is compared with its forward one: a result that changes is one that
 depends on what ran before it, through a memo table.  The script prints each differing
 result or table entry and exits 1 on any difference of either kind.
 
+For results that differ between the checkouts, the script also prints
+the largest NEW/OLD ratio of their ``abs_error`` fields, with its label,
+and how many of them have [value - abs_error, value + abs_error]
+intervals at OLD and NEW that do not meet.  Each ``RealApprox`` in a
+result is paired with the one in the same place in the other checkout's.
+
 Usage: python scripts/repr_dump.py OLD_CHECKOUT NEW_CHECKOUT
 """
 
@@ -25,9 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import math
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from functools import partial
 
 TOLERANCES = (3e-2, 1e-3, 2e-5, 1e-6, 3e-8, 1e-10, 1e-12, 1e-14)
@@ -39,11 +48,11 @@ RAW_TABLES = (
     ("zeta_engine", "_ZETA_TABLE"),
     ("zeta_engine", "_PI_POWERS"),
     ("zeta_engine", "_LADDER_COEFF"),
-    ("zeta_engine", "_LADDER_STOP"),
     ("quadrature_oracle", "_FIXED_NODES"),
     ("quadrature_oracle", "_LOGSIN_TABLE"),
 )
 TABLES_MARK = "-- raw tables --"  # the line between results and table entries
+REAL_APPROX = re.compile(r"RealApprox\(value=([^,]+), abs_error=([^)]+)\)")
 
 
 def calls():
@@ -140,11 +149,41 @@ def compare(a: list[str], b: list[str], names: tuple[str, str]) -> int:
     return differ
 
 
+def bound_moves(a: list[str], b: list[str]) -> None:
+    """Print the largest NEW/OLD abs_error ratio over the results that
+    differ between two dumps, and how many of them have OLD and NEW
+    intervals value +- abs_error that are disjoint."""
+    da = dict(line.split(" -> ", 1) for line in a)
+    db = dict(line.split(" -> ", 1) for line in b)
+    worst, worst_label, disjoint = 0.0, None, 0
+    for label, x in da.items():
+        y = db.get(label, x)
+        if x == y:
+            continue
+        apart = False
+        for old, new in zip(REAL_APPROX.findall(x), REAL_APPROX.findall(y)):
+            (v_old, e_old), (v_new, e_new) = (map(float, pair) for pair in (old, new))
+            if e_old or e_new:
+                ratio = e_new / e_old if e_old else math.inf
+                if worst_label is None or ratio > worst:
+                    worst, worst_label = ratio, label
+            if all(map(math.isfinite, (v_old, e_old, v_new, e_new))):
+                gap = abs(Fraction(v_new) - Fraction(v_old))
+                apart |= gap > Fraction(e_old) + Fraction(e_new)
+        disjoint += apart
+    if worst_label is None:
+        print("largest NEW/OLD abs_error ratio over moved results: none")
+    else:
+        print(f"largest NEW/OLD abs_error ratio over moved results: {worst!r} at {worst_label}")
+    print(f"{disjoint} moved results have disjoint [value +- abs_error] intervals")
+
+
 def main(old: str, new: str) -> int:
     (a, a_raw), (b, b_raw) = run(old), run(new)
     differ = compare(a, b, ("OLD", "NEW"))
     raised = sum(" -> raised " in x for x in a)
     print(f"{differ} of {len(a)} results differ ({raised} of them raised at OLD)")
+    bound_moves(a, b)
     raw = compare(a_raw, b_raw, ("OLD", "NEW"))
     print(f"{raw} of {len(a_raw)} raw-table entries differ ({len(b_raw)} entries at NEW)")
     # every result must depend on its arguments alone, not on what ran before

@@ -13,7 +13,6 @@ from .errors import CertificationError, RefinementExhausted
 from .exact_core import (
     BernoulliTable,
     bernoulli_table,
-    binomial,
     verify_binomial_identity,
     verify_recurrence,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "CertificationError",
     "RefinementExhausted",
     "BernoulliTable",
-    "binomial",
     "bernoulli_table",
     "verify_recurrence",
     "verify_binomial_identity",

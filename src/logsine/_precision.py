@@ -6,6 +6,10 @@ then cover (a) the analytic truncation error of whatever series/rule was
 used, (b) mpmath rounding at the working precision, and (c) the single
 final rounding to double, which is at most half an ulp of the result.
 
+Values and bounds reach this module as raw ``mpmath.libmp`` tuples, the
+form the series, the legs, the closed form and the tanh-sinh engine
+compute in, and leave ``float_with_bound`` as doubles.
+
 Every computation runs in a private mpmath context fixed at its working
 precision (``context_for``); nothing reads or sets the global ``mp``
 precision, so calls in different threads cannot change each other's
@@ -17,9 +21,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from mpmath import mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec, mpf_abs, mpf_mul, round_nearest
+from mpmath.libmp import dps_to_prec, mpf_abs, mpf_mul, round_nearest, to_float
 
 # precision in bits -> the private context fixed at it
 _PRIVATE_CONTEXTS: dict[int, MPContext] = {}
@@ -54,33 +57,30 @@ def context_for(target_abs_error: float, extra_digits: int, min_dps: int) -> MPC
 
 
 @lru_cache(maxsize=None)
-def _slack_unit(prec: int) -> mpf:
+def _slack_unit(prec: int) -> tuple:
     ctx = private_context(prec)
-    return ctx.mpf(10) ** (4 - ctx.dps)
+    return (ctx.mpf(10) ** (4 - ctx.dps))._mpf_
 
 
-def slack_raw(x: tuple, prec: int) -> tuple:
-    """``round_slack`` of a raw tuple at ``prec`` bits, as a raw tuple."""
-    # abs(x) * _slack_unit(prec)
+def round_slack(x: tuple, prec: int) -> tuple:
+    """Bound on accumulated rounding at ``prec`` bits for an O(100)-operation
+    computation whose intermediates are at most ``|x|`` in magnitude:
+    ``|x| * 10^(4 - dps)`` as a raw tuple, for a raw tuple ``x``."""
     rnd = round_nearest
-    return mpf_mul(mpf_abs(x, prec, rnd), _slack_unit(prec)._mpf_, prec, rnd)
+    return mpf_mul(mpf_abs(x, prec, rnd), _slack_unit(prec), prec, rnd)
 
 
-def round_slack(x: mpf, ctx: MPContext) -> mpf:
-    """Bound on accumulated rounding in ``ctx`` for an O(100)-operation
-    computation whose intermediates are at most ``|x|`` in magnitude;
-    ``x`` is a value of ``ctx``."""
-    return ctx.make_mpf(slack_raw(x._mpf_, ctx.prec))
+def float_with_bound(value: tuple, internal_bound: tuple) -> tuple[float, float]:
+    """Round a raw value to double and return (value, certified abs bound).
 
-
-def float_with_bound(value_mp: mpf, internal_bound_mp: mpf) -> tuple[float, float]:
-    """Round an mp value to double and return (value, certified abs bound).
-
-    The bound adds half an ulp for the final rounding and is itself rounded
-    upward so the certificate never understates.
+    Both tuples round to the nearest double, as ``float`` of an ``mpf``
+    does (``to_float`` alone rounds down).  The bound adds half an ulp for
+    the final rounding and is itself rounded upward so the certificate
+    never understates.
     """
-    value = float(value_mp)
-    bound = float(internal_bound_mp) + 0.5 * math.ulp(abs(value) if value else 1e-300)
+    value = to_float(value, rnd=round_nearest)
+    bound = to_float(internal_bound, rnd=round_nearest)
+    bound += 0.5 * math.ulp(abs(value) if value else 1e-300)
     return value, math.nextafter(bound, math.inf)
 
 
@@ -89,5 +89,4 @@ __all__ = [
     "float_with_bound",
     "private_context",
     "round_slack",
-    "slack_raw",
 ]

@@ -34,13 +34,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from mpmath import mpf
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_float, fzero, mpf_add, mpf_gt, mpf_mul_int, round_nearest
 
 from ._precision import context_for, float_with_bound, round_slack
 from .errors import CertificationError, _require_int
-from .exact_core import BernoulliTable, binomial
+from .exact_core import BernoulliTable
 from .logsine_closed_form import logsine_numeric
 from .quadrature_oracle import QuadratureSettings, integrate_logsine
 from .zeta_engine import RealApprox, _zeta_term
@@ -99,7 +98,7 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
     _require_int(n, 0, "n must be a nonnegative integer")
     ctx = _leg_context(tol)
     _, mag, err = _leg_r_term(n, n, ctx)  # the right leg's last summand
-    value, bound = float_with_bound(ctx.make_mpf(mag), ctx.make_mpf(err))
+    value, bound = float_with_bound(mag, err)
     if bound > tol:
         raise CertificationError(f"leg L(n={n}) certified to {bound:.3e} > {tol:.3e}")
     return _one_component((n + 1) % 4, value, bound)
@@ -112,7 +111,7 @@ def _leg_r_term(n: int, k: int, ctx: MPContext) -> tuple[int, tuple, tuple]:
     Term k carries -i * i^k = i^(k+3), magnitude
     C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2).
     """
-    coeff = Fraction(binomial(n, k) * math.factorial(k), 2 ** (k + 1))
+    coeff = Fraction(math.comb(n, k) * math.factorial(k), 2 ** (k + 1))
     return ((k + 3) % 4, *_zeta_term(k + 2, coeff, n - k, ctx))
 
 
@@ -141,8 +140,8 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
         # component += sign * mag; component_err += err
         sums[comp] = mpf_add(sums[comp], mpf_mul_int(mag, sign, prec, rnd), prec, rnd)
         errs[comp] = mpf_add(errs[comp], err, prec, rnd)
-    re_val, re_bound = float_with_bound(ctx.make_mpf(sums[0]), ctx.make_mpf(errs[0]))
-    im_val, im_bound = float_with_bound(ctx.make_mpf(sums[1]), ctx.make_mpf(errs[1]))
+    re_val, re_bound = float_with_bound(sums[0], errs[0])
+    im_val, im_bound = float_with_bound(sums[1], errs[1])
     if re_bound + im_bound > tol:
         raise CertificationError(
             f"leg R(n={n}) certified to {re_bound + im_bound:.3e} > {tol:.3e}"
@@ -159,9 +158,8 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     _require_int(k, 0, "require 0 <= k <= n")
     if k > n:
         raise ValueError("require 0 <= k <= n")
-    ctx = _leg_context(tol)
-    phase, mag, err = _leg_r_term(n, k, ctx)
-    return _one_component(phase, *float_with_bound(ctx.make_mpf(mag), ctx.make_mpf(err)))
+    phase, mag, err = _leg_r_term(n, k, _leg_context(tol))
+    return _one_component(phase, *float_with_bound(mag, err))
 
 
 def leg_H_im_coefficient(n: int) -> Fraction:
@@ -171,9 +169,10 @@ def leg_H_im_coefficient(n: int) -> Fraction:
     return Fraction(1, n + 2) - Fraction(1, 2 * (n + 1))
 
 
-def _log2_term(n: int, ctx: MPContext) -> mpf:
-    """pi^(n+1) log(2) / (n+1), the term that sits beside I_n in Re(H_n)."""
-    return (+ctx.pi) ** (n + 1) / (n + 1) * ctx.log(2)
+def _log2_term(n: int, ctx: MPContext) -> tuple:
+    """pi^(n+1) log(2) / (n+1), the term that sits beside I_n in Re(H_n),
+    as a raw tuple."""
+    return ((+ctx.pi) ** (n + 1) / (n + 1) * ctx.log(2))._mpf_
 
 
 def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
@@ -187,14 +186,16 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
     ctx = _leg_context(settings.target_abs_error)
+    prec, rnd = ctx.prec, round_nearest
     log2_term = _log2_term(n, ctx)
+    # log2_term + oracle.value; round_slack(log2_term) + oracle.abs_error
     re_val, re_bound = float_with_bound(
-        log2_term + oracle.value,
-        round_slack(log2_term, ctx) + ctx.mpf(oracle.abs_error),
+        mpf_add(log2_term, from_float(oracle.value), prec, rnd),
+        mpf_add(round_slack(log2_term, prec), from_float(oracle.abs_error), prec, rnd),
     )
     r = leg_H_im_coefficient(n)
-    im_mp = ctx.mpf(r.numerator) / r.denominator * (+ctx.pi) ** (n + 2)
-    im_val, im_bound = float_with_bound(im_mp, round_slack(im_mp, ctx))
+    im = (ctx.mpf(r.numerator) / r.denominator * (+ctx.pi) ** (n + 2))._mpf_
+    im_val, im_bound = float_with_bound(im, round_slack(im, prec))
     return ComplexApprox(
         re=RealApprox(re_val, re_bound), im=RealApprox(im_val, im_bound)
     )
@@ -280,7 +281,7 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     closed = logsine_numeric(n, tol / 4)
     ctx = _leg_context(tol)
     log2_term = _log2_term(n, ctx)
-    log2_val, log2_bound = float_with_bound(log2_term, round_slack(log2_term, ctx))
+    log2_val, log2_bound = float_with_bound(log2_term, round_slack(log2_term, ctx.prec))
     return _sum_components(
         [
             L.re,
@@ -306,7 +307,7 @@ def verify_imag_identity_exact(n: int, table: BernoulliTable) -> bool:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * top + 2}")
     lhs = Fraction(0)
     for k in range(top + 1):
-        lhs += Fraction(binomial(n, 2 * k), (k + 1) * (2 * k + 1)) * table[2 * k + 2]
+        lhs += Fraction(math.comb(n, 2 * k), (k + 1) * (2 * k + 1)) * table[2 * k + 2]
     return lhs == Fraction(n, (n + 1) * (n + 2))
 
 
@@ -327,13 +328,13 @@ def reduction_chain_steps(n: int, table: BernoulliTable) -> dict[str, bool]:
 
     sum_a = Fraction(0)
     for k in range((n - 1) // 2 + 1):
-        sum_a += binomial(n + 2, 2 * k + 2) * table[2 * k + 2]
+        sum_a += math.comb(n + 2, 2 * k + 2) * table[2 * k + 2]
 
     sum_b = Fraction(0)
     for k in range(2, n + 2):
-        sum_b += binomial(n + 2, k) * table[k]
+        sum_b += math.comb(n + 2, k) * table[k]
 
-    lead = binomial(n + 2, 0) * table[0] + binomial(n + 2, 1) * table[1]
+    lead = math.comb(n + 2, 0) * table[0] + math.comb(n + 2, 1) * table[1]
 
     sum_d = sum_b + lead
 

@@ -1,5 +1,5 @@
-"""Exact rational arithmetic: binomials, Bernoulli numbers, and the
-combinatorial identities built from them.
+"""Exact rational arithmetic: Bernoulli numbers and the combinatorial
+identities built from them.
 
 Everything in this module is exact.  Rationals are ``fractions.Fraction``
 (arbitrary-precision, always in lowest terms, positive denominator), so no
@@ -28,24 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import _require_int
+
 __all__ = [
     "BernoulliTable",
-    "binomial",
     "bernoulli_table",
     "verify_recurrence",
     "verify_binomial_identity",
 ]
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k), with C(n, k) = 0 whenever k > n.
-
-    The k > n convention keeps index-window sweeps total; both arguments
-    must be nonnegative.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -86,8 +76,7 @@ def bernoulli_table(max_index: int) -> BernoulliTable:
 
     Deterministic and pure: equal arguments always produce equal tables.
     """
-    if max_index < 0:
-        raise ValueError("max_index must be nonnegative")
+    _require_int(max_index, 0, "max_index must be a nonnegative integer")
     values: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
     for k, t_k in enumerate(_tangent_numbers(max_index // 2), start=1):
         four_k = 4**k
@@ -103,7 +92,7 @@ def verify_recurrence(n: int, table: BernoulliTable) -> bool:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{n - 1}")
     acc = Fraction(0)
     for k in range(n):
-        acc += binomial(n, k) * table[k]
+        acc += math.comb(n, k) * table[k]
     return acc == 0
 
 
@@ -119,6 +108,6 @@ def verify_binomial_identity(n: int, k: int) -> bool:
         raise ValueError("require n >= 1 and k >= 0")
     if 2 * k > n:
         raise ValueError("require 2k <= n")
-    lhs = Fraction(binomial(n, 2 * k), (k + 1) * (2 * k + 1))
-    rhs = Fraction(2 * binomial(n + 2, 2 * k + 2), (n + 1) * (n + 2))
+    lhs = Fraction(math.comb(n, 2 * k), (k + 1) * (2 * k + 1))
+    rhs = Fraction(2 * math.comb(n + 2, 2 * k + 2), (n + 1) * (n + 2))
     return lhs == rhs

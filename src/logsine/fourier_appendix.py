@@ -46,8 +46,7 @@ def _validate_theta(theta: float) -> None:
 
 
 def _validate_terms(terms: int) -> None:
-    if terms < 1:
-        raise ValueError("terms must be positive")
+    _require_int(terms, 1, "terms must be a positive integer")
 
 
 def logsin_series_partial(theta: float, terms: int) -> float:

@@ -28,7 +28,7 @@ from typing import Any
 
 from mpmath.libmp import from_float, mpf_add, mpf_gt, mpf_mul, round_nearest
 
-from ._precision import context_for, float_with_bound, slack_raw
+from ._precision import context_for, float_with_bound, round_slack
 from .errors import CertificationError, _require_int
 from .zeta_engine import RealApprox, _scale, _zeta_term
 
@@ -87,7 +87,7 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     prec, rnd = ctx.prec, round_nearest
     # total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * ctx.log(2)
     total = mpf_mul(_scale(sym.log2_coefficient, n + 1, prec), ctx.log(2)._mpf_, prec, rnd)
-    internal = slack_raw(total, prec)
+    internal = round_slack(total, prec)
     if mpf_gt(internal, share_raw):  # internal > share
         raise CertificationError("log-2 term exceeds its error share")
     for arg, coeff in sym.zeta_terms:
@@ -99,7 +99,7 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
         # total += term; internal += term_err
         total = mpf_add(total, term, prec, rnd)
         internal = mpf_add(internal, term_err, prec, rnd)
-    value, bound = float_with_bound(ctx.make_mpf(total), ctx.make_mpf(internal))
+    value, bound = float_with_bound(total, internal)
     if bound > target_abs_error:
         raise CertificationError(
             f"I_{n} certified to {bound:.3e}, target {target_abs_error:.3e}"

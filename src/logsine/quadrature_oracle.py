@@ -60,6 +60,7 @@ from mpmath import mpf
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     dps_to_prec,
+    from_float,
     from_int,
     from_man_exp,
     mpf_add,
@@ -226,7 +227,7 @@ def _fixed_nodes(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
 
 def _tanh_sinh(
     f: RawIntegrand, b: mpf, rule_target: mpf, ctx: MPContext
-) -> tuple[mpf, mpf, mpf, mpf]:
+) -> tuple[tuple, tuple, tuple, tuple]:
     """Integrate over [0, b], refining until two successive level sums
     differ by <= rule_target, at the precision of ``ctx``.
 
@@ -236,7 +237,8 @@ def _tanh_sinh(
     fixed-point integer, on which the sums are accumulated.
 
     Returns (value, rule error estimate, accumulated |weight*f| mass,
-    bound on the fixed-point truncations).  Raises RefinementExhausted if
+    bound on the fixed-point truncations) as raw tuples, each exactly the
+    engine's integer scaled by 2^-F.  Raises RefinementExhausted if
     ``_MAX_DEPTH`` levels are not enough.
     """
     prec = ctx.prec
@@ -263,9 +265,7 @@ def _tanh_sinh(
                 # one for the ceiling of the scaled count
                 units = _shift(3 * evals * bm, be - level - 1) + 2
                 mass = _shift(bm * mass_sum, be - level - 1)
-                return tuple(
-                    ctx.make_mpf(from_man_exp(x, -frac)) for x in (total, diff, mass, units)
-                )
+                return tuple(from_man_exp(x, -frac) for x in (total, diff, mass, units))
         prev = total
     raise RefinementExhausted(
         f"no convergence to {float(rule_target):.3e} within depth {_MAX_DEPTH}"
@@ -289,10 +289,14 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     rule estimate + truncation + precision slack + fixed-point truncations
     + double rounding."""
     ctx = context_for(target, extra_digits=12, min_dps=25)
+    prec, rnd = ctx.prec, round_nearest
     f, b, truncation_bound = integrand(ctx, *args)
-    value_mp, rule_est, mass, fixed_err = _tanh_sinh(f, b, ctx.mpf(target) / 4, ctx)
-    internal = rule_est + ctx.mpf(truncation_bound) + round_slack(mass, ctx) + fixed_err
-    value, bound = float_with_bound(value_mp, internal)
+    value, rule_est, mass, fixed_err = _tanh_sinh(f, b, ctx.mpf(target) / 4, ctx)
+    # ((rule_est + truncation_bound) + round_slack(mass)) + fixed_err
+    internal = mpf_add(rule_est, from_float(truncation_bound), prec, rnd)
+    internal = mpf_add(internal, round_slack(mass, prec), prec, rnd)
+    internal = mpf_add(internal, fixed_err, prec, rnd)
+    value, bound = float_with_bound(value, internal)
     if bound > target:
         raise CertificationError(
             f"quadrature certified to {bound:.3e}, target {target:.3e}"

@@ -33,12 +33,11 @@ makes, and every sum keeps its association order, so each rounding and
 therefore every bit of the result is what the ``mpf`` expression gives.
 The head powers only its odd bases: l^-s for l = 2^a m is m^-s with its
 exponent lowered by a*s, because ``mpf_pow_int`` and ``mpf_div`` round
-the mantissa alone; all head terms are still added in order.  The parts
-of the correction ladder that do not depend on s come from two tables:
-the coefficient B_2j/(2j)!, keyed by (precision in bits, j) with j <= 60,
-and the stopping threshold 10^-(digits+6), keyed by (precision in bits,
-decimal digits).  Each entry is the raw tuple the same calls returned
-when they ran inside every series.
+the mantissa alone; all head terms are still added in order.  The s-free
+factor of each correction term, B_2j/(2j)!, comes from a table keyed by
+(precision in bits, j) with j <= 60; each entry is the raw tuple the same
+calls returned when they ran inside every series.  The value and its
+bound stay raw tuples until ``float_with_bound`` rounds them to doubles.
 
 The contour legs and the closed form compute each of their terms
 coeff * pi^m * zeta(s) with one raw-tuple kernel, ``_zeta_term``, which
@@ -55,7 +54,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mpf
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     from_int,
@@ -72,8 +70,8 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from ._precision import context_for, float_with_bound, round_slack, slack_raw
-from .errors import CertificationError
+from ._precision import context_for, float_with_bound, round_slack
+from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable, bernoulli_table
 
 __all__ = [
@@ -115,8 +113,7 @@ class ZetaEvenValue:
 
 def zeta_even_exact(k: int, table: BernoulliTable) -> ZetaEvenValue:
     """Exact zeta(2k)/pi^(2k) via the Bernoulli bridge; requires B_{2k}."""
-    if k < 1:
-        raise ValueError("require k >= 1")
+    _require_int(k, 1, "k must be a positive integer")
     if table.max_index < 2 * k:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * k}")
     coeff = (
@@ -134,14 +131,10 @@ def zeta_series_partial(s: float, terms: int) -> float:
     """
     if not s > 1:
         raise ValueError("the series converges only for s > 1")
-    if terms < 1:
-        raise ValueError("terms must be positive")
+    _require_int(terms, 1, "terms must be a positive integer")
     return math.fsum(l ** (-s) for l in range(1, terms + 1))
 
 
-# (precision in bits, decimal digits) -> raw 10^-(digits+6), where the
-# correction ladder stops
-_LADDER_STOP: dict[tuple[int, int], tuple] = {}
 # (precision in bits, j) -> raw B_2j / (2j)!, the s-free factor of the
 # j-th correction term
 _LADDER_COEFF: dict[tuple[int, int], tuple] = {}
@@ -162,10 +155,10 @@ def _ladder_coefficient(j: int, table: BernoulliTable, prec: int) -> tuple:
     return coeff
 
 
-def _euler_maclaurin(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
+def _euler_maclaurin(s: int, ctx: MPContext) -> tuple[tuple, tuple]:
     """Series head of max(64, ctx.dps) terms + integral tail + correction
     ladder at the precision of ``ctx``.  Returns (value, analytic remainder
-    bound).
+    bound) as raw tuples.
 
     Correction pairs are added until the next one drops below the working
     precision; the remainder is bounded by twice the first omitted term
@@ -199,12 +192,8 @@ def _euler_maclaurin(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
     tail = mpf_div(mpf_pow_int(big_n, 1 - s, prec, rnd), from_int(s - 1), prec, rnd)
     half = mpf_div(mpf_pow_int(big_n, -s, prec, rnd), from_int(2), prec, rnd)
     value = mpf_add(mpf_add(head, tail, prec, rnd), half, prec, rnd)
-    stop_key = (prec, ctx.dps)
-    threshold = _LADDER_STOP.get(stop_key)
-    if threshold is None:
-        # mpf(10) ** (-(ctx.dps + 6))
-        threshold = mpf_pow_int(mpf_pos(from_int(10), prec, rnd), -(ctx.dps + 6), prec, rnd)
-        threshold = _LADDER_STOP.setdefault(stop_key, threshold)
+    # threshold = mpf(10) ** (-(ctx.dps + 6))
+    threshold = mpf_pow_int(mpf_pos(from_int(10), prec, rnd), -(ctx.dps + 6), prec, rnd)
     table = bernoulli_table(16)
     j = 0
     while True:
@@ -222,8 +211,7 @@ def _euler_maclaurin(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
             break
         value = mpf_add(value, term, prec, rnd)
     # 2 * abs(term)
-    bound = mpf_mul_int(mpf_abs(term, prec, rnd), 2, prec, rnd)
-    return ctx.make_mpf(value), ctx.make_mpf(bound)
+    return value, mpf_mul_int(mpf_abs(term, prec, rnd), 2, prec, rnd)
 
 
 # (s, precision in bits) -> raw mpmath tuples of (value, remainder bound)
@@ -235,15 +223,8 @@ def _zeta_raw(s: int, ctx: MPContext) -> tuple[tuple, tuple]:
     key = (s, ctx.prec)
     entry = _ZETA_TABLE.get(key)
     if entry is None:
-        value, bound = _euler_maclaurin(s, ctx)
-        entry = _ZETA_TABLE.setdefault(key, (value._mpf_, bound._mpf_))
+        entry = _ZETA_TABLE.setdefault(key, _euler_maclaurin(s, ctx))
     return entry
-
-
-def _zeta_mpf(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
-    """zeta(s) at the precision of ``ctx``: (value, analytic bound)."""
-    value, bound = _zeta_raw(s, ctx)
-    return ctx.make_mpf(value), ctx.make_mpf(bound)
 
 
 # (precision in bits, m) -> raw pi^m
@@ -278,7 +259,7 @@ def _zeta_term(s: int, coeff: Fraction, pi_power: int, ctx: MPContext) -> tuple[
     value = mpf_mul(scale, zeta, prec, rnd)
     bound = mpf_add(
         mpf_mul(mpf_abs(scale, prec, rnd), zeta_bound, prec, rnd),
-        slack_raw(value, prec),
+        round_slack(value, prec),
         prec,
         rnd,
     )
@@ -291,13 +272,12 @@ def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:
     Raises CertificationError when the target undercuts what a double can
     carry (about half an ulp of the result).
     """
-    if isinstance(s, bool) or not isinstance(s, int):
-        raise ValueError("s must be an integer")
-    if s < 2:
-        raise ValueError("require integer s >= 2")
+    _require_int(s, 2, "require integer s >= 2")
     ctx = context_for(target_abs_error, extra_digits=15, min_dps=25)
-    value_mp, analytic = _zeta_mpf(s, ctx)
-    value, bound = float_with_bound(value_mp, analytic + round_slack(ctx.mpf(2), ctx))
+    value, analytic = _zeta_raw(s, ctx)
+    # analytic + round_slack(ctx.mpf(2))
+    internal = mpf_add(analytic, round_slack(from_int(2), ctx.prec), ctx.prec, round_nearest)
+    value, bound = float_with_bound(value, internal)
     if bound > target_abs_error:
         raise CertificationError(
             f"zeta({s}) certified to {bound:.3e}, target {target_abs_error:.3e}"

@@ -15,7 +15,6 @@ def clear_numeric_caches():
     the log-sin node table, and the quadrature result cache and node
     tables built on them."""
     zeta_engine._ZETA_TABLE.clear()
-    zeta_engine._LADDER_STOP.clear()
     zeta_engine._LADDER_COEFF.clear()
     zeta_engine._PI_POWERS.clear()
     quadrature_oracle._LOGSIN_TABLE.clear()

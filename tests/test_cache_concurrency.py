@@ -1,8 +1,8 @@
 """Under any thread interleaving, numeric calls return what a serial run
 returns, leave the global mpmath precision alone, and fill the zeta table,
-the series and pi-power tables, the log-sin node table, the engine's node
-table and the result caches with exactly the values a serial run computes at
-each entry's precision.
+the ladder-coefficient and pi-power tables, the log-sin node table, the
+engine's node table and the result caches with exactly the values a serial
+run computes at each entry's precision.
 """
 
 import math
@@ -67,13 +67,7 @@ def test_tables_match_serial_values_under_threads(cold_caches):
     assert len(zeta_engine._ZETA_TABLE) > 0
     for (s, prec), entry in zeta_engine._ZETA_TABLE.items():
         ctx = _fresh_context(prec)
-        value, bound = zeta_engine._euler_maclaurin(s, ctx)
-        assert entry == (value._mpf_, bound._mpf_), (s, prec)
-
-    assert len(zeta_engine._LADDER_STOP) > 0
-    for (prec, dps), threshold in zeta_engine._LADDER_STOP.items():
-        ctx = _fresh_context(prec)
-        assert threshold == (ctx.mpf(10) ** (-(dps + 6)))._mpf_, (prec, dps)
+        assert entry == zeta_engine._euler_maclaurin(s, ctx), (s, prec)
 
     assert len(zeta_engine._LADDER_COEFF) > 0
     for (prec, j), coeff in zeta_engine._LADDER_COEFF.items():

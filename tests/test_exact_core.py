@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,31 +7,42 @@ from hypothesis import strategies as st
 
 from logsine.exact_core import (
     bernoulli_table,
-    binomial,
     verify_binomial_identity,
     verify_recurrence,
 )
+from logsine.fourier_appendix import (
+    logsin_series_partial,
+    parseval_logsquared,
+    sawtooth_series_partial,
+)
+from logsine.zeta_engine import zeta_even_exact, zeta_numeric, zeta_series_partial
 
 
-class TestBinomial:
-    def test_empty_product(self):
-        assert binomial(0, 0) == 1
-
-    def test_hand_expansion(self):
-        assert binomial(5, 2) == 10  # 5!/(2! 3!)
-
-    def test_k_above_n_is_zero(self):
-        assert binomial(3, 7) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -2)
-
-    @given(st.integers(0, 60), st.integers(0, 60))
-    def test_pascal_rule(self, n, k):
-        assert binomial(n + 1, k + 1) == binomial(n, k) + binomial(n, k + 1)
+@pytest.mark.parametrize("value", [2.5, 4.0, True], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        bernoulli_table,
+        lambda k: zeta_even_exact(k, bernoulli_table(8)),
+        lambda s: zeta_numeric(s, 1e-10),
+        lambda terms: zeta_series_partial(2.0, terms),
+        parseval_logsquared,
+        lambda terms: logsin_series_partial(1.0, terms),
+        lambda terms: sawtooth_series_partial(1.0, terms),
+    ],
+    ids=[
+        "bernoulli_table",
+        "zeta_even_exact",
+        "zeta_numeric",
+        "zeta_series_partial",
+        "parseval_logsquared",
+        "logsin_series_partial",
+        "sawtooth_series_partial",
+    ],
+)
+def test_index_and_term_count_must_be_integers(call, value):
+    with pytest.raises(ValueError):
+        call(value)
 
 
 class TestBernoulliTable:
@@ -77,7 +89,7 @@ def _sum_rule_solver(max_index: int) -> tuple[Fraction, ...]:
     independent reference for the tangent-number generator."""
     values = [Fraction(1)]
     for m in range(1, max_index + 1):
-        acc = sum(binomial(m + 1, k) * values[k] for k in range(m))
+        acc = sum(math.comb(m + 1, k) * values[k] for k in range(m))
         values.append(-acc / (m + 1))
     return tuple(values)
 
@@ -141,5 +153,5 @@ class TestBinomialIdentity:
 def test_recurrence_sum_is_exact_zero(table_202):
     # the check compares exact rationals, so the residual is literally zero
     n = 97
-    acc = sum(binomial(n, k) * table_202[k] for k in range(n))
+    acc = sum(math.comb(n, k) * table_202[k] for k in range(n))
     assert acc == 0 and isinstance(acc, Fraction)

@@ -1,8 +1,9 @@
 """The zeta series, the tanh-sinh node tables, the contour legs L and R
-and the closed form compute on raw mpmath tuples.  Their earlier bodies on
-``mpf`` objects are kept here verbatim as the reference: at every working
-precision the library uses, each value, node and summand must be the same
-raw tuple, bit for bit, and each result or error the same.
+and the closed form compute on raw mpmath tuples, and round them to
+doubles from raw tuples.  Their earlier bodies on ``mpf`` objects are kept
+here verbatim as the reference: at every working precision the library
+uses, each value, node and summand must be the same raw tuple, bit for
+bit, and each result or error the same.
 
 The tanh-sinh engine accumulates on fixed-point integers.  Its reference
 is the same rule summed exactly on ``mpf`` values over the same nodes and
@@ -14,15 +15,21 @@ import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec, from_man_exp, prec_to_dps, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, fzero, prec_to_dps, round_nearest
 
-from logsine import contour_verifier, logsine_closed_form, quadrature_oracle, zeta_engine
-from logsine._precision import _slack_unit, context_for, float_with_bound, private_context
+from logsine import (
+    _precision,
+    contour_verifier,
+    logsine_closed_form,
+    quadrature_oracle,
+    zeta_engine,
+)
+from logsine._precision import context_for, private_context
 from logsine.contour_verifier import _PHASE_SIGN, ComplexApprox, _leg_context
 from logsine.errors import CertificationError
-from logsine.exact_core import bernoulli_table, binomial
+from logsine.exact_core import bernoulli_table
 from logsine.logsine_closed_form import logsine_symbolic
 from logsine.quadrature_oracle import (
     _MIN_ACCEPT_LEVEL,
@@ -33,7 +40,7 @@ from logsine.quadrature_oracle import (
     integrate_logsquared,
     integrate_vertical_leg,
 )
-from logsine.zeta_engine import RealApprox, _zeta_mpf
+from logsine.zeta_engine import RealApprox
 
 TOLERANCES = (1e-3, 1e-6, 1e-10, 1e-12)
 # (extra digits, floor) of zeta_numeric and of the legs and the closed form,
@@ -131,7 +138,7 @@ def test_euler_maclaurin_matches_mpf_reference(cold_caches, prec):
     ctx = private_context(prec)
     n_head = max(64, ctx.dps)  # the head length the zeta table asks for
     for s in range(2, 31):
-        assert _raw(zeta_engine._euler_maclaurin(s, ctx)) == _raw(
+        assert zeta_engine._euler_maclaurin(s, ctx) == _raw(
             _euler_maclaurin(s, n_head, ctx)
         ), (s, prec)
 
@@ -193,7 +200,7 @@ def _check_rule(b, rule_target, ctx, seen, out) -> None:
     truncation bound of the exact ones, the estimate within twice it, and
     the rule stops at the first level from ``_MIN_ACCEPT_LEVEL`` on whose
     estimate meets the target."""
-    value, estimate, mass, bound = (EXACT.make_mpf(x._mpf_) for x in out)
+    value, estimate, mass, bound = (EXACT.make_mpf(x) for x in out)
     target = EXACT.make_mpf(rule_target._mpf_)
     unit = EXACT.ldexp(1, -(ctx.prec + quadrature_oracle._GUARD))
     b = EXACT.make_mpf(b._mpf_)
@@ -291,7 +298,35 @@ def _validate_tol(tol: float) -> None:
 def round_slack(x: mpf, ctx: MPContext) -> mpf:
     """Bound on accumulated rounding in ``ctx`` for an O(100)-operation
     computation whose intermediates are at most ``|x|`` in magnitude."""
-    return abs(x) * _slack_unit(ctx.prec)
+    return abs(x) * ctx.mpf(10) ** (4 - ctx.dps)
+
+
+def float_with_bound(value_mp: mpf, internal_bound_mp: mpf) -> tuple[float, float]:
+    """Round an mp value to double and return (value, certified abs bound).
+
+    The bound adds half an ulp for the final rounding and is itself rounded
+    upward so the certificate never understates.
+    """
+    value = float(value_mp)
+    bound = float(internal_bound_mp) + 0.5 * math.ulp(abs(value) if value else 1e-300)
+    return value, math.nextafter(bound, math.inf)
+
+
+def _zeta_mpf(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
+    """zeta(s) at the precision of ``ctx``: (value, analytic bound)."""
+    value, bound = zeta_engine._zeta_raw(s, ctx)
+    return ctx.make_mpf(value), ctx.make_mpf(bound)
+
+
+def test_float_with_bound_rounds_to_nearest():
+    # 2^55 - 1 lies 1 below the double 2^55 and 3 above the double below it,
+    # to which libmp's default rounding takes it
+    x = from_man_exp(2**55 - 1, 0)
+    nearest = float(mp.make_mpf(x))
+    assert nearest == 3.602879701896397e16
+    assert _precision.float_with_bound(x, x) == float_with_bound(mp.make_mpf(x), mp.make_mpf(x))
+    assert _precision.float_with_bound(x, fzero)[0] == nearest
+    assert _precision.float_with_bound(fzero, x)[1] == math.nextafter(nearest, math.inf)
 
 
 def leg_L(n: int, tol: float) -> ComplexApprox:
@@ -327,7 +362,7 @@ def _leg_r_terms_mp(n: int, ctx: MPContext) -> list[tuple[int, mpf, mpf]]:
     out = []
     for k in range(n + 1):
         zeta_mp, zeta_bound = _zeta_mpf(k + 2, ctx)
-        coeff = Fraction(binomial(n, k) * math.factorial(k), 2 ** (k + 1))
+        coeff = Fraction(math.comb(n, k) * math.factorial(k), 2 ** (k + 1))
         scale = ctx.mpf(coeff.numerator) / coeff.denominator * pi ** (n - k)
         mag = scale * zeta_mp
         err = scale * zeta_bound + round_slack(mag, ctx)
