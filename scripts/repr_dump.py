@@ -47,7 +47,7 @@ L_RANGE = range(1, 4)
 RAW_TABLES = (
     ("zeta_engine", "_ZETA_TABLE"),
     ("zeta_engine", "_PI_POWERS"),
-    ("zeta_engine", "_LADDER_COEFF"),
+    ("zeta_engine", "_BORWEIN_D"),
     ("quadrature_oracle", "_FIXED_NODES"),
     ("quadrature_oracle", "_LOGSIN_TABLE"),
 )

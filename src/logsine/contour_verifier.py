@@ -300,8 +300,7 @@ def verify_imag_identity_exact(n: int, table: BernoulliTable) -> bool:
 
     Checked over exact rationals; true for every n >= 1.
     """
-    if n < 1:
-        raise ValueError("require n >= 1")
+    _require_int(n, 1, "require n >= 1")
     top = (n - 1) // 2
     if table.max_index < 2 * top + 2:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * top + 2}")
@@ -320,8 +319,7 @@ def reduction_chain_steps(n: int, table: BernoulliTable) -> dict[str, bool]:
     (c) the two leading terms:  C(n+2,0) B_0 + C(n+2,1) B_1 = -n/2
     (d) full sum:  sum_{k=0}^{n+1} C(n+2,k) B_k = 0
     """
-    if n < 1:
-        raise ValueError("require n >= 1")
+    _require_int(n, 1, "require n >= 1")
     if table.max_index < n + 1:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{n + 1}")
     half_n = Fraction(n, 2)

@@ -86,8 +86,7 @@ def bernoulli_table(max_index: int) -> BernoulliTable:
 
 def verify_recurrence(n: int, table: BernoulliTable) -> bool:
     """Exact check of sum_{k=0}^{n-1} C(n,k) B_k = 0 for a given n >= 2."""
-    if n < 2:
-        raise ValueError("the binomial-weighted sum rule holds only for n >= 2")
+    _require_int(n, 2, "the binomial-weighted sum rule holds only for n >= 2")
     if table.max_index < n - 1:
         raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{n - 1}")
     acc = Fraction(0)
@@ -104,8 +103,8 @@ def verify_binomial_identity(n: int, k: int) -> bool:
 
     Admissible only for n >= 1, k >= 0 with 2k <= n.
     """
-    if n < 1 or k < 0:
-        raise ValueError("require n >= 1 and k >= 0")
+    _require_int(n, 1, "require n >= 1 and k >= 0")
+    _require_int(k, 0, "require n >= 1 and k >= 0")
     if 2 * k > n:
         raise ValueError("require 2k <= n")
     lhs = Fraction(math.comb(n, 2 * k), (k + 1) * (2 * k + 1))

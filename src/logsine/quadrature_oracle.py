@@ -425,7 +425,8 @@ def cosine_moment(
     quadrature's independent confirmation.
     """
     _require_int(l, 1, "l must be a positive integer")
-    if power not in (0, 1):
+    _require_int(power, 0, "power must be 0 or 1")
+    if power > 1:
         raise ValueError("power must be 0 or 1")
     s = settings or QuadratureSettings(target_abs_error=1e-12)
     return _certified(_cosine_moment, (l, power), s.target_abs_error)

@@ -5,43 +5,44 @@ Even arguments come from the Bernoulli bridge
 
     zeta(2k) = (-1)^(k+1) (2 pi)^(2k) B_{2k} / (2 (2k)!)
 
-whose pi-free coefficient is carried exactly.  Numeric evaluation sums the
-defining series sum_{l>=1} l^(-s) to a cutoff N and replaces the tail by
-the integral estimate N^(1-s)/(s-1) plus endpoint corrections (the usual
-Euler-Maclaurin ladder, with exact Bernoulli coefficients); the remainder
-after m correction pairs is bounded by the first omitted correction term,
-which fixes N and m for any requested tolerance.  The double-precision
-constants used downstream (math.pi, math.log) are good to >= 15 significant
-digits; certified bounds here always include the final rounding to double.
+whose pi-free coefficient is carried exactly.  Numeric evaluation at every
+s uses P. Borwein's alternating series ("An efficient algorithm for the
+Riemann zeta function", CMS Conf. Proc. 27, 2000), summed on Python
+integers with prec + 16 fractional bits at a working precision of prec
+bits.  Its bound has two parts, and both are proved:
+
+- the a-priori remainder 6 / (3 + sqrt 8)^n of Borwein's theorem for real
+  s >= 2, where n, the number of terms, is the smallest that brings it
+  under 2^-(prec + 4);
+- the counted units of the integers' floor divisions, fewer than 2.
+
+The value is the integer sum times 2^-(prec + 16), exact as a raw mpmath
+tuple, so no rounding term enters; the double-precision constants used
+downstream (math.pi, math.log) are good to >= 15 significant digits, and
+certified bounds here always include the final rounding to double.  The
+series function keeps its old name, ``_euler_maclaurin``, because the
+benchmark's tracer wraps and counts it by that name.
+
+Borwein's coefficients d_0..d_n are exact integers that depend on the
+precision alone (through n).  They come from one table, keyed by the
+precision in bits, that also holds the bound in units; n is about
+(prec + 7) / 2.54, so an entry holds some 40 to 110 integers of up to
+prec + 9 bits each.
 
 Every numeric zeta value passes through one table, keyed by (s, working
-precision in bits), that holds the series value and its remainder bound as
-raw mpmath tuples.  The contour legs, the closed form and zeta_numeric ask
+precision in bits), that holds the series value and its bound as raw
+mpmath tuples.  The contour legs, the closed form and zeta_numeric ask
 for the same zeta(k+2) for every n, so each pair is summed once per
 process.  The table grows by one entry (a few hundred bytes) per distinct
 pair asked for; the precisions are the handful of integer digit counts that
 the callers' tolerances map to, and s is at most n + 2, so a sweep over
-n <= 12 at one tolerance adds about 55 entries.  A missing entry is summed
-in the caller's fixed-precision context, so what is stored depends on its
-key alone.
-
-The series is summed on raw mpmath tuples with ``mpmath.libmp`` calls,
-skipping the type checks and object allocation of the ``mpf`` operators.
-Each step makes the very call, at the context's precision with
-round-to-nearest, that the operator of the ``mpf`` expression it replaces
-makes, and every sum keeps its association order, so each rounding and
-therefore every bit of the result is what the ``mpf`` expression gives.
-The head powers only its odd bases: l^-s for l = 2^a m is m^-s with its
-exponent lowered by a*s, because ``mpf_pow_int`` and ``mpf_div`` round
-the mantissa alone; all head terms are still added in order.  The s-free
-factor of each correction term, B_2j/(2j)!, comes from a table keyed by
-(precision in bits, j) with j <= 60; each entry is the raw tuple the same
-calls returned when they ran inside every series.  The value and its
-bound stay raw tuples until ``float_with_bound`` rounds them to doubles.
+n <= 12 at one tolerance adds about 55 entries.  What either table stores
+depends on its key alone.  The value and its bound stay raw tuples until
+``float_with_bound`` rounds them to doubles.
 
 The contour legs and the closed form compute each of their terms
 coeff * pi^m * zeta(s) with one raw-tuple kernel, ``_zeta_term``, which
-also returns the term's bound |coeff * pi^m| * (zeta's remainder bound)
+also returns the term's bound |coeff * pi^m| * (zeta's bound)
 + round_slack.  pi^m comes from a table keyed by (precision in bits, m);
 the callers ask for m <= n + 1, so a sweep over n <= 12 adds 13 entries
 per precision.  The kernel makes the calls the ``mpf`` expressions of the
@@ -57,13 +58,11 @@ from fractions import Fraction
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     from_int,
-    fzero,
+    from_man_exp,
     mpf_abs,
     mpf_add,
     mpf_div,
-    mpf_le,
     mpf_mul,
-    mpf_mul_int,
     mpf_pi,
     mpf_pos,
     mpf_pow_int,
@@ -72,7 +71,7 @@ from mpmath.libmp import (
 
 from ._precision import context_for, float_with_bound, round_slack
 from .errors import CertificationError, _require_int
-from .exact_core import BernoulliTable, bernoulli_table
+from .exact_core import BernoulliTable
 
 __all__ = [
     "RealApprox",
@@ -135,86 +134,67 @@ def zeta_series_partial(s: float, terms: int) -> float:
     return math.fsum(l ** (-s) for l in range(1, terms + 1))
 
 
-# (precision in bits, j) -> raw B_2j / (2j)!, the s-free factor of the
-# j-th correction term
-_LADDER_COEFF: dict[tuple[int, int], tuple] = {}
+_GUARD = 16  # fractional bits of the series' integers beyond the working precision
+
+# precision in bits -> (d_0..d_n, the bound in units of 2^-(prec + 16))
+_BORWEIN_D: dict[int, tuple[tuple[int, ...], int]] = {}
 
 
-def _ladder_coefficient(j: int, table: BernoulliTable, prec: int) -> tuple:
-    """B_2j / (2j)! at ``prec`` bits, from a table holding B_2j."""
-    key = (prec, j)
-    coeff = _LADDER_COEFF.get(key)
-    if coeff is None:
-        rnd = round_nearest
-        b2j = table[2 * j]
-        # mpf(b2j.numerator) / b2j.denominator / math.factorial(2 * j)
-        coeff = mpf_pos(from_int(b2j.numerator), prec, rnd)
-        coeff = mpf_div(coeff, from_int(b2j.denominator), prec, rnd)
-        coeff = mpf_div(coeff, from_int(math.factorial(2 * j)), prec, rnd)
-        coeff = _LADDER_COEFF.setdefault(key, coeff)
-    return coeff
+def _borwein_table(prec: int) -> tuple[tuple[int, ...], int]:
+    """Borwein's d_0..d_n for ``prec`` bits, and the bound of every series
+    summed with them, in units of 2^-(prec + 16).
+
+    n is the smallest with 6 / (3 + sqrt 8)^n <= 2^-(prec + 4).  With
+    a_n = (3 + sqrt 8)^n + (3 - sqrt 8)^n, an integer, (3 + sqrt 8)^n lies
+    in (a_n - 1, a_n), so the test and the remainder 6 / (a_n - 1) are
+    exact integer work.  d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!);
+    each summand is the one before times 4 (n+i-1)(n-i+1) / ((2i-1) 2i),
+    an exact integer division.
+    """
+    entry = _BORWEIN_D.get(prec)
+    if entry is None:
+        goal = 6 << (prec + 4)
+        n, a_prev, a_n = 1, 2, 6
+        while a_n - 1 < goal:
+            n, a_prev, a_n = n + 1, a_n, 6 * a_n - a_prev
+        d = [1]
+        term = 1
+        for i in range(1, n + 1):
+            term = term * 4 * (n + i - 1) * (n - i + 1) // ((2 * i - 1) * 2 * i)
+            d.append(d[-1] + term)
+        # ceil(6 / (a_n - 1) in units) + 2 counted units
+        units = -((-6 << (prec + _GUARD)) // (a_n - 1)) + 2
+        entry = _BORWEIN_D.setdefault(prec, (tuple(d), units))
+    return entry
 
 
 def _euler_maclaurin(s: int, ctx: MPContext) -> tuple[tuple, tuple]:
-    """Series head of max(64, ctx.dps) terms + integral tail + correction
-    ladder at the precision of ``ctx``.  Returns (value, analytic remainder
-    bound) as raw tuples.
+    """zeta(s) for integer s >= 2 by Borwein's alternating series, summed
+    on integers with F = ctx.prec + 16 fractional bits.  Returns (value,
+    bound) as raw tuples.  The name is older than the algorithm; it stays
+    because the benchmark's tracer wraps the series by this name.
 
-    Correction pairs are added until the next one drops below the working
-    precision; the remainder is bounded by twice the first omitted term
-    (the exact remainder has the magnitude and sign of that term for this
-    completely monotone summand; the factor 2 is slack).  The exact
-    coefficients come from one Bernoulli table that doubles when the
-    ladder outgrows it.
-
-    Each comment gives the ``mpf`` expression whose operator makes the
-    ``libmp`` calls below it (see the module docstring).
+    zeta(s) = 2^(s-1) / (d_n (2^(s-1) - 1)) sum_{k<n} (-1)^k (d_n - d_k)
+    / (k+1)^s + gamma_n, with |gamma_n| <= 3 / ((3 + sqrt 8)^n
+    |1 - 2^(1-s)|) <= 6 / (3 + sqrt 8)^n for real s >= 2 (P. Borwein, "An
+    efficient algorithm for the Riemann zeta function", 2000).  Each term
+    is one floor division, off by less than a unit; the n of them, scaled
+    by at most 2 / d_n, and the final floor division come to under 2
+    units.  The value z 2^-F is exact, and the bound is the remainder
+    6 / (a_n - 1), rounded up to a unit, plus those 2 units.
     """
-    prec, rnd = ctx.prec, round_nearest
-    n_head = max(64, ctx.dps)
-    # head += mpf(l) ** (-s) for l = 1..n_head-1, in that order.  For
-    # l = 2^a m with m odd, mpf(l) is mpf(m) with its exponent raised by a;
-    # mpf_pow_int and mpf_div round the mantissa alone, so l^-s is m^-s
-    # with its exponent lowered by a*s, and only odd bases are powered.
-    head = fzero
-    odd_terms = []  # m^-s at index m // 2
-    for l in range(1, n_head):
-        if l & 1:
-            term = mpf_pow_int(mpf_pos(from_int(l), prec, rnd), -s, prec, rnd)
-            odd_terms.append(term)
-        else:
-            a = (l & -l).bit_length() - 1
-            sign, man, exp, bc = odd_terms[l >> (a + 1)]
-            term = (sign, man, exp - a * s, bc)
-        head = mpf_add(head, term, prec, rnd)
-    big_n = mpf_pos(from_int(n_head), prec, rnd)
-    # value = head + big_n ** (1 - s) / (s - 1) + big_n ** (-s) / 2
-    tail = mpf_div(mpf_pow_int(big_n, 1 - s, prec, rnd), from_int(s - 1), prec, rnd)
-    half = mpf_div(mpf_pow_int(big_n, -s, prec, rnd), from_int(2), prec, rnd)
-    value = mpf_add(mpf_add(head, tail, prec, rnd), half, prec, rnd)
-    # threshold = mpf(10) ** (-(ctx.dps + 6))
-    threshold = mpf_pow_int(mpf_pos(from_int(10), prec, rnd), -(ctx.dps + 6), prec, rnd)
-    table = bernoulli_table(16)
-    j = 0
-    while True:
-        j += 1
-        if j > 60:
-            raise CertificationError("correction ladder failed to close")
-        if 2 * j > table.max_index:
-            table = bernoulli_table(2 * table.max_index)
-        rising = math.prod(range(s, s + 2 * j - 1))
-        # term = (mpf(b2j.numerator) / b2j.denominator / math.factorial(2 * j)
-        #         * rising * big_n ** (-s - 2 * j + 1))
-        term = mpf_mul_int(_ladder_coefficient(j, table, prec), rising, prec, rnd)
-        term = mpf_mul(term, mpf_pow_int(big_n, -s - 2 * j + 1, prec, rnd), prec, rnd)
-        if mpf_le(mpf_abs(term, prec, rnd), threshold):  # abs(term) <= threshold
-            break
-        value = mpf_add(value, term, prec, rnd)
-    # 2 * abs(term)
-    return value, mpf_mul_int(mpf_abs(term, prec, rnd), 2, prec, rnd)
+    d, units = _borwein_table(ctx.prec)
+    fbits = ctx.prec + _GUARD
+    d_n = d[-1]
+    total = 0
+    for k in range(len(d) - 1):
+        term = ((d_n - d[k]) << fbits) // (k + 1) ** s
+        total += -term if k & 1 else term
+    z = (total << (s - 1)) // (d_n * ((1 << (s - 1)) - 1))
+    return from_man_exp(z, -fbits), from_man_exp(units, -fbits)
 
 
-# (s, precision in bits) -> raw mpmath tuples of (value, remainder bound)
+# (s, precision in bits) -> raw mpmath tuples of (value, bound)
 _ZETA_TABLE: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
 
@@ -252,7 +232,7 @@ def _zeta_term(s: int, coeff: Fraction, pi_power: int, ctx: MPContext) -> tuple[
     """One certified term coeff * pi^m * zeta(s) at the precision of
     ``ctx``, as raw tuples (value, bound): with scale = coeff * pi^m,
     value = scale * zeta(s) and
-    bound = |scale| * (zeta's remainder bound) + round_slack(value)."""
+    bound = |scale| * (zeta's bound) + round_slack(value)."""
     prec, rnd = ctx.prec, round_nearest
     zeta, zeta_bound = _zeta_raw(s, ctx)
     scale = _scale(coeff, pi_power, prec)
@@ -274,10 +254,7 @@ def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:
     """
     _require_int(s, 2, "require integer s >= 2")
     ctx = context_for(target_abs_error, extra_digits=15, min_dps=25)
-    value, analytic = _zeta_raw(s, ctx)
-    # analytic + round_slack(ctx.mpf(2))
-    internal = mpf_add(analytic, round_slack(from_int(2), ctx.prec), ctx.prec, round_nearest)
-    value, bound = float_with_bound(value, internal)
+    value, bound = float_with_bound(*_zeta_raw(s, ctx))
     if bound > target_abs_error:
         raise CertificationError(
             f"zeta({s}) certified to {bound:.3e}, target {target_abs_error:.3e}"

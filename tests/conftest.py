@@ -11,11 +11,11 @@ def table_202():
 
 
 def clear_numeric_caches():
-    """Empty the zeta table and the per-precision tables of the series,
+    """Empty the zeta table, the series' coefficient table, the pi powers,
     the log-sin node table, and the quadrature result cache and node
     tables built on them."""
     zeta_engine._ZETA_TABLE.clear()
-    zeta_engine._LADDER_COEFF.clear()
+    zeta_engine._BORWEIN_D.clear()
     zeta_engine._PI_POWERS.clear()
     quadrature_oracle._LOGSIN_TABLE.clear()
     quadrature_oracle._FIXED_NODES.clear()

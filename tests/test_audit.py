@@ -158,3 +158,19 @@ def test_coarse_fixed_point_stays_certified(cold_caches, monkeypatch):
     for n in range(13):
         approx = logsine.integrate_logsine(n, settings)
         audit.check(f"integrate_logsine({n})", approx, ref_logsine(n))
+
+
+# the last certified n at loose tolerances, and the zeta term whose share
+# stops the closed form one step further; verify_null stops on leg L's
+# double rounding
+LOOSE_EDGES = ((1e-3, 27, 19, 21), (1.0, 29, 25, 23), (1e3, 32, 25, 26))
+
+
+@pytest.mark.parametrize("tol,closed_top,zeta_arg,null_top", LOOSE_EDGES)
+def test_loose_envelope_edges(tol, closed_top, zeta_arg, null_top):
+    logsine.logsine_numeric(closed_top, tol)
+    with pytest.raises(CertificationError, match=rf"^zeta\({zeta_arg}\) term exceeds"):
+        logsine.logsine_numeric(closed_top + 1, tol)
+    assert logsine.verify_null(null_top, tol).passed
+    failed = logsine.verify_null(null_top + 1, tol)
+    assert not failed.passed and failed.failure.startswith(f"leg L(n={null_top + 1})")

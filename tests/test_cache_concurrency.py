@@ -1,11 +1,10 @@
 """Under any thread interleaving, numeric calls return what a serial run
 returns, leave the global mpmath precision alone, and fill the zeta table,
-the ladder-coefficient and pi-power tables, the log-sin node table, the
+the series' coefficient table and the pi-power table, the log-sin node table, the
 engine's node table and the result caches with exactly the values a serial
 run computes at each entry's precision.
 """
 
-import math
 import sys
 from fractions import Fraction
 import threading
@@ -17,7 +16,6 @@ from mpmath.ctx_mp import MPContext
 from logsine import _precision, quadrature_oracle, zeta_engine
 from logsine.contour_verifier import leg_R
 from logsine.errors import CertificationError
-from logsine.exact_core import bernoulli_table
 from logsine.logsine_closed_form import logsine_numeric
 from logsine.quadrature_oracle import (
     QuadratureSettings,
@@ -69,12 +67,12 @@ def test_tables_match_serial_values_under_threads(cold_caches):
         ctx = _fresh_context(prec)
         assert entry == zeta_engine._euler_maclaurin(s, ctx), (s, prec)
 
-    assert len(zeta_engine._LADDER_COEFF) > 0
-    for (prec, j), coeff in zeta_engine._LADDER_COEFF.items():
-        ctx = _fresh_context(prec)
-        b2j = bernoulli_table(2 * j)[2 * j]
-        expected = ctx.mpf(b2j.numerator) / b2j.denominator / math.factorial(2 * j)
-        assert coeff == expected._mpf_, (prec, j)
+    # each entry against one built afresh from an empty table
+    built = dict(zeta_engine._BORWEIN_D)
+    assert len(built) > 0
+    zeta_engine._BORWEIN_D.clear()
+    for prec, entry in built.items():
+        assert zeta_engine._borwein_table(prec) == entry, prec
 
     assert len(zeta_engine._PI_POWERS) > 0
     for (prec, m), power in zeta_engine._PI_POWERS.items():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logsine.contour_verifier import reduction_chain_steps, verify_imag_identity_exact
 from logsine.exact_core import (
     bernoulli_table,
     verify_binomial_identity,
@@ -15,6 +16,7 @@ from logsine.fourier_appendix import (
     parseval_logsquared,
     sawtooth_series_partial,
 )
+from logsine.quadrature_oracle import cosine_moment
 from logsine.zeta_engine import zeta_even_exact, zeta_numeric, zeta_series_partial
 
 
@@ -43,6 +45,39 @@ from logsine.zeta_engine import zeta_even_exact, zeta_numeric, zeta_series_parti
 def test_index_and_term_count_must_be_integers(call, value):
     with pytest.raises(ValueError):
         call(value)
+
+
+# each call returned a result, or raised TypeError, for a bool or a float
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_binomial_identity(True, 0),
+        lambda: verify_binomial_identity(3.0, 1),
+        lambda: verify_binomial_identity(2, True),
+        lambda: verify_recurrence(3.0, bernoulli_table(4)),
+        lambda: verify_imag_identity_exact(True, bernoulli_table(4)),
+        lambda: verify_imag_identity_exact(3.0, bernoulli_table(4)),
+        lambda: reduction_chain_steps(2.0, bernoulli_table(4)),
+        lambda: reduction_chain_steps(True, bernoulli_table(4)),
+        lambda: cosine_moment(1, True),
+        lambda: cosine_moment(1, 1.0),
+    ],
+    ids=[
+        "binomial_identity-bool-n",
+        "binomial_identity-float-n",
+        "binomial_identity-bool-k",
+        "recurrence-float",
+        "imag_identity-bool",
+        "imag_identity-float",
+        "reduction_chain-float",
+        "reduction_chain-bool",
+        "cosine_moment-bool-power",
+        "cosine_moment-float-power",
+    ],
+)
+def test_exact_checks_and_power_must_be_integers(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestBernoulliTable:

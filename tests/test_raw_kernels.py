@@ -1,15 +1,19 @@
 """The zeta series, the tanh-sinh node tables, the contour legs L and R
 and the closed form compute on raw mpmath tuples, and round them to
-doubles from raw tuples.  Their earlier bodies on ``mpf`` objects are kept
-here verbatim as the reference: at every working precision the library
-uses, each value, node and summand must be the same raw tuple, bit for
-bit, and each result or error the same.
+doubles from raw tuples.  The earlier bodies of the node tables, the legs
+and the closed form on ``mpf`` objects are kept here verbatim as the
+reference: at every working precision the library uses, each node and
+summand must be the same raw tuple, bit for bit, and each result or error
+the same.
 
-The tanh-sinh engine accumulates on fixed-point integers.  Its reference
-is the same rule summed exactly on ``mpf`` values over the same nodes and
-integrand values, and each integrand value is checked against the
-integrand evaluated in a finer context: the results lie within the
-engine's counted truncation bound of the exact sums."""
+The zeta series and the tanh-sinh engine accumulate on fixed-point
+integers.  The series is checked against its proof: Borwein's partial
+sum re-done exactly with ``Fraction``, his a-priori remainder, and
+mpmath's ``zeta`` in a finer context.  The engine's reference is the same
+rule summed exactly on ``mpf`` values over the same nodes and integrand
+values, and each integrand value is checked against the integrand
+evaluated in a finer context: the results lie within the engine's counted
+truncation bound of the exact sums."""
 
 import math
 from fractions import Fraction
@@ -29,7 +33,6 @@ from logsine import (
 from logsine._precision import context_for, private_context
 from logsine.contour_verifier import _PHASE_SIGN, ComplexApprox, _leg_context
 from logsine.errors import CertificationError
-from logsine.exact_core import bernoulli_table
 from logsine.logsine_closed_form import logsine_symbolic
 from logsine.quadrature_oracle import (
     _MIN_ACCEPT_LEVEL,
@@ -44,58 +47,18 @@ from logsine.zeta_engine import RealApprox
 
 TOLERANCES = (1e-3, 1e-6, 1e-10, 1e-12)
 # (extra digits, floor) of zeta_numeric and of the legs and the closed form,
-# the two callers of the zeta series
+# the two callers of the zeta series, at every tolerance from 3e-2 to
+# 1e-14; and 40 and 80 digits
 ZETA_PRECISIONS = sorted(
-    {context_for(tol, *rule).prec for tol in TOLERANCES for rule in ((15, 25), (25, 30))}
+    {
+        context_for(tol, *rule).prec
+        for tol in (3e-2, *(10.0**-e for e in range(2, 15)))
+        for rule in ((15, 25), (25, 30))
+    }
+    | {dps_to_prec(40), dps_to_prec(80)}
 )
 # the quadrature's working precisions
 QUAD_PRECISIONS = sorted({context_for(tol, 12, 25).prec for tol in TOLERANCES})
-
-
-def _raw(values) -> tuple:
-    return tuple(v._mpf_ for v in values)
-
-
-def _euler_maclaurin(s: int, n_head: int, ctx: MPContext) -> tuple[mpf, mpf]:
-    """Series head + integral tail + correction ladder at the precision of
-    ``ctx``.  Returns (value, analytic remainder bound).
-
-    Correction pairs are added until the next one drops below the working
-    precision; the remainder is bounded by twice the first omitted term
-    (the exact remainder has the magnitude and sign of that term for this
-    completely monotone summand; the factor 2 is slack).  The exact
-    coefficients come from one Bernoulli table that doubles when the
-    ladder outgrows it.
-    """
-    mpf = ctx.mpf
-    head = mpf(0)
-    for l in range(1, n_head):
-        head += mpf(l) ** (-s)
-    big_n = mpf(n_head)
-    value = head + big_n ** (1 - s) / (s - 1) + big_n ** (-s) / 2
-    threshold = mpf(10) ** (-(ctx.dps + 6))
-    table = bernoulli_table(16)
-    j = 0
-    term = mpf(0)
-    while True:
-        j += 1
-        if j > 60:
-            raise CertificationError("correction ladder failed to close")
-        if 2 * j > table.max_index:
-            table = bernoulli_table(2 * table.max_index)
-        b2j = table[2 * j]
-        rising = math.prod(range(s, s + 2 * j - 1))
-        term = (
-            mpf(b2j.numerator)
-            / b2j.denominator
-            / math.factorial(2 * j)
-            * rising
-            * big_n ** (-s - 2 * j + 1)
-        )
-        if abs(term) <= threshold:
-            break
-        value += term
-    return value, 2 * abs(term)
 
 
 def _nodes_reference(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
@@ -132,15 +95,61 @@ def _nodes_reference(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(out)
 
 
-# a precision of 80 digits makes the series head longer than 64 terms
-@pytest.mark.parametrize("prec", [*ZETA_PRECISIONS, dps_to_prec(80)])
+def _borwein_proof(prec: int) -> tuple[int, list[int], Fraction]:
+    """n, d_0..d_n and Borwein's remainder bound for ``prec`` bits, built
+    from the definitions: n is the smallest with 6 / (3 + sqrt 8)^n below
+    2^-(prec + 4), d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), and
+    the remainder 6 / (3 + sqrt 8)^n < 6 / (a_n - 1) with the integer
+    a_n = (3 + sqrt 8)^n + (3 - sqrt 8)^n from the binomial theorem."""
+    fine = MPContext()
+    fine.prec = 2 * prec + 100
+    root = 3 + fine.sqrt(8)
+    n = 1
+    while 6 / root**n > fine.ldexp(1, -(prec + 4)):
+        n += 1
+    a_n = 2 * sum(math.comb(n, j) * 3 ** (n - j) * 8 ** (j // 2) for j in range(0, n + 1, 2))
+    d = []
+    for k in range(n + 1):
+        d_k = n * sum(
+            Fraction(math.factorial(n + i - 1) * 4**i, math.factorial(n - i) * math.factorial(2 * i))
+            for i in range(k + 1)
+        )
+        assert d_k.denominator == 1
+        d.append(int(d_k))
+    return n, d, Fraction(6, a_n - 1)
+
+
+# the name predates Borwein's series; the kernel kept its name
+@pytest.mark.parametrize("prec", ZETA_PRECISIONS)
 def test_euler_maclaurin_matches_mpf_reference(cold_caches, prec):
+    """Each value lies within its counted units of Borwein's partial sum,
+    re-done exactly; the bound covers those units plus his remainder; and
+    the value lies within its bound of mpmath's zeta 64 bits finer."""
     ctx = private_context(prec)
-    n_head = max(64, ctx.dps)  # the head length the zeta table asks for
-    for s in range(2, 31):
-        assert zeta_engine._euler_maclaurin(s, ctx) == _raw(
-            _euler_maclaurin(s, n_head, ctx)
-        ), (s, prec)
+    ref = MPContext()
+    ref.prec = prec + 64
+    n, d, remainder = _borwein_proof(prec)
+    unit = Fraction(1, 2 ** (prec + 16))
+    for s in range(2, 41):
+        value, bound = (_fraction(x) for x in zeta_engine._euler_maclaurin(s, ctx))
+        c = Fraction(2 ** (s - 1), 2 ** (s - 1) - 1)  # 1 / (1 - 2^(1-s))
+        lcm = math.lcm(*range(1, n + 1)) ** s
+        alternating = sum((-1) ** k * (d[n] - d[k]) * (lcm // (k + 1) ** s) for k in range(n))
+        partial = c * Fraction(alternating, d[n] * lcm)
+        # under a unit for each of the n term floors, scaled by c / d_n,
+        # and one for the last floor
+        units = (n * c / d[n] + 1) * unit
+        assert abs(value - partial) < units, (s, prec)
+        assert remainder + units <= bound, (s, prec)
+        # the reference is good to far better than 2^-(prec + 50)
+        zeta = _fraction(ref.zeta(s)._mpf_)
+        assert abs(value - zeta) <= bound - Fraction(1, 2 ** (prec + 50)), (s, prec)
+
+
+def _fraction(raw: tuple) -> Fraction:
+    """The exact value of a raw tuple."""
+    sign, man, exp, _ = raw
+    return (-1) ** sign * man * Fraction(2) ** exp
 
 
 # the quadrature's precision at every tolerance above, and two finer ones

@@ -175,10 +175,3 @@ class TestZetaTable:
             run(tol, range(13))
         warm = run(1e-10, reversed(range(13)))
         assert warm == cold
-
-    def test_ladder_grows_one_bernoulli_table_by_doubling(self, cold_caches):
-        bernoulli_table.cache_clear()
-        for tol in (1e-6, 1e-9, 1e-12):
-            for s in range(2, 31):
-                zeta_numeric(s, tol)
-        assert bernoulli_table.cache_info().misses <= 3
