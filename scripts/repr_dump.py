@@ -135,17 +135,17 @@ def run(checkout: str, reverse: bool = False) -> tuple[list[str], list[str]]:
     return lines[:mark], lines[mark + 1 :]
 
 
-def compare(a: list[str], b: list[str], names: tuple[str, str]) -> int:
+def compare(a: list[str], b: list[str], names: tuple[str, str]) -> list[str]:
     """Print each entry, keyed by what precedes its " -> ", that differs
-    between two dumps or that only one of them has; return how many."""
+    between two dumps or that only one of them has; return their keys."""
     da = dict(line.split(" -> ", 1) for line in a)
     db = dict(line.split(" -> ", 1) for line in b)
-    differ = 0
+    differ = []
     for label in dict.fromkeys([*da, *db]):  # in dump order
         x, y = da.get(label, "(missing)"), db.get(label, "(missing)")
         if x != y:
             print(f"{names[0]} {label} -> {x}\n{names[1]} {label} -> {y}")
-            differ += 1
+            differ.append(label)
     return differ
 
 
@@ -181,17 +181,19 @@ def bound_moves(a: list[str], b: list[str]) -> None:
 def main(old: str, new: str) -> int:
     (a, a_raw), (b, b_raw) = run(old), run(new)
     differ = compare(a, b, ("OLD", "NEW"))
-    raised = sum(" -> raised " in x for x in a)
-    print(f"{differ} of {len(a)} results differ ({raised} of them raised at OLD)")
+    # of the results that differ, those that raised at OLD
+    at_old = dict(line.split(" -> ", 1) for line in a)
+    raised = sum(at_old.get(label, "").startswith("raised ") for label in differ)
+    print(f"{len(differ)} of {len(a)} results differ ({raised} of them raised at OLD)")
     bound_moves(a, b)
-    raw = compare(a_raw, b_raw, ("OLD", "NEW"))
+    raw = len(compare(a_raw, b_raw, ("OLD", "NEW")))
     print(f"{raw} of {len(a_raw)} raw-table entries differ ({len(b_raw)} entries at NEW)")
     # every result must depend on its arguments alone, not on what ran before
     order = 0
     for name, checkout, forward in (("OLD", old, (a, a_raw)), ("NEW", new, (b, b_raw))):
         backward = run(checkout, reverse=True)
         for kind, x, y in zip(("results", "raw-table entries"), forward, backward):
-            here = compare(x, y, (name, f"{name}-REVERSED"))
+            here = len(compare(x, y, (name, f"{name}-REVERSED")))
             print(f"{here} of {len(x)} {name} {kind} change in reverse call order")
             order += here
     return 1 if differ or raw or order else 0

@@ -10,10 +10,10 @@ Values and bounds reach this module as raw ``mpmath.libmp`` tuples, the
 form the series, the legs, the closed form and the tanh-sinh engine
 compute in, and leave ``float_with_bound`` as doubles.
 
-Every computation runs in a private mpmath context fixed at its working
-precision (``context_for``); nothing reads or sets the global ``mp``
-precision, so calls in different threads cannot change each other's
-arithmetic.
+The working precision is a plain number of bits, chosen from the target
+by ``prec_for`` and passed to every ``libmp`` call.  No mpmath context
+holds it and nothing reads or sets the global ``mp`` precision, so calls
+in different threads cannot change each other's arithmetic.
 """
 
 from __future__ import annotations
@@ -21,45 +21,33 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec, mpf_abs, mpf_mul, round_nearest, to_float
-
-# precision in bits -> the private context fixed at it
-_PRIVATE_CONTEXTS: dict[int, MPContext] = {}
-
-
-def private_context(prec: int) -> MPContext:
-    """An mpmath context fixed at ``prec`` bits.
-
-    Each precision gets one context, created on first use; its precision is
-    never changed afterwards, so it may be shared by every caller and
-    thread.  Code that computes in it must not call mpmath functions that
-    raise the context's precision while they run (``expm1``, ``log1p`` and
-    the other wrapped special functions).
-    """
-    ctx = _PRIVATE_CONTEXTS.get(prec)
-    if ctx is None:
-        ctx = MPContext()
-        ctx.prec = prec
-        # two threads may both build one; setdefault keeps the first for all
-        ctx = _PRIVATE_CONTEXTS.setdefault(prec, ctx)
-    return ctx
+from mpmath.libmp import (
+    dps_to_prec,
+    from_int,
+    mpf_abs,
+    mpf_mul,
+    mpf_pow_int,
+    prec_to_dps,
+    round_nearest,
+    to_float,
+)
 
 
-def context_for(target_abs_error: float, extra_digits: int, min_dps: int) -> MPContext:
-    """The private context for a target absolute error: ``extra_digits``
-    decimal digits below the target, and never fewer than ``min_dps``."""
+def prec_for(target_abs_error: float, extra_digits: int, min_dps: int) -> int:
+    """The working precision in bits for a target absolute error:
+    ``extra_digits`` decimal digits below the target, and never fewer than
+    ``min_dps``."""
     if target_abs_error <= 0 or not math.isfinite(target_abs_error):
         raise ValueError("target absolute error must be positive and finite")
     digits = -math.log10(target_abs_error) if target_abs_error < 1 else 0.0
     dps = max(min_dps, int(math.ceil(digits)) + extra_digits)
-    return private_context(dps_to_prec(dps))
+    return dps_to_prec(dps)
 
 
 @lru_cache(maxsize=None)
 def _slack_unit(prec: int) -> tuple:
-    ctx = private_context(prec)
-    return (ctx.mpf(10) ** (4 - ctx.dps))._mpf_
+    # mpf(10) ** (4 - dps) at prec bits
+    return mpf_pow_int(from_int(10), 4 - prec_to_dps(prec), prec, round_nearest)
 
 
 def round_slack(x: tuple, prec: int) -> tuple:
@@ -85,8 +73,7 @@ def float_with_bound(value: tuple, internal_bound: tuple) -> tuple[float, float]
 
 
 __all__ = [
-    "context_for",
     "float_with_bound",
-    "private_context",
+    "prec_for",
     "round_slack",
 ]

@@ -21,10 +21,11 @@ exponentials, so parity structure is exact.
 
 The legs L and R take each term (p/q) pi^m zeta(k+2) and its bound from
 zeta_engine's raw-tuple kernel, with pi^m from its table keyed by
-(precision in bits, m), and R sums its components on raw tuples.  Every
-step makes the ``libmp`` call that the ``mpf`` operator it replaces made,
-at the working precision with round-to-nearest and in the same order, so
-every bit of every leg is unchanged.
+(precision in bits, m), and R sums its components on raw tuples; H's
+log-2 term and imaginary part are raw tuples too.  Every step makes the
+``libmp`` call that the ``mpf`` operator it replaces made, at the working
+precision with round-to-nearest and in the same order, so every bit of
+every leg is unchanged.
 """
 
 from __future__ import annotations
@@ -34,15 +35,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_float, fzero, mpf_add, mpf_gt, mpf_mul_int, round_nearest
+from mpmath.libmp import (
+    from_float, from_int, fzero, mpf_add, mpf_div, mpf_gt, mpf_log, mpf_mul, mpf_mul_int,
+    mpf_pi, mpf_pow_int, round_nearest,
+)
 
-from ._precision import context_for, float_with_bound, round_slack
+from ._precision import float_with_bound, prec_for, round_slack
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
 from .logsine_closed_form import logsine_numeric
 from .quadrature_oracle import QuadratureSettings, integrate_logsine
-from .zeta_engine import RealApprox, _zeta_term
+from .zeta_engine import RealApprox, _scale, _zeta_term
 
 __all__ = [
     "ComplexApprox",
@@ -78,8 +81,8 @@ class ComplexApprox:
         return self.re.abs_error + self.im.abs_error
 
 
-def _leg_context(tol: float) -> MPContext:
-    return context_for(tol, extra_digits=25, min_dps=30)
+def _leg_prec(tol: float) -> int:
+    return prec_for(tol, extra_digits=25, min_dps=30)
 
 
 def _one_component(phase: int, value: float, bound: float) -> ComplexApprox:
@@ -96,23 +99,22 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
     Exactly one component is nonzero, selected by (n+1) mod 4.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    ctx = _leg_context(tol)
-    _, mag, err = _leg_r_term(n, n, ctx)  # the right leg's last summand
+    _, mag, err = _leg_r_term(n, n, _leg_prec(tol))  # the right leg's last summand
     value, bound = float_with_bound(mag, err)
     if bound > tol:
         raise CertificationError(f"leg L(n={n}) certified to {bound:.3e} > {tol:.3e}")
     return _one_component((n + 1) % 4, value, bound)
 
 
-def _leg_r_term(n: int, k: int, ctx: MPContext) -> tuple[int, tuple, tuple]:
-    """Summand k of the right leg at the precision of ``ctx``:
+def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, tuple, tuple]:
+    """Summand k of the right leg at ``prec`` bits:
     (phase, value, bound), the last two raw tuples.
 
     Term k carries -i * i^k = i^(k+3), magnitude
     C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2).
     """
     coeff = Fraction(math.comb(n, k) * math.factorial(k), 2 ** (k + 1))
-    return ((k + 3) % 4, *_zeta_term(k + 2, coeff, n - k, ctx))
+    return ((k + 3) % 4, *_zeta_term(k + 2, coeff, n - k, prec))
 
 
 def leg_R(n: int, tol: float) -> ComplexApprox:
@@ -124,14 +126,13 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
     operator makes the ``libmp`` calls below it.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    ctx = _leg_context(tol)
+    prec, rnd = _leg_prec(tol), round_nearest
     share = tol / (n + 1)
     share_raw = from_float(share)
-    prec, rnd = ctx.prec, round_nearest
     sums = [fzero, fzero]  # re, im
     errs = [fzero, fzero]  # re_err, im_err
     # every summand, and so every zeta value it needs, before any check
-    for phase, mag, err in [_leg_r_term(n, k, ctx) for k in range(n + 1)]:
+    for phase, mag, err in [_leg_r_term(n, k, prec) for k in range(n + 1)]:
         if mpf_gt(err, share_raw):  # err > share
             raise CertificationError(
                 f"leg R(n={n}) term exceeds its error share {share:.3e}"
@@ -158,7 +159,7 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     _require_int(k, 0, "require 0 <= k <= n")
     if k > n:
         raise ValueError("require 0 <= k <= n")
-    phase, mag, err = _leg_r_term(n, k, _leg_context(tol))
+    phase, mag, err = _leg_r_term(n, k, _leg_prec(tol))
     return _one_component(phase, *float_with_bound(mag, err))
 
 
@@ -169,10 +170,13 @@ def leg_H_im_coefficient(n: int) -> Fraction:
     return Fraction(1, n + 2) - Fraction(1, 2 * (n + 1))
 
 
-def _log2_term(n: int, ctx: MPContext) -> tuple:
+def _log2_term(n: int, prec: int) -> tuple:
     """pi^(n+1) log(2) / (n+1), the term that sits beside I_n in Re(H_n),
-    as a raw tuple."""
-    return ((+ctx.pi) ** (n + 1) / (n + 1) * ctx.log(2))._mpf_
+    as a raw tuple: ``(+pi) ** (n + 1) / (n + 1) * log(2)``."""
+    rnd = round_nearest
+    term = mpf_pow_int(mpf_pi(prec, rnd), n + 1, prec, rnd)
+    term = mpf_div(term, from_int(n + 1), prec, rnd)
+    return mpf_mul(term, mpf_log(from_int(2), prec, rnd), prec, rnd)
 
 
 def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
@@ -185,16 +189,14 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     _require_int(n, 0, "n must be a nonnegative integer")
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
-    ctx = _leg_context(settings.target_abs_error)
-    prec, rnd = ctx.prec, round_nearest
-    log2_term = _log2_term(n, ctx)
+    prec, rnd = _leg_prec(settings.target_abs_error), round_nearest
+    log2_term = _log2_term(n, prec)
     # log2_term + oracle.value; round_slack(log2_term) + oracle.abs_error
     re_val, re_bound = float_with_bound(
         mpf_add(log2_term, from_float(oracle.value), prec, rnd),
         mpf_add(round_slack(log2_term, prec), from_float(oracle.abs_error), prec, rnd),
     )
-    r = leg_H_im_coefficient(n)
-    im = (ctx.mpf(r.numerator) / r.denominator * (+ctx.pi) ** (n + 2))._mpf_
+    im = _scale(leg_H_im_coefficient(n), n + 2, prec)
     im_val, im_bound = float_with_bound(im, round_slack(im, prec))
     return ComplexApprox(
         re=RealApprox(re_val, re_bound), im=RealApprox(im_val, im_bound)
@@ -279,9 +281,9 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     L = leg_L(n, tol / 4)
     R = leg_R(n, tol / 4)
     closed = logsine_numeric(n, tol / 4)
-    ctx = _leg_context(tol)
-    log2_term = _log2_term(n, ctx)
-    log2_val, log2_bound = float_with_bound(log2_term, round_slack(log2_term, ctx.prec))
+    prec = _leg_prec(tol)
+    log2_term = _log2_term(n, prec)
+    log2_val, log2_bound = float_with_bound(log2_term, round_slack(log2_term, prec))
     return _sum_components(
         [
             L.re,

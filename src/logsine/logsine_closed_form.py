@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from mpmath.libmp import from_float, mpf_add, mpf_gt, mpf_mul, round_nearest
+from mpmath.libmp import from_float, from_int, mpf_add, mpf_gt, mpf_log, mpf_mul, round_nearest
 
-from ._precision import context_for, float_with_bound, round_slack
+from ._precision import float_with_bound, prec_for, round_slack
 from .errors import CertificationError, _require_int
 from .zeta_engine import RealApprox, _scale, _zeta_term
 
@@ -80,18 +80,18 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     double must fit the total, else CertificationError.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    ctx = context_for(target_abs_error, extra_digits=25, min_dps=30)
+    prec, rnd = prec_for(target_abs_error, extra_digits=25, min_dps=30), round_nearest
     sym = logsine_symbolic(n)
     share = target_abs_error / (n // 2 + 1)
     share_raw = from_float(share)
-    prec, rnd = ctx.prec, round_nearest
-    # total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * ctx.log(2)
-    total = mpf_mul(_scale(sym.log2_coefficient, n + 1, prec), ctx.log(2)._mpf_, prec, rnd)
+    # total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * log(2)
+    log2 = mpf_log(from_int(2), prec, rnd)
+    total = mpf_mul(_scale(sym.log2_coefficient, n + 1, prec), log2, prec, rnd)
     internal = round_slack(total, prec)
     if mpf_gt(internal, share_raw):  # internal > share
         raise CertificationError("log-2 term exceeds its error share")
     for arg, coeff in sym.zeta_terms:
-        term, term_err = _zeta_term(arg, coeff, sym.pi_power(arg), ctx)
+        term, term_err = _zeta_term(arg, coeff, sym.pi_power(arg), prec)
         if mpf_gt(term_err, share_raw):  # term_err > share
             raise CertificationError(
                 f"zeta({arg}) term exceeds its error share {share:.3e}"

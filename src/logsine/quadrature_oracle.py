@@ -18,7 +18,7 @@ The reported abs_error is the sum of five terms, auditable one by one:
 the rule estimate |T_k - T_(k-1)| of the last two refinement levels (an
 estimate, not a proof); the tail-truncation bound of a semi-infinite
 integral; the working-precision slack ``round_slack(mass)`` for the
-mpmath-evaluated nodes, weights, abscissae and integrand values; the
+``libmp``-evaluated nodes, weights, abscissae and integrand values; the
 engine's counted fixed-point truncations; and the final rounding to
 double, half an ulp of the result.  Refinement is deterministic:
 identical inputs visit identical nodes.  Evaluation runs at a working
@@ -30,11 +30,16 @@ The engine sums on Python integers with F = working precision + ``_GUARD``
 fractional bits, the idiom of ``libmp``'s ``to_fixed``.  A node's
 distances b g and b (1 - g) reach the integrand exactly, as (mantissa,
 exponent) pairs, so a node within 1e-100 of an end still gets its
-log(sin d) or mpmath call on its floating distance: only products and
-sums go fixed.  Each integrand value is within one unit 2^-F, and each
-product with a weight w < 2 rounds down once, so it is off by under 3
-units; the rule's value (b/2) 2^-k sum rounds down once more.  The
-counted term is 3 units per evaluation scaled by b/2^(k+1), plus 2.
+log(sin d) or ``libmp`` call on its floating distance: only products
+and sums go fixed.  Each integrand value is computed at the working
+precision and cut to an integer within one unit 2^-F of that value; the
+unit covers this cut alone.  The value's own rounding error, a few of its
+ulps at the working precision (for the vertical leg at 86 bits, up to
+about 4 * 10^6 units at n = 0 and 1.4 * 10^9 at n = 12), is charged by
+``round_slack(mass)``.  Each product with a weight w < 2 rounds down
+once, so it is off by under 3 units; the rule's value (b/2) 2^-k sum
+rounds down once more.  The counted term is 3 units per evaluation
+scaled by b/2^(k+1), plus 2.
 
 Results are memoized in one cache keyed by (integrand builder, its
 arguments, target), and node tables by (precision, level), as raw tuples
@@ -42,11 +47,12 @@ arguments, target), and node tables by (precision, level), as raw tuples
 every rule stops by level ``_MAX_DEPTH`` = 12, so depth is no part of the
 key.  The x^n log(sin x) integrand takes log(sin d), d the node's
 distance from its nearer end, from a table keyed by working precision
-and d, so the moments for every n share one evaluation per node.  Each
-rule runs in the fixed-precision context of its target, so every
-memoized value depends on its key alone.  The other integrands are
-written on ``mpf`` values as functions of x alone and reach the engine
-through ``_on_mpf``.
+and d, so the moments for every n share one evaluation per node.  The
+other integrands are functions of x alone: each rounds x to the working
+precision, makes the ``libmp`` calls of its ``mpf`` formula at that
+precision, and cuts the result with ``to_fixed``.  Every rule runs at
+the working precision of its target, so every memoized value depends on
+its key alone.
 """
 
 from __future__ import annotations
@@ -56,29 +62,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from mpmath import mpf
-from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
-    dps_to_prec,
-    from_float,
-    from_int,
-    from_man_exp,
-    mpf_add,
-    mpf_cosh_sinh,
-    mpf_div,
-    mpf_exp,
-    mpf_le,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pi,
-    mpf_pos,
-    mpf_pow_int,
-    prec_to_dps,
-    round_nearest,
-    to_fixed,
+    dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_add, mpf_cos, mpf_cosh_sinh,
+    mpf_div, mpf_exp, mpf_le, mpf_log, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos, mpf_pow_int,
+    mpf_sin, mpf_sub, prec_to_dps, round_nearest, to_fixed, to_float,
 )
 
-from ._precision import context_for, float_with_bound, round_slack
+from ._precision import float_with_bound, prec_for, round_slack
 from .errors import CertificationError, RefinementExhausted, _require_int
 from .zeta_engine import RealApprox
 
@@ -143,8 +133,10 @@ _GUARD = 16  # fractional bits of the engine's integers beyond the working preci
 
 # An exact nonnegative number man * 2^exp as the pair (man, exp).
 Distance = tuple[int, int]
-# (x, d) -> f(x) on [0, b] as an integer, within one unit of 2^-(prec + _GUARD);
-# d is the distance of x from the nearer end, and both are exact
+# (x, d) -> f(x) on [0, b] as an integer: the working-precision value cut
+# to within one unit of 2^-(prec + _GUARD), that value's own rounding being
+# charged by round_slack(mass); d is the distance of x from the nearer end,
+# and both are exact
 RawIntegrand = Callable[[Distance, Distance], int]
 
 
@@ -226,10 +218,11 @@ def _fixed_nodes(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _tanh_sinh(
-    f: RawIntegrand, b: mpf, rule_target: mpf, ctx: MPContext
+    f: RawIntegrand, b: tuple, rule_target: tuple, prec: int
 ) -> tuple[tuple, tuple, tuple, tuple]:
     """Integrate over [0, b], refining until two successive level sums
-    differ by <= rule_target, at the precision of ``ctx``.
+    differ by <= rule_target, at ``prec`` bits; b and rule_target are raw
+    tuples.
 
     The integrand receives a node's abscissa x = b g or b (1 - g) and its
     distance d = b g from the nearer end as exact pairs, so a singular
@@ -241,10 +234,9 @@ def _tanh_sinh(
     engine's integer scaled by 2^-F.  Raises RefinementExhausted if
     ``_MAX_DEPTH`` levels are not enough.
     """
-    prec = ctx.prec
     frac = prec + _GUARD
-    _, bm, be, _ = b._mpf_
-    target = to_fixed(rule_target._mpf_, frac)
+    _, bm, be, _ = b
+    target = to_fixed(rule_target, frac)
     # sums of w f and |w f| over the nodes of every level so far
     total_sum = mass_sum = evals = 0
     prev = None
@@ -268,7 +260,8 @@ def _tanh_sinh(
                 return tuple(from_man_exp(x, -frac) for x in (total, diff, mass, units))
         prev = total
     raise RefinementExhausted(
-        f"no convergence to {float(rule_target):.3e} within depth {_MAX_DEPTH}"
+        f"no convergence to {to_float(rule_target, rnd=round_nearest):.3e}"
+        f" within depth {_MAX_DEPTH}"
     )
 
 
@@ -276,22 +269,23 @@ def _tanh_sinh(
 # oracle integrals
 # ---------------------------------------------------------------------------
 
-# What an integrand builder returns for (ctx, *args): the raw integrand and
-# the upper end b of its interval [0, b] in the working context ``ctx``, and
-# a bound on the part of the integral that the interval leaves out.
-Integrand = tuple[RawIntegrand, mpf, float]
+# What an integrand builder returns for (prec, *args): the raw integrand at
+# the working precision ``prec``, the upper end b of its interval [0, b] as
+# a raw tuple, and a bound on the part of the integral that the interval
+# leaves out.
+Integrand = tuple[RawIntegrand, tuple, float]
 
 
 @lru_cache(maxsize=None)
 def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) -> RealApprox:
-    """Run the rule on what ``integrand(ctx, *args)`` builds in the working
-    context of ``target``, and assemble the certified bound:
+    """Run the rule on what ``integrand(prec, *args)`` builds at the working
+    precision of ``target``, and assemble the certified bound:
     rule estimate + truncation + precision slack + fixed-point truncations
     + double rounding."""
-    ctx = context_for(target, extra_digits=12, min_dps=25)
-    prec, rnd = ctx.prec, round_nearest
-    f, b, truncation_bound = integrand(ctx, *args)
-    value, rule_est, mass, fixed_err = _tanh_sinh(f, b, ctx.mpf(target) / 4, ctx)
+    prec, rnd = prec_for(target, extra_digits=12, min_dps=25), round_nearest
+    f, b, truncation_bound = integrand(prec, *args)
+    rule_target = mpf_div(from_float(target), from_int(4), prec, rnd)  # mpf(target) / 4
+    value, rule_est, mass, fixed_err = _tanh_sinh(f, b, rule_target, prec)
     # ((rule_est + truncation_bound) + round_slack(mass)) + fixed_err
     internal = mpf_add(rule_est, from_float(truncation_bound), prec, rnd)
     internal = mpf_add(internal, round_slack(mass, prec), prec, rnd)
@@ -304,24 +298,14 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     return RealApprox(value=value, abs_error=bound)
 
 
-def _on_mpf(f: Callable[[mpf], mpf], ctx: MPContext) -> RawIntegrand:
-    """The engine's form of an integrand of x alone written on ``mpf``
-    values of ``ctx``: x rounded to the working precision, f(x) to a
-    fixed-point integer."""
-    prec, frac = ctx.prec, ctx.prec + _GUARD
-
-    return lambda x, d: to_fixed(f(ctx.make_mpf(from_man_exp(*x, prec, round_nearest)))._mpf_, frac)
-
-
 # precision in bits -> {exact distance d from the nearer end of [0, pi]:
 # raw tuple of log(sin d), d rounded to the precision}
 _LOGSIN_TABLE: dict[int, dict[Distance, tuple]] = {}
 
 
-def _logsine(ctx: MPContext, n: int) -> Integrand:
+def _logsine(prec: int, n: int) -> Integrand:
     """x^n log(sin x) on [0, pi]."""
-    prec = ctx.prec
-    frac = prec + _GUARD
+    frac, rnd = prec + _GUARD, round_nearest
     table = _LOGSIN_TABLE.setdefault(prec, {})
 
     def f(x: Distance, d: Distance) -> int:
@@ -330,8 +314,8 @@ def _logsine(ctx: MPContext, n: int) -> Integrand:
         # branch
         log_sin = table.get(d)
         if log_sin is None:
-            near = ctx.make_mpf(from_man_exp(*d, prec, round_nearest))
-            log_sin = table.setdefault(d, ctx.log(ctx.sin(near))._mpf_)
+            near = from_man_exp(*d, prec, rnd)
+            log_sin = table.setdefault(d, mpf_log(mpf_sin(near, prec, rnd), prec, rnd))
         sign, man, exp, _ = log_sin
         # x ** n * log_sin, exact once x is cut to the working precision
         cut = max(x[0].bit_length() - prec, 0)
@@ -339,53 +323,70 @@ def _logsine(ctx: MPContext, n: int) -> Integrand:
         value = _shift(x_man**n * man, n * x_exp + exp + frac)  # toward zero
         return -value if sign else value
 
-    return f, +ctx.pi, 0
+    return f, mpf_pi(prec, rnd), 0
 
 
-def _logsquared(ctx: MPContext) -> Integrand:
+def _logsquared(prec: int) -> Integrand:
     """(log(2 sin x))^2 on [0, pi/2]."""
+    frac, rnd = prec + _GUARD, round_nearest
 
-    def f(x: mpf) -> mpf:
-        return ctx.log(2 * ctx.sin(x)) ** 2
+    def f(x: Distance, d: Distance) -> int:
+        # log(2 * sin(x)) ** 2
+        x = from_man_exp(*x, prec, rnd)
+        log = mpf_log(mpf_mul_int(mpf_sin(x, prec, rnd), 2, prec, rnd), prec, rnd)
+        return to_fixed(mpf_pow_int(log, 2, prec, rnd), frac)
 
-    return _on_mpf(f, ctx), ctx.pi / 2, 0
-
-
-def _vertical_leg(ctx: MPContext, n: int, cutoff: float) -> Integrand:
-    """y^n log(1 - e^(-2y)) on [0, cutoff], with the dropped tail's bound."""
-    # expm1 and log1p raise their context's precision while they run, so
-    # they run in a context of this call's own, not the shared one
-    own = MPContext()
-    own.prec = ctx.prec
-    split = ctx.mpf("0.35")
-
-    def f(y: mpf) -> mpf:
-        # log(1 - e^(-2y)): expm1 form near 0, log1p form elsewhere
-        if y < split:
-            val = own.log(-own.expm1(-2 * y))
-        else:
-            val = own.log1p(-own.exp(-2 * y))
-        return y ** n * val
-
-    return _on_mpf(f, ctx), ctx.mpf(cutoff), vertical_tail_bound(n, cutoff)
+    return f, mpf_div(mpf_pi(prec, rnd), from_int(2), prec, rnd), 0
 
 
-def _cosine_moment(ctx: MPContext, l: int, power: int) -> Integrand:
+def _vertical_leg(prec: int, n: int, cutoff: float) -> Integrand:
+    """y^n log(1 - e^(-2y)) on [0, cutoff], with the dropped tail's bound.
+
+    e^(-2y) is taken at prec + 10 + max(0, -mag 2y) bits, and 1 - e^(-2y)
+    at max(0, -mag e^(-2y)) bits more, so the difference is exact and keeps
+    2y as y -> 0 and a tiny e^(-2y) far out; the log is taken at prec.
+    """
+    frac, rnd = prec + _GUARD, round_nearest
+
+    def f(x: Distance, d: Distance) -> int:
+        y = from_man_exp(*x, prec, rnd)
+        minus_2y = mpf_mul_int(y, -2, prec, rnd)  # exact
+        wp = prec + 10 + max(0, -(minus_2y[2] + minus_2y[3]))
+        e = mpf_exp(minus_2y, wp, rnd)
+        wp += max(0, -(e[2] + e[3]))
+        log = mpf_log(mpf_sub(fone, e, wp, rnd), prec, rnd)
+        return to_fixed(mpf_mul(mpf_pow_int(y, n, prec, rnd), log, prec, rnd), frac)
+
+    return f, from_float(cutoff), vertical_tail_bound(n, cutoff)
+
+
+def _cosine_moment(prec: int, l: int, power: int) -> Integrand:
     """theta^power cos(2 l theta) on [0, pi]."""
+    frac, rnd = prec + _GUARD, round_nearest
 
-    def f(x: mpf) -> mpf:
-        return x ** power * ctx.cos(2 * l * x) if power else ctx.cos(2 * l * x)
+    def f(x: Distance, d: Distance) -> int:
+        # x ** power * cos(2 * l * x), or cos(2 * l * x) at power 0
+        x = from_man_exp(*x, prec, rnd)
+        value = mpf_cos(mpf_mul_int(x, 2 * l, prec, rnd), prec, rnd)
+        if power:
+            value = mpf_mul(mpf_pow_int(x, power, prec, rnd), value, prec, rnd)
+        return to_fixed(value, frac)
 
-    return _on_mpf(f, ctx), +ctx.pi, 0
+    return f, mpf_pi(prec, rnd), 0
 
 
-def _cosine_orth(ctx: MPContext, l: int, lp: int) -> Integrand:
+def _cosine_orth(prec: int, l: int, lp: int) -> Integrand:
     """cos(2 l theta) cos(2 l' theta) on [0, pi]."""
+    frac, rnd = prec + _GUARD, round_nearest
 
-    def f(x: mpf) -> mpf:
-        return ctx.cos(2 * l * x) * ctx.cos(2 * lp * x)
+    def f(x: Distance, d: Distance) -> int:
+        # cos(2 * l * x) * cos(2 * lp * x)
+        x = from_man_exp(*x, prec, rnd)
+        cos_l = mpf_cos(mpf_mul_int(x, 2 * l, prec, rnd), prec, rnd)
+        cos_lp = mpf_cos(mpf_mul_int(x, 2 * lp, prec, rnd), prec, rnd)
+        return to_fixed(mpf_mul(cos_l, cos_lp, prec, rnd), frac)
 
-    return _on_mpf(f, ctx), +ctx.pi, 0
+    return f, mpf_pi(prec, rnd), 0
 
 
 def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> RealApprox:

@@ -55,7 +55,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.ctx_mp import MPContext
 from mpmath.libmp import (
     from_int,
     from_man_exp,
@@ -69,7 +68,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from ._precision import context_for, float_with_bound, round_slack
+from ._precision import float_with_bound, prec_for, round_slack
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
 
@@ -168,9 +167,9 @@ def _borwein_table(prec: int) -> tuple[tuple[int, ...], int]:
     return entry
 
 
-def _euler_maclaurin(s: int, ctx: MPContext) -> tuple[tuple, tuple]:
+def _euler_maclaurin(s: int, prec: int) -> tuple[tuple, tuple]:
     """zeta(s) for integer s >= 2 by Borwein's alternating series, summed
-    on integers with F = ctx.prec + 16 fractional bits.  Returns (value,
+    on integers with F = prec + 16 fractional bits.  Returns (value,
     bound) as raw tuples.  The name is older than the algorithm; it stays
     because the benchmark's tracer wraps the series by this name.
 
@@ -183,8 +182,8 @@ def _euler_maclaurin(s: int, ctx: MPContext) -> tuple[tuple, tuple]:
     units.  The value z 2^-F is exact, and the bound is the remainder
     6 / (a_n - 1), rounded up to a unit, plus those 2 units.
     """
-    d, units = _borwein_table(ctx.prec)
-    fbits = ctx.prec + _GUARD
+    d, units = _borwein_table(prec)
+    fbits = prec + _GUARD
     d_n = d[-1]
     total = 0
     for k in range(len(d) - 1):
@@ -198,12 +197,12 @@ def _euler_maclaurin(s: int, ctx: MPContext) -> tuple[tuple, tuple]:
 _ZETA_TABLE: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
 
-def _zeta_raw(s: int, ctx: MPContext) -> tuple[tuple, tuple]:
-    """zeta(s) at the precision of ``ctx`` as raw tuples: (value, bound)."""
-    key = (s, ctx.prec)
+def _zeta_raw(s: int, prec: int) -> tuple[tuple, tuple]:
+    """zeta(s) at ``prec`` bits as raw tuples: (value, bound)."""
+    key = (s, prec)
     entry = _ZETA_TABLE.get(key)
     if entry is None:
-        entry = _ZETA_TABLE.setdefault(key, _euler_maclaurin(s, ctx))
+        entry = _ZETA_TABLE.setdefault(key, _euler_maclaurin(s, prec))
     return entry
 
 
@@ -221,20 +220,20 @@ def _scale(coeff: Fraction, pi_power: int, prec: int) -> tuple:
         key = (prec, pi_power)
         power = _PI_POWERS.get(key)
         if power is None:
-            # (+ctx.pi) ** m
+            # (+pi) ** m
             pi = mpf_pos(mpf_pi(prec, rnd), prec, rnd)
             power = _PI_POWERS.setdefault(key, mpf_pow_int(pi, pi_power, prec, rnd))
         scale = mpf_mul(scale, power, prec, rnd)
     return scale
 
 
-def _zeta_term(s: int, coeff: Fraction, pi_power: int, ctx: MPContext) -> tuple[tuple, tuple]:
-    """One certified term coeff * pi^m * zeta(s) at the precision of
-    ``ctx``, as raw tuples (value, bound): with scale = coeff * pi^m,
+def _zeta_term(s: int, coeff: Fraction, pi_power: int, prec: int) -> tuple[tuple, tuple]:
+    """One certified term coeff * pi^m * zeta(s) at ``prec`` bits, as raw
+    tuples (value, bound): with scale = coeff * pi^m,
     value = scale * zeta(s) and
     bound = |scale| * (zeta's bound) + round_slack(value)."""
-    prec, rnd = ctx.prec, round_nearest
-    zeta, zeta_bound = _zeta_raw(s, ctx)
+    rnd = round_nearest
+    zeta, zeta_bound = _zeta_raw(s, prec)
     scale = _scale(coeff, pi_power, prec)
     value = mpf_mul(scale, zeta, prec, rnd)
     bound = mpf_add(
@@ -253,8 +252,8 @@ def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:
     carry (about half an ulp of the result).
     """
     _require_int(s, 2, "require integer s >= 2")
-    ctx = context_for(target_abs_error, extra_digits=15, min_dps=25)
-    value, bound = float_with_bound(*_zeta_raw(s, ctx))
+    prec = prec_for(target_abs_error, extra_digits=15, min_dps=25)
+    value, bound = float_with_bound(*_zeta_raw(s, prec))
     if bound > target_abs_error:
         raise CertificationError(
             f"zeta({s}) certified to {bound:.3e}, target {target_abs_error:.3e}"

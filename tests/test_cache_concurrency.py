@@ -13,7 +13,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
 from mpmath.ctx_mp import MPContext
 
-from logsine import _precision, quadrature_oracle, zeta_engine
+from logsine import quadrature_oracle, zeta_engine
 from logsine.contour_verifier import leg_R
 from logsine.errors import CertificationError
 from logsine.logsine_closed_form import logsine_numeric
@@ -64,8 +64,7 @@ def test_tables_match_serial_values_under_threads(cold_caches):
 
     assert len(zeta_engine._ZETA_TABLE) > 0
     for (s, prec), entry in zeta_engine._ZETA_TABLE.items():
-        ctx = _fresh_context(prec)
-        assert entry == zeta_engine._euler_maclaurin(s, ctx), (s, prec)
+        assert entry == zeta_engine._euler_maclaurin(s, prec), (s, prec)
 
     # each entry against one built afresh from an empty table
     built = dict(zeta_engine._BORWEIN_D)
@@ -157,9 +156,9 @@ def test_threaded_results_match_serial(cold_caches):
 
 
 def test_threaded_vertical_legs_leave_shared_contexts_fixed(cold_caches):
-    # the targets share one working precision, so every thread computes in
-    # one private context; expm1 and log1p, which raise their context's
-    # precision while they run, must not run in it
+    # the targets share one working precision, and so the log-sin and node
+    # tables; the legs' exp and log calls at raised precisions, in every
+    # thread at once, must not change each other's results
     targets = (1e-8, 9e-9, 8e-9, 7e-9)
 
     def legs(tol: float) -> list:
@@ -184,6 +183,4 @@ def test_threaded_vertical_legs_leave_shared_contexts_fixed(cold_caches):
     finally:
         sys.setswitchinterval(saved_interval)
 
-    moved = {p: ctx.prec for p, ctx in _precision._PRIVATE_CONTEXTS.items() if ctx.prec != p}
-    assert moved == {}
     assert threaded == serial

@@ -30,8 +30,8 @@ from logsine import (
     quadrature_oracle,
     zeta_engine,
 )
-from logsine._precision import context_for, private_context
-from logsine.contour_verifier import _PHASE_SIGN, ComplexApprox, _leg_context
+from logsine._precision import prec_for
+from logsine.contour_verifier import _PHASE_SIGN, ComplexApprox, _leg_prec
 from logsine.errors import CertificationError
 from logsine.logsine_closed_form import logsine_symbolic
 from logsine.quadrature_oracle import (
@@ -51,14 +51,21 @@ TOLERANCES = (1e-3, 1e-6, 1e-10, 1e-12)
 # 1e-14; and 40 and 80 digits
 ZETA_PRECISIONS = sorted(
     {
-        context_for(tol, *rule).prec
+        prec_for(tol, *rule)
         for tol in (3e-2, *(10.0**-e for e in range(2, 15)))
         for rule in ((15, 25), (25, 30))
     }
     | {dps_to_prec(40), dps_to_prec(80)}
 )
 # the quadrature's working precisions
-QUAD_PRECISIONS = sorted({context_for(tol, 12, 25).prec for tol in TOLERANCES})
+QUAD_PRECISIONS = sorted({prec_for(tol, 12, 25) for tol in TOLERANCES})
+
+
+def _context(prec: int) -> MPContext:
+    """An mpmath context of the test's own at ``prec`` bits."""
+    ctx = MPContext()
+    ctx.prec = prec
+    return ctx
 
 
 def _nodes_reference(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
@@ -73,7 +80,7 @@ def _nodes_reference(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
     Mirrored nodes share g and w by symmetry.
     """
     dps = prec_to_dps(prec)
-    ctx = private_context(dps_to_prec(dps + 10))
+    ctx = _context(dps_to_prec(dps + 10))
     mpf = ctx.mpf
     t_max = quadrature_oracle._t_limit(dps)
     if level == 0:
@@ -125,13 +132,11 @@ def test_euler_maclaurin_matches_mpf_reference(cold_caches, prec):
     """Each value lies within its counted units of Borwein's partial sum,
     re-done exactly; the bound covers those units plus his remainder; and
     the value lies within its bound of mpmath's zeta 64 bits finer."""
-    ctx = private_context(prec)
-    ref = MPContext()
-    ref.prec = prec + 64
+    ref = _context(prec + 64)
     n, d, remainder = _borwein_proof(prec)
     unit = Fraction(1, 2 ** (prec + 16))
     for s in range(2, 41):
-        value, bound = (_fraction(x) for x in zeta_engine._euler_maclaurin(s, ctx))
+        value, bound = (_fraction(x) for x in zeta_engine._euler_maclaurin(s, prec))
         c = Fraction(2 ** (s - 1), 2 ** (s - 1) - 1)  # 1 / (1 - 2^(1-s))
         lcm = math.lcm(*range(1, n + 1)) ** s
         alternating = sum((-1) ** k * (d[n] - d[k]) * (lcm // (k + 1) ** s) for k in range(n))
@@ -180,7 +185,7 @@ def engine_runs(cold_caches, monkeypatch):
     runs = []
     engine = quadrature_oracle._tanh_sinh
 
-    def recording(f, b, rule_target, ctx):
+    def recording(f, b, rule_target, prec):
         seen = []
 
         def g(x, d):
@@ -188,8 +193,8 @@ def engine_runs(cold_caches, monkeypatch):
             seen.append((x, d, value))
             return value
 
-        out = engine(g, b, rule_target, ctx)
-        runs.append((b, rule_target, ctx, seen, out))
+        out = engine(g, b, rule_target, prec)
+        runs.append((b, rule_target, prec, seen, out))
         return out
 
     monkeypatch.setattr(quadrature_oracle, "_tanh_sinh", recording)
@@ -203,22 +208,22 @@ def _run(call):
         pass
 
 
-def _check_rule(b, rule_target, ctx, seen, out) -> None:
+def _check_rule(b, rule_target, prec, seen, out) -> None:
     """The engine's nodes, and its sums against exact sums of the same
     integrand values: the value and the mass lie within the counted
     truncation bound of the exact ones, the estimate within twice it, and
     the rule stops at the first level from ``_MIN_ACCEPT_LEVEL`` on whose
     estimate meets the target."""
     value, estimate, mass, bound = (EXACT.make_mpf(x) for x in out)
-    target = EXACT.make_mpf(rule_target._mpf_)
-    unit = EXACT.ldexp(1, -(ctx.prec + quadrature_oracle._GUARD))
-    b = EXACT.make_mpf(b._mpf_)
+    target = EXACT.make_mpf(rule_target)
+    unit = EXACT.ldexp(1, -(prec + quadrature_oracle._GUARD))
+    b = EXACT.make_mpf(b)
     calls = iter(seen)
     totals, masses = [], []
     total_sum = mass_sum = EXACT.mpf(0)
     evals = level = 0
     while evals < len(seen):
-        for i, (g, w) in enumerate(quadrature_oracle._nodes(ctx.prec, level)):
+        for i, (g, w) in enumerate(quadrature_oracle._nodes(prec, level)):
             g, w = EXACT.make_mpf(g), EXACT.make_mpf(w)
             if level == 0 and i == 0:  # the center node g = 1/2, its own mirror
                 w /= 2
@@ -245,19 +250,18 @@ def _check_rule(b, rule_target, ctx, seen, out) -> None:
     assert bound <= (3 * evals * b / 2 ** (last + 1) + 2) * unit
 
 
-def _check_values(ctx, seen, reference) -> None:
+def _check_values(prec, seen, reference) -> None:
     """Each integrand value against ``reference(fine, x, d)``, computed in
     a context 64 bits finer: within one fixed-point unit and 2^(8 - prec)
     of 1 + |value|, well inside the precision slack 10^(4 - dps) per unit
     of mass that the certificate charges for the mpmath evaluations."""
-    fine = MPContext()
-    fine.prec = ctx.prec + 64
-    unit = fine.ldexp(1, -(ctx.prec + quadrature_oracle._GUARD))
+    fine = _context(prec + 64)
+    unit = fine.ldexp(1, -(prec + quadrature_oracle._GUARD))
     for x, d, v in seen:
         # the rounded distances the mpmath calls receive
-        x_r, d_r = (fine.make_mpf(from_man_exp(*p, ctx.prec, round_nearest)) for p in (x, d))
+        x_r, d_r = (fine.make_mpf(from_man_exp(*p, prec, round_nearest)) for p in (x, d))
         expected = reference(fine, x_r, d_r)
-        slack = fine.ldexp(1 + abs(expected), 8 - ctx.prec)
+        slack = fine.ldexp(1 + abs(expected), 8 - prec)
         assert abs(v * unit - expected) <= unit + slack, (x, d)
 
 
@@ -266,14 +270,14 @@ def test_logsine_moments_match_mpf_reference(engine_runs, tol):
     settings = QuadratureSettings(target_abs_error=tol)
     for n in range(13):
         _run(lambda: integrate_logsine(n, settings))
-        b, target, ctx, seen, out = engine_runs.pop()
-        _check_rule(b, target, ctx, seen, out)
-        _check_values(ctx, seen, lambda fine, x, d: x**n * fine.log(fine.sin(d)))
+        b, target, prec, seen, out = engine_runs.pop()
+        _check_rule(b, target, prec, seen, out)
+        _check_values(prec, seen, lambda fine, x, d: x**n * fine.log(fine.sin(d)))
 
 
-def _leg_integrand(fine, y, d):
-    # y^3 log(1 - e^(-2y)) without the cancellation of 1 - e^(-2y) near 0
-    return y**3 * fine.log(-fine.expm1(-2 * y))
+def _leg_integrand(n):
+    # y^n log(1 - e^(-2y)) without the cancellation of 1 - e^(-2y) near 0
+    return lambda fine, y, d: y**n * fine.log(-fine.expm1(-2 * y))
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
@@ -281,7 +285,9 @@ def test_other_integrands_match_mpf_reference(engine_runs, tol):
     settings = QuadratureSettings(target_abs_error=tol)
     for call, reference in (
         (lambda: integrate_logsquared(settings), lambda fine, x, d: fine.log(2 * fine.sin(x)) ** 2),
-        (lambda: integrate_vertical_leg(3, settings), _leg_integrand),
+        # n = 0 leaves the cancellation of 1 - e^(-2y) near y = 0 undamped
+        # by y^n, and n = 12 weighs the far nodes, where e^(-2y) is tiny
+        *((lambda n=n: integrate_vertical_leg(n, settings), _leg_integrand(n)) for n in (0, 3, 12)),
         (lambda: cosine_moment(2, 1, settings), lambda fine, x, d: x * fine.cos(4 * x)),
         (
             lambda: cosine_orthogonality(1, 3, settings),
@@ -289,9 +295,9 @@ def test_other_integrands_match_mpf_reference(engine_runs, tol):
         ),
     ):
         _run(call)
-        b, target, ctx, seen, out = engine_runs.pop()
-        _check_rule(b, target, ctx, seen, out)
-        _check_values(ctx, seen, reference)
+        b, target, prec, seen, out = engine_runs.pop()
+        _check_rule(b, target, prec, seen, out)
+        _check_values(prec, seen, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +329,7 @@ def float_with_bound(value_mp: mpf, internal_bound_mp: mpf) -> tuple[float, floa
 
 def _zeta_mpf(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
     """zeta(s) at the precision of ``ctx``: (value, analytic bound)."""
-    value, bound = zeta_engine._zeta_raw(s, ctx)
+    value, bound = zeta_engine._zeta_raw(s, ctx.prec)
     return ctx.make_mpf(value), ctx.make_mpf(bound)
 
 
@@ -346,7 +352,7 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
     if n < 0:
         raise ValueError("n must be nonnegative")
     _validate_tol(tol)
-    ctx = _leg_context(tol)
+    ctx = _context(_leg_prec(tol))
     zeta_mp, zeta_bound = _zeta_mpf(n + 2, ctx)
     coeff = Fraction(math.factorial(n), 2 ** (n + 1))
     scale = ctx.mpf(coeff.numerator) / coeff.denominator
@@ -389,7 +395,7 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
         raise ValueError("n must be nonnegative")
     _validate_tol(tol)
     share = tol / (n + 1)
-    ctx = _leg_context(tol)
+    ctx = _context(_leg_prec(tol))
     re = im = re_err = im_err = ctx.mpf(0)
     for phase, mag, err in _leg_r_terms_mp(n, ctx):
         if err > share:
@@ -420,7 +426,7 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     if not 0 <= k <= n:
         raise ValueError("require 0 <= k <= n")
     _validate_tol(tol)
-    phase, mag, err = _leg_r_terms_mp(n, _leg_context(tol))[k]
+    phase, mag, err = _leg_r_terms_mp(n, _context(_leg_prec(tol)))[k]
     value, bound = float_with_bound(mag, err)
     comp, sign = _PHASE_SIGN[phase]
     parts = [RealApprox(0.0, 0.0), RealApprox(0.0, 0.0)]
@@ -441,7 +447,7 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
         raise ValueError("target absolute error must be positive and finite")
     sym = logsine_symbolic(n)
     share = target_abs_error / (n // 2 + 1)
-    ctx = context_for(target_abs_error, extra_digits=25, min_dps=30)
+    ctx = _context(prec_for(target_abs_error, extra_digits=25, min_dps=30))
     mpf = ctx.mpf
     pi = +ctx.pi
     c0 = sym.log2_coefficient
@@ -482,10 +488,24 @@ LEG_N = range(21)
 
 @pytest.mark.parametrize("tol", TOLERANCES)
 def test_leg_r_summands_match_mpf_reference(cold_caches, tol):
-    ctx = _leg_context(tol)
+    ctx = _context(_leg_prec(tol))
     for n in LEG_N:
         expected = [(p, v._mpf_, e._mpf_) for p, v, e in _leg_r_terms_mp(n, ctx)]
-        assert [contour_verifier._leg_r_term(n, k, ctx) for k in range(n + 1)] == expected, n
+        assert [contour_verifier._leg_r_term(n, k, ctx.prec) for k in range(n + 1)] == expected, n
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_log2_terms_and_slack_match_mpf_reference(cold_caches, tol):
+    quad, ctx = _context(prec_for(tol, 12, 25)), _context(_leg_prec(tol))
+    for c in (quad, ctx):
+        assert _precision._slack_unit(c.prec) == (c.mpf(10) ** (4 - c.dps))._mpf_, c.prec
+    pi = +ctx.pi
+    for n in LEG_N:
+        log2_term = pi ** (n + 1) / (n + 1) * ctx.log(2)
+        assert contour_verifier._log2_term(n, ctx.prec) == log2_term._mpf_, n
+        r = contour_verifier.leg_H_im_coefficient(n)
+        im = ctx.mpf(r.numerator) / r.denominator * pi ** (n + 2)
+        assert zeta_engine._scale(r, n + 2, ctx.prec) == im._mpf_, n
 
 
 def test_legs_and_closed_form_match_mpf_reference(cold_caches):
