@@ -9,9 +9,11 @@ lists every entry of the working-precision memo tables the calls filled
 (``RAW_TABLES``), one line per key in sorted key order with the entry's
 raw tuples, or the sha256 of their repr when that is long, so an error in
 bits that rounding to double hides still shows; a table that a checkout
-lacks is listed as ``absent``.  The tanh-sinh engine's tables are its
-node table in integer form, ``_FIXED_NODES``, keyed by (prec, level), and
-the log-sin values, keyed by precision and node distance.  The two dumps
+lacks is listed as ``absent``.  The tanh-sinh engine's tables are the
+log-sin values, keyed by precision and node distance, and its nodes, as
+the integers (gm, ge, cm, wm, ws) it sums with, listed as ``nodes`` for
+each (prec, level) that the calls ask the engine's node function for:
+``_nodes``, or ``_fixed_nodes`` in a checkout that has it.  The two dumps
 are compared entry by entry.  Each checkout is then dumped again in a
 fresh process that makes the same calls in reverse order, and that dump
 is compared with its forward one: a result that changes is one that
@@ -48,7 +50,6 @@ RAW_TABLES = (
     ("zeta_engine", "_ZETA_TABLE"),
     ("zeta_engine", "_PI_POWERS"),
     ("zeta_engine", "_BORWEIN_D"),
-    ("quadrature_oracle", "_FIXED_NODES"),
     ("quadrature_oracle", "_LOGSIN_TABLE"),
 )
 TABLES_MARK = "-- raw tables --"  # the line between results and table entries
@@ -95,6 +96,18 @@ def dump(reverse: bool) -> None:
     """Print every result, making the calls in the fixed order or in its
     reverse, then every raw-table entry; the lines come out in the same
     order either way."""
+    from logsine import quadrature_oracle
+
+    # the node function the engine calls, wrapped to record its keys
+    node_name = "_fixed_nodes" if hasattr(quadrature_oracle, "_fixed_nodes") else "_nodes"
+    node_table = getattr(quadrature_oracle, node_name)
+    node_keys = set()
+
+    def recording(prec, level):
+        node_keys.add((prec, level))
+        return node_table(prec, level)
+
+    setattr(quadrature_oracle, node_name, recording)
     todo = list(calls())
     lines = {}
     for label, thunk in reversed(todo) if reverse else todo:
@@ -114,10 +127,17 @@ def dump(reverse: bool) -> None:
         if name == "_LOGSIN_TABLE":
             table = {(prec, d): v for prec, inner in table.items() for d, v in inner.items()}
         for key in sorted(table):
-            text = repr(table[key])
-            if len(text) > 200:
-                text = "sha256 " + hashlib.sha256(text.encode()).hexdigest()
-            print(f"{name}[{key!r}] -> {text}")
+            print_entry(name, key, table[key])
+    for key in sorted(node_keys):
+        print_entry("nodes", key, node_table(*key))
+
+
+def print_entry(name: str, key, value) -> None:
+    """One raw-table line: the entry's repr, or its sha256 when long."""
+    text = repr(value)
+    if len(text) > 200:
+        text = "sha256 " + hashlib.sha256(text.encode()).hexdigest()
+    print(f"{name}[{key!r}] -> {text}")
 
 
 def run(checkout: str, reverse: bool = False) -> tuple[list[str], list[str]]:

@@ -32,6 +32,8 @@ from mpmath.libmp import (
     to_float,
 )
 
+from .errors import CertificationError
+
 
 def prec_for(target_abs_error: float, extra_digits: int, min_dps: int) -> int:
     """The working precision in bits for a target absolute error:
@@ -64,11 +66,14 @@ def float_with_bound(value: tuple, internal_bound: tuple) -> tuple[float, float]
     Both tuples round to the nearest double, as ``float`` of an ``mpf``
     does (``to_float`` alone rounds down).  The bound adds half an ulp for
     the final rounding and is itself rounded upward so the certificate
-    never understates.
+    never understates.  Raises CertificationError when the value or the
+    bound does not fit a double.
     """
     value = to_float(value, rnd=round_nearest)
     bound = to_float(internal_bound, rnd=round_nearest)
     bound += 0.5 * math.ulp(abs(value) if value else 1e-300)
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise CertificationError(f"value {value!r} or bound {bound!r} exceeds the double range")
     return value, math.nextafter(bound, math.inf)
 
 

@@ -70,7 +70,7 @@ def _tangent_numbers(count: int) -> list[int]:
     return t[1 : count + 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli_table(max_index: int) -> BernoulliTable:
     """Generate B_0 .. B_max_index from the tangent numbers.
 

@@ -42,30 +42,30 @@ rounds down once more.  The counted term is 3 units per evaluation
 scaled by b/2^(k+1), plus 2.
 
 Results are memoized in one cache keyed by (integrand builder, its
-arguments, target), and node tables by (precision, level), as raw tuples
-10 digits finer than the working precision and as the engine's integers;
-every rule stops by level ``_MAX_DEPTH`` = 12, so depth is no part of the
-key.  The x^n log(sin x) integrand takes log(sin d), d the node's
-distance from its nearer end, from a table keyed by working precision
-and d, so the moments for every n share one evaluation per node.  The
-other integrands are functions of x alone: each rounds x to the working
-precision, makes the ``libmp`` calls of its ``mpf`` formula at that
-precision, and cuts the result with ``to_fixed``.  Every rule runs at
-the working precision of its target, so every memoized value depends on
-its key alone.
+arguments, target), and the nodes in one table of the engine's integers
+keyed by (precision, level); every rule stops by level ``_MAX_DEPTH`` =
+12, so depth is no part of the key.  The x^n log(sin x) integrand takes
+log(sin d), d the node's distance from its nearer end, from a table
+keyed by working precision and d, so the moments for every n share one
+evaluation per node.  The other integrands are functions of x alone:
+each rounds x to the working precision, makes the ``libmp`` calls of its
+``mpf`` formula at that precision, and cuts the result with
+``to_fixed``.  Every rule runs at the working precision of its target,
+so every memoized value depends on its key alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from mpmath.libmp import (
     dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_add, mpf_cos, mpf_cosh_sinh,
-    mpf_div, mpf_exp, mpf_le, mpf_log, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos, mpf_pow_int,
-    mpf_sin, mpf_sub, prec_to_dps, round_nearest, to_fixed, to_float,
+    mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int, mpf_shift,
+    mpf_sin, mpf_sub, prec_to_dps, round_ceiling, round_floor, round_nearest, to_fixed, to_float,
 )
 
 from ._precision import float_with_bound, prec_for, round_slack
@@ -95,13 +95,31 @@ def vertical_tail_bound(n: int, cutoff: float) -> float:
 
     Uses |log(1-u)| <= u/(1-u) with u = e^(-2y) <= e^(-2*cutoff), then the
     exact closed form int_Y^inf y^n e^(-2y) dy =
-    (n!/2^(n+1)) e^(-2Y) sum_{j=0}^{n} (2Y)^j / j!.
+    (n!/2^(n+1)) e^(-2Y) sum_{j=0}^{n} (2Y)^j / j!.  Where that overflows
+    or underflows in doubles, the sum is taken exactly and the rest rounded
+    up; a bound past the double range raises CertificationError.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     u = math.exp(-2.0 * cutoff)
-    geom = sum((2.0 * cutoff) ** j / math.factorial(j) for j in range(n + 1))
-    return (math.factorial(n) / 2 ** (n + 1)) * u * geom / (1.0 - u)
+    try:
+        geom = sum((2.0 * cutoff) ** j / math.factorial(j) for j in range(n + 1))
+        bound = (math.factorial(n) / 2 ** (n + 1)) * u * geom / (1.0 - u)
+        if u >= sys.float_info.min and sys.float_info.min <= bound < math.inf:
+            return bound
+    except OverflowError:
+        pass
+    # the sum exact by Horner's rule, (n!/2^(n+1)) e^(-2Y)/(1 - e^(-2Y)) rounded up
+    x, poly, coeff, up = from_float(2.0 * cutoff), fone, 1, round_ceiling
+    for j in range(n, 0, -1):
+        coeff *= j
+        poly = mpf_add(mpf_mul(poly, x), from_int(coeff))
+    u = mpf_exp(from_float(-2.0 * cutoff), 53, up)
+    ratio = mpf_div(u, mpf_sub(fone, u, 53, round_floor), 53, up)
+    bound = to_float(mpf_mul(mpf_shift(poly, -(n + 1)), ratio, 53, up), rnd=up)
+    if bound == math.inf:
+        raise CertificationError(f"tail bound for n={n} past {cutoff!r} exceeds the double range")
+    return max(bound, sys.float_info.min)  # a subnormal bound may have rounded down
 
 
 def default_semi_infinite_cutoff_policy(n: int, target_abs_error: float) -> float:
@@ -133,10 +151,8 @@ _GUARD = 16  # fractional bits of the engine's integers beyond the working preci
 
 # An exact nonnegative number man * 2^exp as the pair (man, exp).
 Distance = tuple[int, int]
-# (x, d) -> f(x) on [0, b] as an integer: the working-precision value cut
-# to within one unit of 2^-(prec + _GUARD), that value's own rounding being
-# charged by round_slack(mass); d is the distance of x from the nearer end,
-# and both are exact
+# (x, d) -> f(x) on [0, b] as an integer within one unit of 2^-(prec + _GUARD)
+# of its working-precision value; d is x's exact distance from the nearer end
 RawIntegrand = Callable[[Distance, Distance], int]
 
 
@@ -152,69 +168,36 @@ def _t_limit(dps: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _nodes(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
-    """New (offset-fraction, weight) pairs introduced at a refinement level,
-    as raw mpmath tuples computed 10 digits above ``prec``.
+def _nodes(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
+    """The nodes new at a refinement level as the engine's integers
+    (gm, ge, cm, wm, ws): g = gm 2^ge, 1 - g = cm 2^ge and w = wm 2^-ws.
 
-    For a positive abscissa t:  u = (pi/2) sinh t,  q = e^(-2u),
-    offset-fraction g = q/(1+q) (distance of each mirrored node from its
-    nearer endpoint, as a fraction of the interval), weight
-    w = 2 pi cosh(t) q/(1+q)^2.  Level 0 contributes the integer abscissas
-    t = 0..T; level k >= 1 contributes the odd multiples of 2^-k up to T.
-    Mirrored nodes share g and w by symmetry.
+    For an abscissa t:  u = (pi/2) sinh t,  q = e^(-2u), offset-fraction
+    g = q/(1+q) (distance of each mirrored node from its nearer endpoint,
+    as a fraction of the interval), weight w = 2 pi cosh(t) q/(1+q)^2,
+    rounded 10 digits above ``prec``.  Level 0 has t = 0..T, level k >= 1
+    the odd multiples of 2^-k up to T.  Mirrored nodes share g and w; the
+    center node g = 1/2, its own mirror, holds half its weight.
     """
     dps = prec_to_dps(prec)
     wp, rnd = dps_to_prec(dps + 10), round_nearest
-    one = from_int(1)
-    t_max = _t_limit(dps)
-    if level == 0:
-        ts = [mpf_pos(from_int(j), wp, rnd) for j in range(t_max + 1)]  # mpf(j)
-    else:
-        # h = mpf(1) / 2 ** level; the multiples j * h while j * h <= t_max
-        h = mpf_div(mpf_pos(one, wp, rnd), from_int(2**level), wp, rnd)
-        top = from_int(t_max)
-        ts = []
-        j = 1
-        while mpf_le(mpf_mul_int(h, j, wp, rnd), top):
-            ts.append(mpf_mul_int(h, j, wp, rnd))
-            j += 2
     pi = mpf_pi(wp, rnd)
     half_pi = mpf_div(pi, from_int(2), wp, rnd)  # ctx.pi / 2
     two_pi = mpf_mul_int(pi, 2, wp, rnd)  # 2 * ctx.pi
     out = []
-    for t in ts:
-        # ctx.sinh(t) and ctx.cosh(t) are the two halves of one call
-        cosh_t, sinh_t = mpf_cosh_sinh(t, wp, rnd)
+    # t = j 2^-level, exact: every j <= T at level 0, the odd j above
+    odd = level > 0
+    for j in range(odd, (_t_limit(dps) << level) + 1, 1 + odd):
+        cosh_t, sinh_t = mpf_cosh_sinh(from_man_exp(j, -level), wp, rnd)
         u = mpf_mul(half_pi, sinh_t, wp, rnd)
         q = mpf_exp(mpf_mul_int(u, -2, wp, rnd), wp, rnd)  # ctx.exp(-2 * u)
-        one_q = mpf_add(q, one, wp, rnd)  # 1 + q
-        g = mpf_div(q, one_q, wp, rnd)
-        # w = 2 * ctx.pi * ctx.cosh(t) * q / (1 + q) ** 2
+        one_q = mpf_add(q, fone, wp, rnd)  # 1 + q
+        _, gm, ge, _ = mpf_div(q, one_q, wp, rnd)
         w = mpf_mul(mpf_mul(two_pi, cosh_t, wp, rnd), q, wp, rnd)
-        w = mpf_div(w, mpf_pow_int(one_q, 2, wp, rnd), wp, rnd)
-        out.append((g, w))
-    return tuple(out)
-
-
-# (precision in bits, level) -> per node of ``_nodes(prec, level)`` the
-# integers (gm, ge, cm, wm, ws) with g = gm 2^ge, 1 - g = cm 2^ge and
-# w = wm 2^-ws, all exact; the center node g = 1/2, its own mirror, holds
-# half its weight, since the engine evaluates every node and its mirror
-_FIXED_NODES: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
-def _fixed_nodes(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
-    """The nodes of ``_nodes(prec, level)`` as the engine's integers."""
-    key = (prec, level)
-    nodes = _FIXED_NODES.get(key)
-    if nodes is None:
+        _, wm, we, _ = mpf_div(w, mpf_pow_int(one_q, 2, wp, rnd), wp, rnd)
         # g <= 1/2 and w < 2 with odd mantissas, so ge < 0 and we <= 0
-        out = tuple(
-            (gm, ge, (1 << -ge) - gm, wm, -we + (level == 0 and i == 0))
-            for i, ((_, gm, ge, _), (_, wm, we, _)) in enumerate(_nodes(prec, level))
-        )
-        nodes = _FIXED_NODES.setdefault(key, out)
-    return nodes
+        out.append((gm, ge, (1 << -ge) - gm, wm, -we + (j == 0)))
+    return tuple(out)
 
 
 def _tanh_sinh(
@@ -239,9 +222,8 @@ def _tanh_sinh(
     target = to_fixed(rule_target, frac)
     # sums of w f and |w f| over the nodes of every level so far
     total_sum = mass_sum = evals = 0
-    prev = None
     for level in range(_MAX_DEPTH + 1):
-        for gm, ge, cm, wm, ws in _fixed_nodes(prec, level):
+        for gm, ge, cm, wm, ws in _nodes(prec, level):
             near = (bm * gm, be + ge)
             lo = (wm * f(near, near)) >> ws
             hi = (wm * f((bm * cm, be + ge), near)) >> ws
@@ -250,7 +232,7 @@ def _tanh_sinh(
             evals += 2
         # the rule's value is (b/2) h total_sum with h = 2^-level
         total = _shift(bm * total_sum, be - level - 1)
-        if prev is not None and level >= _MIN_ACCEPT_LEVEL:
+        if level >= _MIN_ACCEPT_LEVEL:  # >= 1, so prev is set
             diff = abs(total - prev)
             if diff <= target:
                 # under 3 units per w f, one for the value's rounding and
@@ -292,9 +274,7 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     internal = mpf_add(internal, fixed_err, prec, rnd)
     value, bound = float_with_bound(value, internal)
     if bound > target:
-        raise CertificationError(
-            f"quadrature certified to {bound:.3e}, target {target:.3e}"
-        )
+        raise CertificationError(f"quadrature certified to {bound:.3e}, target {target:.3e}")
     return RealApprox(value=value, abs_error=bound)
 
 
@@ -406,9 +386,7 @@ def integrate_logsquared(settings: QuadratureSettings | None = None) -> RealAppr
     return _certified(_logsquared, (), s.target_abs_error)
 
 
-def integrate_vertical_leg(
-    n: int, settings: QuadratureSettings | None = None
-) -> RealApprox:
+def integrate_vertical_leg(n: int, settings: QuadratureSettings | None = None) -> RealApprox:
     """int_0^inf y^n log(1 - e^(-2y)) dy (negative), truncated by the
     cutoff policy with the dropped tail added to the bound."""
     _require_int(n, 0, "n must be a nonnegative integer")
@@ -417,9 +395,7 @@ def integrate_vertical_leg(
     return _certified(_vertical_leg, (n, cutoff), s.target_abs_error)
 
 
-def cosine_moment(
-    l: int, power: int, settings: QuadratureSettings | None = None
-) -> RealApprox:
+def cosine_moment(l: int, power: int, settings: QuadratureSettings | None = None) -> RealApprox:
     """int_0^pi theta^power cos(2 l theta) dtheta for power in {0, 1}.
 
     Exactly zero for every l >= 1 at both powers; the returned value is the

@@ -18,7 +18,6 @@ def clear_numeric_caches():
     zeta_engine._BORWEIN_D.clear()
     zeta_engine._PI_POWERS.clear()
     quadrature_oracle._LOGSIN_TABLE.clear()
-    quadrature_oracle._FIXED_NODES.clear()
     quadrature_oracle._certified.cache_clear()
     quadrature_oracle._nodes.cache_clear()
 
@@ -30,3 +29,20 @@ def cold_caches():
     clear_numeric_caches()
     yield clear_numeric_caches
     clear_numeric_caches()
+
+
+@pytest.fixture
+def node_keys(monkeypatch):
+    """The (prec, level) keys the tanh-sinh engine asks the node table
+    for, recorded as the test runs: ``_nodes`` is an lru_cache, which does
+    not list its keys."""
+    keys = set()
+    nodes = quadrature_oracle._nodes
+
+    def recording(prec, level):
+        keys.add((prec, level))
+        return nodes(prec, level)
+
+    recording.cache_clear = nodes.cache_clear  # cold_caches() still empties the table
+    monkeypatch.setattr(quadrature_oracle, "_nodes", recording)
+    return keys

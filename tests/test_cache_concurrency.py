@@ -6,7 +6,6 @@ run computes at each entry's precision.
 """
 
 import sys
-from fractions import Fraction
 import threading
 
 from mpmath import mp
@@ -19,6 +18,7 @@ from logsine.errors import CertificationError
 from logsine.logsine_closed_form import logsine_numeric
 from logsine.quadrature_oracle import (
     QuadratureSettings,
+    _nodes,
     integrate_logsine,
     integrate_vertical_leg,
 )
@@ -47,7 +47,7 @@ def _fresh_context(prec: int) -> MPContext:
     return ctx
 
 
-def test_tables_match_serial_values_under_threads(cold_caches):
+def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
     saved_interval, saved_prec = sys.getswitchinterval(), mp.prec
     threads = [threading.Thread(target=_calls, args=(tol,)) for tol in TOLERANCES]
     try:
@@ -85,24 +85,10 @@ def test_tables_match_serial_values_under_threads(cold_caches):
             near = ctx.make_mpf(from_man_exp(*d, prec, round_nearest))
             assert log_sin == ctx.log(ctx.sin(near))._mpf_, (prec, d)
 
-    assert len(quadrature_oracle._FIXED_NODES) > 0
-    for (prec, level), nodes in quadrature_oracle._FIXED_NODES.items():
-        # the node pairs computed afresh, past the lru cache
-        fresh = quadrature_oracle._nodes.__wrapped__(prec, level)
-        for i, ((gm, ge, cm, wm, ws), (g, w)) in enumerate(zip(nodes, fresh, strict=True)):
-            g, w = _exact(g), _exact(w)
-            if level == 0 and i == 0:  # the center node, its own mirror
-                w /= 2
-            assert (_value(gm, ge), _value(cm, ge), _value(wm, -ws)) == (g, 1 - g, w)
-
-
-def _value(man: int, exp: int) -> Fraction:
-    return man * Fraction(2) ** exp
-
-
-def _exact(raw: tuple) -> Fraction:
-    """The exact value of a positive raw tuple."""
-    return _value(raw[1], raw[2])
+    assert len(node_keys) > 0
+    for prec, level in node_keys:
+        # the cached entry against the nodes computed afresh, past the cache
+        assert _nodes(prec, level) == _nodes.__wrapped__(prec, level), (prec, level)
 
 
 def _outcome(call):

@@ -17,6 +17,7 @@ from logsine.contour_verifier import (
     verify_real_part,
     verify_reduction_chain,
 )
+from logsine.errors import CertificationError
 from logsine.exact_core import bernoulli_table, verify_recurrence
 from logsine.logsine_closed_form import logsine_numeric, logsine_symbolic
 from logsine.quadrature_oracle import QuadratureSettings
@@ -87,6 +88,12 @@ class TestLegR:
             assert abs(term.im.value + left.im.value) <= (
                 term.im.abs_error + left.im.abs_error
             )
+
+    def test_term_past_the_double_range_raises_certification_error(self):
+        # its value, about 7e380, and its bound overflow a double; they
+        # reached RealApprox as inf, which raised ValueError
+        with pytest.raises(CertificationError):
+            leg_R_term(300, 150, 1e-10)
 
     def test_term_index_validated(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,15 @@ def test_index_and_term_count_must_be_integers(call, value):
         call(value)
 
 
+# the table's cache once keyed max_index=2.0 and max_index=True as the
+# integer keyword calls made before them, and returned their tables
+@pytest.mark.parametrize("warm, value", [(2, 2.0), (1, True)], ids=["integral-float", "bool"])
+def test_bernoulli_table_checks_keyword_calls_after_a_warm_call(warm, value):
+    bernoulli_table(max_index=warm)
+    with pytest.raises(ValueError):
+        bernoulli_table(max_index=value)
+
+
 # each call returned a result, or raised TypeError, for a bool or a float
 @pytest.mark.parametrize(
     "call",

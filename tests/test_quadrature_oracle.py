@@ -1,12 +1,15 @@
 import math
+import sys
 
 import pytest
+from mpmath import mp, workdps
 
 from logsine import quadrature_oracle
 from logsine.errors import CertificationError, RefinementExhausted
 from logsine.logsine_closed_form import logsine_numeric
 from logsine.quadrature_oracle import (
     QuadratureSettings,
+    _nodes,
     cosine_moment,
     cosine_orthogonality,
     default_semi_infinite_cutoff_policy,
@@ -41,6 +44,23 @@ class TestSettings:
 
     def test_tail_bound_decreases_with_cutoff(self):
         assert vertical_tail_bound(2, 30.0) < vertical_tail_bound(2, 20.0)
+
+    # e^(-2Y) underflows a double at the first and third, and (2Y)^n
+    # overflows at the second; the first returned 0.0, the second raised
+    # OverflowError
+    @pytest.mark.parametrize("n, cutoff", [(102, 510.0), (150, 750.0), (0, 400.0)])
+    def test_tail_bound_past_the_double_range_covers_its_formula(self, n, cutoff):
+        bound = vertical_tail_bound(n, cutoff)
+        with workdps(60):
+            # int_Y^inf y^n e^(-2y) dy / (1 - e^(-2Y)), the bound exactly
+            y = mp.mpf(2 * cutoff)
+            exact = mp.gammainc(n + 1, y) / 2 ** (n + 1) / -mp.expm1(-y)
+        assert 0 < exact <= bound
+        assert bound <= max(exact * (1 + 1e-12), sys.float_info.min)
+
+    def test_tail_bound_past_the_largest_double_raises(self):
+        with pytest.raises(CertificationError):
+            vertical_tail_bound(200, 20.0)  # about 10^314
 
 
 class TestLogsine:
@@ -220,7 +240,19 @@ def test_rejects_non_integer_index(call):
         call()
 
 
-def test_shared_geometry_is_independent_of_call_order(cold_caches):
+def test_vertical_leg_past_the_double_range():
+    # the tail bound's double formula raised OverflowError at both; at
+    # n = 200 the integral, about -2.4e314, does not fit a double
+    settings = QuadratureSettings(target_abs_error=1e300)
+    approx = integrate_vertical_leg(103, settings)
+    with workdps(60):
+        exact = -mp.factorial(103) / mp.mpf(2) ** 104 * mp.zeta(105)
+    assert abs(approx.value - exact) <= approx.abs_error <= 1e300
+    with pytest.raises(CertificationError):
+        integrate_vertical_leg(200, settings)
+
+
+def test_shared_geometry_is_independent_of_call_order(cold_caches, node_keys):
     # all of these run at one working precision and share its node table;
     # the log-sine moments share the log-sin values of [0, pi]
     calls = [
@@ -233,11 +265,12 @@ def test_shared_geometry_is_independent_of_call_order(cold_caches):
 
     def tables():
         log_sin = {prec: dict(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()}
-        return dict(quadrature_oracle._FIXED_NODES), log_sin
+        return {key: _nodes(*key) for key in node_keys}, log_sin
 
     forward = [call() for call in calls]
     nodes, log_sin = tables()
     cold_caches()
+    node_keys.clear()
     backward = [call() for call in reversed(calls)][::-1]
     assert backward == forward
     assert tables() == (nodes, log_sin)

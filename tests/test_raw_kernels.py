@@ -157,11 +157,41 @@ def _fraction(raw: tuple) -> Fraction:
     return (-1) ** sign * man * Fraction(2) ** exp
 
 
+def _check_nodes(prec: int, level: int) -> None:
+    """Each integer node of a level is exactly the reference's g, 1 - g
+    and w, with w halved at the center node g = 1/2, its own mirror."""
+    nodes = quadrature_oracle._nodes(prec, level)
+    reference = _nodes_reference(prec, level)
+    assert len(nodes) == len(reference), level
+    for i, ((gm, ge, cm, wm, ws), (g, w)) in enumerate(zip(nodes, reference)):
+        g, w = _fraction(g), _fraction(w)
+        if level == 0 and i == 0:
+            w /= 2
+        assert (_fraction((0, gm, ge, 0)), _fraction((0, cm, ge, 0))) == (g, 1 - g), (level, i)
+        assert _fraction((0, wm, -ws, 0)) == w, (level, i)
+
+
 # the quadrature's precision at every tolerance above, and two finer ones
 @pytest.mark.parametrize("prec", [*QUAD_PRECISIONS, dps_to_prec(40), dps_to_prec(80)])
 def test_node_tables_match_mpf_reference(cold_caches, prec):
     for level in range(8):
-        assert quadrature_oracle._nodes(prec, level) == _nodes_reference(prec, level), level
+        _check_nodes(prec, level)
+
+
+def test_node_tables_cover_every_level_the_engine_reaches(cold_caches):
+    """At the quadrature's coarsest precision, every level to
+    ``_MAX_DEPTH`` has T + 1 nodes at level 0 and T 2^(level - 1) above,
+    with offsets in (0, 1/2] that strictly decrease, and matches the
+    reference."""
+    prec = QUAD_PRECISIONS[0]
+    t_max = quadrature_oracle._t_limit(prec_to_dps(prec))
+    for level in range(quadrature_oracle._MAX_DEPTH + 1):
+        nodes = quadrature_oracle._nodes(prec, level)
+        assert len(nodes) == (t_max + 1 if level == 0 else t_max << (level - 1)), level
+        g = [_fraction((0, gm, ge, 0)) for gm, ge, *_ in nodes]
+        assert 0 < g[-1] and g[0] <= Fraction(1, 2), level
+        assert all(a > b for a, b in zip(g, g[1:])), level
+        _check_nodes(prec, level)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +253,9 @@ def _check_rule(b, rule_target, prec, seen, out) -> None:
     total_sum = mass_sum = EXACT.mpf(0)
     evals = level = 0
     while evals < len(seen):
-        for i, (g, w) in enumerate(quadrature_oracle._nodes(prec, level)):
-            g, w = EXACT.make_mpf(g), EXACT.make_mpf(w)
-            if level == 0 and i == 0:  # the center node g = 1/2, its own mirror
-                w /= 2
+        for i, (gm, ge, _, wm, ws) in enumerate(quadrature_oracle._nodes(prec, level)):
+            # the center node g = 1/2, its own mirror, holds half its weight
+            g, w = _exact((gm, ge)), _exact((wm, -ws))
             # the lower node at b g, then its mirror at b (1 - g)
             for x_exact in (b * g, b - b * g):
                 x, d, v = next(calls)
@@ -342,6 +371,17 @@ def test_float_with_bound_rounds_to_nearest():
     assert _precision.float_with_bound(x, x) == float_with_bound(mp.make_mpf(x), mp.make_mpf(x))
     assert _precision.float_with_bound(x, fzero)[0] == nearest
     assert _precision.float_with_bound(fzero, x)[1] == math.nextafter(nearest, math.inf)
+
+
+# each returned inf, which RealApprox rejects with ValueError
+@pytest.mark.parametrize(
+    "value, bound",
+    [(from_man_exp(1, 1024), fzero), (fzero, from_man_exp(1, 1024)), (from_man_exp(-1, 1100), fzero)],
+    ids=["value", "bound", "negative"],
+)
+def test_float_with_bound_raises_past_the_double_range(value, bound):
+    with pytest.raises(CertificationError, match="exceeds the double range"):
+        _precision.float_with_bound(value, bound)
 
 
 def leg_L(n: int, tol: float) -> ComplexApprox:
