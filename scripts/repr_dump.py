@@ -48,7 +48,8 @@ L_RANGE = range(1, 4)
 # (module, table); _LOGSIN_TABLE maps precision to a table of its own
 RAW_TABLES = (
     ("zeta_engine", "_ZETA_TABLE"),
-    ("zeta_engine", "_PI_POWERS"),
+    ("zeta_engine", "_PI_FIXED"),
+    ("zeta_engine", "_LOG2_FIXED"),
     ("zeta_engine", "_BORWEIN_D"),
     ("quadrature_oracle", "_LOGSIN_TABLE"),
 )

@@ -19,13 +19,11 @@ identities checked with no floating arithmetic at all.
 Powers of i are resolved by residue mod 4, never by complex
 exponentials, so parity structure is exact.
 
-The legs L and R take each term (p/q) pi^m zeta(k+2) and its bound from
-zeta_engine's raw-tuple kernel, with pi^m from its table keyed by
-(precision in bits, m), and R sums its components on raw tuples; H's
-log-2 term and imaginary part are raw tuples too.  Every step makes the
-``libmp`` call that the ``mpf`` operator it replaces made, at the working
-precision with round-to-nearest and in the same order, so every bit of
-every leg is unchanged.
+Each term of L and R, (p/q) pi^m zeta(k+2), H's log-2 term and its
+imaginary part r pi^(n+2) come from zeta_engine's integer kernel as a
+value and a bound in units of 2^-(prec + 16), and R sums them exactly:
+each bound counts the kernel's floor division and carries the units of
+pi^m, log 2 and zeta.  Each leg is rounded to double once.
 """
 
 from __future__ import annotations
@@ -35,17 +33,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from mpmath.libmp import (
-    from_float, from_int, fzero, mpf_add, mpf_div, mpf_gt, mpf_log, mpf_mul, mpf_mul_int,
-    mpf_pi, mpf_pow_int, round_nearest,
-)
+from mpmath.libmp import from_float, from_man_exp, mpf_add, to_fixed
 
-from ._precision import float_with_bound, prec_for, round_slack
+from ._precision import float_with_bound, prec_for
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
 from .logsine_closed_form import logsine_numeric
 from .quadrature_oracle import QuadratureSettings, integrate_logsine
-from .zeta_engine import RealApprox, _scale, _zeta_term
+from .zeta_engine import _GUARD, RealApprox, _fixed_term, _float_units, _log2_fixed, _zeta_fixed
 
 __all__ = [
     "ComplexApprox",
@@ -99,22 +94,23 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
     Exactly one component is nonzero, selected by (n+1) mod 4.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    _, mag, err = _leg_r_term(n, n, _leg_prec(tol))  # the right leg's last summand
-    value, bound = float_with_bound(mag, err)
+    prec = _leg_prec(tol)
+    _, mag, err = _leg_r_term(n, n, prec)  # the right leg's last summand
+    value, bound = _float_units(mag, err, prec)
     if bound > tol:
         raise CertificationError(f"leg L(n={n}) certified to {bound:.3e} > {tol:.3e}")
     return _one_component((n + 1) % 4, value, bound)
 
 
-def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, tuple, tuple]:
-    """Summand k of the right leg at ``prec`` bits:
-    (phase, value, bound), the last two raw tuples.
+def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, int, int]:
+    """Summand k of the right leg at ``prec`` bits: (phase, value, bound),
+    the last two in units of 2^-(prec + 16).
 
     Term k carries -i * i^k = i^(k+3), magnitude
     C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2).
     """
-    coeff = Fraction(math.comb(n, k) * math.factorial(k), 2 ** (k + 1))
-    return ((k + 3) % 4, *_zeta_term(k + 2, coeff, n - k, prec))
+    num = math.comb(n, k) * math.factorial(k)
+    return ((k + 3) % 4, *_fixed_term(num, 2 ** (k + 1), n - k, _zeta_fixed(k + 2, prec), prec))
 
 
 def leg_R(n: int, tol: float) -> ComplexApprox:
@@ -122,27 +118,24 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
 
     Each summand's certified error must fit tol/(n+1), so the assembled
     component bounds stay within tol overall.  The components are summed
-    on raw tuples; each comment gives the ``mpf`` expression whose
-    operator makes the ``libmp`` calls below it.
+    on integers in units of 2^-(prec + 16).
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    prec, rnd = _leg_prec(tol), round_nearest
+    prec = _leg_prec(tol)
     share = tol / (n + 1)
-    share_raw = from_float(share)
-    sums = [fzero, fzero]  # re, im
-    errs = [fzero, fzero]  # re_err, im_err
+    share_units = to_fixed(from_float(share), prec + _GUARD)  # rounded down
+    sums, errs = [0, 0], [0, 0]  # re, im
     # every summand, and so every zeta value it needs, before any check
     for phase, mag, err in [_leg_r_term(n, k, prec) for k in range(n + 1)]:
-        if mpf_gt(err, share_raw):  # err > share
+        if err > share_units:
             raise CertificationError(
                 f"leg R(n={n}) term exceeds its error share {share:.3e}"
             )
         comp, sign = _PHASE_SIGN[phase]
-        # component += sign * mag; component_err += err
-        sums[comp] = mpf_add(sums[comp], mpf_mul_int(mag, sign, prec, rnd), prec, rnd)
-        errs[comp] = mpf_add(errs[comp], err, prec, rnd)
-    re_val, re_bound = float_with_bound(sums[0], errs[0])
-    im_val, im_bound = float_with_bound(sums[1], errs[1])
+        sums[comp] += sign * mag
+        errs[comp] += err
+    re_val, re_bound = _float_units(sums[0], errs[0], prec)
+    im_val, im_bound = _float_units(sums[1], errs[1], prec)
     if re_bound + im_bound > tol:
         raise CertificationError(
             f"leg R(n={n}) certified to {re_bound + im_bound:.3e} > {tol:.3e}"
@@ -159,8 +152,9 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     _require_int(k, 0, "require 0 <= k <= n")
     if k > n:
         raise ValueError("require 0 <= k <= n")
-    phase, mag, err = _leg_r_term(n, k, _leg_prec(tol))
-    return _one_component(phase, *float_with_bound(mag, err))
+    prec = _leg_prec(tol)
+    phase, mag, err = _leg_r_term(n, k, prec)
+    return _one_component(phase, *_float_units(mag, err, prec))
 
 
 def leg_H_im_coefficient(n: int) -> Fraction:
@@ -170,13 +164,10 @@ def leg_H_im_coefficient(n: int) -> Fraction:
     return Fraction(1, n + 2) - Fraction(1, 2 * (n + 1))
 
 
-def _log2_term(n: int, prec: int) -> tuple:
-    """pi^(n+1) log(2) / (n+1), the term that sits beside I_n in Re(H_n),
-    as a raw tuple: ``(+pi) ** (n + 1) / (n + 1) * log(2)``."""
-    rnd = round_nearest
-    term = mpf_pow_int(mpf_pi(prec, rnd), n + 1, prec, rnd)
-    term = mpf_div(term, from_int(n + 1), prec, rnd)
-    return mpf_mul(term, mpf_log(from_int(2), prec, rnd), prec, rnd)
+def _log2_term(n: int, prec: int) -> tuple[int, int]:
+    """pi^(n+1) log(2) / (n+1), the term that sits beside I_n in Re(H_n):
+    (value, bound) in units of 2^-(prec + 16)."""
+    return _fixed_term(1, n + 1, n + 1, _log2_fixed(prec), prec)
 
 
 def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
@@ -189,15 +180,15 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     _require_int(n, 0, "n must be a nonnegative integer")
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
-    prec, rnd = _leg_prec(settings.target_abs_error), round_nearest
-    log2_term = _log2_term(n, prec)
-    # log2_term + oracle.value; round_slack(log2_term) + oracle.abs_error
+    prec = _leg_prec(settings.target_abs_error)
+    value, bound = (from_man_exp(x, -(prec + _GUARD)) for x in _log2_term(n, prec))
+    # the log-2 term plus the oracle's value, and their bounds, summed exactly
     re_val, re_bound = float_with_bound(
-        mpf_add(log2_term, from_float(oracle.value), prec, rnd),
-        mpf_add(round_slack(log2_term, prec), from_float(oracle.abs_error), prec, rnd),
+        mpf_add(value, from_float(oracle.value)), mpf_add(bound, from_float(oracle.abs_error))
     )
-    im = _scale(leg_H_im_coefficient(n), n + 2, prec)
-    im_val, im_bound = float_with_bound(im, round_slack(im, prec))
+    r = leg_H_im_coefficient(n)
+    im = _fixed_term(r.numerator, r.denominator, n + 2, None, prec)
+    im_val, im_bound = _float_units(*im, prec)
     return ComplexApprox(
         re=RealApprox(re_val, re_bound), im=RealApprox(im_val, im_bound)
     )
@@ -282,8 +273,7 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     R = leg_R(n, tol / 4)
     closed = logsine_numeric(n, tol / 4)
     prec = _leg_prec(tol)
-    log2_term = _log2_term(n, prec)
-    log2_val, log2_bound = float_with_bound(log2_term, round_slack(log2_term, prec))
+    log2_val, log2_bound = _float_units(*_log2_term(n, prec), prec)
     return _sum_components(
         [
             L.re,

@@ -12,11 +12,10 @@ enters only in the final substitution of pi, log 2 and zeta(2k+1), which
 keeps the numeric error budget auditable.  The n = 0 and n = 1 cases have
 empty zeta sums and reduce to -pi log 2 and -(pi^2/2) log 2.
 
-The numeric form runs on raw mpmath tuples: each zeta term and its bound
-come from zeta_engine's kernel, pi^m from its table keyed by (precision
-in bits, m), and the sums make the ``libmp`` calls the ``mpf`` operators
-made, in the same order at the same precision, so every bit of the value
-and of its bound is unchanged.
+The numeric form sums its terms exactly on integers: each term and its
+bound come from zeta_engine's kernel in units of 2^-(prec + 16), counting
+its floor division and the units of pi^m, log 2 and zeta(2k+1), and the
+sum is rounded to double once.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from mpmath.libmp import from_float, from_int, mpf_add, mpf_gt, mpf_log, mpf_mul, round_nearest
+from mpmath.libmp import from_float, to_fixed
 
-from ._precision import float_with_bound, prec_for, round_slack
+from ._precision import prec_for
 from .errors import CertificationError, _require_int
-from .zeta_engine import RealApprox, _scale, _zeta_term
+from .zeta_engine import _GUARD, RealApprox, _fixed_term, _float_units, _log2_fixed, _zeta_fixed
 
 __all__ = [
     "SymbolicLogSine",
@@ -80,26 +79,25 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     double must fit the total, else CertificationError.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    prec, rnd = prec_for(target_abs_error, extra_digits=25, min_dps=30), round_nearest
+    prec = prec_for(target_abs_error, extra_digits=25, min_dps=30)
     sym = logsine_symbolic(n)
     share = target_abs_error / (n // 2 + 1)
-    share_raw = from_float(share)
-    # total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * log(2)
-    log2 = mpf_log(from_int(2), prec, rnd)
-    total = mpf_mul(_scale(sym.log2_coefficient, n + 1, prec), log2, prec, rnd)
-    internal = round_slack(total, prec)
-    if mpf_gt(internal, share_raw):  # internal > share
+    share_units = to_fixed(from_float(share), prec + _GUARD)  # rounded down
+    c0 = sym.log2_coefficient
+    total, internal = _fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)
+    if internal > share_units:
         raise CertificationError("log-2 term exceeds its error share")
     for arg, coeff in sym.zeta_terms:
-        term, term_err = _zeta_term(arg, coeff, sym.pi_power(arg), prec)
-        if mpf_gt(term_err, share_raw):  # term_err > share
+        term, term_err = _fixed_term(
+            coeff.numerator, coeff.denominator, sym.pi_power(arg), _zeta_fixed(arg, prec), prec
+        )
+        if term_err > share_units:
             raise CertificationError(
                 f"zeta({arg}) term exceeds its error share {share:.3e}"
             )
-        # total += term; internal += term_err
-        total = mpf_add(total, term, prec, rnd)
-        internal = mpf_add(internal, term_err, prec, rnd)
-    value, bound = float_with_bound(total, internal)
+        total += term
+        internal += term_err
+    value, bound = _float_units(total, internal, prec)
     if bound > target_abs_error:
         raise CertificationError(
             f"I_{n} certified to {bound:.3e}, target {target_abs_error:.3e}"

@@ -95,21 +95,13 @@ def vertical_tail_bound(n: int, cutoff: float) -> float:
 
     Uses |log(1-u)| <= u/(1-u) with u = e^(-2y) <= e^(-2*cutoff), then the
     exact closed form int_Y^inf y^n e^(-2y) dy =
-    (n!/2^(n+1)) e^(-2Y) sum_{j=0}^{n} (2Y)^j / j!.  Where that overflows
-    or underflows in doubles, the sum is taken exactly and the rest rounded
-    up; a bound past the double range raises CertificationError.
+    (n!/2^(n+1)) e^(-2Y) sum_{j=0}^{n} (2Y)^j / j!.  The sum is taken
+    exactly and the rest rounded up, never below the smallest normal
+    double; a bound past the double range raises CertificationError.
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    u = math.exp(-2.0 * cutoff)
-    try:
-        geom = sum((2.0 * cutoff) ** j / math.factorial(j) for j in range(n + 1))
-        bound = (math.factorial(n) / 2 ** (n + 1)) * u * geom / (1.0 - u)
-        if u >= sys.float_info.min and sys.float_info.min <= bound < math.inf:
-            return bound
-    except OverflowError:
-        pass
-    # the sum exact by Horner's rule, (n!/2^(n+1)) e^(-2Y)/(1 - e^(-2Y)) rounded up
+    # sum_j (n!/j!) (2Y)^j by Horner's rule, then times e^(-2Y)/(1 - e^(-2Y)) / 2^(n+1)
     x, poly, coeff, up = from_float(2.0 * cutoff), fone, 1, round_ceiling
     for j in range(n, 0, -1):
         coeff *= j

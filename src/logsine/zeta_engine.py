@@ -40,13 +40,15 @@ n <= 12 at one tolerance adds about 55 entries.  What either table stores
 depends on its key alone.  The value and its bound stay raw tuples until
 ``float_with_bound`` rounds them to doubles.
 
-The contour legs and the closed form compute each of their terms
-coeff * pi^m * zeta(s) with one raw-tuple kernel, ``_zeta_term``, which
-also returns the term's bound |coeff * pi^m| * (zeta's bound)
-+ round_slack.  pi^m comes from a table keyed by (precision in bits, m);
-the callers ask for m <= n + 1, so a sweep over n <= 12 adds 13 entries
-per precision.  The kernel makes the calls the ``mpf`` expressions of the
-callers made, so every bit is unchanged.
+The contour legs and the closed form sum terms num/den * pi^m * x, x a
+zeta value, log 2 or 1, in the series' units 2^-(prec + 16) with one
+integer kernel, ``_fixed_term``.  A term is one floor division; its bound
+counts that unit and carries the units of pi^m and of x through the
+product.  pi^m and log 2 come from integer tables keyed by (precision in
+bits, m) and by precision, whose stated units rest on mpmath's convention
+that ``mpf_pi`` and ``mpf_log`` round in the direction asked, the one its
+interval functions rely on.  The callers ask for m <= n + 2, so a sweep
+over n <= 12 adds 14 entries per precision.
 """
 
 from __future__ import annotations
@@ -55,20 +57,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import (
-    from_int,
-    from_man_exp,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_pi,
-    mpf_pos,
-    mpf_pow_int,
-    round_nearest,
-)
+from mpmath.libmp import from_int, from_man_exp, mpf_log, mpf_pi, round_floor, to_fixed
 
-from ._precision import float_with_bound, prec_for, round_slack
+from ._precision import float_with_bound, prec_for
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
 
@@ -206,43 +197,72 @@ def _zeta_raw(s: int, prec: int) -> tuple[tuple, tuple]:
     return entry
 
 
-# (precision in bits, m) -> raw pi^m
-_PI_POWERS: dict[tuple[int, int], tuple] = {}
+# (precision in bits, m >= 1) -> (P_m, e_m), pi^m as ``_pi_fixed`` gives it
+_PI_FIXED: dict[tuple[int, int], tuple[int, int]] = {}
+# precision in bits -> (L, 2), log 2 as ``_log2_fixed`` gives it
+_LOG2_FIXED: dict[int, tuple[int, int]] = {}
 
 
-def _scale(coeff: Fraction, pi_power: int, prec: int) -> tuple:
-    """Raw ``mpf(p) / q * pi ** m`` at ``prec`` bits for coeff = p/q.  At
-    m = 0 the product with pi^0 = 1 would round nothing, so it is left out."""
-    rnd = round_nearest
-    scale = mpf_pos(from_int(coeff.numerator), prec, rnd)
-    scale = mpf_div(scale, from_int(coeff.denominator), prec, rnd)
-    if pi_power:
-        key = (prec, pi_power)
-        power = _PI_POWERS.get(key)
-        if power is None:
-            # (+pi) ** m
-            pi = mpf_pos(mpf_pi(prec, rnd), prec, rnd)
-            power = _PI_POWERS.setdefault(key, mpf_pow_int(pi, pi_power, prec, rnd))
-        scale = mpf_mul(scale, power, prec, rnd)
-    return scale
+def _pi_fixed(m: int, prec: int) -> tuple[int, int]:
+    """pi^m in units of 2^-F, F = prec + 16, as (P_m, e_m): pi^m lies
+    within e_m units of P_m.
+
+    P_1 is pi rounded down at F + 10 bits and cut to F bits, under 2 units
+    below pi.  P_m is P_(m-1) P_1 2^-F rounded down, and e_m the ceiling
+    of ((P_(m-1) + e_(m-1)) 2 + P_1 e_(m-1)) 2^-F plus the floor's unit.
+    """
+    fbits = prec + _GUARD
+    entry = (1 << fbits, 0) if m == 0 else _PI_FIXED.get((prec, m))
+    if entry is None:
+        pi, power, err = to_fixed(mpf_pi(fbits + 10, round_floor), fbits), 1 << fbits, 0
+        for j in range(1, m + 1):
+            entry = _PI_FIXED.get((prec, j))
+            if entry is None:
+                spread = -(-((power + err) * 2 + pi * err) >> fbits) + 1
+                entry = _PI_FIXED.setdefault((prec, j), ((power * pi) >> fbits, spread))
+            power, err = entry
+    return entry
 
 
-def _zeta_term(s: int, coeff: Fraction, pi_power: int, prec: int) -> tuple[tuple, tuple]:
-    """One certified term coeff * pi^m * zeta(s) at ``prec`` bits, as raw
-    tuples (value, bound): with scale = coeff * pi^m,
-    value = scale * zeta(s) and
-    bound = |scale| * (zeta's bound) + round_slack(value)."""
-    rnd = round_nearest
-    zeta, zeta_bound = _zeta_raw(s, prec)
-    scale = _scale(coeff, pi_power, prec)
-    value = mpf_mul(scale, zeta, prec, rnd)
-    bound = mpf_add(
-        mpf_mul(mpf_abs(scale, prec, rnd), zeta_bound, prec, rnd),
-        round_slack(value, prec),
-        prec,
-        rnd,
-    )
-    return value, bound
+def _log2_fixed(prec: int) -> tuple[int, int]:
+    """log 2 in units of 2^-(prec + 16), rounded down at 10 bits more and
+    cut, as (L, 2): under 2 units below log 2."""
+    entry = _LOG2_FIXED.get(prec)
+    if entry is None:
+        fbits = prec + _GUARD
+        log2 = to_fixed(mpf_log(from_int(2), fbits + 10, round_floor), fbits)
+        entry = _LOG2_FIXED.setdefault(prec, (log2, 2))
+    return entry
+
+
+def _zeta_fixed(s: int, prec: int) -> tuple[int, int]:
+    """zeta(s) at ``prec`` bits in units of 2^-(prec + 16): (value, bound)."""
+    value, bound = _zeta_raw(s, prec)
+    return to_fixed(value, prec + _GUARD), to_fixed(bound, prec + _GUARD)
+
+
+def _fixed_term(
+    num: int, den: int, m: int, factor: tuple[int, int] | None, prec: int
+) -> tuple[int, int]:
+    """num/den * pi^m * x in units of 2^-F, F = prec + 16, for x within u
+    units of z, (z, u) = ``factor`` (x = 1 when None): (value, bound).
+
+    The value is one floor division, under a unit off unless exact.  With
+    pi^m within e units of P, the bound is the ceiling of
+    |num| ((P + e) u + (z + u) e) / (den 2^F), plus that unit.
+    """
+    fbits = prec + _GUARD
+    power, err = _pi_fixed(m, prec)
+    z, u = factor or (1 << fbits, 0)
+    den <<= fbits
+    value, rest = divmod(num * power * z, den)
+    return value, -(-abs(num) * ((power + err) * u + (z + u) * err) // den) + (rest != 0)
+
+
+def _float_units(value: int, bound: int, prec: int) -> tuple[float, float]:
+    """``float_with_bound`` of a value and a bound in units of 2^-(prec + 16)."""
+    fbits = prec + _GUARD
+    return float_with_bound(from_man_exp(value, -fbits), from_man_exp(bound, -fbits))
 
 
 def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:

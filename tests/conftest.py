@@ -11,12 +11,13 @@ def table_202():
 
 
 def clear_numeric_caches():
-    """Empty the zeta table, the series' coefficient table, the pi powers,
-    the log-sin node table, and the quadrature result cache and node
-    tables built on them."""
+    """Empty the zeta table, the series' coefficient table, the integer
+    tables of pi^m and log 2, the log-sin node table, and the quadrature
+    result cache and node tables built on them."""
     zeta_engine._ZETA_TABLE.clear()
     zeta_engine._BORWEIN_D.clear()
-    zeta_engine._PI_POWERS.clear()
+    zeta_engine._PI_FIXED.clear()
+    zeta_engine._LOG2_FIXED.clear()
     quadrature_oracle._LOGSIN_TABLE.clear()
     quadrature_oracle._certified.cache_clear()
     quadrature_oracle._nodes.cache_clear()

@@ -160,16 +160,25 @@ def test_coarse_fixed_point_stays_certified(cold_caches, monkeypatch):
         audit.check(f"integrate_logsine({n})", approx, ref_logsine(n))
 
 
-# the last certified n at loose tolerances, and the zeta term whose share
-# stops the closed form one step further; verify_null stops on leg L's
-# double rounding
-LOOSE_EDGES = ((1e-3, 27, 19, 21), (1.0, 29, 25, 23), (1e3, 32, 25, 26))
+# the last certified n of the closed form at loose tolerances, the start
+# of the error that stops it one step further (the rounding of I_n to a
+# double, or a zeta term over its share), and the last n of verify_null,
+# which stops on leg L's double rounding
+LOOSE_EDGES = (
+    (1e-3, 27, r"I_28 certified to", 21),
+    (1.0, 33, r"I_34 certified to", 23),
+    (1e3, 37, r"zeta\(31\) term exceeds", 26),
+)
 
 
-@pytest.mark.parametrize("tol,closed_top,zeta_arg,null_top", LOOSE_EDGES)
-def test_loose_envelope_edges(tol, closed_top, zeta_arg, null_top):
-    logsine.logsine_numeric(closed_top, tol)
-    with pytest.raises(CertificationError, match=rf"^zeta\({zeta_arg}\) term exceeds"):
+@pytest.mark.parametrize(
+    "tol,closed_top,next_failure,null_top", LOOSE_EDGES, ids=[repr(e[0]) for e in LOOSE_EDGES]
+)
+def test_loose_envelope_edges(tol, closed_top, next_failure, null_top):
+    audit = Audit()
+    for n in range(closed_top + 1):
+        audit.check(f"logsine_numeric({n})", logsine.logsine_numeric(n, tol), ref_logsine(n))
+    with pytest.raises(CertificationError, match=f"^{next_failure}"):
         logsine.logsine_numeric(closed_top + 1, tol)
     assert logsine.verify_null(null_top, tol).passed
     failed = logsine.verify_null(null_top + 1, tol)

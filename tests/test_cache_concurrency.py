@@ -1,10 +1,13 @@
 """Under any thread interleaving, numeric calls return what a serial run
 returns, leave the global mpmath precision alone, and fill the zeta table,
-the series' coefficient table and the pi-power table, the log-sin node table, the
-engine's node table and the result caches with exactly the values a serial
-run computes at each entry's precision.
+the series' coefficient table, the integer tables of pi^m and log 2, the
+log-sin node table, the engine's node table and the result caches with
+exactly the values a serial run computes at each entry's precision.
 """
 
+import ast
+import os
+import subprocess
 import sys
 import threading
 
@@ -47,6 +50,26 @@ def _fresh_context(prec: int) -> MPContext:
     return ctx
 
 
+def _rebuilt(pi_keys: list, log2_keys: list) -> tuple[list, list]:
+    """The pi^m and log 2 integer entries at the given keys, computed one
+    after another in a fresh process, whose tables all start empty."""
+    code = (
+        "import sys; from logsine import zeta_engine as z; pi, log2 = eval(sys.stdin.read()); "
+        "print(([z._pi_fixed(m, prec) for prec, m in pi], [z._log2_fixed(prec) for prec in log2]))"
+    )
+    src = os.path.dirname(os.path.dirname(zeta_engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        input=repr((pi_keys, log2_keys)),
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    return ast.literal_eval(proc.stdout)
+
+
 def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
     saved_interval, saved_prec = sys.getswitchinterval(), mp.prec
     threads = [threading.Thread(target=_calls, args=(tol,)) for tol in TOLERANCES]
@@ -73,10 +96,9 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
     for prec, entry in built.items():
         assert zeta_engine._borwein_table(prec) == entry, prec
 
-    assert len(zeta_engine._PI_POWERS) > 0
-    for (prec, m), power in zeta_engine._PI_POWERS.items():
-        ctx = _fresh_context(prec)
-        assert power == ((+ctx.pi) ** m)._mpf_, (prec, m)
+    pi_powers, log2 = dict(zeta_engine._PI_FIXED), dict(zeta_engine._LOG2_FIXED)
+    assert len(pi_powers) > 0 and len(log2) > 0
+    assert _rebuilt(list(pi_powers), list(log2)) == (list(pi_powers.values()), list(log2.values()))
 
     assert len(quadrature_oracle._LOGSIN_TABLE) > 0
     for prec, table in quadrature_oracle._LOGSIN_TABLE.items():
@@ -89,6 +111,33 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
     for prec, level in node_keys:
         # the cached entry against the nodes computed afresh, past the cache
         assert _nodes(prec, level) == _nodes.__wrapped__(prec, level), (prec, level)
+
+
+def test_pi_powers_match_serial_values_when_threads_build_them_at_once(cold_caches):
+    # six threads released together build pi^1..pi^40 from an empty table
+    # at one precision, a new precision in each of 90 rounds: an entry
+    # built from a stale or a doubled predecessor differs from the serial one
+    saved_interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for prec in range(100, 1000, 10):
+            start = threading.Barrier(6)
+
+            def build(prec=prec):
+                start.wait()
+                zeta_engine._pi_fixed(40, prec)
+
+            threads = [threading.Thread(target=build, daemon=True) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(saved_interval)
+    pi_powers = dict(zeta_engine._PI_FIXED)
+    assert {prec for prec, _ in pi_powers} == set(range(100, 1000, 10))
+    assert _rebuilt(list(pi_powers), [])[0] == list(pi_powers.values())
 
 
 def _outcome(call):

@@ -58,6 +58,22 @@ class TestSettings:
         assert 0 < exact <= bound
         assert bound <= max(exact * (1 + 1e-12), sys.float_info.min)
 
+    # the tolerances of scripts/repr_dump.py; |log(1-u)| <= u/(1-u) has at
+    # most about 2e-18 relative to spare at these cutoffs, so a bound
+    # rounded to nearest anywhere can fall below the tail
+    @pytest.mark.parametrize("tol", [3e-2, 1e-3, 2e-5, 1e-6, 3e-8, 1e-10, 1e-12, 1e-14])
+    def test_tail_bound_covers_the_tail_at_every_policy_cutoff(self, tol):
+        for n in range(13):
+            cutoff = default_semi_infinite_cutoff_policy(n, tol)
+            with workdps(80):
+                # sum_k int_Y^inf y^n e^(-2ky) dy / k, to k = 8: the rest is
+                # under e^(-300) of it, since Y >= 20
+                y = mp.mpf(cutoff)
+                tail = mp.fsum(
+                    mp.gammainc(n + 1, 2 * k * y) / (k * (2 * k) ** (n + 1)) for k in range(1, 9)
+                )
+            assert tail <= vertical_tail_bound(n, cutoff), (n, cutoff)
+
     def test_tail_bound_past_the_largest_double_raises(self):
         with pytest.raises(CertificationError):
             vertical_tail_bound(200, 20.0)  # about 10^314

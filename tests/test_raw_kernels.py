@@ -1,10 +1,8 @@
-"""The zeta series, the tanh-sinh node tables, the contour legs L and R
-and the closed form compute on raw mpmath tuples, and round them to
-doubles from raw tuples.  The earlier bodies of the node tables, the legs
-and the closed form on ``mpf`` objects are kept here verbatim as the
-reference: at every working precision the library uses, each node and
-summand must be the same raw tuple, bit for bit, and each result or error
-the same.
+"""The zeta series, the tanh-sinh engine, the contour legs and the closed
+form compute on raw mpmath tuples or fixed-point integers, and round them
+to doubles from raw tuples.  The earlier body of the node tables on
+``mpf`` objects is kept here verbatim as the reference: at every working
+precision the library uses, each node must be the same, bit for bit.
 
 The zeta series and the tanh-sinh engine accumulate on fixed-point
 integers.  The series is checked against its proof: Borwein's partial
@@ -13,8 +11,16 @@ mpmath's ``zeta`` in a finer context.  The engine's reference is the same
 rule summed exactly on ``mpf`` values over the same nodes and integrand
 values, and each integrand value is checked against the integrand
 evaluated in a finer context: the results lie within the engine's counted
-truncation bound of the exact sums."""
+truncation bound of the exact sums.
 
+The legs and the closed form sum terms num/den pi^m x, x a zeta value,
+log 2 or 1, on integers with counted units.  Each term is checked at every
+working precision they use, for n <= 40: its bound covers its floor
+division plus the worst case of pi^m and x over their stated units, and
+pi^m, x and the term lie within their units of mpmath's values 64 bits
+finer."""
+
+import functools
 import math
 from fractions import Fraction
 
@@ -31,7 +37,7 @@ from logsine import (
     zeta_engine,
 )
 from logsine._precision import prec_for
-from logsine.contour_verifier import _PHASE_SIGN, ComplexApprox, _leg_prec
+from logsine.contour_verifier import _PHASE_SIGN, _leg_prec
 from logsine.errors import CertificationError
 from logsine.logsine_closed_form import logsine_symbolic
 from logsine.quadrature_oracle import (
@@ -43,7 +49,6 @@ from logsine.quadrature_oracle import (
     integrate_logsquared,
     integrate_vertical_leg,
 )
-from logsine.zeta_engine import RealApprox
 
 TOLERANCES = (1e-3, 1e-6, 1e-10, 1e-12)
 # (extra digits, floor) of zeta_numeric and of the legs and the closed form,
@@ -234,7 +239,7 @@ def engine_runs(cold_caches, monkeypatch):
 def _run(call):
     try:
         call()
-    except CertificationError:  # past the envelope the engine still ran
+    except CertificationError:  # past the envelope; what ran before the raise is checked
         pass
 
 
@@ -330,19 +335,8 @@ def test_other_integrands_match_mpf_reference(engine_runs, tol):
 
 
 # ---------------------------------------------------------------------------
-# the legs L and R and the closed form
+# rounding to double
 # ---------------------------------------------------------------------------
-
-
-def _validate_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be positive and finite")
-
-
-def round_slack(x: mpf, ctx: MPContext) -> mpf:
-    """Bound on accumulated rounding in ``ctx`` for an O(100)-operation
-    computation whose intermediates are at most ``|x|`` in magnitude."""
-    return abs(x) * ctx.mpf(10) ** (4 - ctx.dps)
 
 
 def float_with_bound(value_mp: mpf, internal_bound_mp: mpf) -> tuple[float, float]:
@@ -354,12 +348,6 @@ def float_with_bound(value_mp: mpf, internal_bound_mp: mpf) -> tuple[float, floa
     value = float(value_mp)
     bound = float(internal_bound_mp) + 0.5 * math.ulp(abs(value) if value else 1e-300)
     return value, math.nextafter(bound, math.inf)
-
-
-def _zeta_mpf(s: int, ctx: MPContext) -> tuple[mpf, mpf]:
-    """zeta(s) at the precision of ``ctx``: (value, analytic bound)."""
-    value, bound = zeta_engine._zeta_raw(s, ctx.prec)
-    return ctx.make_mpf(value), ctx.make_mpf(bound)
 
 
 def test_float_with_bound_rounds_to_nearest():
@@ -384,190 +372,163 @@ def test_float_with_bound_raises_past_the_double_range(value, bound):
         _precision.float_with_bound(value, bound)
 
 
-def leg_L(n: int, tol: float) -> ComplexApprox:
-    """Left vertical leg: i^(n+1) (n!/2^(n+1)) zeta(n+2).
+# ---------------------------------------------------------------------------
+# the legs L, R and H and the closed form on integers with counted units
+# ---------------------------------------------------------------------------
 
-    Exactly one component is nonzero, selected by (n+1) mod 4.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _validate_tol(tol)
-    ctx = _context(_leg_prec(tol))
-    zeta_mp, zeta_bound = _zeta_mpf(n + 2, ctx)
-    coeff = Fraction(math.factorial(n), 2 ** (n + 1))
-    scale = ctx.mpf(coeff.numerator) / coeff.denominator
-    mag = scale * zeta_mp
-    value, bound = float_with_bound(mag, scale * zeta_bound + round_slack(mag, ctx))
-    if bound > tol:
-        raise CertificationError(f"leg L(n={n}) certified to {bound:.3e} > {tol:.3e}")
-    comp, sign = _PHASE_SIGN[(n + 1) % 4]
-    parts = [RealApprox(0.0, 0.0), RealApprox(0.0, 0.0)]
-    parts[comp] = RealApprox(sign * value, bound)
-    return ComplexApprox(re=parts[0], im=parts[1])
+GUARD = zeta_engine._GUARD
+# one tolerance for each working precision the legs and the closed form use
+# from 3e-2 to 1e-14 (3e-2 to 1e-5 share 30 digits), then 40 and 80 digits
+LEG_TOLERANCES = (1e-3, *(10.0**-e for e in range(6, 15)), 1e-15, 1e-55)
+LEG_N = range(41)
 
 
-def _leg_r_terms_mp(n: int, ctx: MPContext) -> list[tuple[int, mpf, mpf]]:
-    """Summands of the right leg at the precision of ``ctx``:
-    (phase, value, bound).
-
-    Term k carries -i * i^k = i^(k+3), magnitude
-    C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2).
-    """
-    pi = +ctx.pi
-    out = []
-    for k in range(n + 1):
-        zeta_mp, zeta_bound = _zeta_mpf(k + 2, ctx)
-        coeff = Fraction(math.comb(n, k) * math.factorial(k), 2 ** (k + 1))
-        scale = ctx.mpf(coeff.numerator) / coeff.denominator * pi ** (n - k)
-        mag = scale * zeta_mp
-        err = scale * zeta_bound + round_slack(mag, ctx)
-        out.append(((k + 3) % 4, mag, err))
-    return out
+@functools.lru_cache(maxsize=None)
+def _reference(prec: int) -> dict:
+    """pi^m for m <= 42 keyed ("pi", m), log 2 keyed "log2" and zeta(s)
+    for s <= 42 keyed s, 64 bits finer than ``prec``, as exact fractions."""
+    fine = _context(prec + 64)
+    ref = {("pi", m): _fraction((fine.pi**m)._mpf_) for m in range(43)}
+    ref["log2"] = _fraction(fine.ln2._mpf_)
+    ref.update((s, _fraction(fine.zeta(s)._mpf_)) for s in range(2, 43))
+    return ref
 
 
-def leg_R(n: int, tol: float) -> ComplexApprox:
-    """Right vertical leg: the binomial sum over zeta(k+2), k = 0..n.
-
-    Each summand's certified error must fit tol/(n+1), so the assembled
-    component bounds stay within tol overall.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _validate_tol(tol)
-    share = tol / (n + 1)
-    ctx = _context(_leg_prec(tol))
-    re = im = re_err = im_err = ctx.mpf(0)
-    for phase, mag, err in _leg_r_terms_mp(n, ctx):
-        if err > share:
-            raise CertificationError(
-                f"leg R(n={n}) term exceeds its error share {share:.3e}"
-            )
-        comp, sign = _PHASE_SIGN[phase]
-        if comp == 0:
-            re += sign * mag
-            re_err += err
-        else:
-            im += sign * mag
-            im_err += err
-    re_val, re_bound = float_with_bound(re, re_err)
-    im_val, im_bound = float_with_bound(im, im_err)
-    if re_bound + im_bound > tol:
-        raise CertificationError(
-            f"leg R(n={n}) certified to {re_bound + im_bound:.3e} > {tol:.3e}"
-        )
-    return ComplexApprox(
-        re=RealApprox(re_val, re_bound), im=RealApprox(im_val, im_bound)
-    )
+def _factor(prec: int, key) -> tuple[int, int]:
+    """The library's units (z, u) of a term's factor x: zeta(key), log 2 at
+    "log2", or 1 at None."""
+    if key is None:
+        return 1 << (prec + GUARD), 0
+    return zeta_engine._log2_fixed(prec) if key == "log2" else zeta_engine._zeta_fixed(key, prec)
 
 
-def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
-    """Single right-leg summand (index k); the k = n term always cancels
-    the left leg."""
-    if not 0 <= k <= n:
-        raise ValueError("require 0 <= k <= n")
-    _validate_tol(tol)
-    phase, mag, err = _leg_r_terms_mp(n, _context(_leg_prec(tol)))[k]
-    value, bound = float_with_bound(mag, err)
-    comp, sign = _PHASE_SIGN[phase]
-    parts = [RealApprox(0.0, 0.0), RealApprox(0.0, 0.0)]
-    parts[comp] = RealApprox(sign * value, bound)
-    return ComplexApprox(re=parts[0], im=parts[1])
+def _check_inputs(prec: int) -> None:
+    """pi^m for m <= 42, log 2 and zeta(s) for s <= 42 lie within their
+    stated units of the reference."""
+    ref, unit = _reference(prec), Fraction(1, 2 ** (prec + GUARD))
+    for m in range(43):
+        power, err = zeta_engine._pi_fixed(m, prec)
+        assert abs(ref["pi", m] - power * unit) <= err * unit, (prec, m)
+    for key in ("log2", *range(2, 43)):
+        z, u = _factor(prec, key)
+        assert abs(ref[key] - z * unit) <= u * unit, (prec, key)
 
 
-def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
-    """Evaluate the closed form of I_n with a certified absolute bound.
-
-    The budget is split evenly across the floor(n/2)+1 summands; each
-    zeta(2k+1) substitution must fit its share, and the final rounding to
-    double must fit the total, else CertificationError.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not (math.isfinite(target_abs_error) and target_abs_error > 0):
-        raise ValueError("target absolute error must be positive and finite")
-    sym = logsine_symbolic(n)
-    share = target_abs_error / (n // 2 + 1)
-    ctx = _context(prec_for(target_abs_error, extra_digits=25, min_dps=30))
-    mpf = ctx.mpf
-    pi = +ctx.pi
-    c0 = sym.log2_coefficient
-    total = mpf(c0.numerator) / c0.denominator * pi ** (n + 1) * ctx.log(2)
-    internal = round_slack(total, ctx)
-    if internal > share:
-        raise CertificationError("log-2 term exceeds its error share")
-    for arg, coeff in sym.zeta_terms:
-        zeta_mp, zeta_bound = _zeta_mpf(arg, ctx)
-        scale = mpf(coeff.numerator) / coeff.denominator * pi ** sym.pi_power(arg)
-        term = scale * zeta_mp
-        term_err = abs(scale) * zeta_bound + round_slack(term, ctx)
-        if term_err > share:
-            raise CertificationError(
-                f"zeta({arg}) term exceeds its error share {share:.3e}"
-            )
-        total += term
-        internal += term_err
-    value, bound = float_with_bound(total, internal)
-    if bound > target_abs_error:
-        raise CertificationError(
-            f"I_{n} certified to {bound:.3e}, target {target_abs_error:.3e}"
-        )
-    return RealApprox(value=value, abs_error=bound)
+def _check_term(prec: int, num: int, den: int, m: int, key, out: tuple[int, int]) -> Fraction:
+    """A term num/den pi^m x that the library returned as ``out``, a value
+    and a bound in units: the bound covers the value's actual distance from
+    num/den P z plus the worst case of pi^m within e units of P and x
+    within u units of z, and the value lies within the bound of the
+    reference.  Returns the reference term."""
+    fbits = prec + GUARD
+    power, err = zeta_engine._pi_fixed(m, prec)
+    z, u = _factor(prec, key)
+    value, bound = out
+    scale = den << fbits
+    worst = abs(value * scale - num * power * z) + abs(num) * (power * u + z * err + err * u)
+    assert worst <= bound * scale, (prec, num, den, m, key)
+    ref = _reference(prec)
+    exact = Fraction(num, den) * ref["pi", m] * (1 if key is None else ref[key])
+    assert abs(exact - Fraction(value, 2**fbits)) <= Fraction(bound, 2**fbits), (prec, m, key)
+    return exact
 
 
-def _outcome(call) -> str:
-    """The repr of the result, which tells -0.0 from 0.0, or the error."""
-    try:
-        return repr(call())
-    except CertificationError as exc:
-        return f"raised {exc}"
+def _raw(value: int, bound: int, prec: int) -> tuple[tuple, tuple]:
+    return from_man_exp(value, -(prec + GUARD)), from_man_exp(bound, -(prec + GUARD))
 
 
-# past the certified envelope for the larger n, so errors are compared too
-LEG_N = range(21)
+@pytest.fixture
+def rounded(monkeypatch):
+    """The (value, bound) raw tuples that the legs and the closed form hand
+    to ``float_with_bound``, recorded as the test runs."""
+    calls = []
+
+    def recording(value, bound):
+        calls.append((value, bound))
+        return _precision.float_with_bound(value, bound)
+
+    monkeypatch.setattr(zeta_engine, "float_with_bound", recording)
+    return calls
 
 
-@pytest.mark.parametrize("tol", TOLERANCES)
-def test_leg_r_summands_match_mpf_reference(cold_caches, tol):
-    ctx = _context(_leg_prec(tol))
+@pytest.mark.parametrize("tol", LEG_TOLERANCES)
+def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
+    """Each summand of the right leg for n <= 40, leg L's the last, lies
+    within its counted units of the reference, and so do the two summed
+    components; they are what leg_R_term, leg_L and leg_R round."""
+    prec = _leg_prec(tol)
+    _check_inputs(prec)
+    reached = 0
     for n in LEG_N:
-        expected = [(p, v._mpf_, e._mpf_) for p, v, e in _leg_r_terms_mp(n, ctx)]
-        assert [contour_verifier._leg_r_term(n, k, ctx.prec) for k in range(n + 1)] == expected, n
+        sums, errs, exact = [0, 0], [0, 0], [Fraction(0), Fraction(0)]
+        for k in range(n + 1):
+            rounded.clear()
+            _run(lambda: contour_verifier.leg_R_term(n, k, tol))
+            phase, value, bound = contour_verifier._leg_r_term(n, k, prec)
+            assert phase == (k + 3) % 4 and rounded == [_raw(value, bound, prec)], (n, k)
+            num = math.comb(n, k) * math.factorial(k)
+            term = _check_term(prec, num, 2 ** (k + 1), n - k, k + 2, (value, bound))
+            comp, sign = _PHASE_SIGN[phase]
+            sums[comp] += sign * value
+            errs[comp] += bound
+            exact[comp] += sign * term
+        rounded.clear()
+        _run(lambda: contour_verifier.leg_L(n, tol))
+        assert rounded == [_raw(value, bound, prec)], n
+        unit = Fraction(1, 2 ** (prec + GUARD))
+        for comp in (0, 1):
+            assert abs(exact[comp] - sums[comp] * unit) <= errs[comp] * unit, (n, comp)
+        rounded.clear()
+        _run(lambda: contour_verifier.leg_R(n, tol))
+        if rounded:
+            assert rounded == [_raw(sums[0], errs[0], prec), _raw(sums[1], errs[1], prec)], n
+            reached += 1
+    assert reached > 0
 
 
-@pytest.mark.parametrize("tol", TOLERANCES)
+@pytest.mark.parametrize("tol", LEG_TOLERANCES)
 def test_log2_terms_and_slack_match_mpf_reference(cold_caches, tol):
-    quad, ctx = _context(prec_for(tol, 12, 25)), _context(_leg_prec(tol))
-    for c in (quad, ctx):
-        assert _precision._slack_unit(c.prec) == (c.mpf(10) ** (4 - c.dps))._mpf_, c.prec
-    pi = +ctx.pi
+    """The log-2 term of Re(H_n) and Im(H_n) = r pi^(n+2) for n <= 40
+    lie within their counted units of the reference; the quadrature's
+    precision-slack unit is its ``mpf`` expression, bit for bit."""
+    quad = _context(prec_for(tol, 12, 25))
+    assert _precision._slack_unit(quad.prec) == (quad.mpf(10) ** (4 - quad.dps))._mpf_
+    prec = _leg_prec(tol)
     for n in LEG_N:
-        log2_term = pi ** (n + 1) / (n + 1) * ctx.log(2)
-        assert contour_verifier._log2_term(n, ctx.prec) == log2_term._mpf_, n
+        _check_term(prec, 1, n + 1, n + 1, "log2", contour_verifier._log2_term(n, prec))
         r = contour_verifier.leg_H_im_coefficient(n)
-        im = ctx.mpf(r.numerator) / r.denominator * pi ** (n + 2)
-        assert zeta_engine._scale(r, n + 2, ctx.prec) == im._mpf_, n
+        im = zeta_engine._fixed_term(r.numerator, r.denominator, n + 2, None, prec)
+        _check_term(prec, r.numerator, r.denominator, n + 2, None, im)
 
 
-def test_legs_and_closed_form_match_mpf_reference(cold_caches):
-    outcomes = {"new": [], "reference": []}
-    for side, legs, closed, term in (
-        (
-            "new",
-            (contour_verifier.leg_L, contour_verifier.leg_R),
-            logsine_closed_form.logsine_numeric,
-            contour_verifier.leg_R_term,
-        ),
-        ("reference", (leg_L, leg_R), logsine_numeric, leg_R_term),
-    ):
-        cold_caches()
-        for tol in TOLERANCES:
-            for n in LEG_N:
-                row = [_outcome(lambda: leg(n, tol)) for leg in legs]
-                row.append(_outcome(lambda: closed(n, tol)))
-                row += [_outcome(lambda: term(n, k, tol)) for k in range(n + 1)]
-                outcomes[side].append(row)
-    assert outcomes["new"] == outcomes["reference"]
-    # both certified results and errors are compared
-    flat = [x for row in outcomes["new"] for x in row]
-    assert any(x.startswith("raised") for x in flat)
-    assert any(not x.startswith("raised") for x in flat)
+def test_legs_and_closed_form_match_mpf_reference(cold_caches, rounded):
+    """At each leg precision, each term of the closed form for n <= 40,
+    the log-2 term and those of its zeta sum, lies within its counted
+    units of the reference, and so does their sum; the sum is what
+    logsine_numeric rounds."""
+    every = {prec_for(tol, 25, 30) for tol in (3e-2, *(10.0**-e for e in range(2, 15)))}
+    assert {_leg_prec(tol) for tol in LEG_TOLERANCES} == every | {dps_to_prec(40), dps_to_prec(80)}
+    reached = 0
+    for tol in LEG_TOLERANCES:
+        prec = _leg_prec(tol)
+        for n in LEG_N:
+            sym = logsine_symbolic(n)
+            total = internal = 0
+            exact = Fraction(0)
+            for coeff, m, key in (
+                (sym.log2_coefficient, n + 1, "log2"),
+                *((coeff, sym.pi_power(s), s) for s, coeff in sym.zeta_terms),
+            ):
+                p, q = coeff.numerator, coeff.denominator
+                value, bound = zeta_engine._fixed_term(p, q, m, _factor(prec, key), prec)
+                exact += _check_term(prec, p, q, m, key, (value, bound))
+                total += value
+                internal += bound
+            unit = Fraction(1, 2 ** (prec + GUARD))
+            assert abs(exact - total * unit) <= internal * unit, (prec, n)
+            rounded.clear()
+            _run(lambda: logsine_closed_form.logsine_numeric(n, tol))
+            if rounded:
+                assert rounded == [_raw(total, internal, prec)], (prec, n)
+                reached += 1
+    assert reached > 0
