@@ -7,13 +7,17 @@ apply, down to 1e-14, past the certified envelope.  A call that raises
 is recorded as its error type and text.  After the results, each dump
 lists every entry of the working-precision memo tables the calls filled
 (``RAW_TABLES``), one line per key in sorted key order with the entry's
-raw tuples, or the sha256 of their repr when that is long, so an error in
-bits that rounding to double hides still shows; a table that a checkout
-lacks is listed as ``absent``.  The tanh-sinh engine's tables are the
-log-sin values, keyed by precision and node distance, and its nodes, as
-the integers (gm, ge, cm, wm, ws) it sums with, listed as ``nodes`` for
-each (prec, level) that the calls ask the engine's node function for:
-``_nodes``, or ``_fixed_nodes`` in a checkout that has it.  The two dumps
+raw tuples or integers, or the sha256 of their repr when that is long, so
+an error in bits that rounding to double hides still shows; a table that
+a checkout lacks is listed as ``absent``.  Each zeta entry is listed as
+the integers of its value and bound in units of 2^-(prec + 16), prec the
+key's precision, whether the checkout stores those integers or raw
+tuples, which ``to_fixed`` turns into them exactly.  The tanh-sinh
+engine's tables are the log-sin values, keyed by precision and node
+distance, and its nodes, as the integers (gm, ge, cm, wm, ws) it sums
+with, listed as ``nodes`` for each (prec, level) that the calls ask the
+engine's node function for: ``_nodes``, or ``_fixed_nodes`` in a
+checkout that has it.  The two dumps
 are compared entry by entry.  Each checkout is then dumped again in a
 fresh process that makes the same calls in reverse order, and that dump
 is compared with its forward one: a result that changes is one that
@@ -127,10 +131,20 @@ def dump(reverse: bool) -> None:
             continue
         if name == "_LOGSIN_TABLE":
             table = {(prec, d): v for prec, inner in table.items() for d, v in inner.items()}
+        if name == "_ZETA_TABLE":
+            table = {key: tuple(map(partial(in_units, key[1]), v)) for key, v in table.items()}
         for key in sorted(table):
             print_entry(name, key, table[key])
     for key in sorted(node_keys):
         print_entry("nodes", key, node_table(*key))
+
+
+def in_units(prec: int, x) -> int:
+    """A zeta value or bound in units of 2^-(prec + 16): the integer
+    itself, or a raw tuple cut exactly."""
+    from mpmath.libmp import to_fixed
+
+    return x if isinstance(x, int) else to_fixed(x, prec + 16)
 
 
 def print_entry(name: str, key, value) -> None:

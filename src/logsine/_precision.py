@@ -6,9 +6,9 @@ then cover (a) the analytic truncation error of whatever series/rule was
 used, (b) mpmath rounding at the working precision, and (c) the single
 final rounding to double, which is at most half an ulp of the result.
 
-Values and bounds reach this module as raw ``mpmath.libmp`` tuples, the
-form the series, the legs, the closed form and the tanh-sinh engine
-compute in, and leave ``float_with_bound`` as doubles.
+This module owns the one fixed-point unit, 2^-(prec + _GUARD) at prec
+bits, that the zeta series, the legs, the closed form and the tanh-sinh
+engine sum integers in, and the conversions into and out of it.
 
 The working precision is a plain number of bits, chosen from the target
 by ``prec_for`` and passed to every ``libmp`` call.  No mpmath context
@@ -23,16 +23,21 @@ from functools import lru_cache
 
 from mpmath.libmp import (
     dps_to_prec,
+    from_float,
     from_int,
+    from_man_exp,
     mpf_abs,
     mpf_mul,
     mpf_pow_int,
     prec_to_dps,
     round_nearest,
+    to_fixed,
     to_float,
 )
 
 from .errors import CertificationError
+
+_GUARD = 16  # fractional bits of the fixed-point integers beyond the working precision
 
 
 def prec_for(target_abs_error: float, extra_digits: int, min_dps: int) -> int:
@@ -75,6 +80,22 @@ def float_with_bound(value: tuple, internal_bound: tuple) -> tuple[float, float]
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise CertificationError(f"value {value!r} or bound {bound!r} exceeds the double range")
     return value, math.nextafter(bound, math.inf)
+
+
+def _from_units(x: int, prec: int) -> tuple:
+    """An integer in units of 2^-(prec + _GUARD) as an exact raw tuple."""
+    return from_man_exp(x, -(prec + _GUARD))
+
+
+def _float_units(value: int, bound: int, prec: int) -> tuple[float, float]:
+    """``float_with_bound`` of a value and a bound in units."""
+    fbits = prec + _GUARD
+    return float_with_bound(from_man_exp(value, -fbits), from_man_exp(bound, -fbits))
+
+
+def _units_below(x: float, prec: int) -> int:
+    """A double in units of 2^-(prec + _GUARD), rounded down."""
+    return to_fixed(from_float(x), prec + _GUARD)
 
 
 __all__ = [

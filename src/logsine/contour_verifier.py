@@ -33,14 +33,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from mpmath.libmp import from_float, from_man_exp, mpf_add, to_fixed
+from mpmath.libmp import from_float, mpf_add
 
-from ._precision import float_with_bound, prec_for
+from ._precision import _float_units, _from_units, _units_below, float_with_bound, prec_for
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
 from .logsine_closed_form import logsine_numeric
 from .quadrature_oracle import QuadratureSettings, integrate_logsine
-from .zeta_engine import _GUARD, RealApprox, _fixed_term, _float_units, _log2_fixed, _zeta_fixed
+from .zeta_engine import RealApprox, _fixed_term, _log2_fixed, _zeta_fixed
 
 __all__ = [
     "ComplexApprox",
@@ -123,7 +123,7 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _leg_prec(tol)
     share = tol / (n + 1)
-    share_units = to_fixed(from_float(share), prec + _GUARD)  # rounded down
+    share_units = _units_below(share, prec)
     sums, errs = [0, 0], [0, 0]  # re, im
     # every summand, and so every zeta value it needs, before any check
     for phase, mag, err in [_leg_r_term(n, k, prec) for k in range(n + 1)]:
@@ -181,7 +181,7 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
     prec = _leg_prec(settings.target_abs_error)
-    value, bound = (from_man_exp(x, -(prec + _GUARD)) for x in _log2_term(n, prec))
+    value, bound = (_from_units(x, prec) for x in _log2_term(n, prec))
     # the log-2 term plus the oracle's value, and their bounds, summed exactly
     re_val, re_bound = float_with_bound(
         mpf_add(value, from_float(oracle.value)), mpf_add(bound, from_float(oracle.abs_error))
@@ -273,15 +273,8 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     R = leg_R(n, tol / 4)
     closed = logsine_numeric(n, tol / 4)
     prec = _leg_prec(tol)
-    log2_val, log2_bound = _float_units(*_log2_term(n, prec), prec)
-    return _sum_components(
-        [
-            L.re,
-            R.re,
-            RealApprox(log2_val, log2_bound),
-            RealApprox(closed.value, closed.abs_error),
-        ]
-    )
+    log2 = RealApprox(*_float_units(*_log2_term(n, prec), prec))
+    return _sum_components([L.re, R.re, log2, closed])
 
 
 def verify_imag_identity_exact(n: int, table: BernoulliTable) -> bool:

@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from mpmath.libmp import from_float, to_fixed
-
-from ._precision import prec_for
+from ._precision import _float_units, _units_below, prec_for
 from .errors import CertificationError, _require_int
-from .zeta_engine import _GUARD, RealApprox, _fixed_term, _float_units, _log2_fixed, _zeta_fixed
+from .zeta_engine import RealApprox, _fixed_term, _log2_fixed, _zeta_fixed
 
 __all__ = [
     "SymbolicLogSine",
@@ -82,7 +80,7 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     prec = prec_for(target_abs_error, extra_digits=25, min_dps=30)
     sym = logsine_symbolic(n)
     share = target_abs_error / (n // 2 + 1)
-    share_units = to_fixed(from_float(share), prec + _GUARD)  # rounded down
+    share_units = _units_below(share, prec)
     c0 = sym.log2_coefficient
     total, internal = _fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)
     if internal > share_units:

@@ -27,7 +27,8 @@ even when the integrand mass is ~1e5 (x^12 log sin x) and the target is
 1e-10.
 
 The engine sums on Python integers with F = working precision + ``_GUARD``
-fractional bits, the idiom of ``libmp``'s ``to_fixed``.  A node's
+fractional bits, ``_precision``'s unit, read from this module's binding
+so that a test can coarsen the engine alone.  A node's
 distances b g and b (1 - g) reach the integrand exactly, as (mantissa,
 exponent) pairs, so a node within 1e-100 of an end still gets its
 log(sin d) or ``libmp`` call on its floating distance: only products
@@ -68,7 +69,7 @@ from mpmath.libmp import (
     mpf_sin, mpf_sub, prec_to_dps, round_ceiling, round_floor, round_nearest, to_fixed, to_float,
 )
 
-from ._precision import float_with_bound, prec_for, round_slack
+from ._precision import _GUARD, float_with_bound, prec_for, round_slack
 from .errors import CertificationError, RefinementExhausted, _require_int
 from .zeta_engine import RealApprox
 
@@ -99,8 +100,9 @@ def vertical_tail_bound(n: int, cutoff: float) -> float:
     exactly and the rest rounded up, never below the smallest normal
     double; a bound past the double range raises CertificationError.
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+    _require_int(n, 0, "n must be a nonnegative integer")
+    if not (cutoff > 0 and math.isfinite(cutoff)):
+        raise ValueError("cutoff must be positive and finite")
     # sum_j (n!/j!) (2Y)^j by Horner's rule, then times e^(-2Y)/(1 - e^(-2Y)) / 2^(n+1)
     x, poly, coeff, up = from_float(2.0 * cutoff), fone, 1, round_ceiling
     for j in range(n, 0, -1):
@@ -117,6 +119,9 @@ def vertical_tail_bound(n: int, cutoff: float) -> float:
 def default_semi_infinite_cutoff_policy(n: int, target_abs_error: float) -> float:
     """Truncation point for the e^(-2y)-decaying integrands: start at
     max(20, 5n) and grow until the tail bound is below target/2."""
+    _require_int(n, 0, "n must be a nonnegative integer")
+    if not (target_abs_error > 0 and math.isfinite(target_abs_error)):
+        raise ValueError("target absolute error must be positive and finite")
     cutoff = max(20.0, 5.0 * n)
     while vertical_tail_bound(n, cutoff) >= target_abs_error / 2:
         cutoff *= 1.25
@@ -138,8 +143,6 @@ class QuadratureSettings:
 # tanh-sinh engine
 # ---------------------------------------------------------------------------
 
-
-_GUARD = 16  # fractional bits of the engine's integers beyond the working precision
 
 # An exact nonnegative number man * 2^exp as the pair (man, exp).
 Distance = tuple[int, int]

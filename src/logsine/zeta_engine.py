@@ -8,20 +8,15 @@ Even arguments come from the Bernoulli bridge
 whose pi-free coefficient is carried exactly.  Numeric evaluation at every
 s uses P. Borwein's alternating series ("An efficient algorithm for the
 Riemann zeta function", CMS Conf. Proc. 27, 2000), summed on Python
-integers with prec + 16 fractional bits at a working precision of prec
-bits.  Its bound has two parts, and both are proved:
+integers in ``_precision``'s unit 2^-(prec + 16) at a working precision of
+prec bits, so no rounding enters before the final one to double, which
+every certified bound here includes.  Its bound has two parts, and both
+are proved:
 
 - the a-priori remainder 6 / (3 + sqrt 8)^n of Borwein's theorem for real
   s >= 2, where n, the number of terms, is the smallest that brings it
   under 2^-(prec + 4);
 - the counted units of the integers' floor divisions, fewer than 2.
-
-The value is the integer sum times 2^-(prec + 16), exact as a raw mpmath
-tuple, so no rounding term enters; the double-precision constants used
-downstream (math.pi, math.log) are good to >= 15 significant digits, and
-certified bounds here always include the final rounding to double.  The
-series function keeps its old name, ``_euler_maclaurin``, because the
-benchmark's tracer wraps and counts it by that name.
 
 Borwein's coefficients d_0..d_n are exact integers that depend on the
 precision alone (through n).  They come from one table, keyed by the
@@ -30,15 +25,14 @@ precision in bits, that also holds the bound in units; n is about
 prec + 9 bits each.
 
 Every numeric zeta value passes through one table, keyed by (s, working
-precision in bits), that holds the series value and its bound as raw
-mpmath tuples.  The contour legs, the closed form and zeta_numeric ask
-for the same zeta(k+2) for every n, so each pair is summed once per
-process.  The table grows by one entry (a few hundred bytes) per distinct
-pair asked for; the precisions are the handful of integer digit counts that
-the callers' tolerances map to, and s is at most n + 2, so a sweep over
-n <= 12 at one tolerance adds about 55 entries.  What either table stores
-depends on its key alone.  The value and its bound stay raw tuples until
-``float_with_bound`` rounds them to doubles.
+precision in bits), that holds the series' value and bound in units; they
+stay integers until ``_float_units`` rounds them to doubles.  The contour
+legs, the closed form and zeta_numeric ask for the same zeta(k+2) for
+every n, so each pair is summed once per process.  The table grows by one
+entry (about two hundred bytes with its key) per pair asked for; the
+precisions are the handful the callers' tolerances map to, and s is at
+most n + 2, so a sweep over n <= 12 at one tolerance adds about 55
+entries.  What either table stores depends on its key alone.
 
 The contour legs and the closed form sum terms num/den * pi^m * x, x a
 zeta value, log 2 or 1, in the series' units 2^-(prec + 16) with one
@@ -57,9 +51,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import from_int, from_man_exp, mpf_log, mpf_pi, round_floor, to_fixed
+from mpmath.libmp import from_int, mpf_log, mpf_pi, round_floor, to_fixed
 
-from ._precision import float_with_bound, prec_for
+from ._precision import _GUARD, _float_units, prec_for
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
 
@@ -124,8 +118,6 @@ def zeta_series_partial(s: float, terms: int) -> float:
     return math.fsum(l ** (-s) for l in range(1, terms + 1))
 
 
-_GUARD = 16  # fractional bits of the series' integers beyond the working precision
-
 # precision in bits -> (d_0..d_n, the bound in units of 2^-(prec + 16))
 _BORWEIN_D: dict[int, tuple[tuple[int, ...], int]] = {}
 
@@ -158,11 +150,11 @@ def _borwein_table(prec: int) -> tuple[tuple[int, ...], int]:
     return entry
 
 
-def _euler_maclaurin(s: int, prec: int) -> tuple[tuple, tuple]:
+def _euler_maclaurin(s: int, prec: int) -> tuple[int, int]:
     """zeta(s) for integer s >= 2 by Borwein's alternating series, summed
     on integers with F = prec + 16 fractional bits.  Returns (value,
-    bound) as raw tuples.  The name is older than the algorithm; it stays
-    because the benchmark's tracer wraps the series by this name.
+    bound) in units of 2^-F.  The name is older than the algorithm; it
+    stays because the benchmark's tracer wraps the series by this name.
 
     zeta(s) = 2^(s-1) / (d_n (2^(s-1) - 1)) sum_{k<n} (-1)^k (d_n - d_k)
     / (k+1)^s + gamma_n, with |gamma_n| <= 3 / ((3 + sqrt 8)^n
@@ -170,7 +162,7 @@ def _euler_maclaurin(s: int, prec: int) -> tuple[tuple, tuple]:
     efficient algorithm for the Riemann zeta function", 2000).  Each term
     is one floor division, off by less than a unit; the n of them, scaled
     by at most 2 / d_n, and the final floor division come to under 2
-    units.  The value z 2^-F is exact, and the bound is the remainder
+    units.  The value is z units, and the bound is the remainder
     6 / (a_n - 1), rounded up to a unit, plus those 2 units.
     """
     d, units = _borwein_table(prec)
@@ -180,16 +172,15 @@ def _euler_maclaurin(s: int, prec: int) -> tuple[tuple, tuple]:
     for k in range(len(d) - 1):
         term = ((d_n - d[k]) << fbits) // (k + 1) ** s
         total += -term if k & 1 else term
-    z = (total << (s - 1)) // (d_n * ((1 << (s - 1)) - 1))
-    return from_man_exp(z, -fbits), from_man_exp(units, -fbits)
+    return (total << (s - 1)) // (d_n * ((1 << (s - 1)) - 1)), units
 
 
-# (s, precision in bits) -> raw mpmath tuples of (value, bound)
-_ZETA_TABLE: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+# (s, precision in bits) -> (value, bound) in units of 2^-(prec + 16)
+_ZETA_TABLE: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def _zeta_raw(s: int, prec: int) -> tuple[tuple, tuple]:
-    """zeta(s) at ``prec`` bits as raw tuples: (value, bound)."""
+def _zeta_fixed(s: int, prec: int) -> tuple[int, int]:
+    """zeta(s) at ``prec`` bits in units of 2^-(prec + 16): (value, bound)."""
     key = (s, prec)
     entry = _ZETA_TABLE.get(key)
     if entry is None:
@@ -235,12 +226,6 @@ def _log2_fixed(prec: int) -> tuple[int, int]:
     return entry
 
 
-def _zeta_fixed(s: int, prec: int) -> tuple[int, int]:
-    """zeta(s) at ``prec`` bits in units of 2^-(prec + 16): (value, bound)."""
-    value, bound = _zeta_raw(s, prec)
-    return to_fixed(value, prec + _GUARD), to_fixed(bound, prec + _GUARD)
-
-
 def _fixed_term(
     num: int, den: int, m: int, factor: tuple[int, int] | None, prec: int
 ) -> tuple[int, int]:
@@ -259,12 +244,6 @@ def _fixed_term(
     return value, -(-abs(num) * ((power + err) * u + (z + u) * err) // den) + (rest != 0)
 
 
-def _float_units(value: int, bound: int, prec: int) -> tuple[float, float]:
-    """``float_with_bound`` of a value and a bound in units of 2^-(prec + 16)."""
-    fbits = prec + _GUARD
-    return float_with_bound(from_man_exp(value, -fbits), from_man_exp(bound, -fbits))
-
-
 def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:
     """Certified zeta(s) for integer s >= 2.
 
@@ -273,7 +252,7 @@ def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:
     """
     _require_int(s, 2, "require integer s >= 2")
     prec = prec_for(target_abs_error, extra_digits=15, min_dps=25)
-    value, bound = float_with_bound(*_zeta_raw(s, prec))
+    value, bound = _float_units(*_zeta_fixed(s, prec), prec)
     if bound > target_abs_error:
         raise CertificationError(
             f"zeta({s}) certified to {bound:.3e}, target {target_abs_error:.3e}"

@@ -16,7 +16,11 @@ from logsine.fourier_appendix import (
     parseval_logsquared,
     sawtooth_series_partial,
 )
-from logsine.quadrature_oracle import cosine_moment
+from logsine.quadrature_oracle import (
+    cosine_moment,
+    default_semi_infinite_cutoff_policy,
+    vertical_tail_bound,
+)
 from logsine.zeta_engine import zeta_even_exact, zeta_numeric, zeta_series_partial
 
 
@@ -31,6 +35,8 @@ from logsine.zeta_engine import zeta_even_exact, zeta_numeric, zeta_series_parti
         parseval_logsquared,
         lambda terms: logsin_series_partial(1.0, terms),
         lambda terms: sawtooth_series_partial(1.0, terms),
+        lambda n: vertical_tail_bound(n, 20.0),
+        lambda n: default_semi_infinite_cutoff_policy(n, 1e-10),
     ],
     ids=[
         "bernoulli_table",
@@ -40,6 +46,8 @@ from logsine.zeta_engine import zeta_even_exact, zeta_numeric, zeta_series_parti
         "parseval_logsquared",
         "logsin_series_partial",
         "sawtooth_series_partial",
+        "vertical_tail_bound",
+        "cutoff_policy",
     ],
 )
 def test_index_and_term_count_must_be_integers(call, value):

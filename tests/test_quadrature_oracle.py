@@ -74,6 +74,30 @@ class TestSettings:
                 )
             assert tail <= vertical_tail_bound(n, cutoff), (n, cutoff)
 
+    # each returned a bound, nan as a bound, cutoff 20.0 or cutoff 1.05e308
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: vertical_tail_bound(-1, 20.0),
+            lambda: vertical_tail_bound(2, math.nan),
+            lambda: vertical_tail_bound(2, math.inf),
+            lambda: default_semi_infinite_cutoff_policy(-1, 1e-10),
+            lambda: default_semi_infinite_cutoff_policy(2, math.nan),
+            lambda: default_semi_infinite_cutoff_policy(2, -1.0),
+        ],
+        ids=[
+            "tail-negative-n",
+            "tail-nan-cutoff",
+            "tail-inf-cutoff",
+            "policy-negative-n",
+            "policy-nan-target",
+            "policy-negative-target",
+        ],
+    )
+    def test_tail_bound_and_cutoff_policy_reject_bad_input(self, call):
+        with pytest.raises(ValueError):
+            call()
+
     def test_tail_bound_past_the_largest_double_raises(self):
         with pytest.raises(CertificationError):
             vertical_tail_bound(200, 20.0)  # about 10^314

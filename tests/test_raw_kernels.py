@@ -141,7 +141,7 @@ def test_euler_maclaurin_matches_mpf_reference(cold_caches, prec):
     n, d, remainder = _borwein_proof(prec)
     unit = Fraction(1, 2 ** (prec + 16))
     for s in range(2, 41):
-        value, bound = (_fraction(x) for x in zeta_engine._euler_maclaurin(s, prec))
+        value, bound = (x * unit for x in zeta_engine._euler_maclaurin(s, prec))
         c = Fraction(2 ** (s - 1), 2 ** (s - 1) - 1)  # 1 / (1 - 2^(1-s))
         lcm = math.lcm(*range(1, n + 1)) ** s
         alternating = sum((-1) ** k * (d[n] - d[k]) * (lcm // (k + 1) ** s) for k in range(n))
@@ -376,7 +376,7 @@ def test_float_with_bound_raises_past_the_double_range(value, bound):
 # the legs L, R and H and the closed form on integers with counted units
 # ---------------------------------------------------------------------------
 
-GUARD = zeta_engine._GUARD
+GUARD = _precision._GUARD
 # one tolerance for each working precision the legs and the closed form use
 # from 3e-2 to 1e-14 (3e-2 to 1e-5 share 30 digits), then 40 and 80 digits
 LEG_TOLERANCES = (1e-3, *(10.0**-e for e in range(6, 15)), 1e-15, 1e-55)
@@ -442,12 +442,13 @@ def rounded(monkeypatch):
     """The (value, bound) raw tuples that the legs and the closed form hand
     to ``float_with_bound``, recorded as the test runs."""
     calls = []
+    float_with_bound = _precision.float_with_bound
 
     def recording(value, bound):
         calls.append((value, bound))
-        return _precision.float_with_bound(value, bound)
+        return float_with_bound(value, bound)
 
-    monkeypatch.setattr(zeta_engine, "float_with_bound", recording)
+    monkeypatch.setattr(_precision, "float_with_bound", recording)
     return calls
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.ctx_mp import MPContext
 
 from logsine import zeta_engine
+from logsine._precision import _float_units, prec_for
 from logsine.contour_verifier import verify_null, verify_real_part
 from logsine.errors import CertificationError
 from logsine.exact_core import bernoulli_table
@@ -151,11 +151,13 @@ class TestZetaTable:
         assert len(calls) == 4
 
     def test_entry_is_the_global_context_sum_at_its_precision(self, cold_caches):
-        for dps in (40, 20, 40, 20):
-            ctx = MPContext()
-            ctx.dps = dps
-            expected = zeta_engine._euler_maclaurin(3, ctx.prec)
-            assert zeta_engine._zeta_raw(3, ctx.prec) == expected
+        # zeta_numeric works at 30 digits for the first target, 25 for the second
+        for tol in (1e-15, 1e-5, 1e-15, 1e-5):
+            prec = prec_for(tol, extra_digits=15, min_dps=25)
+            approx = zeta_numeric(3, tol)
+            entry = zeta_engine._zeta_fixed(3, prec)
+            assert entry == zeta_engine._euler_maclaurin(3, prec)
+            assert approx == RealApprox(*_float_units(*entry, prec))
 
     def test_results_independent_of_call_order(self, cold_caches):
         def outcome(fn, n, tol):
