@@ -9,11 +9,12 @@ lists every entry of the working-precision memo tables the calls filled
 (``RAW_TABLES``), one line per key in sorted key order with the entry's
 raw tuples or integers, or the sha256 of their repr when that is long, so
 an error in bits that rounding to double hides still shows; a table that
-a checkout lacks is listed as ``absent``.  Each zeta entry is listed as
-the integers of its value and bound in units of 2^-(prec + 16), prec the
-key's precision, whether the checkout stores those integers or raw
-tuples, which ``to_fixed`` turns into them exactly.  The tanh-sinh
-engine's tables are the log-sin values, keyed by precision and node
+a checkout lacks, or whose module it lacks, is listed as ``absent``.
+Each zeta entry is listed as the integers of its value and bound in
+units of 2^-(prec + 16), prec the key's precision, whether the checkout
+stores those integers or raw tuples, which ``to_fixed`` turns into them
+exactly.  The counted routines' pi and log 2 are listed by their
+precision in bits.  The tanh-sinh engine's tables are the log-sin values, keyed by precision and node
 distance, and its nodes, as the integers (gm, ge, cm, wm, ws) it sums
 with, listed as ``nodes`` for each (prec, level) that the calls ask the
 engine's node function for: ``_nodes``, or ``_fixed_nodes`` in a
@@ -51,6 +52,8 @@ S_RANGE = range(2, 31)
 L_RANGE = range(1, 4)
 # (module, table); _LOGSIN_TABLE maps precision to a table of its own
 RAW_TABLES = (
+    ("_elementary", "_PI"),
+    ("_elementary", "_LOG2"),
     ("zeta_engine", "_ZETA_TABLE"),
     ("zeta_engine", "_PI_FIXED"),
     ("zeta_engine", "_LOG2_FIXED"),
@@ -125,7 +128,10 @@ def dump(reverse: bool) -> None:
         print(lines[label])
     print(TABLES_MARK)
     for module, name in RAW_TABLES:
-        table = getattr(importlib.import_module(f"logsine.{module}"), name, None)
+        try:
+            table = getattr(importlib.import_module(f"logsine.{module}"), name, None)
+        except ModuleNotFoundError:
+            table = None
         if table is None:
             print(f"{name} -> absent")
             continue

@@ -33,9 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from mpmath.libmp import from_float, mpf_add
-
-from ._precision import _float_units, _from_units, _units_below, float_with_bound, prec_for
+from ._precision import _float_units, _units_below, prec_for
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
 from .logsine_closed_form import logsine_numeric
@@ -181,10 +179,9 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
     prec = _leg_prec(settings.target_abs_error)
-    value, bound = (_from_units(x, prec) for x in _log2_term(n, prec))
     # the log-2 term plus the oracle's value, and their bounds, summed exactly
-    re_val, re_bound = float_with_bound(
-        mpf_add(value, from_float(oracle.value)), mpf_add(bound, from_float(oracle.abs_error))
+    re_val, re_bound = _float_units(
+        *_log2_term(n, prec), prec, plus=(oracle.value, oracle.abs_error)
     )
     r = leg_H_im_coefficient(n)
     im = _fixed_term(r.numerator, r.denominator, n + 2, None, prec)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any
 
 from ._precision import _float_units, _units_below, prec_for
@@ -54,8 +55,11 @@ class SymbolicLogSine:
         return self.n - zeta_argument + 2
 
 
+# typed, so that True is no cached 1 and still raises
+@lru_cache(maxsize=None, typed=True)
 def logsine_symbolic(n: int) -> SymbolicLogSine:
-    """Exact decomposition of I_n (empty zeta sum for n in {0, 1})."""
+    """Exact decomposition of I_n (empty zeta sum for n in {0, 1}),
+    memoized: the result is frozen, so callers may share it."""
     _require_int(n, 0, "n must be a nonnegative integer")
     terms = []
     for k in range(1, n // 2 + 1):

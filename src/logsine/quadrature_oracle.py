@@ -14,33 +14,34 @@ the dropped tail of y^n * log(1 - e^(-2y)) is bounded through
 |log(1-u)| <= u/(1-u) by an exact incomplete-gamma sum, and Y is grown
 until that bound is below half the target.
 
-The reported abs_error is the sum of five terms, auditable one by one:
+The reported abs_error is the sum of four terms, auditable one by one:
 the rule estimate |T_k - T_(k-1)| of the last two refinement levels (an
-estimate, not a proof); the tail-truncation bound of a semi-infinite
-integral; the working-precision slack ``round_slack(mass)`` for the
-``libmp``-evaluated nodes, weights, abscissae and integrand values; the
-engine's counted fixed-point truncations; and the final rounding to
-double, half an ulp of the result.  Refinement is deterministic:
-identical inputs visit identical nodes.  Evaluation runs at a working
-precision well beyond double, so the double-rounding floor dominates
-even when the integrand mass is ~1e5 (x^12 log sin x) and the target is
-1e-10.
+estimate, not a proof); the bound on what the interval leaves out, the
+tail past a semi-infinite integral's cutoff or the sliver between b and
+an end at pi or pi/2; the counted units of every integrand value, node
+weight and fixed-point truncation; and the final rounding to double,
+half an ulp of the result.  Refinement is deterministic: identical
+inputs visit identical nodes.  Evaluation runs at a working precision
+well beyond double, so the double-rounding floor dominates even when the
+integrand mass is ~1e5 (x^12 log sin x) and the target is 1e-10.
 
 The engine sums on Python integers with F = working precision + ``_GUARD``
 fractional bits, ``_precision``'s unit, read from this module's binding
-so that a test can coarsen the engine alone.  A node's
+so that a test can coarsen the engine alone.  The ends pi and pi/2 are
+the exact b = ``_elementary.pi`` at F bits, at most pi.  A node's
 distances b g and b (1 - g) reach the integrand exactly, as (mantissa,
 exponent) pairs, so a node within 1e-100 of an end still gets its
-log(sin d) or ``libmp`` call on its floating distance: only products
-and sums go fixed.  Each integrand value is computed at the working
-precision and cut to an integer within one unit 2^-F of that value; the
-unit covers this cut alone.  The value's own rounding error, a few of its
-ulps at the working precision (for the vertical leg at 86 bits, up to
-about 4 * 10^6 units at n = 0 and 1.4 * 10^9 at n = 12), is charged by
-``round_slack(mass)``.  Each product with a weight w < 2 rounds down
-once, so it is off by under 3 units; the rule's value (b/2) 2^-k sum
-rounds down once more.  The counted term is 3 units per evaluation
-scaled by b/2^(k+1), plus 2.
+log(sin d) on its own distance: only products and sums go fixed.  Each
+integrand returns an integer and its units: the function, at that exact
+point, lies within those units of 2^-F of the integer, except where an
+integrand first cuts x to fewer bits, which moves the function by a
+stated fraction 2^-r of itself.  Each product with a weight w < 2 rounds
+down once, so it is off by under 2 u + 1 units for a value of u units;
+the rule's value (b/2) 2^-k sum rounds down once more.  A node's own
+rounding makes its abscissa an exact point near the ideal one, at which
+the integrand is evaluated, and its weight within 2^-F of the ideal
+weight; that weight error and the cut's fraction are charged on the
+rule's |weight*f| mass.
 
 Results are memoized in one cache keyed by (integrand builder, its
 arguments, target), and the nodes in one table of the engine's integers
@@ -48,11 +49,10 @@ keyed by (precision, level); every rule stops by level ``_MAX_DEPTH`` =
 12, so depth is no part of the key.  The x^n log(sin x) integrand takes
 log(sin d), d the node's distance from its nearer end, from a table
 keyed by working precision and d, so the moments for every n share one
-evaluation per node.  The other integrands are functions of x alone:
-each rounds x to the working precision, makes the ``libmp`` calls of its
-``mpf`` formula at that precision, and cuts the result with
-``to_fixed``.  Every rule runs at the working precision of its target,
-so every memoized value depends on its key alone.
+evaluation per node.  The other integrands are functions of x alone,
+evaluated with the counted routines of ``_elementary``.  Every rule runs
+at the working precision of its target, so every memoized value depends
+on its key alone.
 """
 
 from __future__ import annotations
@@ -60,16 +60,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from mpmath.libmp import (
-    dps_to_prec, fone, from_float, from_int, from_man_exp, mpf_add, mpf_cos, mpf_cosh_sinh,
-    mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int, mpf_shift,
-    mpf_sin, mpf_sub, prec_to_dps, round_ceiling, round_floor, round_nearest, to_fixed, to_float,
-)
-
-from ._precision import _GUARD, float_with_bound, prec_for, round_slack
+from . import _elementary
+from ._elementary import _shift
+from ._precision import _GUARD, fixed_below, float_with_bound, prec_for
 from .errors import CertificationError, RefinementExhausted, _require_int
 from .zeta_engine import RealApprox
 
@@ -89,6 +86,8 @@ __all__ = [
 _MIN_ACCEPT_LEVEL = 3
 # The deepest refinement level any oracle integral visits.
 _MAX_DEPTH = 12
+# Fractional bits of the node tables beyond the engine's F.
+_NODE_BITS = 16
 
 
 def vertical_tail_bound(n: int, cutoff: float) -> float:
@@ -97,23 +96,36 @@ def vertical_tail_bound(n: int, cutoff: float) -> float:
     Uses |log(1-u)| <= u/(1-u) with u = e^(-2y) <= e^(-2*cutoff), then the
     exact closed form int_Y^inf y^n e^(-2y) dy =
     (n!/2^(n+1)) e^(-2Y) sum_{j=0}^{n} (2Y)^j / j!.  The sum is taken
-    exactly and the rest rounded up, never below the smallest normal
-    double; a bound past the double range raises CertificationError.
+    exactly, e^(-2Y) from above with ``_elementary.exp``, and the bound
+    rounded up once, never below the smallest normal double; a bound past
+    the double range raises CertificationError.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValueError("cutoff must be positive and finite")
-    # sum_j (n!/j!) (2Y)^j by Horner's rule, then times e^(-2Y)/(1 - e^(-2Y)) / 2^(n+1)
-    x, poly, coeff, up = from_float(2.0 * cutoff), fone, 1, round_ceiling
+    # sum_j (n!/j!) (2Y)^j by Horner's rule
+    x, poly, coeff = 2 * Fraction(cutoff), Fraction(1), 1
     for j in range(n, 0, -1):
         coeff *= j
-        poly = mpf_add(mpf_mul(poly, x), from_int(coeff))
-    u = mpf_exp(from_float(-2.0 * cutoff), 53, up)
-    ratio = mpf_div(u, mpf_sub(fone, u, 53, round_floor), 53, up)
-    bound = to_float(mpf_mul(mpf_shift(poly, -(n + 1)), ratio, 53, up), rnd=up)
-    if bound == math.inf:
+        poly = poly * x + coeff
+    num, den = x.numerator, x.denominator
+    # e^(-2Y) is near 2^-k; at 64 + k bits it keeps 64 significant bits,
+    # unless poly e^(-2Y) is under 2^-1200, past every double
+    k = num * 1442695 // (den * 1000000)
+    lift = poly.numerator.bit_length() - poly.denominator.bit_length() + 1200
+    bits = 64 + min(k, lift) + max(0, den.bit_length() - num.bit_length())
+    e, units = _elementary.exp((-num, 1 - den.bit_length()), bits)
+    up = Fraction(e + units, 1 << bits)  # above e^(-2Y)
+    bound = poly * up / ((1 - up) * 2 ** (n + 1))
+    try:
+        value = bound.numerator / bound.denominator
+    except OverflowError:
+        value = math.inf
+    if value < bound:
+        value = math.nextafter(value, math.inf)
+    if value == math.inf:
         raise CertificationError(f"tail bound for n={n} past {cutoff!r} exceeds the double range")
-    return max(bound, sys.float_info.min)  # a subnormal bound may have rounded down
+    return max(value, sys.float_info.min)  # a subnormal bound may have rounded down
 
 
 def default_semi_infinite_cutoff_policy(n: int, target_abs_error: float) -> float:
@@ -146,14 +158,9 @@ class QuadratureSettings:
 
 # An exact nonnegative number man * 2^exp as the pair (man, exp).
 Distance = tuple[int, int]
-# (x, d) -> f(x) on [0, b] as an integer within one unit of 2^-(prec + _GUARD)
-# of its working-precision value; d is x's exact distance from the nearer end
-RawIntegrand = Callable[[Distance, Distance], int]
-
-
-def _shift(value: int, bits: int) -> int:
-    """value * 2^bits, rounded down."""
-    return value << bits if bits >= 0 else value >> -bits
+# (x, d) -> (value, units): f(x) on [0, b] within units of 2^-(prec + _GUARD)
+# of the integer value; d is x's exact distance from the nearer end
+RawIntegrand = Callable[[Distance, Distance], tuple[int, int]]
 
 
 def _t_limit(dps: int) -> int:
@@ -169,75 +176,87 @@ def _nodes(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
 
     For an abscissa t:  u = (pi/2) sinh t,  q = e^(-2u), offset-fraction
     g = q/(1+q) (distance of each mirrored node from its nearer endpoint,
-    as a fraction of the interval), weight w = 2 pi cosh(t) q/(1+q)^2,
-    rounded 10 digits above ``prec``.  Level 0 has t = 0..T, level k >= 1
-    the odd multiples of 2^-k up to T.  Mirrored nodes share g and w; the
-    center node g = 1/2, its own mirror, holds half its weight.
+    as a fraction of the interval), weight w = 2 pi cosh(t) g (1 - g).
+    Level 0 has t = 0..T, level k >= 1 the odd multiples of 2^-k up to T;
+    T is ``_t_limit`` of the precision's decimal digits.  Mirrored nodes
+    share g and w; the center node g = 1/2, its own mirror, holds half
+    its weight.
+
+    Each is computed at B = F + ``_NODE_BITS`` bits, F = prec + _GUARD,
+    with relative errors counted in units of 2^-B: pi and cosh t within
+    their units, 2u = pi sinh t within a units; q at B + k bits, q >
+    2^-(k + 2), within 4 times its units and a + 1 for the error in 2u;
+    g and 1 - g 8 more, for the floor of g > 2^-(k + 3); w the sum of
+    those of pi, cosh t, g and 1 - g, 4 for its floor and 1 for the
+    products.  The weight's count must stay within 2^_NODE_BITS, so that
+    every weight is within 2^-F of itself.
     """
-    dps = prec_to_dps(prec)
-    wp, rnd = dps_to_prec(dps + 10), round_nearest
-    pi = mpf_pi(wp, rnd)
-    half_pi = mpf_div(pi, from_int(2), wp, rnd)  # ctx.pi / 2
-    two_pi = mpf_mul_int(pi, 2, wp, rnd)  # 2 * ctx.pi
+    frac = prec + _GUARD
+    bits = frac + _NODE_BITS
+    dps = max(1, round(prec / 3.3219280948873626) - 1)  # decimal digits of prec bits
+    pi, pi_units = _elementary.pi(bits)
     out = []
     # t = j 2^-level, exact: every j <= T at level 0, the odd j above
     odd = level > 0
     for j in range(odd, (_t_limit(dps) << level) + 1, 1 + odd):
-        cosh_t, sinh_t = mpf_cosh_sinh(from_man_exp(j, -level), wp, rnd)
-        u = mpf_mul(half_pi, sinh_t, wp, rnd)
-        q = mpf_exp(mpf_mul_int(u, -2, wp, rnd), wp, rnd)  # ctx.exp(-2 * u)
-        one_q = mpf_add(q, fone, wp, rnd)  # 1 + q
-        _, gm, ge, _ = mpf_div(q, one_q, wp, rnd)
-        w = mpf_mul(mpf_mul(two_pi, cosh_t, wp, rnd), q, wp, rnd)
-        _, wm, we, _ = mpf_div(w, mpf_pow_int(one_q, 2, wp, rnd), wp, rnd)
-        # g <= 1/2 and w < 2 with odd mantissas, so ge < 0 and we <= 0
-        out.append((gm, ge, (1 << -ge) - gm, wm, -we + (j == 0)))
+        cosh, sinh, hyp_units = _elementary.cosh_sinh((j, -level), bits)
+        a = pi * sinh >> bits  # 2u = pi sinh t
+        a_units = ((pi + pi_units) * hyp_units + sinh * pi_units >> bits) + 2
+        k = int(a / (1 << bits) / math.log(2))  # e^(-2u) > 2^-(k + 1)
+        scale = bits + k
+        q, q_units = _elementary.exp((-a, -bits), scale)
+        g = (q << scale) // ((1 << scale) + q)
+        c = (1 << scale) - g
+        w = pi * cosh * g * c >> (3 * bits + k - 1)  # 2 pi cosh(t) g (1 - g) 2^scale
+        g_units = 4 * q_units + a_units + 9
+        if pi_units + hyp_units + 2 * g_units + 6 > 1 << _NODE_BITS:
+            raise CertificationError(f"tanh-sinh node {j} 2^-{level} lost its precision")
+        out.append((g, -scale, c, w, scale + (j == 0)))
     return tuple(out)
 
 
 def _tanh_sinh(
-    f: RawIntegrand, b: tuple, rule_target: tuple, prec: int
-) -> tuple[tuple, tuple, tuple, tuple]:
+    f: RawIntegrand, b: Distance, rule_target: int, prec: int
+) -> tuple[int, int, int, int]:
     """Integrate over [0, b], refining until two successive level sums
-    differ by <= rule_target, at ``prec`` bits; b and rule_target are raw
-    tuples.
+    differ by <= rule_target, at ``prec`` bits; b is an exact pair and
+    rule_target an integer in units of 2^-F, F = prec + _GUARD.
 
     The integrand receives a node's abscissa x = b g or b (1 - g) and its
     distance d = b g from the nearer end as exact pairs, so a singular
     factor can be evaluated from d without cancellation.  It returns a
-    fixed-point integer, on which the sums are accumulated.
+    fixed-point integer and its units, on which the sums are accumulated.
 
     Returns (value, rule error estimate, accumulated |weight*f| mass,
-    bound on the fixed-point truncations) as raw tuples, each exactly the
-    engine's integer scaled by 2^-F.  Raises RefinementExhausted if
-    ``_MAX_DEPTH`` levels are not enough.
+    counted units) as integers in units of 2^-F: the rule's sum over the
+    integrand values lies within the counted units of the value.  Raises
+    RefinementExhausted if ``_MAX_DEPTH`` levels are not enough.
     """
-    frac = prec + _GUARD
-    _, bm, be, _ = b
-    target = to_fixed(rule_target, frac)
-    # sums of w f and |w f| over the nodes of every level so far
-    total_sum = mass_sum = evals = 0
+    bm, be = b
+    # sums of w f, |w f| and the units of the values plus one per pair
+    total_sum = mass_sum = unit_sum = 0
     for level in range(_MAX_DEPTH + 1):
         for gm, ge, cm, wm, ws in _nodes(prec, level):
             near = (bm * gm, be + ge)
-            lo = (wm * f(near, near)) >> ws
-            hi = (wm * f((bm * cm, be + ge), near)) >> ws
+            lo, lo_units = f(near, near)
+            hi, hi_units = f((bm * cm, be + ge), near)
+            lo = (wm * lo) >> ws
+            hi = (wm * hi) >> ws
             total_sum += lo + hi
             mass_sum += abs(lo) + abs(hi)
-            evals += 2
+            unit_sum += lo_units + hi_units + 1
         # the rule's value is (b/2) h total_sum with h = 2^-level
         total = _shift(bm * total_sum, be - level - 1)
         if level >= _MIN_ACCEPT_LEVEL:  # >= 1, so prev is set
             diff = abs(total - prev)
-            if diff <= target:
-                # under 3 units per w f, one for the value's rounding and
-                # one for the ceiling of the scaled count
-                units = _shift(3 * evals * bm, be - level - 1) + 2
-                mass = _shift(bm * mass_sum, be - level - 1)
-                return tuple(from_man_exp(x, -frac) for x in (total, diff, mass, units))
+            if diff <= rule_target:
+                # (b/2) h sum (2 u + 1) over the values, rounded up, and a
+                # unit for the value's own rounding
+                units = _shift(bm * unit_sum, be - level) + 2
+                return total, diff, _shift(bm * mass_sum, be - level - 1), units
         prev = total
     raise RefinementExhausted(
-        f"no convergence to {to_float(rule_target, rnd=round_nearest):.3e}"
+        f"no convergence to {math.ldexp(rule_target, -(prec + _GUARD)):.3e}"
         f" within depth {_MAX_DEPTH}"
     )
 
@@ -246,122 +265,161 @@ def _tanh_sinh(
 # oracle integrals
 # ---------------------------------------------------------------------------
 
-# What an integrand builder returns for (prec, *args): the raw integrand at
-# the working precision ``prec``, the upper end b of its interval [0, b] as
-# a raw tuple, and a bound on the part of the integral that the interval
-# leaves out.
-Integrand = tuple[RawIntegrand, tuple, float]
+# What an integrand builder returns for (prec, *args): the integrand at the
+# working precision ``prec``, the exact upper end b of its interval [0, b],
+# a bound in units of 2^-(prec + _GUARD) on what the interval leaves out,
+# and r: cutting x moves the integrand by at most 2^-r of itself.
+Integrand = tuple[RawIntegrand, Distance, int, int]
 
 
 @lru_cache(maxsize=None)
 def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) -> RealApprox:
     """Run the rule on what ``integrand(prec, *args)`` builds at the working
     precision of ``target``, and assemble the certified bound:
-    rule estimate + truncation + precision slack + fixed-point truncations
-    + double rounding."""
-    prec, rnd = prec_for(target, extra_digits=12, min_dps=25), round_nearest
-    f, b, truncation_bound = integrand(prec, *args)
-    rule_target = mpf_div(from_float(target), from_int(4), prec, rnd)  # mpf(target) / 4
-    value, rule_est, mass, fixed_err = _tanh_sinh(f, b, rule_target, prec)
-    # ((rule_est + truncation_bound) + round_slack(mass)) + fixed_err
-    internal = mpf_add(rule_est, from_float(truncation_bound), prec, rnd)
-    internal = mpf_add(internal, round_slack(mass, prec), prec, rnd)
-    internal = mpf_add(internal, fixed_err, prec, rnd)
-    value, bound = float_with_bound(value, internal)
+    rule estimate + what the interval leaves out + counted units + double
+    rounding.  The counted units take in the weights' error, 2^-F of
+    themselves, and the cut's 2^-r, on the mass and the units."""
+    prec = prec_for(target, extra_digits=12, min_dps=25)
+    frac = prec + _GUARD
+    f, b, left_out, r = integrand(prec, *args)
+    value, rule_est, mass, units = _tanh_sinh(f, b, fixed_below(target / 4, frac), prec)
+    units += ((mass + units + 1) >> (min(r, frac) - 1)) + 1
+    value, bound = float_with_bound(value, rule_est + left_out + units, frac)
     if bound > target:
         raise CertificationError(f"quadrature certified to {bound:.3e}, target {target:.3e}")
     return RealApprox(value=value, abs_error=bound)
 
 
+def _log_sin(d: Distance, frac: int) -> tuple[int, int]:
+    """log(sin d) for the exact 0 < d <= pi/2 in units of 2^-frac:
+    (value, units).
+
+    sin d is taken at ww bits, 2^ww d >= 2^(frac + 7), so it exceeds
+    2^(frac + 6) units there; its units s move the log by s / (sin d - s).
+    """
+    ww = frac + 8 + max(0, -(d[1] + d[0].bit_length()))
+    s, s_units = _elementary.sin(d, ww)
+    log_sin, units = _elementary.log((s, -ww), frac)
+    return log_sin, units - (-(s_units << frac) // (s - s_units))
+
+
 # precision in bits -> {exact distance d from the nearer end of [0, pi]:
-# raw tuple of log(sin d), d rounded to the precision}
-_LOGSIN_TABLE: dict[int, dict[Distance, tuple]] = {}
+# log(sin d) and its units, in units of 2^-(prec + _GUARD)}
+_LOGSIN_TABLE: dict[int, dict[Distance, tuple[int, int]]] = {}
 
 
 def _logsine(prec: int, n: int) -> Integrand:
-    """x^n log(sin x) on [0, pi]."""
-    frac, rnd = prec + _GUARD, round_nearest
-    table = _LOGSIN_TABLE.setdefault(prec, {})
+    """x^n log(sin x) on [0, b], b at most pi and within u units of it.
 
-    def f(x: Distance, d: Distance) -> int:
+    The integrand is x^n log(sin d), d the distance from the nearer end of
+    [0, b]; past b/2 it stands in for x^n log(sin(pi - x)).  The two
+    differ, with the sliver [b, pi], by under 3 pi^n delta (log(2/delta)
+    + 1) for delta = pi - b, under 3 pi^n u (F + 2) units.  x is cut to
+    prec bits, which moves x^n by under n 2^(1 - prec) of itself.
+    """
+    frac = prec + _GUARD
+    table = _LOGSIN_TABLE.setdefault(prec, {})
+    pi_n = -(-(355**n) // 113**n)  # above pi^n, as 355/113 > pi
+
+    def f(x: Distance, d: Distance) -> tuple[int, int]:
         # sin is symmetric about the midpoint of [0, pi]: evaluate it at the
         # nearer endpoint distance so nodes hugging pi stay on the positive
         # branch
-        log_sin = table.get(d)
-        if log_sin is None:
-            near = from_man_exp(*d, prec, rnd)
-            log_sin = table.setdefault(d, mpf_log(mpf_sin(near, prec, rnd), prec, rnd))
-        sign, man, exp, _ = log_sin
-        # x ** n * log_sin, exact once x is cut to the working precision
+        entry = table.get(d)
+        if entry is None:
+            entry = table.setdefault(d, _log_sin(d, frac))
+        log_sin, units = entry
+        # x ** n * log_sin, exact once x is cut to the working precision,
+        # then rounded down: x^n < pi^n times the log's units, and a unit
         cut = max(x[0].bit_length() - prec, 0)
         x_man, x_exp = x[0] >> cut, x[1] + cut
-        value = _shift(x_man**n * man, n * x_exp + exp + frac)  # toward zero
-        return -value if sign else value
+        return _shift(x_man**n * log_sin, n * x_exp), pi_n * units + 1
 
-    return f, mpf_pi(prec, rnd), 0
+    pi, units = _elementary.pi(frac)
+    return f, (pi, -frac), 3 * pi_n * units * (frac + 2), prec - 1 - n.bit_length()
 
 
 def _logsquared(prec: int) -> Integrand:
-    """(log(2 sin x))^2 on [0, pi/2]."""
-    frac, rnd = prec + _GUARD, round_nearest
+    """(log(2 sin x))^2 on [0, b], b at most pi/2 and within u units of it;
+    the integrand is below 1 on [b, pi/2], which leaves out under u units."""
+    frac = prec + _GUARD
+    log2, log2_units = _elementary.log2(frac)
 
-    def f(x: Distance, d: Distance) -> int:
-        # log(2 * sin(x)) ** 2
-        x = from_man_exp(*x, prec, rnd)
-        log = mpf_log(mpf_mul_int(mpf_sin(x, prec, rnd), 2, prec, rnd), prec, rnd)
-        return to_fixed(mpf_pow_int(log, 2, prec, rnd), frac)
+    def f(x: Distance, d: Distance) -> tuple[int, int]:
+        # log(2 * sin(x)) ** 2: y within u units squares to within
+        # (2 |y| + u) u, then rounds down
+        log_sin, units = _log_sin(x, frac)
+        y, units = log_sin + log2, units + log2_units
+        return y * y >> frac, ((2 * abs(y) + units) * units >> frac) + 2
 
-    return f, mpf_div(mpf_pi(prec, rnd), from_int(2), prec, rnd), 0
+    half_pi, units = _elementary.pi(frac - 1)  # pi/2 in units of 2^-frac
+    return f, (half_pi, -frac), units, frac
 
 
-def _vertical_leg(prec: int, n: int, cutoff: float) -> Integrand:
-    """y^n log(1 - e^(-2y)) on [0, cutoff], with the dropped tail's bound.
+def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
+    """y^n log(1 - e^(-2y)) on [0, Y], Y the cutoff policy's for n and
+    ``target``, with the dropped tail's bound.
 
-    e^(-2y) is taken at prec + 10 + max(0, -mag 2y) bits, and 1 - e^(-2y)
-    at max(0, -mag e^(-2y)) bits more, so the difference is exact and keeps
-    2y as y -> 0 and a tiny e^(-2y) far out; the log is taken at prec.
+    y is cut to F + bits(c) + 2 bits, c = n + 4 ceil(Y) + 3.  Since
+    y |d/dy log(1 - e^(-2y))| <= (4y + 3) |log(1 - e^(-2y))|, that moves
+    the integrand by under 2^-F of itself.  The log, at least e^(-2y) >
+    2^-(k + 1), is taken at F + 8 + k bits, and e^(-2y) at 8 more and as
+    many again as 2y is below 1, so that 1 - e^(-2y) keeps its bits; the
+    units u of e^(-2y) move the log by u / (1 - e^(-2y) - u).
     """
-    frac, rnd = prec + _GUARD, round_nearest
+    frac = prec + _GUARD
+    cutoff = default_semi_infinite_cutoff_policy(n, target)
+    keep = frac + (n + 4 * math.ceil(cutoff) + 3).bit_length() + 2
 
-    def f(x: Distance, d: Distance) -> int:
-        y = from_man_exp(*x, prec, rnd)
-        minus_2y = mpf_mul_int(y, -2, prec, rnd)  # exact
-        wp = prec + 10 + max(0, -(minus_2y[2] + minus_2y[3]))
-        e = mpf_exp(minus_2y, wp, rnd)
-        wp += max(0, -(e[2] + e[3]))
-        log = mpf_log(mpf_sub(fone, e, wp, rnd), prec, rnd)
-        return to_fixed(mpf_mul(mpf_pow_int(y, n, prec, rnd), log, prec, rnd), frac)
+    def f(x: Distance, d: Distance) -> tuple[int, int]:
+        cut = max(x[0].bit_length() - keep, 0)
+        y_man, y_exp = x[0] >> cut, x[1] + cut
+        k = int(math.ldexp(y_man, y_exp) * 2.8853900817779268)  # 2y / log 2
+        out = frac + 8 + k
+        ww = out + 8 + max(0, -(y_exp + 1 + y_man.bit_length()))
+        e, e_units = _elementary.exp((-y_man, y_exp + 1), ww)
+        one_minus = (1 << ww) - e
+        log, units = _elementary.log((one_minus, -ww), out)
+        units -= -(e_units << out) // (one_minus - e_units)
+        power, shift = y_man**n, n * y_exp - out + frac
+        return _shift(power * log, shift), _shift(power * units, shift) + 2
 
-    return f, from_float(cutoff), vertical_tail_bound(n, cutoff)
+    num, den = cutoff.as_integer_ratio()
+    left_out = -fixed_below(-vertical_tail_bound(n, cutoff), frac)
+    return f, (num, 1 - den.bit_length()), left_out, frac
 
 
 def _cosine_moment(prec: int, l: int, power: int) -> Integrand:
-    """theta^power cos(2 l theta) on [0, pi]."""
-    frac, rnd = prec + _GUARD, round_nearest
+    """theta^power cos(2 l theta) on [0, b], b at most pi and within u
+    units of it; |integrand| < 4, so [b, pi] leaves out under 4 u units."""
+    frac = prec + _GUARD
 
-    def f(x: Distance, d: Distance) -> int:
-        # x ** power * cos(2 * l * x), or cos(2 * l * x) at power 0
-        x = from_man_exp(*x, prec, rnd)
-        value = mpf_cos(mpf_mul_int(x, 2 * l, prec, rnd), prec, rnd)
+    def f(x: Distance, d: Distance) -> tuple[int, int]:
+        # x ** power * cos(2 * l * x): x < 4 times the cosine's units, and
+        # a unit for the floor
+        value, units = _elementary.cos((x[0] * 2 * l, x[1]), frac)
         if power:
-            value = mpf_mul(mpf_pow_int(x, power, prec, rnd), value, prec, rnd)
-        return to_fixed(value, frac)
+            return _shift(x[0] * value, x[1]), 4 * units + 1
+        return value, units
 
-    return f, mpf_pi(prec, rnd), 0
+    pi, units = _elementary.pi(frac)
+    return f, (pi, -frac), 4 * units, frac
 
 
 def _cosine_orth(prec: int, l: int, lp: int) -> Integrand:
-    """cos(2 l theta) cos(2 l' theta) on [0, pi]."""
-    frac, rnd = prec + _GUARD, round_nearest
+    """cos(2 l theta) cos(2 l' theta) on [0, b], b at most pi and within
+    u units of it; |integrand| <= 1, so [b, pi] leaves out under u units."""
+    frac = prec + _GUARD
 
-    def f(x: Distance, d: Distance) -> int:
-        # cos(2 * l * x) * cos(2 * lp * x)
-        x = from_man_exp(*x, prec, rnd)
-        cos_l = mpf_cos(mpf_mul_int(x, 2 * l, prec, rnd), prec, rnd)
-        cos_lp = mpf_cos(mpf_mul_int(x, 2 * lp, prec, rnd), prec, rnd)
-        return to_fixed(mpf_mul(cos_l, cos_lp, prec, rnd), frac)
+    def f(x: Distance, d: Distance) -> tuple[int, int]:
+        # cos(2 * l * x) * cos(2 * lp * x): cosines within u and u' units
+        # multiply to within u + u' + 1, then round down
+        cos_l, units_l = _elementary.cos((x[0] * 2 * l, x[1]), frac)
+        cos_lp, units_lp = _elementary.cos((x[0] * 2 * lp, x[1]), frac)
+        return cos_l * cos_lp >> frac, units_l + units_lp + 2
 
-    return f, mpf_pi(prec, rnd), 0
+    pi, units = _elementary.pi(frac)
+    return f, (pi, -frac), units, frac
 
 
 def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> RealApprox:
@@ -386,8 +444,7 @@ def integrate_vertical_leg(n: int, settings: QuadratureSettings | None = None) -
     cutoff policy with the dropped tail added to the bound."""
     _require_int(n, 0, "n must be a nonnegative integer")
     s = settings or QuadratureSettings()
-    cutoff = default_semi_infinite_cutoff_policy(n, s.target_abs_error)
-    return _certified(_vertical_leg, (n, cutoff), s.target_abs_error)
+    return _certified(_vertical_leg, (n, s.target_abs_error), s.target_abs_error)
 
 
 def cosine_moment(l: int, power: int, settings: QuadratureSettings | None = None) -> RealApprox:

@@ -39,10 +39,9 @@ zeta value, log 2 or 1, in the series' units 2^-(prec + 16) with one
 integer kernel, ``_fixed_term``.  A term is one floor division; its bound
 counts that unit and carries the units of pi^m and of x through the
 product.  pi^m and log 2 come from integer tables keyed by (precision in
-bits, m) and by precision, whose stated units rest on mpmath's convention
-that ``mpf_pi`` and ``mpf_log`` round in the direction asked, the one its
-interval functions rely on.  The callers ask for m <= n + 2, so a sweep
-over n <= 12 adds 14 entries per precision.
+bits, m) and by precision, seeded by the counted routines of
+``_elementary``, so their stated units are proved.  The callers ask for
+m <= n + 2, so a sweep over n <= 12 adds 14 entries per precision.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import from_int, mpf_log, mpf_pi, round_floor, to_fixed
-
+from . import _elementary
 from ._precision import _GUARD, _float_units, prec_for
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
@@ -190,7 +188,7 @@ def _zeta_fixed(s: int, prec: int) -> tuple[int, int]:
 
 # (precision in bits, m >= 1) -> (P_m, e_m), pi^m as ``_pi_fixed`` gives it
 _PI_FIXED: dict[tuple[int, int], tuple[int, int]] = {}
-# precision in bits -> (L, 2), log 2 as ``_log2_fixed`` gives it
+# precision in bits -> (L, a), log 2 as ``_log2_fixed`` gives it
 _LOG2_FIXED: dict[int, tuple[int, int]] = {}
 
 
@@ -198,31 +196,33 @@ def _pi_fixed(m: int, prec: int) -> tuple[int, int]:
     """pi^m in units of 2^-F, F = prec + 16, as (P_m, e_m): pi^m lies
     within e_m units of P_m.
 
-    P_1 is pi rounded down at F + 10 bits and cut to F bits, under 2 units
-    below pi.  P_m is P_(m-1) P_1 2^-F rounded down, and e_m the ceiling
-    of ((P_(m-1) + e_(m-1)) 2 + P_1 e_(m-1)) 2^-F plus the floor's unit.
+    P_1 is ``_elementary.pi`` at F bits, within a units of pi, where a is
+    that routine's count but at least 2, the allowance every leg and
+    closed-form bound is pinned to.  P_m is P_(m-1) P_1 2^-F rounded
+    down, and e_m the ceiling of ((P_(m-1) + e_(m-1)) a + P_1 e_(m-1))
+    2^-F plus the floor's unit.
     """
     fbits = prec + _GUARD
     entry = (1 << fbits, 0) if m == 0 else _PI_FIXED.get((prec, m))
     if entry is None:
-        pi, power, err = to_fixed(mpf_pi(fbits + 10, round_floor), fbits), 1 << fbits, 0
+        pi, units = _elementary.pi(fbits)
+        allowance, power, err = max(units, 2), 1 << fbits, 0
         for j in range(1, m + 1):
             entry = _PI_FIXED.get((prec, j))
             if entry is None:
-                spread = -(-((power + err) * 2 + pi * err) >> fbits) + 1
+                spread = -(-((power + err) * allowance + pi * err) >> fbits) + 1
                 entry = _PI_FIXED.setdefault((prec, j), ((power * pi) >> fbits, spread))
             power, err = entry
     return entry
 
 
 def _log2_fixed(prec: int) -> tuple[int, int]:
-    """log 2 in units of 2^-(prec + 16), rounded down at 10 bits more and
-    cut, as (L, 2): under 2 units below log 2."""
+    """log 2 in units of 2^-(prec + 16) as (L, a): ``_elementary.log2``
+    and its count, but at least 2, as for pi."""
     entry = _LOG2_FIXED.get(prec)
     if entry is None:
-        fbits = prec + _GUARD
-        log2 = to_fixed(mpf_log(from_int(2), fbits + 10, round_floor), fbits)
-        entry = _LOG2_FIXED.setdefault(prec, (log2, 2))
+        log2, units = _elementary.log2(prec + _GUARD)
+        entry = _LOG2_FIXED.setdefault(prec, (log2, max(units, 2)))
     return entry
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from logsine import quadrature_oracle, zeta_engine
+from logsine import _elementary, quadrature_oracle, zeta_engine
 from logsine.exact_core import bernoulli_table
 
 
@@ -12,8 +12,11 @@ def table_202():
 
 def clear_numeric_caches():
     """Empty the zeta table, the series' coefficient table, the integer
-    tables of pi^m and log 2, the log-sin node table, and the quadrature
-    result cache and node tables built on them."""
+    tables of pi^m and log 2 and the routines' pi and log 2 they are cut
+    from, the log-sin node table, and the quadrature result cache and node
+    tables built on them."""
+    _elementary._PI.clear()
+    _elementary._LOG2.clear()
     zeta_engine._ZETA_TABLE.clear()
     zeta_engine._BORWEIN_D.clear()
     zeta_engine._PI_FIXED.clear()

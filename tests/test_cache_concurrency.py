@@ -1,8 +1,9 @@
 """Under any thread interleaving, numeric calls return what a serial run
 returns, leave the global mpmath precision alone, and fill the zeta table,
 the series' coefficient table, the integer tables of pi^m and log 2, the
-log-sin node table, the engine's node table and the result caches with
-exactly the values a serial run computes at each entry's precision.
+counted routines' tables of pi and log 2, the log-sin node table, the
+engine's node table and the result caches with exactly the values a
+serial run computes at each entry's precision.
 """
 
 import ast
@@ -12,10 +13,8 @@ import sys
 import threading
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
-from mpmath.ctx_mp import MPContext
 
-from logsine import quadrature_oracle, zeta_engine
+from logsine import _elementary, quadrature_oracle, zeta_engine
 from logsine.contour_verifier import leg_R
 from logsine.errors import CertificationError
 from logsine.logsine_closed_form import logsine_numeric
@@ -42,12 +41,6 @@ def _calls(tol: float) -> None:
                 call()
             except CertificationError:
                 pass  # past the certified envelope
-
-
-def _fresh_context(prec: int) -> MPContext:
-    ctx = MPContext()
-    ctx.prec = prec
-    return ctx
 
 
 def _rebuilt(pi_keys: list, log2_keys: list) -> tuple[list, list]:
@@ -100,12 +93,19 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
     assert len(pi_powers) > 0 and len(log2) > 0
     assert _rebuilt(list(pi_powers), list(log2)) == (list(pi_powers.values()), list(log2.values()))
 
+    # the routines' pi and log 2, each entry against one built afresh
+    for table, build in (
+        (_elementary._PI, _elementary._build_pi),
+        (_elementary._LOG2, _elementary._build_log2),
+    ):
+        assert len(table) > 0
+        for bits, entry in table.items():
+            assert build(bits) == entry, bits
+
     assert len(quadrature_oracle._LOGSIN_TABLE) > 0
     for prec, table in quadrature_oracle._LOGSIN_TABLE.items():
-        ctx = _fresh_context(prec)
         for d, log_sin in table.items():
-            near = ctx.make_mpf(from_man_exp(*d, prec, round_nearest))
-            assert log_sin == ctx.log(ctx.sin(near))._mpf_, (prec, d)
+            assert log_sin == quadrature_oracle._log_sin(d, prec + quadrature_oracle._GUARD), (prec, d)
 
     assert len(node_keys) > 0
     for prec, level in node_keys:
@@ -159,8 +159,18 @@ def _outcomes(tol: float) -> dict:
     return out
 
 
+def _tables() -> list[dict]:
+    """Copies of the routines' pi and log 2 tables and the log-sin table."""
+    return [
+        dict(_elementary._PI),
+        dict(_elementary._LOG2),
+        {prec: dict(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()},
+    ]
+
+
 def test_threaded_results_match_serial(cold_caches):
     serial = {tol: _outcomes(tol) for tol in TOLERANCES}
+    serial_tables = _tables()
     cold_caches()
     threaded: dict = {}
 
@@ -182,6 +192,8 @@ def test_threaded_results_match_serial(cold_caches):
         mp.prec = saved_prec
 
     assert prec_after == saved_prec
+    assert _tables() == serial_tables
+    assert all(serial_tables)
     for tol in TOLERANCES:
         assert threaded[tol] == serial[tol], tol
         settings = QuadratureSettings(target_abs_error=tol)

@@ -65,6 +65,12 @@ class TestSymbolic:
         with pytest.raises(ValueError):
             logsine_symbolic(-1)
 
+    def test_cache_keeps_rejecting_bool(self):
+        # True == 1 and hashes alike: an untyped cache would answer it with I_1
+        assert logsine_symbolic(1) is logsine_symbolic(1)
+        with pytest.raises(ValueError):
+            logsine_symbolic(True)
+
 
 class TestNumeric:
     @pytest.mark.parametrize(

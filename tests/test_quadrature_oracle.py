@@ -58,6 +58,16 @@ class TestSettings:
         assert 0 < exact <= bound
         assert bound <= max(exact * (1 + 1e-12), sys.float_info.min)
 
+    # the first returned nan, and the others raised ZeroDivisionError, when
+    # e^(-2Y) was rounded to 53 bits
+    @pytest.mark.parametrize("n, cutoff", [(2, 1.05e308), (0, 1e-300), (4, 1e-20)])
+    def test_tail_bound_at_extreme_cutoffs_covers_its_formula(self, n, cutoff):
+        bound = vertical_tail_bound(n, cutoff)
+        with workdps(60):
+            y = mp.mpf(2 * cutoff) if cutoff < 1e300 else mp.mpf(cutoff) * 2
+            exact = mp.gammainc(n + 1, y) / 2 ** (n + 1) / -mp.expm1(-y)
+        assert exact <= bound <= max(exact * (1 + 1e-12), sys.float_info.min)
+
     # the tolerances of scripts/repr_dump.py; |log(1-u)| <= u/(1-u) has at
     # most about 2e-18 relative to spare at these cutoffs, so a bound
     # rounded to nearest anywhere can fall below the tail
@@ -278,6 +288,23 @@ def test_rejects_non_integer_index(call):
     # silently return I_2
     with pytest.raises(ValueError):
         call()
+
+
+def test_warm_vertical_leg_skips_the_cutoff_policy(cold_caches, monkeypatch):
+    # the result cache is keyed by (n, target), so a repeated call answers
+    # before the policy's tail bounds are summed again
+    calls = []
+    policy = quadrature_oracle.default_semi_infinite_cutoff_policy
+
+    def counting(n, target):
+        calls.append((n, target))
+        return policy(n, target)
+
+    monkeypatch.setattr(quadrature_oracle, "default_semi_infinite_cutoff_policy", counting)
+    first = integrate_vertical_leg(4, TIGHT)
+    assert calls == [(4, TIGHT.target_abs_error)]
+    assert integrate_vertical_leg(4, TIGHT) == first
+    assert len(calls) == 1
 
 
 def test_vertical_leg_past_the_double_range():

@@ -1,17 +1,19 @@
 """The zeta series, the tanh-sinh engine, the contour legs and the closed
-form compute on raw mpmath tuples or fixed-point integers, and round them
-to doubles from raw tuples.  The earlier body of the node tables on
-``mpf`` objects is kept here verbatim as the reference: at every working
-precision the library uses, each node must be the same, bit for bit.
+form compute on fixed-point integers with counted units, and round them
+to doubles from integers.  The node tables are checked against their
+``mpf`` formula 64 bits finer: at every working precision the library
+uses, each node's g and w lie within 2^-F of themselves of the
+reference's, F the engine's fractional bits.
 
 The zeta series and the tanh-sinh engine accumulate on fixed-point
 integers.  The series is checked against its proof: Borwein's partial
 sum re-done exactly with ``Fraction``, his a-priori remainder, and
 mpmath's ``zeta`` in a finer context.  The engine's reference is the same
-rule summed exactly on ``mpf`` values over the same nodes and integrand
+rule summed exactly with ``Fraction`` over the same nodes and integrand
 values, and each integrand value is checked against the integrand
-evaluated in a finer context: the results lie within the engine's counted
-truncation bound of the exact sums.
+evaluated at the same exact point in a finer context: each value lies
+within its stated units, and the results within the engine's counted
+units of the exact sums.
 
 The legs and the closed form sum terms num/den pi^m x, x a zeta value,
 log 2 or 1, on integers with counted units.  Each term is checked at every
@@ -25,9 +27,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec, from_man_exp, fzero, prec_to_dps, round_nearest
+from mpmath.libmp import dps_to_prec, prec_to_dps
 
 from logsine import (
     _precision,
@@ -64,6 +65,7 @@ ZETA_PRECISIONS = sorted(
 )
 # the quadrature's working precisions
 QUAD_PRECISIONS = sorted({prec_for(tol, 12, 25) for tol in TOLERANCES})
+GUARD = _precision._GUARD
 
 
 def _context(prec: int) -> MPContext:
@@ -75,7 +77,7 @@ def _context(prec: int) -> MPContext:
 
 def _nodes_reference(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
     """New (offset-fraction, weight) pairs introduced at a refinement level,
-    as raw mpmath tuples computed 10 digits above ``prec``.
+    as raw mpmath tuples computed 64 bits finer than the node tables.
 
     For a positive abscissa t:  u = (pi/2) sinh t,  q = e^(-2u),
     offset-fraction g = q/(1+q) (distance of each mirrored node from its
@@ -85,7 +87,7 @@ def _nodes_reference(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
     Mirrored nodes share g and w by symmetry.
     """
     dps = prec_to_dps(prec)
-    ctx = _context(dps_to_prec(dps + 10))
+    ctx = _context(prec + GUARD + quadrature_oracle._NODE_BITS + 64)
     mpf = ctx.mpf
     t_max = quadrature_oracle._t_limit(dps)
     if level == 0:
@@ -163,17 +165,22 @@ def _fraction(raw: tuple) -> Fraction:
 
 
 def _check_nodes(prec: int, level: int) -> None:
-    """Each integer node of a level is exactly the reference's g, 1 - g
-    and w, with w halved at the center node g = 1/2, its own mirror."""
+    """Each integer node of a level is an exact g with 1 - g exact beside
+    it, g within 2^-F of the reference's g of itself, and w within 2^-F of
+    itself of the reference's w, which the center node g = 1/2, its own
+    mirror, halves."""
     nodes = quadrature_oracle._nodes(prec, level)
     reference = _nodes_reference(prec, level)
+    unit = Fraction(1, 2 ** (prec + GUARD))
     assert len(nodes) == len(reference), level
     for i, ((gm, ge, cm, wm, ws), (g, w)) in enumerate(zip(nodes, reference)):
         g, w = _fraction(g), _fraction(w)
         if level == 0 and i == 0:
             w /= 2
-        assert (_fraction((0, gm, ge, 0)), _fraction((0, cm, ge, 0))) == (g, 1 - g), (level, i)
-        assert _fraction((0, wm, -ws, 0)) == w, (level, i)
+        node_g, node_w = _fraction((0, gm, ge, 0)), _fraction((0, wm, -ws, 0))
+        assert _fraction((0, cm, ge, 0)) == 1 - node_g, (level, i)
+        assert abs(node_g - g) <= unit * g, (level, i)
+        assert abs(node_w - w) <= unit * node_w, (level, i)
 
 
 # the quadrature's precision at every tolerance above, and two finer ones
@@ -203,20 +210,11 @@ def test_node_tables_cover_every_level_the_engine_reaches(cold_caches):
 # the fixed-point tanh-sinh engine
 # ---------------------------------------------------------------------------
 
-# exact for every sum and product the rule checks below make
-EXACT = MPContext()
-EXACT.prec = 4000
-
-
-def _exact(pair: tuple[int, int]) -> mpf:
-    """The exact value of a (mantissa, exponent) pair."""
-    return EXACT.make_mpf(from_man_exp(*pair))
-
 
 @pytest.fixture
 def engine_runs(cold_caches, monkeypatch):
     """Every call into the tanh-sinh engine from empty caches: its
-    arguments, each integrand call's (x, d, value), and its result."""
+    arguments, each integrand call's (x, d, value, units), and its result."""
     runs = []
     engine = quadrature_oracle._tanh_sinh
 
@@ -225,7 +223,7 @@ def engine_runs(cold_caches, monkeypatch):
 
         def g(x, d):
             value = f(x, d)
-            seen.append((x, d, value))
+            seen.append((x, d, *value))
             return value
 
         out = engine(g, b, rule_target, prec)
@@ -243,60 +241,65 @@ def _run(call):
         pass
 
 
+def _pair(pair: tuple[int, int]) -> Fraction:
+    """The exact value of a (mantissa, exponent) pair."""
+    man, exp = pair
+    return man * Fraction(2) ** exp
+
+
 def _check_rule(b, rule_target, prec, seen, out) -> None:
     """The engine's nodes, and its sums against exact sums of the same
-    integrand values: the value and the mass lie within the counted
-    truncation bound of the exact ones, the estimate within twice it, and
-    the rule stops at the first level from ``_MIN_ACCEPT_LEVEL`` on whose
-    estimate meets the target."""
-    value, estimate, mass, bound = (EXACT.make_mpf(x) for x in out)
-    target = EXACT.make_mpf(rule_target)
-    unit = EXACT.ldexp(1, -(prec + quadrature_oracle._GUARD))
-    b = EXACT.make_mpf(b)
+    integrand values: the rule's exact sum lies within the counted units of
+    the value, and the mass within them of the exact mass, the estimate
+    within twice them, and the rule stops at the first level from
+    ``_MIN_ACCEPT_LEVEL`` on whose estimate meets the target; all in units
+    of 2^-F."""
+    value, estimate, mass, units = out
+    half_b = _pair(b) / 2
     calls = iter(seen)
     totals, masses = [], []
-    total_sum = mass_sum = EXACT.mpf(0)
-    evals = level = 0
+    total_sum = mass_sum = Fraction(0)
+    evals = unit_sum = level = 0
     while evals < len(seen):
         for i, (gm, ge, _, wm, ws) in enumerate(quadrature_oracle._nodes(prec, level)):
             # the center node g = 1/2, its own mirror, holds half its weight
-            g, w = _exact((gm, ge)), _exact((wm, -ws))
+            g, w = _pair((gm, ge)), _pair((wm, -ws))
             # the lower node at b g, then its mirror at b (1 - g)
-            for x_exact in (b * g, b - b * g):
-                x, d, v = next(calls)
-                assert (_exact(x), _exact(d)) == (x_exact, b * g), (level, i)
-                total_sum += w * v * unit
-                mass_sum += abs(w * v * unit)
+            for x_exact in (2 * half_b * g, 2 * half_b * (1 - g)):
+                x, d, v, u = next(calls)
+                assert (_pair(x), _pair(d)) == (x_exact, 2 * half_b * g), (level, i)
+                total_sum += w * v
+                mass_sum += abs(w * v)
+                unit_sum += 2 * u + 1
                 evals += 1
-        totals.append(b / 2 * total_sum / 2**level)
-        masses.append(b / 2 * mass_sum / 2**level)
+        totals.append(half_b * total_sum / 2**level)
+        masses.append(half_b * mass_sum / 2**level)
         level += 1
     assert next(calls, None) is None
     last = level - 1
     assert last >= _MIN_ACCEPT_LEVEL
-    assert abs(value - totals[last]) <= bound
-    assert abs(mass - masses[last]) <= bound
-    assert abs(estimate - abs(totals[last] - totals[last - 1])) <= 2 * bound
-    assert estimate <= target
+    assert abs(value - totals[last]) <= units
+    assert abs(mass - masses[last]) <= units
+    assert abs(estimate - abs(totals[last] - totals[last - 1])) <= 2 * units
+    assert estimate <= rule_target
     for k in range(_MIN_ACCEPT_LEVEL, last):
-        assert abs(totals[k] - totals[k - 1]) > target - 2 * bound, k
-    # under 3 units per product w f, scaled by the rule, and 2 more
-    assert bound <= (3 * evals * b / 2 ** (last + 1) + 2) * unit
+        assert abs(totals[k] - totals[k - 1]) > rule_target - 2 * units, k
+    # under 2 u + 1 units per product w f for a value of u units, scaled by
+    # the rule, and 2 more
+    assert units <= 2 * half_b * unit_sum / 2 ** (last + 1) + 2
 
 
-def _check_values(prec, seen, reference) -> None:
-    """Each integrand value against ``reference(fine, x, d)``, computed in
-    a context 64 bits finer: within one fixed-point unit and 2^(8 - prec)
-    of 1 + |value|, well inside the precision slack 10^(4 - dps) per unit
-    of mass that the certificate charges for the mpmath evaluations."""
+def _check_values(prec, seen, reference, rel=None) -> None:
+    """Each integrand value against ``reference(fine, x, d)`` at the exact
+    x and d, computed in a context 64 bits finer: within its stated units,
+    and where the integrand cuts x, 2^-rel of the reference more."""
     fine = _context(prec + 64)
-    unit = fine.ldexp(1, -(prec + quadrature_oracle._GUARD))
-    for x, d, v in seen:
-        # the rounded distances the mpmath calls receive
-        x_r, d_r = (fine.make_mpf(from_man_exp(*p, prec, round_nearest)) for p in (x, d))
-        expected = reference(fine, x_r, d_r)
-        slack = fine.ldexp(1 + abs(expected), 8 - prec)
-        assert abs(v * unit - expected) <= unit + slack, (x, d)
+    fbits = prec + GUARD
+    for x, d, v, u in seen:
+        x_f, d_f = (fine.ldexp(*p) for p in (x, d))
+        expected = _fraction(reference(fine, x_f, d_f)._mpf_) * 2**fbits
+        slack = abs(expected) / 2**rel if rel is not None else 0
+        assert abs(v - expected) <= u + slack + Fraction(1, 2**30), (x, d)
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
@@ -306,77 +309,58 @@ def test_logsine_moments_match_mpf_reference(engine_runs, tol):
         _run(lambda: integrate_logsine(n, settings))
         b, target, prec, seen, out = engine_runs.pop()
         _check_rule(b, target, prec, seen, out)
-        _check_values(prec, seen, lambda fine, x, d: x**n * fine.log(fine.sin(d)))
+        _check_values(
+            prec,
+            seen,
+            lambda fine, x, d: x**n * fine.log(fine.sin(d)),
+            prec - 1 - n.bit_length(),
+        )
 
 
 def _leg_integrand(n):
-    # y^n log(1 - e^(-2y)) without the cancellation of 1 - e^(-2y) near 0
-    return lambda fine, y, d: y**n * fine.log(-fine.expm1(-2 * y))
+    # y^n log(1 - e^(-2y)) without the cancellation of 1 - e^(-2y) near 0,
+    # nor that of log(1 - u) for a tiny u = e^(-2y) far out
+    def f(fine, y, d):
+        if y < 1:
+            return y**n * fine.log(-fine.expm1(-2 * y))
+        return y**n * fine.log1p(-fine.exp(-2 * y))
+
+    return f
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
 def test_other_integrands_match_mpf_reference(engine_runs, tol):
     settings = QuadratureSettings(target_abs_error=tol)
-    for call, reference in (
-        (lambda: integrate_logsquared(settings), lambda fine, x, d: fine.log(2 * fine.sin(x)) ** 2),
+    prec = prec_for(tol, 12, 25)
+    for call, reference, rel in (
+        (
+            lambda: integrate_logsquared(settings),
+            lambda fine, x, d: fine.log(2 * fine.sin(x)) ** 2,
+            None,
+        ),
         # n = 0 leaves the cancellation of 1 - e^(-2y) near y = 0 undamped
         # by y^n, and n = 12 weighs the far nodes, where e^(-2y) is tiny
-        *((lambda n=n: integrate_vertical_leg(n, settings), _leg_integrand(n)) for n in (0, 3, 12)),
-        (lambda: cosine_moment(2, 1, settings), lambda fine, x, d: x * fine.cos(4 * x)),
+        *(
+            (lambda n=n: integrate_vertical_leg(n, settings), _leg_integrand(n), prec + GUARD)
+            for n in (0, 3, 12)
+        ),
+        (lambda: cosine_moment(2, 1, settings), lambda fine, x, d: x * fine.cos(4 * x), None),
         (
             lambda: cosine_orthogonality(1, 3, settings),
             lambda fine, x, d: fine.cos(2 * x) * fine.cos(6 * x),
+            None,
         ),
     ):
         _run(call)
         b, target, prec, seen, out = engine_runs.pop()
         _check_rule(b, target, prec, seen, out)
-        _check_values(prec, seen, reference)
-
-
-# ---------------------------------------------------------------------------
-# rounding to double
-# ---------------------------------------------------------------------------
-
-
-def float_with_bound(value_mp: mpf, internal_bound_mp: mpf) -> tuple[float, float]:
-    """Round an mp value to double and return (value, certified abs bound).
-
-    The bound adds half an ulp for the final rounding and is itself rounded
-    upward so the certificate never understates.
-    """
-    value = float(value_mp)
-    bound = float(internal_bound_mp) + 0.5 * math.ulp(abs(value) if value else 1e-300)
-    return value, math.nextafter(bound, math.inf)
-
-
-def test_float_with_bound_rounds_to_nearest():
-    # 2^55 - 1 lies 1 below the double 2^55 and 3 above the double below it,
-    # to which libmp's default rounding takes it
-    x = from_man_exp(2**55 - 1, 0)
-    nearest = float(mp.make_mpf(x))
-    assert nearest == 3.602879701896397e16
-    assert _precision.float_with_bound(x, x) == float_with_bound(mp.make_mpf(x), mp.make_mpf(x))
-    assert _precision.float_with_bound(x, fzero)[0] == nearest
-    assert _precision.float_with_bound(fzero, x)[1] == math.nextafter(nearest, math.inf)
-
-
-# each returned inf, which RealApprox rejects with ValueError
-@pytest.mark.parametrize(
-    "value, bound",
-    [(from_man_exp(1, 1024), fzero), (fzero, from_man_exp(1, 1024)), (from_man_exp(-1, 1100), fzero)],
-    ids=["value", "bound", "negative"],
-)
-def test_float_with_bound_raises_past_the_double_range(value, bound):
-    with pytest.raises(CertificationError, match="exceeds the double range"):
-        _precision.float_with_bound(value, bound)
+        _check_values(prec, seen, reference, rel)
 
 
 # ---------------------------------------------------------------------------
 # the legs L, R and H and the closed form on integers with counted units
 # ---------------------------------------------------------------------------
 
-GUARD = _precision._GUARD
 # one tolerance for each working precision the legs and the closed form use
 # from 3e-2 to 1e-14 (3e-2 to 1e-5 share 30 digits), then 40 and 80 digits
 LEG_TOLERANCES = (1e-3, *(10.0**-e for e in range(6, 15)), 1e-15, 1e-55)
@@ -433,20 +417,22 @@ def _check_term(prec: int, num: int, den: int, m: int, key, out: tuple[int, int]
     return exact
 
 
-def _raw(value: int, bound: int, prec: int) -> tuple[tuple, tuple]:
-    return from_man_exp(value, -(prec + GUARD)), from_man_exp(bound, -(prec + GUARD))
+def _raw(value: int, bound: int, prec: int) -> tuple:
+    """What ``_float_units`` hands ``float_with_bound`` for a value and a
+    bound in units at ``prec`` bits."""
+    return value, bound, prec + GUARD, (0.0, 0.0)
 
 
 @pytest.fixture
 def rounded(monkeypatch):
-    """The (value, bound) raw tuples that the legs and the closed form hand
-    to ``float_with_bound``, recorded as the test runs."""
+    """The (value, bound, fbits, plus) that the legs and the closed form
+    hand to ``float_with_bound``, recorded as the test runs."""
     calls = []
     float_with_bound = _precision.float_with_bound
 
-    def recording(value, bound):
-        calls.append((value, bound))
-        return float_with_bound(value, bound)
+    def recording(*args):
+        calls.append(args)
+        return float_with_bound(*args)
 
     monkeypatch.setattr(_precision, "float_with_bound", recording)
     return calls
@@ -488,12 +474,9 @@ def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
 
 
 @pytest.mark.parametrize("tol", LEG_TOLERANCES)
-def test_log2_terms_and_slack_match_mpf_reference(cold_caches, tol):
+def test_log2_terms_match_mpf_reference(cold_caches, tol):
     """The log-2 term of Re(H_n) and Im(H_n) = r pi^(n+2) for n <= 40
-    lie within their counted units of the reference; the quadrature's
-    precision-slack unit is its ``mpf`` expression, bit for bit."""
-    quad = _context(prec_for(tol, 12, 25))
-    assert _precision._slack_unit(quad.prec) == (quad.mpf(10) ** (4 - quad.dps))._mpf_
+    lie within their counted units of the reference."""
     prec = _leg_prec(tol)
     for n in LEG_N:
         _check_term(prec, 1, n + 1, n + 1, "log2", contour_verifier._log2_term(n, prec))
