@@ -92,22 +92,14 @@ def _build_log2(bits: int) -> tuple[int, int]:
     return 2 * a, 2 * e
 
 
-def _pi_at(bits: int) -> tuple[int, int]:
-    return _constant(_PI, bits, _build_pi)
-
-
-def _log2_at(bits: int) -> tuple[int, int]:
-    return _constant(_LOG2, bits, _build_log2)
-
-
 def pi(w: int) -> tuple[int, int]:
     """pi at ``w`` fractional bits: (value, units)."""
-    return _cut(*_pi_at(w + _G))
+    return _cut(*_constant(_PI, w + _G, _build_pi))
 
 
 def log2(w: int) -> tuple[int, int]:
     """log 2 at ``w`` fractional bits: (value, units)."""
-    return _cut(*_log2_at(w + _G))
+    return _cut(*_constant(_LOG2, w + _G, _build_log2))
 
 
 def exp(x: tuple[int, int], w: int) -> tuple[int, int]:
@@ -126,7 +118,7 @@ def exp(x: tuple[int, int], w: int) -> tuple[int, int]:
         return 0, 1
     ww = w + k + _G
     kb = abs(k).bit_length()
-    log2_k, log2_e = _log2_at(ww + kb)
+    log2_k, log2_e = _constant(_LOG2, ww + kb, _build_log2)
     s = _shift(man, ex + ww) - (k * log2_k >> kb)
     total = term = 1 << ww
     j = 1
@@ -156,8 +148,10 @@ def cosh_sinh(x: tuple[int, int], w: int) -> tuple[int, int, int]:
     return c, s, max(cu, su)
 
 
-def log(x: tuple[int, int], w: int) -> tuple[int, int]:
-    """log x at ``w`` fractional bits for the exact x = man 2^exp > 0.
+def log(x: tuple[int, int], w: int, units: int = 0) -> tuple[int, int]:
+    """log x at ``w`` fractional bits for x = man 2^exp > 0, exact, or
+    within ``units`` < man units of 2^exp of it, which moves the log by
+    under units / (man - units) more.
 
     x = m 2^k with m in [1/sqrt 2, sqrt 2), m cut to ww = w + _G bits,
     under 2 units (3 in log m); z = (m - 1)/(m + 1), |z| < 0.172, is one
@@ -182,12 +176,15 @@ def log(x: tuple[int, int], w: int) -> tuple[int, int]:
         total += term // j
         j += 2
     kb = abs(k).bit_length()
-    log2_k, log2_e = _log2_at(ww + kb)
-    return _cut(2 * (total if z >= 0 else -total) + (k * log2_k >> kb), 2 * j + log2_e + 8)
+    log2_k, log2_e = _constant(_LOG2, ww + kb, _build_log2)
+    log_x = 2 * (total if z >= 0 else -total) + (k * log2_k >> kb)
+    value, cut_units = _cut(log_x, 2 * j + log2_e + 8)
+    return value, cut_units - (-(units << w) // (man - units))
 
 
-def _sin_cos(x: tuple[int, int], w: int, phase: int) -> tuple[int, int]:
-    """sin(x + phase pi/2) at ``w`` fractional bits for the exact x.
+def sin_cos(x: tuple[int, int], w: int, phase: int) -> tuple[int, int]:
+    """sin(x + phase pi/2) at ``w`` fractional bits for the exact x =
+    man 2^exp: sin x for phase 0, cos x for phase 1.
 
     x, cut to ww = w + _G bits, is q pi/2 + r with q the nearest integer
     and |r| <= pi/4, within |q| h + 1 units, h those of pi/2; the Taylor
@@ -195,7 +192,7 @@ def _sin_cos(x: tuple[int, int], w: int, phase: int) -> tuple[int, int]:
     """
     man, ex = x
     ww = w + _G
-    half_pi, half_pi_e = _pi_at(ww - 1)
+    half_pi, half_pi_e = _constant(_PI, ww - 1, _build_pi)
     a = _shift(man, ex + ww)
     q = (2 * a + half_pi) // (2 * half_pi)
     r = a - q * half_pi
@@ -217,12 +214,3 @@ def _sin_cos(x: tuple[int, int], w: int, phase: int) -> tuple[int, int]:
         j += 2
     return _cut(-total if quadrant >= 2 else total, 3 * j + abs(q) * half_pi_e + 1)
 
-
-def sin(x: tuple[int, int], w: int) -> tuple[int, int]:
-    """sin x at ``w`` fractional bits for the exact x = man 2^exp."""
-    return _sin_cos(x, w, 0)
-
-
-def cos(x: tuple[int, int], w: int) -> tuple[int, int]:
-    """cos x at ``w`` fractional bits for the exact x = man 2^exp."""
-    return _sin_cos(x, w, 1)

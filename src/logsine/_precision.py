@@ -45,24 +45,14 @@ def _double(x: int, fbits: int) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def float_with_bound(
-    value: int, bound: int, fbits: int, plus: tuple[float, float] = (0.0, 0.0)
-) -> tuple[float, float]:
-    """Round a value and a bound in units of 2^-fbits, plus the doubles
-    ``plus`` = (value, bound) added exactly, to doubles: (value, certified
-    abs bound).
+def float_with_bound(value: int, bound: int, fbits: int) -> tuple[float, float]:
+    """Round a value and a bound in units of 2^-fbits to doubles: (value,
+    certified abs bound).
 
     The bound adds half an ulp for the final rounding and is itself rounded
     upward so the certificate never understates.  Raises
     CertificationError when the value or the bound does not fit a double.
     """
-    if plus != (0.0, 0.0):
-        # both denominators are powers of 2, so the larger is a multiple of the other
-        (vn, vd), (bn, bd) = (x.as_integer_ratio() for x in plus)
-        d = max(vd, bd)
-        value = value * d + (vn * (d // vd) << fbits)
-        bound = bound * d + (bn * (d // bd) << fbits)
-        fbits += d.bit_length() - 1
     value, bound = _double(value, fbits), _double(bound, fbits)
     bound += 0.5 * math.ulp(abs(value) if value else 1e-300)
     if not (math.isfinite(value) and math.isfinite(bound)):
@@ -70,16 +60,15 @@ def float_with_bound(
     return value, math.nextafter(bound, math.inf)
 
 
-def _float_units(
-    value: int, bound: int, prec: int, plus: tuple[float, float] = (0.0, 0.0)
-) -> tuple[float, float]:
+def _float_units(value: int, bound: int, prec: int) -> tuple[float, float]:
     """``float_with_bound`` of a value and a bound in units of
     2^-(prec + _GUARD)."""
-    return float_with_bound(value, bound, prec + _GUARD, plus)
+    return float_with_bound(value, bound, prec + _GUARD)
 
 
 def fixed_below(x: float, fbits: int) -> int:
-    """A double in units of 2^-fbits, rounded down."""
+    """A double in units of 2^-fbits, rounded down; exact when 2^-fbits
+    divides it."""
     num, den = x.as_integer_ratio()
     return (num << fbits) // den
 

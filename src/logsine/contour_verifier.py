@@ -33,7 +33,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from ._precision import _float_units, _units_below, prec_for
+from ._precision import (
+    _GUARD, _float_units, _units_below, fixed_below, float_with_bound, prec_for,
+)
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
 from .logsine_closed_form import logsine_numeric
@@ -179,10 +181,15 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
     prec = _leg_prec(settings.target_abs_error)
-    # the log-2 term plus the oracle's value, and their bounds, summed exactly
-    re_val, re_bound = _float_units(
-        *_log2_term(n, prec), prec, plus=(oracle.value, oracle.abs_error)
-    )
+    # the log-2 term plus the oracle's value, and their bounds, summed
+    # exactly at bits that hold both doubles whole
+    value, bound = _log2_term(n, prec)
+    unit = prec + _GUARD
+    doubles = (oracle.value, oracle.abs_error)
+    fbits = max(unit, *(x.as_integer_ratio()[1].bit_length() - 1 for x in doubles))
+    value = (value << fbits - unit) + fixed_below(doubles[0], fbits)
+    bound = (bound << fbits - unit) + fixed_below(doubles[1], fbits)
+    re_val, re_bound = float_with_bound(value, bound, fbits)
     r = leg_H_im_coefficient(n)
     im = _fixed_term(r.numerator, r.denominator, n + 2, None, prec)
     im_val, im_bound = _float_units(*im, prec)

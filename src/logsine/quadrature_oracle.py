@@ -25,23 +25,26 @@ inputs visit identical nodes.  Evaluation runs at a working precision
 well beyond double, so the double-rounding floor dominates even when the
 integrand mass is ~1e5 (x^12 log sin x) and the target is 1e-10.
 
-The engine sums on Python integers with F = working precision + ``_GUARD``
-fractional bits, ``_precision``'s unit, read from this module's binding
-so that a test can coarsen the engine alone.  The ends pi and pi/2 are
-the exact b = ``_elementary.pi`` at F bits, at most pi.  A node's
-distances b g and b (1 - g) reach the integrand exactly, as (mantissa,
-exponent) pairs, so a node within 1e-100 of an end still gets its
-log(sin d) on its own distance: only products and sums go fixed.  Each
-integrand returns an integer and its units: the function, at that exact
-point, lies within those units of 2^-F of the integer, except where an
-integrand first cuts x to fewer bits, which moves the function by a
-stated fraction 2^-r of itself.  Each product with a weight w < 2 rounds
-down once, so it is off by under 2 u + 1 units for a value of u units;
-the rule's value (b/2) 2^-k sum rounds down once more.  A node's own
-rounding makes its abscissa an exact point near the ideal one, at which
-the integrand is evaluated, and its weight within 2^-F of the ideal
-weight; that weight error and the cut's fraction are charged on the
-rule's |weight*f| mass.
+The nodes, the ends and the integrand values are integers in
+``_precision``'s unit 2^-V, V = working precision + 16.  The ends pi and
+pi/2 are the exact b = ``_elementary.pi`` at V bits, at most pi.  A
+node's distances b g and b (1 - g) reach the integrand exactly, as
+(mantissa, exponent) pairs, so a node within 1e-100 of an end still gets
+its log(sin d) on its own distance: only products and sums go fixed.
+Each integrand returns an integer and its units: the function, at that
+exact point, lies within those units of 2^-V of the integer, except where
+an integrand first cuts x to fewer bits, which moves the function by a
+stated fraction 2^-r of itself.
+
+The engine sums in units of 2^-F, F = working precision + ``_GUARD``,
+read from this module's binding so that a test can coarsen the sums
+alone; F <= V, and F = V unless a test sets it.  Each product of a value
+of u units with a weight w < 2 rounds down once to F bits, so it is off
+by under 2 u 2^(F - V) + 1 units of 2^-F; the rule's value (b/2) 2^-k
+sum rounds down once more.  A node's own rounding makes its abscissa an
+exact point near the ideal one, at which the integrand is evaluated, and
+its weight within 2^-V of the ideal weight; that weight error and the
+cut's fraction are charged on the rule's |weight*f| mass.
 
 Results are memoized in one cache keyed by (integrand builder, its
 arguments, target), and the nodes in one table of the engine's integers
@@ -64,7 +67,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from . import _elementary
+from . import _elementary, _precision
 from ._elementary import _shift
 from ._precision import _GUARD, fixed_below, float_with_bound, prec_for
 from .errors import CertificationError, RefinementExhausted, _require_int
@@ -86,7 +89,7 @@ __all__ = [
 _MIN_ACCEPT_LEVEL = 3
 # The deepest refinement level any oracle integral visits.
 _MAX_DEPTH = 12
-# Fractional bits of the node tables beyond the engine's F.
+# Fractional bits of the node tables beyond V, _precision's unit.
 _NODE_BITS = 16
 
 
@@ -158,8 +161,9 @@ class QuadratureSettings:
 
 # An exact nonnegative number man * 2^exp as the pair (man, exp).
 Distance = tuple[int, int]
-# (x, d) -> (value, units): f(x) on [0, b] within units of 2^-(prec + _GUARD)
-# of the integer value; d is x's exact distance from the nearer end
+# (x, d) -> (value, units): f(x) on [0, b] within units of 2^-V of the
+# integer value, V = prec + _precision._GUARD; d is x's exact distance from
+# the nearer end
 RawIntegrand = Callable[[Distance, Distance], tuple[int, int]]
 
 
@@ -182,16 +186,16 @@ def _nodes(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
     share g and w; the center node g = 1/2, its own mirror, holds half
     its weight.
 
-    Each is computed at B = F + ``_NODE_BITS`` bits, F = prec + _GUARD,
-    with relative errors counted in units of 2^-B: pi and cosh t within
-    their units, 2u = pi sinh t within a units; q at B + k bits, q >
-    2^-(k + 2), within 4 times its units and a + 1 for the error in 2u;
-    g and 1 - g 8 more, for the floor of g > 2^-(k + 3); w the sum of
-    those of pi, cosh t, g and 1 - g, 4 for its floor and 1 for the
-    products.  The weight's count must stay within 2^_NODE_BITS, so that
-    every weight is within 2^-F of itself.
+    Each is computed at B = V + ``_NODE_BITS`` bits, V = prec + 16 as in
+    ``_precision``'s unit, with relative errors counted in units of 2^-B:
+    pi and cosh t within their units, 2u = pi sinh t within a units; q at
+    B + k bits, q > 2^-(k + 2), within 4 times its units and a + 1 for the
+    error in 2u; g and 1 - g 8 more, for the floor of g > 2^-(k + 3); w
+    the sum of those of pi, cosh t, g and 1 - g, 4 for its floor and 1 for
+    the products.  The weight's count must stay within 2^_NODE_BITS, so that
+    every weight is within 2^-V of itself.
     """
-    frac = prec + _GUARD
+    frac = prec + _precision._GUARD
     bits = frac + _NODE_BITS
     dps = max(1, round(prec / 3.3219280948873626) - 1)  # decimal digits of prec bits
     pi, pi_units = _elementary.pi(bits)
@@ -224,8 +228,9 @@ def _tanh_sinh(
 
     The integrand receives a node's abscissa x = b g or b (1 - g) and its
     distance d = b g from the nearer end as exact pairs, so a singular
-    factor can be evaluated from d without cancellation.  It returns a
-    fixed-point integer and its units, on which the sums are accumulated.
+    factor can be evaluated from d without cancellation.  It returns an
+    integer and its units in units of 2^-V, V = prec + _precision._GUARD
+    >= F; each product with a weight is cut to F bits and summed there.
 
     Returns (value, rule error estimate, accumulated |weight*f| mass,
     counted units) as integers in units of 2^-F: the rule's sum over the
@@ -233,26 +238,29 @@ def _tanh_sinh(
     RefinementExhausted if ``_MAX_DEPTH`` levels are not enough.
     """
     bm, be = b
-    # sums of w f, |w f| and the units of the values plus one per pair
+    drop = _precision._GUARD - _GUARD  # V - F
+    one = 1 << drop
+    # sums of w f, |w f| and the units of the values plus one unit of 2^-F
+    # per pair, the last in units of 2^-V
     total_sum = mass_sum = unit_sum = 0
     for level in range(_MAX_DEPTH + 1):
         for gm, ge, cm, wm, ws in _nodes(prec, level):
             near = (bm * gm, be + ge)
             lo, lo_units = f(near, near)
             hi, hi_units = f((bm * cm, be + ge), near)
-            lo = (wm * lo) >> ws
-            hi = (wm * hi) >> ws
+            lo = (wm * lo) >> (ws + drop)
+            hi = (wm * hi) >> (ws + drop)
             total_sum += lo + hi
             mass_sum += abs(lo) + abs(hi)
-            unit_sum += lo_units + hi_units + 1
+            unit_sum += lo_units + hi_units + one
         # the rule's value is (b/2) h total_sum with h = 2^-level
         total = _shift(bm * total_sum, be - level - 1)
         if level >= _MIN_ACCEPT_LEVEL:  # >= 1, so prev is set
             diff = abs(total - prev)
             if diff <= rule_target:
-                # (b/2) h sum (2 u + 1) over the values, rounded up, and a
-                # unit for the value's own rounding
-                units = _shift(bm * unit_sum, be - level) + 2
+                # (b/2) h sum (2 u 2^-drop + 1) over the values, rounded
+                # up, and a unit for the value's own rounding
+                units = _shift(bm * unit_sum, be - level - drop) + 2
                 return total, diff, _shift(bm * mass_sum, be - level - 1), units
         prev = total
     raise RefinementExhausted(
@@ -267,8 +275,9 @@ def _tanh_sinh(
 
 # What an integrand builder returns for (prec, *args): the integrand at the
 # working precision ``prec``, the exact upper end b of its interval [0, b],
-# a bound in units of 2^-(prec + _GUARD) on what the interval leaves out,
-# and r: cutting x moves the integrand by at most 2^-r of itself.
+# a bound in units of 2^-V, V = prec + _precision._GUARD, on what the
+# interval leaves out, and r: cutting x moves the integrand by at most 2^-r
+# of itself.
 Integrand = tuple[RawIntegrand, Distance, int, int]
 
 
@@ -277,13 +286,15 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     """Run the rule on what ``integrand(prec, *args)`` builds at the working
     precision of ``target``, and assemble the certified bound:
     rule estimate + what the interval leaves out + counted units + double
-    rounding.  The counted units take in the weights' error, 2^-F of
-    themselves, and the cut's 2^-r, on the mass and the units."""
+    rounding, in the engine's units of 2^-F.  The counted units take in
+    the weights' error, 2^-V of themselves, and the cut's 2^-r, on the
+    mass and the units."""
     prec = prec_for(target, extra_digits=12, min_dps=25)
-    frac = prec + _GUARD
+    frac, drop = prec + _GUARD, _precision._GUARD - _GUARD  # F and V - F
     f, b, left_out, r = integrand(prec, *args)
     value, rule_est, mass, units = _tanh_sinh(f, b, fixed_below(target / 4, frac), prec)
-    units += ((mass + units + 1) >> (min(r, frac) - 1)) + 1
+    units += ((mass + units + 1) >> (min(r, frac + drop) - 1)) + 1
+    left_out = -(-left_out >> drop)  # to units of 2^-F, rounded up
     value, bound = float_with_bound(value, rule_est + left_out + units, frac)
     if bound > target:
         raise CertificationError(f"quadrature certified to {bound:.3e}, target {target:.3e}")
@@ -295,16 +306,15 @@ def _log_sin(d: Distance, frac: int) -> tuple[int, int]:
     (value, units).
 
     sin d is taken at ww bits, 2^ww d >= 2^(frac + 7), so it exceeds
-    2^(frac + 6) units there; its units s move the log by s / (sin d - s).
+    2^(frac + 6) units there, and its units go into the log's.
     """
     ww = frac + 8 + max(0, -(d[1] + d[0].bit_length()))
-    s, s_units = _elementary.sin(d, ww)
-    log_sin, units = _elementary.log((s, -ww), frac)
-    return log_sin, units - (-(s_units << frac) // (s - s_units))
+    s, s_units = _elementary.sin_cos(d, ww, 0)  # sin d
+    return _elementary.log((s, -ww), frac, s_units)
 
 
 # precision in bits -> {exact distance d from the nearer end of [0, pi]:
-# log(sin d) and its units, in units of 2^-(prec + _GUARD)}
+# log(sin d) and its units, in units of 2^-(prec + _precision._GUARD)}
 _LOGSIN_TABLE: dict[int, dict[Distance, tuple[int, int]]] = {}
 
 
@@ -314,10 +324,10 @@ def _logsine(prec: int, n: int) -> Integrand:
     The integrand is x^n log(sin d), d the distance from the nearer end of
     [0, b]; past b/2 it stands in for x^n log(sin(pi - x)).  The two
     differ, with the sliver [b, pi], by under 3 pi^n delta (log(2/delta)
-    + 1) for delta = pi - b, under 3 pi^n u (F + 2) units.  x is cut to
+    + 1) for delta = pi - b, under 3 pi^n u (V + 2) units.  x is cut to
     prec bits, which moves x^n by under n 2^(1 - prec) of itself.
     """
-    frac = prec + _GUARD
+    frac = prec + _precision._GUARD
     table = _LOGSIN_TABLE.setdefault(prec, {})
     pi_n = -(-(355**n) // 113**n)  # above pi^n, as 355/113 > pi
 
@@ -342,7 +352,7 @@ def _logsine(prec: int, n: int) -> Integrand:
 def _logsquared(prec: int) -> Integrand:
     """(log(2 sin x))^2 on [0, b], b at most pi/2 and within u units of it;
     the integrand is below 1 on [b, pi/2], which leaves out under u units."""
-    frac = prec + _GUARD
+    frac = prec + _precision._GUARD
     log2, log2_units = _elementary.log2(frac)
 
     def f(x: Distance, d: Distance) -> tuple[int, int]:
@@ -360,14 +370,14 @@ def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
     """y^n log(1 - e^(-2y)) on [0, Y], Y the cutoff policy's for n and
     ``target``, with the dropped tail's bound.
 
-    y is cut to F + bits(c) + 2 bits, c = n + 4 ceil(Y) + 3.  Since
+    y is cut to V + bits(c) + 2 bits, c = n + 4 ceil(Y) + 3.  Since
     y |d/dy log(1 - e^(-2y))| <= (4y + 3) |log(1 - e^(-2y))|, that moves
-    the integrand by under 2^-F of itself.  The log, at least e^(-2y) >
-    2^-(k + 1), is taken at F + 8 + k bits, and e^(-2y) at 8 more and as
+    the integrand by under 2^-V of itself.  The log, at least e^(-2y) >
+    2^-(k + 1), is taken at V + 8 + k bits, and e^(-2y) at 8 more and as
     many again as 2y is below 1, so that 1 - e^(-2y) keeps its bits; the
-    units u of e^(-2y) move the log by u / (1 - e^(-2y) - u).
+    units of e^(-2y) go into the log's.
     """
-    frac = prec + _GUARD
+    frac = prec + _precision._GUARD
     cutoff = default_semi_infinite_cutoff_policy(n, target)
     keep = frac + (n + 4 * math.ceil(cutoff) + 3).bit_length() + 2
 
@@ -378,9 +388,7 @@ def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
         out = frac + 8 + k
         ww = out + 8 + max(0, -(y_exp + 1 + y_man.bit_length()))
         e, e_units = _elementary.exp((-y_man, y_exp + 1), ww)
-        one_minus = (1 << ww) - e
-        log, units = _elementary.log((one_minus, -ww), out)
-        units -= -(e_units << out) // (one_minus - e_units)
+        log, units = _elementary.log(((1 << ww) - e, -ww), out, e_units)
         power, shift = y_man**n, n * y_exp - out + frac
         return _shift(power * log, shift), _shift(power * units, shift) + 2
 
@@ -392,12 +400,12 @@ def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
 def _cosine_moment(prec: int, l: int, power: int) -> Integrand:
     """theta^power cos(2 l theta) on [0, b], b at most pi and within u
     units of it; |integrand| < 4, so [b, pi] leaves out under 4 u units."""
-    frac = prec + _GUARD
+    frac = prec + _precision._GUARD
 
     def f(x: Distance, d: Distance) -> tuple[int, int]:
         # x ** power * cos(2 * l * x): x < 4 times the cosine's units, and
         # a unit for the floor
-        value, units = _elementary.cos((x[0] * 2 * l, x[1]), frac)
+        value, units = _elementary.sin_cos((x[0] * 2 * l, x[1]), frac, 1)
         if power:
             return _shift(x[0] * value, x[1]), 4 * units + 1
         return value, units
@@ -409,13 +417,13 @@ def _cosine_moment(prec: int, l: int, power: int) -> Integrand:
 def _cosine_orth(prec: int, l: int, lp: int) -> Integrand:
     """cos(2 l theta) cos(2 l' theta) on [0, b], b at most pi and within
     u units of it; |integrand| <= 1, so [b, pi] leaves out under u units."""
-    frac = prec + _GUARD
+    frac = prec + _precision._GUARD
 
     def f(x: Distance, d: Distance) -> tuple[int, int]:
         # cos(2 * l * x) * cos(2 * lp * x): cosines within u and u' units
         # multiply to within u + u' + 1, then round down
-        cos_l, units_l = _elementary.cos((x[0] * 2 * l, x[1]), frac)
-        cos_lp, units_lp = _elementary.cos((x[0] * 2 * lp, x[1]), frac)
+        cos_l, units_l = _elementary.sin_cos((x[0] * 2 * l, x[1]), frac, 1)
+        cos_lp, units_lp = _elementary.sin_cos((x[0] * 2 * lp, x[1]), frac, 1)
         return cos_l * cos_lp >> frac, units_l + units_lp + 2
 
     pi, units = _elementary.pi(frac)

@@ -149,22 +149,15 @@ def test_bounds_hold_against_references(tol):
 
 
 def test_coarse_fixed_point_stays_certified(cold_caches, monkeypatch):
-    # with 26 fractional bits the integrand values, the engine's own
-    # truncations and the sliver between b and pi are far above every other
-    # term of the bound: only their counted units keep the certificate
-    # honest.  From n = 6 those units, which grow like pi^n, exceed the
-    # target, and the call must say so
+    # with 26 fractional bits the tanh-sinh engine's own truncations are
+    # far above every other term of the bound: only their counted term
+    # keeps the certificate honest
     monkeypatch.setattr(quadrature_oracle, "_GUARD", -60)
-    audit, certified = Audit(), []
+    audit = Audit()
     settings = logsine.QuadratureSettings(target_abs_error=1e-3)
     for n in range(13):
-        try:
-            approx = logsine.integrate_logsine(n, settings)
-        except CertificationError:
-            continue
+        approx = logsine.integrate_logsine(n, settings)
         audit.check(f"integrate_logsine({n})", approx, ref_logsine(n))
-        certified.append(n)
-    assert certified[:6] == list(range(6))
 
 
 # the last certified n of the closed form at loose tolerances, the start

@@ -14,7 +14,7 @@ import threading
 
 from mpmath import mp
 
-from logsine import _elementary, quadrature_oracle, zeta_engine
+from logsine import _elementary, _precision, quadrature_oracle, zeta_engine
 from logsine.contour_verifier import leg_R
 from logsine.errors import CertificationError
 from logsine.logsine_closed_form import logsine_numeric
@@ -105,7 +105,7 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
     assert len(quadrature_oracle._LOGSIN_TABLE) > 0
     for prec, table in quadrature_oracle._LOGSIN_TABLE.items():
         for d, log_sin in table.items():
-            assert log_sin == quadrature_oracle._log_sin(d, prec + quadrature_oracle._GUARD), (prec, d)
+            assert log_sin == quadrature_oracle._log_sin(d, prec + _precision._GUARD), (prec, d)
 
     assert len(node_keys) > 0
     for prec, level in node_keys:

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, workdps
 
+from logsine import _precision
 from logsine.contour_verifier import (
+    _leg_prec,
+    _log2_term,
     leg_H,
     leg_H_im_coefficient,
     leg_L,
@@ -20,7 +23,7 @@ from logsine.contour_verifier import (
 from logsine.errors import CertificationError
 from logsine.exact_core import bernoulli_table, verify_recurrence
 from logsine.logsine_closed_form import logsine_numeric, logsine_symbolic
-from logsine.quadrature_oracle import QuadratureSettings
+from logsine.quadrature_oracle import QuadratureSettings, integrate_logsine
 
 TOL = 1e-10
 
@@ -116,6 +119,24 @@ class TestLegH:
         h = leg_H(1, QuadratureSettings(target_abs_error=TOL))
         assert abs(h.re.value) <= h.re.abs_error  # pi^2 log2 / 2 + I_1 = 0
         assert _close(h.im, PI3_OVER_12)  # pi^3 (1/3 - 1/4)
+
+    @pytest.mark.parametrize("tol", [1e-3, TOL])
+    def test_re_adds_the_oracle_exactly(self, tol):
+        # Re(H_n) is the log-2 term plus the oracle's double, and the bound
+        # their bounds, each summed exactly and rounded once to nearest
+        settings = QuadratureSettings(target_abs_error=tol)
+        prec = _leg_prec(tol)
+        unit = Fraction(1, 2 ** (prec + _precision._GUARD))
+        for n in range(13):
+            oracle = integrate_logsine(n, settings)
+            value, bound = _log2_term(n, prec)
+            re = float(value * unit + Fraction(oracle.value))
+            half_ulp = 0.5 * math.ulp(abs(re) if re else 1e-300)
+            re_bound = math.nextafter(
+                float(bound * unit + Fraction(oracle.abs_error)) + half_ulp, math.inf
+            )
+            h = leg_H(n, settings)
+            assert (h.re.value, h.re.abs_error) == (re, re_bound), n
 
     def test_im_coefficient_exact_form(self):
         for n in range(30):

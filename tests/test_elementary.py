@@ -94,10 +94,22 @@ def test_exp_and_log_match_mpmath(cold_caches, w):
 
 
 @pytest.mark.parametrize("w", BITS)
+def test_log_counts_the_units_of_its_argument(cold_caches, w):
+    # x known within u units of its last bit: the value and its units must
+    # cover the log at both ends of [x - u, x + u]
+    for man, exp in LOG_ARGS:
+        x = (man << 40, exp - 40)
+        for units in (1, 1 << 30):
+            out = _elementary.log(x, w, units)
+            for end in (x[0] - units, x[0] + units):
+                _check(out, w, lambda ctx: ctx.log(ctx.ldexp(end, x[1])))
+
+
+@pytest.mark.parametrize("w", BITS)
 def test_trigonometric_and_hyperbolic_match_mpmath(cold_caches, w):
     for x in TRIG_ARGS:
-        _check(_elementary.sin(x, w), w, lambda ctx: ctx.sin(_arg(ctx, x)))
-        _check(_elementary.cos(x, w), w, lambda ctx: ctx.cos(_arg(ctx, x)))
+        _check(_elementary.sin_cos(x, w, 0), w, lambda ctx: ctx.sin(_arg(ctx, x)))
+        _check(_elementary.sin_cos(x, w, 1), w, lambda ctx: ctx.cos(_arg(ctx, x)))
     for x in HYP_ARGS:
         c, s, units = _elementary.cosh_sinh(x, w)
         _check((c, units), w, lambda ctx: ctx.cosh(_arg(ctx, x)))
@@ -117,8 +129,8 @@ def test_routines_mostly_round_down_with_one_unit(cold_caches):
             _elementary.log2(w),
             *(_elementary.exp(x, w) for x in ((3, -3), (-11, 1), (-23371, -7))),
             *(_elementary.log(x, w) for x in ((3, 0), (10**6, 0), (7, -3))),
-            *(_elementary.sin(x, w) for x in ((7, -3), (3217, -11), (10, 0))),
-            _elementary.cos((19, 0), w),
+            *(_elementary.sin_cos(x, w, 0) for x in ((7, -3), (3217, -11), (10, 0))),
+            _elementary.sin_cos((19, 0), w, 1),
         )
     ]
     assert sum(units == 1 for _, units in outs) >= 0.95 * len(outs)

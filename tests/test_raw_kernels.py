@@ -420,12 +420,12 @@ def _check_term(prec: int, num: int, den: int, m: int, key, out: tuple[int, int]
 def _raw(value: int, bound: int, prec: int) -> tuple:
     """What ``_float_units`` hands ``float_with_bound`` for a value and a
     bound in units at ``prec`` bits."""
-    return value, bound, prec + GUARD, (0.0, 0.0)
+    return value, bound, prec + GUARD
 
 
 @pytest.fixture
 def rounded(monkeypatch):
-    """The (value, bound, fbits, plus) that the legs and the closed form
+    """The (value, bound, fbits) that the legs and the closed form
     hand to ``float_with_bound``, recorded as the test runs."""
     calls = []
     float_with_bound = _precision.float_with_bound
