@@ -7,22 +7,19 @@ apply, down to 1e-14, past the certified envelope.  A call that raises
 is recorded as its error type and text.  After the results, each dump
 lists every entry of the working-precision memo tables the calls filled
 (``RAW_TABLES``), one line per key in sorted key order with the entry's
-raw tuples or integers, or the sha256 of their repr when that is long, so
-an error in bits that rounding to double hides still shows; a table that
-a checkout lacks, or whose module it lacks, is listed as ``absent``.
-Each zeta entry is listed as the integers of its value and bound in
-units of 2^-(prec + 16), prec the key's precision, whether the checkout
-stores those integers or raw tuples, which ``to_fixed`` turns into them
-exactly.  The counted routines' pi and log 2 are listed by their
-precision in bits.  The tanh-sinh engine's tables are the log-sin values, keyed by precision and node
-distance, and its nodes, as the integers (gm, ge, cm, wm, ws) it sums
-with, listed as ``nodes`` for each (prec, level) that the calls ask the
-engine's node function for: ``_nodes``, or ``_fixed_nodes`` in a
-checkout that has it.  The two dumps
-are compared entry by entry.  Each checkout is then dumped again in a
-fresh process that makes the same calls in reverse order, and that dump
-is compared with its forward one: a result that changes is one that
-depends on what ran before it, through a memo table.  The script prints each differing
+integers, or the sha256 of their repr when that is long, so an error in
+bits that rounding to double hides still shows; a table that a checkout
+lacks, or whose module it lacks, is listed as ``absent``.  Each zeta
+entry is the integers of its value and bound in units of 2^-(prec + 16),
+prec the key's precision.  The counted routines' pi and log 2 are listed
+by their precision in bits.  The tanh-sinh engine's tables are the
+log-sin values, keyed by precision and node distance, and its nodes, as
+the integers (gm, ge, cm, wm, ws) it sums with, listed as ``nodes`` for
+each (prec, level) that the calls ask ``_nodes`` for.  The two dumps are
+compared entry by entry.  Each checkout is then dumped again in a fresh
+process that makes the same calls in reverse order, and that dump is
+compared with its forward one: a result that changes is one that depends
+on what ran before it, through a memo table.  The script prints each differing
 result or table entry and exits 1 on any difference of either kind.
 
 For results that differ between the checkouts, the script also prints
@@ -56,7 +53,6 @@ RAW_TABLES = (
     ("_elementary", "_LOG2"),
     ("zeta_engine", "_ZETA_TABLE"),
     ("zeta_engine", "_PI_FIXED"),
-    ("zeta_engine", "_LOG2_FIXED"),
     ("zeta_engine", "_BORWEIN_D"),
     ("quadrature_oracle", "_LOGSIN_TABLE"),
 )
@@ -107,15 +103,14 @@ def dump(reverse: bool) -> None:
     from logsine import quadrature_oracle
 
     # the node function the engine calls, wrapped to record its keys
-    node_name = "_fixed_nodes" if hasattr(quadrature_oracle, "_fixed_nodes") else "_nodes"
-    node_table = getattr(quadrature_oracle, node_name)
+    node_table = quadrature_oracle._nodes
     node_keys = set()
 
     def recording(prec, level):
         node_keys.add((prec, level))
         return node_table(prec, level)
 
-    setattr(quadrature_oracle, node_name, recording)
+    quadrature_oracle._nodes = recording
     todo = list(calls())
     lines = {}
     for label, thunk in reversed(todo) if reverse else todo:
@@ -137,20 +132,10 @@ def dump(reverse: bool) -> None:
             continue
         if name == "_LOGSIN_TABLE":
             table = {(prec, d): v for prec, inner in table.items() for d, v in inner.items()}
-        if name == "_ZETA_TABLE":
-            table = {key: tuple(map(partial(in_units, key[1]), v)) for key, v in table.items()}
         for key in sorted(table):
             print_entry(name, key, table[key])
     for key in sorted(node_keys):
         print_entry("nodes", key, node_table(*key))
-
-
-def in_units(prec: int, x) -> int:
-    """A zeta value or bound in units of 2^-(prec + 16): the integer
-    itself, or a raw tuple cut exactly."""
-    from mpmath.libmp import to_fixed
-
-    return x if isinstance(x, int) else to_fixed(x, prec + 16)
 
 
 def print_entry(name: str, key, value) -> None:

@@ -250,12 +250,9 @@ def _resolve_tolerance(flag_value: float | None, parser: argparse.ArgumentParser
     if env is None:
         return 1e-10
     try:
-        value = float(env)
-    except ValueError:
-        parser.error(f"LOGSINE_TOLERANCE is not a number: {env!r}")
-    if not (math.isfinite(value) and value > 0):
-        parser.error("LOGSINE_TOLERANCE must be positive and finite")
-    return value
+        return _positive_float(env)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"LOGSINE_TOLERANCE {exc}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,23 +25,20 @@ inputs visit identical nodes.  Evaluation runs at a working precision
 well beyond double, so the double-rounding floor dominates even when the
 integrand mass is ~1e5 (x^12 log sin x) and the target is 1e-10.
 
-The nodes, the ends and the integrand values are integers in
-``_precision``'s unit 2^-V, V = working precision + 16.  The ends pi and
-pi/2 are the exact b = ``_elementary.pi`` at V bits, at most pi.  A
-node's distances b g and b (1 - g) reach the integrand exactly, as
+The nodes, the ends, the integrand values and the engine's sums are
+integers in ``_precision``'s unit 2^-V, V = working precision + 16.  The
+ends pi and pi/2 are the exact b = ``_elementary.pi`` at V bits, at most
+pi.  A node's distances b g and b (1 - g) reach the integrand exactly, as
 (mantissa, exponent) pairs, so a node within 1e-100 of an end still gets
 its log(sin d) on its own distance: only products and sums go fixed.
 Each integrand returns an integer and its units: the function, at that
-exact point, lies within those units of 2^-V of the integer, except where
-an integrand first cuts x to fewer bits, which moves the function by a
+exact point, lies within those units of the integer, except where an
+integrand first cuts x to fewer bits, which moves the function by a
 stated fraction 2^-r of itself.
 
-The engine sums in units of 2^-F, F = working precision + ``_GUARD``,
-read from this module's binding so that a test can coarsen the sums
-alone; F <= V, and F = V unless a test sets it.  Each product of a value
-of u units with a weight w < 2 rounds down once to F bits, so it is off
-by under 2 u 2^(F - V) + 1 units of 2^-F; the rule's value (b/2) 2^-k
-sum rounds down once more.  A node's own rounding makes its abscissa an
+Each product of a value of u units with a weight w < 2 rounds down once,
+so it is off by under 2 u + 1 units; the rule's value (b/2) 2^-k sum
+rounds down once more.  A node's own rounding makes its abscissa an
 exact point near the ideal one, at which the integrand is evaluated, and
 its weight within 2^-V of the ideal weight; that weight error and the
 cut's fraction are charged on the rule's |weight*f| mass.
@@ -69,7 +66,7 @@ from typing import Callable
 
 from . import _elementary, _precision
 from ._elementary import _shift
-from ._precision import _GUARD, fixed_below, float_with_bound, prec_for
+from ._precision import _float_units, _units_below, prec_for
 from .errors import CertificationError, RefinementExhausted, _require_int
 from .zeta_engine import RealApprox
 
@@ -133,10 +130,14 @@ def vertical_tail_bound(n: int, cutoff: float) -> float:
 
 def default_semi_infinite_cutoff_policy(n: int, target_abs_error: float) -> float:
     """Truncation point for the e^(-2y)-decaying integrands: start at
-    max(20, 5n) and grow until the tail bound is below target/2."""
+    max(20, 5n) and grow until the tail bound is below target/2.  Raises
+    CertificationError when target/2 is not above the smallest normal
+    double, under which the tail bound never falls."""
     _require_int(n, 0, "n must be a nonnegative integer")
     if not (target_abs_error > 0 and math.isfinite(target_abs_error)):
         raise ValueError("target absolute error must be positive and finite")
+    if target_abs_error / 2 <= sys.float_info.min:
+        raise CertificationError(f"no cutoff brings the tail bound under {target_abs_error / 2!r}")
     cutoff = max(20.0, 5.0 * n)
     while vertical_tail_bound(n, cutoff) >= target_abs_error / 2:
         cutoff *= 1.25
@@ -224,47 +225,44 @@ def _tanh_sinh(
 ) -> tuple[int, int, int, int]:
     """Integrate over [0, b], refining until two successive level sums
     differ by <= rule_target, at ``prec`` bits; b is an exact pair and
-    rule_target an integer in units of 2^-F, F = prec + _GUARD.
+    rule_target an integer in units of 2^-V, V = prec + _precision._GUARD.
 
     The integrand receives a node's abscissa x = b g or b (1 - g) and its
     distance d = b g from the nearer end as exact pairs, so a singular
     factor can be evaluated from d without cancellation.  It returns an
-    integer and its units in units of 2^-V, V = prec + _precision._GUARD
-    >= F; each product with a weight is cut to F bits and summed there.
+    integer and its units, both in units of 2^-V; each product with a
+    weight is rounded down to an integer and summed.
 
     Returns (value, rule error estimate, accumulated |weight*f| mass,
-    counted units) as integers in units of 2^-F: the rule's sum over the
+    counted units) as integers in units of 2^-V: the rule's sum over the
     integrand values lies within the counted units of the value.  Raises
     RefinementExhausted if ``_MAX_DEPTH`` levels are not enough.
     """
     bm, be = b
-    drop = _precision._GUARD - _GUARD  # V - F
-    one = 1 << drop
-    # sums of w f, |w f| and the units of the values plus one unit of 2^-F
-    # per pair, the last in units of 2^-V
+    # sums of w f, |w f| and the units of the values plus one per pair
     total_sum = mass_sum = unit_sum = 0
     for level in range(_MAX_DEPTH + 1):
         for gm, ge, cm, wm, ws in _nodes(prec, level):
             near = (bm * gm, be + ge)
             lo, lo_units = f(near, near)
             hi, hi_units = f((bm * cm, be + ge), near)
-            lo = (wm * lo) >> (ws + drop)
-            hi = (wm * hi) >> (ws + drop)
+            lo = (wm * lo) >> ws
+            hi = (wm * hi) >> ws
             total_sum += lo + hi
             mass_sum += abs(lo) + abs(hi)
-            unit_sum += lo_units + hi_units + one
+            unit_sum += lo_units + hi_units + 1
         # the rule's value is (b/2) h total_sum with h = 2^-level
         total = _shift(bm * total_sum, be - level - 1)
         if level >= _MIN_ACCEPT_LEVEL:  # >= 1, so prev is set
             diff = abs(total - prev)
             if diff <= rule_target:
-                # (b/2) h sum (2 u 2^-drop + 1) over the values, rounded
-                # up, and a unit for the value's own rounding
-                units = _shift(bm * unit_sum, be - level - drop) + 2
+                # (b/2) h sum (2 u + 1) over the values, and 2 for the
+                # floors of that count and of the value
+                units = _shift(bm * unit_sum, be - level) + 2
                 return total, diff, _shift(bm * mass_sum, be - level - 1), units
         prev = total
     raise RefinementExhausted(
-        f"no convergence to {math.ldexp(rule_target, -(prec + _GUARD)):.3e}"
+        f"no convergence to {math.ldexp(rule_target, -(prec + _precision._GUARD)):.3e}"
         f" within depth {_MAX_DEPTH}"
     )
 
@@ -286,16 +284,14 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     """Run the rule on what ``integrand(prec, *args)`` builds at the working
     precision of ``target``, and assemble the certified bound:
     rule estimate + what the interval leaves out + counted units + double
-    rounding, in the engine's units of 2^-F.  The counted units take in
-    the weights' error, 2^-V of themselves, and the cut's 2^-r, on the
-    mass and the units."""
+    rounding, in ``_precision``'s unit.  The counted units take in the
+    weights' error, 2^-V of themselves, and the cut's 2^-r, on the mass
+    and the units."""
     prec = prec_for(target, extra_digits=12, min_dps=25)
-    frac, drop = prec + _GUARD, _precision._GUARD - _GUARD  # F and V - F
     f, b, left_out, r = integrand(prec, *args)
-    value, rule_est, mass, units = _tanh_sinh(f, b, fixed_below(target / 4, frac), prec)
-    units += ((mass + units + 1) >> (min(r, frac + drop) - 1)) + 1
-    left_out = -(-left_out >> drop)  # to units of 2^-F, rounded up
-    value, bound = float_with_bound(value, rule_est + left_out + units, frac)
+    value, rule_est, mass, units = _tanh_sinh(f, b, _units_below(target / 4, prec), prec)
+    units += ((mass + units + 1) >> (r - 1)) + 1
+    value, bound = _float_units(value, rule_est + left_out + units, prec)
     if bound > target:
         raise CertificationError(f"quadrature certified to {bound:.3e}, target {target:.3e}")
     return RealApprox(value=value, abs_error=bound)
@@ -384,7 +380,9 @@ def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
     def f(x: Distance, d: Distance) -> tuple[int, int]:
         cut = max(x[0].bit_length() - keep, 0)
         y_man, y_exp = x[0] >> cut, x[1] + cut
-        k = int(math.ldexp(y_man, y_exp) * 2.8853900817779268)  # 2y / log 2
+        # y_exp < 0, and y_man may be past the double range
+        y = y_man / (1 << -y_exp)
+        k = int(y * 2.8853900817779268)  # 2y / log 2
         out = frac + 8 + k
         ww = out + 8 + max(0, -(y_exp + 1 + y_man.bit_length()))
         e, e_units = _elementary.exp((-y_man, y_exp + 1), ww)
@@ -393,7 +391,7 @@ def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
         return _shift(power * log, shift), _shift(power * units, shift) + 2
 
     num, den = cutoff.as_integer_ratio()
-    left_out = -fixed_below(-vertical_tail_bound(n, cutoff), frac)
+    left_out = -_units_below(-vertical_tail_bound(n, cutoff), prec)
     return f, (num, 1 - den.bit_length()), left_out, frac
 
 

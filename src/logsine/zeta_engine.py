@@ -38,10 +38,11 @@ The contour legs and the closed form sum terms num/den * pi^m * x, x a
 zeta value, log 2 or 1, in the series' units 2^-(prec + 16) with one
 integer kernel, ``_fixed_term``.  A term is one floor division; its bound
 counts that unit and carries the units of pi^m and of x through the
-product.  pi^m and log 2 come from integer tables keyed by (precision in
-bits, m) and by precision, seeded by the counted routines of
-``_elementary``, so their stated units are proved.  The callers ask for
-m <= n + 2, so a sweep over n <= 12 adds 14 entries per precision.
+product.  pi^m comes from an integer table keyed by (precision in bits,
+m), and log 2 straight from its routine, both seeded by the counted
+routines of ``_elementary``, so their stated units are proved.  The
+callers ask for m <= n + 2, so a sweep over n <= 12 adds 14 entries per
+precision.
 """
 
 from __future__ import annotations
@@ -188,8 +189,6 @@ def _zeta_fixed(s: int, prec: int) -> tuple[int, int]:
 
 # (precision in bits, m >= 1) -> (P_m, e_m), pi^m as ``_pi_fixed`` gives it
 _PI_FIXED: dict[tuple[int, int], tuple[int, int]] = {}
-# precision in bits -> (L, a), log 2 as ``_log2_fixed`` gives it
-_LOG2_FIXED: dict[int, tuple[int, int]] = {}
 
 
 def _pi_fixed(m: int, prec: int) -> tuple[int, int]:
@@ -219,11 +218,8 @@ def _pi_fixed(m: int, prec: int) -> tuple[int, int]:
 def _log2_fixed(prec: int) -> tuple[int, int]:
     """log 2 in units of 2^-(prec + 16) as (L, a): ``_elementary.log2``
     and its count, but at least 2, as for pi."""
-    entry = _LOG2_FIXED.get(prec)
-    if entry is None:
-        log2, units = _elementary.log2(prec + _GUARD)
-        entry = _LOG2_FIXED.setdefault(prec, (log2, max(units, 2)))
-    return entry
+    log2, units = _elementary.log2(prec + _GUARD)
+    return log2, max(units, 2)
 
 
 def _fixed_term(

@@ -12,15 +12,13 @@ def table_202():
 
 def clear_numeric_caches():
     """Empty the zeta table, the series' coefficient table, the integer
-    tables of pi^m and log 2 and the routines' pi and log 2 they are cut
-    from, the log-sin node table, and the quadrature result cache and node
-    tables built on them."""
+    table of pi^m, the routines' pi and log 2, the log-sin node table, and
+    the quadrature result cache and node tables built on them."""
     _elementary._PI.clear()
     _elementary._LOG2.clear()
     zeta_engine._ZETA_TABLE.clear()
     zeta_engine._BORWEIN_D.clear()
     zeta_engine._PI_FIXED.clear()
-    zeta_engine._LOG2_FIXED.clear()
     quadrature_oracle._LOGSIN_TABLE.clear()
     quadrature_oracle._certified.cache_clear()
     quadrature_oracle._nodes.cache_clear()

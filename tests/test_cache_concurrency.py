@@ -1,7 +1,7 @@
 """Under any thread interleaving, numeric calls return what a serial run
 returns, leave the global mpmath precision alone, and fill the zeta table,
-the series' coefficient table, the integer tables of pi^m and log 2, the
-counted routines' tables of pi and log 2, the log-sin node table, the
+the series' coefficient table, the integer table of pi^m, the counted
+routines' tables of pi and log 2, the log-sin node table, the
 engine's node table and the result caches with exactly the values a
 serial run computes at each entry's precision.
 """
@@ -43,18 +43,18 @@ def _calls(tol: float) -> None:
                 pass  # past the certified envelope
 
 
-def _rebuilt(pi_keys: list, log2_keys: list) -> tuple[list, list]:
-    """The pi^m and log 2 integer entries at the given keys, computed one
-    after another in a fresh process, whose tables all start empty."""
+def _rebuilt(pi_keys: list) -> list:
+    """The pi^m integer entries at the given keys, computed one after
+    another in a fresh process, whose tables all start empty."""
     code = (
-        "import sys; from logsine import zeta_engine as z; pi, log2 = eval(sys.stdin.read()); "
-        "print(([z._pi_fixed(m, prec) for prec, m in pi], [z._log2_fixed(prec) for prec in log2]))"
+        "import sys; from logsine import zeta_engine as z; "
+        "print([z._pi_fixed(m, prec) for prec, m in eval(sys.stdin.read())])"
     )
     src = os.path.dirname(os.path.dirname(zeta_engine.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        input=repr((pi_keys, log2_keys)),
+        input=repr(pi_keys),
         capture_output=True,
         text=True,
         check=True,
@@ -89,9 +89,9 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
     for prec, entry in built.items():
         assert zeta_engine._borwein_table(prec) == entry, prec
 
-    pi_powers, log2 = dict(zeta_engine._PI_FIXED), dict(zeta_engine._LOG2_FIXED)
-    assert len(pi_powers) > 0 and len(log2) > 0
-    assert _rebuilt(list(pi_powers), list(log2)) == (list(pi_powers.values()), list(log2.values()))
+    pi_powers = dict(zeta_engine._PI_FIXED)
+    assert len(pi_powers) > 0
+    assert _rebuilt(list(pi_powers)) == list(pi_powers.values())
 
     # the routines' pi and log 2, each entry against one built afresh
     for table, build in (
@@ -137,7 +137,7 @@ def test_pi_powers_match_serial_values_when_threads_build_them_at_once(cold_cach
         sys.setswitchinterval(saved_interval)
     pi_powers = dict(zeta_engine._PI_FIXED)
     assert {prec for prec, _ in pi_powers} == set(range(100, 1000, 10))
-    assert _rebuilt(list(pi_powers), [])[0] == list(pi_powers.values())
+    assert _rebuilt(list(pi_powers)) == list(pi_powers.values())
 
 
 def _outcome(call):

@@ -193,6 +193,9 @@ class TestExitOne:
         (("bernoulli", "--format", "xml"), None),
         (("verify", "--n-max", "-1"), None),
         (("logsine", "--n-max", "1"), {"LOGSINE_TOLERANCE": "-1"}),
+        (("logsine", "--n-max", "1"), {"LOGSINE_TOLERANCE": "0"}),
+        (("logsine", "--n-max", "1"), {"LOGSINE_TOLERANCE": "inf"}),
+        (("logsine", "--n-max", "1"), {"LOGSINE_TOLERANCE": "nan"}),
     ],
 )
 def test_invalid_input_is_usage_error(args, env):

@@ -108,6 +108,13 @@ class TestSettings:
         with pytest.raises(ValueError):
             call()
 
+    # the tail bound never falls below the smallest normal double: the
+    # policy grew the cutoff to inf and raised ValueError
+    @pytest.mark.parametrize("target", [1e-310, 5e-324])
+    def test_cutoff_policy_below_the_normal_range_raises(self, target):
+        with pytest.raises(CertificationError):
+            default_semi_infinite_cutoff_policy(3, target)
+
     def test_tail_bound_past_the_largest_double_raises(self):
         with pytest.raises(CertificationError):
             vertical_tail_bound(200, 20.0)  # about 10^314
@@ -317,6 +324,13 @@ def test_vertical_leg_past_the_double_range():
     assert abs(approx.value - exact) <= approx.abs_error <= 1e300
     with pytest.raises(CertificationError):
         integrate_vertical_leg(200, settings)
+
+
+def test_vertical_leg_at_a_tiny_target_fails_certification(cold_caches):
+    # past 1000 bits of working precision the integrand raised
+    # OverflowError making its cut ordinate a double
+    with pytest.raises(CertificationError):
+        integrate_vertical_leg(0, QuadratureSettings(target_abs_error=1e-300))
 
 
 def test_shared_geometry_is_independent_of_call_order(cold_caches, node_keys):

@@ -2,8 +2,8 @@
 form compute on fixed-point integers with counted units, and round them
 to doubles from integers.  The node tables are checked against their
 ``mpf`` formula 64 bits finer: at every working precision the library
-uses, each node's g and w lie within 2^-F of themselves of the
-reference's, F the engine's fractional bits.
+uses, each node's g and w lie within 2^-V of themselves of the
+reference's, 2^-V the library's unit.
 
 The zeta series and the tanh-sinh engine accumulate on fixed-point
 integers.  The series is checked against its proof: Borwein's partial
@@ -13,7 +13,8 @@ rule summed exactly with ``Fraction`` over the same nodes and integrand
 values, and each integrand value is checked against the integrand
 evaluated at the same exact point in a finer context: each value lies
 within its stated units, and the results within the engine's counted
-units of the exact sums.
+units of the exact sums.  With integrand values of 0 units the engine's
+own floors are the whole error, and are checked against its count.
 
 The legs and the closed form sum terms num/den pi^m x, x a zeta value,
 log 2 or 1, on integers with counted units.  Each term is checked at every
@@ -31,12 +32,14 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import dps_to_prec, prec_to_dps
 
 from logsine import (
+    _elementary,
     _precision,
     contour_verifier,
     logsine_closed_form,
     quadrature_oracle,
     zeta_engine,
 )
+from logsine._elementary import _shift
 from logsine._precision import prec_for
 from logsine.contour_verifier import _PHASE_SIGN, _leg_prec
 from logsine.errors import CertificationError
@@ -65,6 +68,8 @@ ZETA_PRECISIONS = sorted(
 )
 # the quadrature's working precisions
 QUAD_PRECISIONS = sorted({prec_for(tol, 12, 25) for tol in TOLERANCES})
+# those and two finer ones
+ENGINE_PRECISIONS = [*QUAD_PRECISIONS, dps_to_prec(40), dps_to_prec(80)]
 GUARD = _precision._GUARD
 
 
@@ -166,7 +171,7 @@ def _fraction(raw: tuple) -> Fraction:
 
 def _check_nodes(prec: int, level: int) -> None:
     """Each integer node of a level is an exact g with 1 - g exact beside
-    it, g within 2^-F of the reference's g of itself, and w within 2^-F of
+    it, g within 2^-V of the reference's g of itself, and w within 2^-V of
     itself of the reference's w, which the center node g = 1/2, its own
     mirror, halves."""
     nodes = quadrature_oracle._nodes(prec, level)
@@ -183,8 +188,7 @@ def _check_nodes(prec: int, level: int) -> None:
         assert abs(node_w - w) <= unit * node_w, (level, i)
 
 
-# the quadrature's precision at every tolerance above, and two finer ones
-@pytest.mark.parametrize("prec", [*QUAD_PRECISIONS, dps_to_prec(40), dps_to_prec(80)])
+@pytest.mark.parametrize("prec", ENGINE_PRECISIONS)
 def test_node_tables_match_mpf_reference(cold_caches, prec):
     for level in range(8):
         _check_nodes(prec, level)
@@ -247,13 +251,13 @@ def _pair(pair: tuple[int, int]) -> Fraction:
     return man * Fraction(2) ** exp
 
 
-def _check_rule(b, rule_target, prec, seen, out) -> None:
+def _check_rule(b, rule_target, prec, seen, out) -> Fraction:
     """The engine's nodes, and its sums against exact sums of the same
     integrand values: the rule's exact sum lies within the counted units of
     the value, and the mass within them of the exact mass, the estimate
     within twice them, and the rule stops at the first level from
     ``_MIN_ACCEPT_LEVEL`` on whose estimate meets the target; all in units
-    of 2^-F."""
+    of 2^-V.  Returns the value's distance from the exact sum."""
     value, estimate, mass, units = out
     half_b = _pair(b) / 2
     calls = iter(seen)
@@ -287,6 +291,51 @@ def _check_rule(b, rule_target, prec, seen, out) -> None:
     # under 2 u + 1 units per product w f for a value of u units, scaled by
     # the rule, and 2 more
     assert units <= 2 * half_b * unit_sum / 2 ** (last + 1) + 2
+    return abs(value - totals[last])
+
+
+def _engine_ends(prec: int) -> dict[str, tuple[int, int]]:
+    """The ends pi and pi/2 as the integrands give them, and a cutoff."""
+    frac = prec + GUARD
+    return {
+        "pi": (_elementary.pi(frac)[0], -frac),
+        "half-pi": (_elementary.pi(frac - 1)[0], -frac),
+        "cutoff": (125, -2),
+    }
+
+
+def _engine_error(value, b, prec) -> tuple[Fraction, int]:
+    """The engine on [0, b] for an integrand whose values ``value(x)`` are
+    exact, of 0 units, so that its floors are the whole error: that error,
+    checked by ``_check_rule``, and the engine's count."""
+    seen = []
+
+    def f(x, d):
+        v = value(x)
+        seen.append((x, d, v, 0))
+        return v, 0
+
+    out = quadrature_oracle._tanh_sinh(f, b, 1 << GUARD, prec)
+    return _check_rule(b, 1 << GUARD, prec, seen, out), out[3]
+
+
+@pytest.mark.parametrize("end", ["pi", "half-pi", "cutoff"])
+@pytest.mark.parametrize("prec", ENGINE_PRECISIONS)
+def test_engine_floors_within_their_count(cold_caches, prec, end):
+    """x/3 on [0, b]: the floors lie within the engine's count, and pass
+    the 2 units that it would hold without one unit per pair."""
+    third = (1 << (prec + GUARD)) // 3
+    error, _ = _engine_error(lambda x: _shift(x[0] * third, x[1]), _engine_ends(prec)[end], prec)
+    assert error > 2
+
+
+@pytest.mark.parametrize("prec", ENGINE_PRECISIONS)
+def test_engine_final_floors_within_their_count(cold_caches, prec):
+    """-1 unit on [0, 1/16]: each product with a weight w < 1 rounds down
+    by 1 - w, so the floors lie within the count and pass it less its
+    final 2 units."""
+    error, units = _engine_error(lambda x: -1, (1, -4), prec)
+    assert error > units - 2
 
 
 def _check_values(prec, seen, reference, rel=None) -> None:
@@ -355,6 +404,17 @@ def test_other_integrands_match_mpf_reference(engine_runs, tol):
         b, target, prec, seen, out = engine_runs.pop()
         _check_rule(b, target, prec, seen, out)
         _check_values(prec, seen, reference, rel)
+
+
+def test_leg_integrand_past_the_double_range(cold_caches):
+    """At 1e-290 the leg's cut ordinate has a mantissa of over 1024 bits,
+    which raised OverflowError when made a double; the integrand at the
+    center node lies within its units of the reference."""
+    prec = prec_for(1e-290, 12, 25)
+    f, (bm, be), _, _ = quadrature_oracle._vertical_leg(prec, 3, 1e-290)
+    gm, ge, *_ = quadrature_oracle._nodes(prec, 0)[0]
+    near = (bm * gm, be + ge)
+    _check_values(prec, [(near, near, *f(near, near))], _leg_integrand(3), prec + GUARD)
 
 
 # ---------------------------------------------------------------------------
