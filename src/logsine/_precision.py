@@ -7,9 +7,12 @@ used, (b) the counted units of every rounding at the working precision,
 and (c) the single final rounding to double, which is at most half an
 ulp of the result.
 
-This module owns the one fixed-point unit, 2^-(prec + _GUARD) at prec
-bits, that the zeta series, the legs, the closed form and the tanh-sinh
-engine sum integers in, and the conversions into and out of it.
+This module owns ``RealApprox`` and the one fixed-point unit, 2^-(prec +
+_GUARD) at prec bits, that the zeta series, the legs, the closed form and
+the tanh-sinh engine sum integers in: the conversion of a double into it,
+and the one exit out of it, ``certify``, which rounds a value and a bound
+in the unit to a ``RealApprox`` and checks it against its target.
+``_round_up`` writes (c) once, for ``certify`` and ``_sum_components``.
 
 The working precision is a plain number of bits, chosen from the target
 by ``prec_for`` and passed to every routine.  Nothing process-wide holds
@@ -19,6 +22,7 @@ it, so calls in different threads cannot change each other's arithmetic.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .errors import CertificationError
 
@@ -36,6 +40,21 @@ def prec_for(target_abs_error: float, extra_digits: int, min_dps: int) -> int:
     return max(1, round((dps + 1) * 3.3219280948873626))  # log2(10) bits per digit
 
 
+@dataclass(frozen=True)
+class RealApprox:
+    """A double plus a certified absolute error bound.
+
+    The represented true quantity lies in [value - abs_error, value + abs_error].
+    """
+
+    value: float
+    abs_error: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.abs_error) or self.abs_error < 0:
+            raise ValueError("abs_error must be finite and nonnegative")
+
+
 def _double(x: int, fbits: int) -> float:
     """x 2^-fbits rounded to the nearest double, ties to even; +-inf past
     the double range."""
@@ -45,25 +64,22 @@ def _double(x: int, fbits: int) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _round_up(value: float, bound: float) -> float:
+    """``bound`` plus half an ulp of ``value``, the rounding of the value
+    to double, rounded upward so the certificate never understates."""
+    return math.nextafter(bound + 0.5 * math.ulp(abs(value) or 1e-300), math.inf)
+
+
 def float_with_bound(value: int, bound: int, fbits: int) -> tuple[float, float]:
     """Round a value and a bound in units of 2^-fbits to doubles: (value,
-    certified abs bound).
-
-    The bound adds half an ulp for the final rounding and is itself rounded
-    upward so the certificate never understates.  Raises
+    certified abs bound), the bound through ``_round_up``.  Raises
     CertificationError when the value or the bound does not fit a double.
     """
-    value, bound = _double(value, fbits), _double(bound, fbits)
-    bound += 0.5 * math.ulp(abs(value) if value else 1e-300)
+    value = _double(value, fbits)
+    bound = _round_up(value, _double(bound, fbits))
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise CertificationError(f"value {value!r} or bound {bound!r} exceeds the double range")
-    return value, math.nextafter(bound, math.inf)
-
-
-def _float_units(value: int, bound: int, prec: int) -> tuple[float, float]:
-    """``float_with_bound`` of a value and a bound in units of
-    2^-(prec + _GUARD)."""
-    return float_with_bound(value, bound, prec + _GUARD)
+    return value, bound
 
 
 def fixed_below(x: float, fbits: int) -> int:
@@ -78,4 +94,36 @@ def _units_below(x: float, prec: int) -> int:
     return fixed_below(x, prec + _GUARD)
 
 
-__all__ = ["fixed_below", "float_with_bound", "prec_for"]
+def certify(
+    value: int, bound: int, prec: int, *,
+    plus: RealApprox | None = None, target: float = math.inf, what: str = "",
+) -> RealApprox:
+    """The certified double of a value within ``bound`` units of 2^-F,
+    F = prec + _GUARD, rounded once through ``float_with_bound``.
+
+    ``plus``, a certified double, is added first, value to value and bound
+    to bound, exactly: at max(F, the fractional bits of its two doubles).
+    Raises CertificationError when the bound exceeds ``target``, naming
+    ``what`` was certified.
+    """
+    unit = fbits = prec + _GUARD
+    if plus is not None:
+        doubles = (plus.value, plus.abs_error)
+        fbits = max(unit, *(x.as_integer_ratio()[1].bit_length() - 1 for x in doubles))
+        value = (value << fbits - unit) + fixed_below(doubles[0], fbits)
+        bound = (bound << fbits - unit) + fixed_below(doubles[1], fbits)
+    value, bound = float_with_bound(value, bound, fbits)
+    if bound > target:
+        raise CertificationError(f"{what} certified to {bound:.3e}, target {target:.3e}")
+    return RealApprox(value, bound)
+
+
+def _sum_components(parts: list[RealApprox]) -> RealApprox:
+    """The certified sum of certified doubles: their values summed with
+    one rounding (``math.fsum``), and their bounds likewise, with
+    ``_round_up``."""
+    value = math.fsum(p.value for p in parts)
+    return RealApprox(value, _round_up(value, math.fsum(p.abs_error for p in parts)))
+
+
+__all__ = ["RealApprox", "certify", "fixed_below", "float_with_bound", "prec_for"]

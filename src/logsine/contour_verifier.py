@@ -23,7 +23,9 @@ Each term of L and R, (p/q) pi^m zeta(k+2), H's log-2 term and its
 imaginary part r pi^(n+2) come from zeta_engine's integer kernel as a
 value and a bound in units of 2^-(prec + 16), and R sums them exactly:
 each bound counts the kernel's floor division and carries the units of
-pi^m, log 2 and zeta.  Each leg is rounded to double once.
+pi^m, log 2 and zeta.  Each component of a leg is rounded to double
+once, by ``_precision.certify``; Re(H_n) adds the oracle's doubles
+exactly to its log-2 term there first.
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
-from ._precision import (
-    _GUARD, _float_units, _units_below, fixed_below, float_with_bound, prec_for,
-)
+from ._precision import RealApprox, _sum_components, _units_below, certify, prec_for
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
 from .logsine_closed_form import logsine_numeric
 from .quadrature_oracle import QuadratureSettings, integrate_logsine
-from .zeta_engine import RealApprox, _fixed_term, _log2_fixed, _zeta_fixed
+from .zeta_engine import _fixed_term, _log2_fixed, _zeta_fixed
 
 __all__ = [
     "ComplexApprox",
@@ -80,11 +80,16 @@ def _leg_prec(tol: float) -> int:
     return prec_for(tol, extra_digits=25, min_dps=30)
 
 
-def _one_component(phase: int, value: float, bound: float) -> ComplexApprox:
-    """i^phase times a real value: one nonzero component."""
+_ZERO = RealApprox(0.0, 0.0)
+
+
+def _one_component(phase: int, mag: int, err: int, prec: int) -> ComplexApprox:
+    """i^phase times a real value of ``mag`` within ``err`` units: one
+    nonzero component."""
     comp, sign = _PHASE_SIGN[phase]
-    parts = [RealApprox(0.0, 0.0), RealApprox(0.0, 0.0)]
-    parts[comp] = RealApprox(sign * value, bound)
+    part = certify(mag, err, prec)
+    parts = [_ZERO, _ZERO]
+    parts[comp] = part if sign > 0 else RealApprox(-part.value, part.abs_error)
     return ComplexApprox(re=parts[0], im=parts[1])
 
 
@@ -96,10 +101,10 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _leg_prec(tol)
     _, mag, err = _leg_r_term(n, n, prec)  # the right leg's last summand
-    value, bound = _float_units(mag, err, prec)
-    if bound > tol:
-        raise CertificationError(f"leg L(n={n}) certified to {bound:.3e} > {tol:.3e}")
-    return _one_component((n + 1) % 4, value, bound)
+    leg = _one_component((n + 1) % 4, mag, err, prec)
+    if leg.modulus_bound > tol:
+        raise CertificationError(f"leg L(n={n}) certified to {leg.modulus_bound:.3e} > {tol:.3e}")
+    return leg
 
 
 def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, int, int]:
@@ -134,15 +139,10 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
         comp, sign = _PHASE_SIGN[phase]
         sums[comp] += sign * mag
         errs[comp] += err
-    re_val, re_bound = _float_units(sums[0], errs[0], prec)
-    im_val, im_bound = _float_units(sums[1], errs[1], prec)
-    if re_bound + im_bound > tol:
-        raise CertificationError(
-            f"leg R(n={n}) certified to {re_bound + im_bound:.3e} > {tol:.3e}"
-        )
-    return ComplexApprox(
-        re=RealApprox(re_val, re_bound), im=RealApprox(im_val, im_bound)
-    )
+    leg = ComplexApprox(re=certify(sums[0], errs[0], prec), im=certify(sums[1], errs[1], prec))
+    if leg.modulus_bound > tol:
+        raise CertificationError(f"leg R(n={n}) certified to {leg.modulus_bound:.3e} > {tol:.3e}")
+    return leg
 
 
 def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
@@ -153,8 +153,7 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     if k > n:
         raise ValueError("require 0 <= k <= n")
     prec = _leg_prec(tol)
-    phase, mag, err = _leg_r_term(n, k, prec)
-    return _one_component(phase, *_float_units(mag, err, prec))
+    return _one_component(*_leg_r_term(n, k, prec), prec)
 
 
 def leg_H_im_coefficient(n: int) -> Fraction:
@@ -174,28 +173,18 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     """Bottom horizontal leg.
 
     The real part takes I_n from the quadrature oracle, never from the
-    closed form, so downstream nullity checks stay independent.  The
-    imaginary part is the exact rational times pi^(n+2), floated once.
+    closed form, so downstream nullity checks stay independent, and adds
+    it exactly to the log-2 term before rounding once.  The imaginary
+    part is the exact rational times pi^(n+2), floated once.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
     prec = _leg_prec(settings.target_abs_error)
-    # the log-2 term plus the oracle's value, and their bounds, summed
-    # exactly at bits that hold both doubles whole
-    value, bound = _log2_term(n, prec)
-    unit = prec + _GUARD
-    doubles = (oracle.value, oracle.abs_error)
-    fbits = max(unit, *(x.as_integer_ratio()[1].bit_length() - 1 for x in doubles))
-    value = (value << fbits - unit) + fixed_below(doubles[0], fbits)
-    bound = (bound << fbits - unit) + fixed_below(doubles[1], fbits)
-    re_val, re_bound = float_with_bound(value, bound, fbits)
+    re = certify(*_log2_term(n, prec), prec, plus=oracle)
     r = leg_H_im_coefficient(n)
     im = _fixed_term(r.numerator, r.denominator, n + 2, None, prec)
-    im_val, im_bound = _float_units(*im, prec)
-    return ComplexApprox(
-        re=RealApprox(re_val, re_bound), im=RealApprox(im_val, im_bound)
-    )
+    return ComplexApprox(re=re, im=certify(*im, prec))
 
 
 @dataclass(frozen=True)
@@ -211,12 +200,6 @@ class ContourReport:
     certified_bound: float
     passed: bool
     failure: str = field(default="")
-
-
-def _sum_components(parts: list[RealApprox]) -> RealApprox:
-    value = math.fsum(p.value for p in parts)
-    bound = math.fsum(p.abs_error for p in parts) + 0.5 * math.ulp(abs(value) or 1e-300)
-    return RealApprox(value, math.nextafter(bound, math.inf))
 
 
 _NAN_COMPLEX = ComplexApprox(
@@ -277,8 +260,7 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     R = leg_R(n, tol / 4)
     closed = logsine_numeric(n, tol / 4)
     prec = _leg_prec(tol)
-    log2 = RealApprox(*_float_units(*_log2_term(n, prec), prec))
-    return _sum_components([L.re, R.re, log2, closed])
+    return _sum_components([L.re, R.re, certify(*_log2_term(n, prec), prec), closed])
 
 
 def verify_imag_identity_exact(n: int, table: BernoulliTable) -> bool:

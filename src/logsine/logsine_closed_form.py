@@ -26,9 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from ._precision import _float_units, _units_below, prec_for
+from ._precision import RealApprox, _units_below, certify, prec_for
 from .errors import CertificationError, _require_int
-from .zeta_engine import RealApprox, _fixed_term, _log2_fixed, _zeta_fixed
+from .zeta_engine import _fixed_term, _log2_fixed, _zeta_fixed
 
 __all__ = [
     "SymbolicLogSine",
@@ -99,12 +99,7 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
             )
         total += term
         internal += term_err
-    value, bound = _float_units(total, internal, prec)
-    if bound > target_abs_error:
-        raise CertificationError(
-            f"I_{n} certified to {bound:.3e}, target {target_abs_error:.3e}"
-        )
-    return RealApprox(value=value, abs_error=bound)
+    return certify(total, internal, prec, target=target_abs_error, what=f"I_{n}")
 
 
 def symbolic_to_json(sym: SymbolicLogSine) -> dict[str, Any]:

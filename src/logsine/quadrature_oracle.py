@@ -28,9 +28,9 @@ integrand mass is ~1e5 (x^12 log sin x) and the target is 1e-10.
 The nodes, the ends, the integrand values and the engine's sums are
 integers in ``_precision``'s unit 2^-V, V = working precision + 16.  The
 ends pi and pi/2 are the exact b = ``_elementary.pi`` at V bits, at most
-pi.  A node's distances b g and b (1 - g) reach the integrand exactly, as
-(mantissa, exponent) pairs, so a node within 1e-100 of an end still gets
-its log(sin d) on its own distance: only products and sums go fixed.
+pi.  A node's abscissa b g or b (1 - g) reaches the integrand exactly, as
+a (mantissa, exponent) pair, so a node within 1e-100 of an end still gets
+its log(sin d) on its exact distance d: only products and sums go fixed.
 Each integrand returns an integer and its units: the function, at that
 exact point, lies within those units of the integer, except where an
 integrand first cuts x to fewer bits, which moves the function by a
@@ -66,9 +66,8 @@ from typing import Callable
 
 from . import _elementary, _precision
 from ._elementary import _shift
-from ._precision import _float_units, _units_below, prec_for
+from ._precision import RealApprox, _units_below, certify, prec_for
 from .errors import CertificationError, RefinementExhausted, _require_int
-from .zeta_engine import RealApprox
 
 __all__ = [
     "QuadratureSettings",
@@ -162,10 +161,9 @@ class QuadratureSettings:
 
 # An exact nonnegative number man * 2^exp as the pair (man, exp).
 Distance = tuple[int, int]
-# (x, d) -> (value, units): f(x) on [0, b] within units of 2^-V of the
-# integer value, V = prec + _precision._GUARD; d is x's exact distance from
-# the nearer end
-RawIntegrand = Callable[[Distance, Distance], tuple[int, int]]
+# x -> (value, units): f(x) on [0, b] within units of 2^-V of the integer
+# value, V = prec + _precision._GUARD
+RawIntegrand = Callable[[Distance], tuple[int, int]]
 
 
 def _t_limit(dps: int) -> int:
@@ -227,11 +225,9 @@ def _tanh_sinh(
     differ by <= rule_target, at ``prec`` bits; b is an exact pair and
     rule_target an integer in units of 2^-V, V = prec + _precision._GUARD.
 
-    The integrand receives a node's abscissa x = b g or b (1 - g) and its
-    distance d = b g from the nearer end as exact pairs, so a singular
-    factor can be evaluated from d without cancellation.  It returns an
-    integer and its units, both in units of 2^-V; each product with a
-    weight is rounded down to an integer and summed.
+    The integrand takes a node's abscissa x = b g or b (1 - g) as an exact
+    pair and returns an integer and its units, both in units of 2^-V; each
+    product with a weight is rounded down to an integer and summed.
 
     Returns (value, rule error estimate, accumulated |weight*f| mass,
     counted units) as integers in units of 2^-V: the rule's sum over the
@@ -243,9 +239,8 @@ def _tanh_sinh(
     total_sum = mass_sum = unit_sum = 0
     for level in range(_MAX_DEPTH + 1):
         for gm, ge, cm, wm, ws in _nodes(prec, level):
-            near = (bm * gm, be + ge)
-            lo, lo_units = f(near, near)
-            hi, hi_units = f((bm * cm, be + ge), near)
+            lo, lo_units = f((bm * gm, be + ge))
+            hi, hi_units = f((bm * cm, be + ge))
             lo = (wm * lo) >> ws
             hi = (wm * hi) >> ws
             total_sum += lo + hi
@@ -291,10 +286,7 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     f, b, left_out, r = integrand(prec, *args)
     value, rule_est, mass, units = _tanh_sinh(f, b, _units_below(target / 4, prec), prec)
     units += ((mass + units + 1) >> (r - 1)) + 1
-    value, bound = _float_units(value, rule_est + left_out + units, prec)
-    if bound > target:
-        raise CertificationError(f"quadrature certified to {bound:.3e}, target {target:.3e}")
-    return RealApprox(value=value, abs_error=bound)
+    return certify(value, rule_est + left_out + units, prec, target=target, what="quadrature")
 
 
 def _log_sin(d: Distance, frac: int) -> tuple[int, int]:
@@ -326,11 +318,14 @@ def _logsine(prec: int, n: int) -> Integrand:
     frac = prec + _precision._GUARD
     table = _LOGSIN_TABLE.setdefault(prec, {})
     pi_n = -(-(355**n) // 113**n)  # above pi^n, as 355/113 > pi
+    pi, units = _elementary.pi(frac)
 
-    def f(x: Distance, d: Distance) -> tuple[int, int]:
+    def f(x: Distance) -> tuple[int, int]:
         # sin is symmetric about the midpoint of [0, pi]: evaluate it at the
-        # nearer endpoint distance so nodes hugging pi stay on the positive
-        # branch
+        # exact distance d from the nearer end, b - x past the midpoint, so
+        # nodes hugging pi stay on the positive branch
+        rest = (pi << (-frac - x[1])) - x[0]
+        d = (rest, x[1]) if rest < x[0] else x
         entry = table.get(d)
         if entry is None:
             entry = table.setdefault(d, _log_sin(d, frac))
@@ -341,7 +336,6 @@ def _logsine(prec: int, n: int) -> Integrand:
         x_man, x_exp = x[0] >> cut, x[1] + cut
         return _shift(x_man**n * log_sin, n * x_exp), pi_n * units + 1
 
-    pi, units = _elementary.pi(frac)
     return f, (pi, -frac), 3 * pi_n * units * (frac + 2), prec - 1 - n.bit_length()
 
 
@@ -351,7 +345,7 @@ def _logsquared(prec: int) -> Integrand:
     frac = prec + _precision._GUARD
     log2, log2_units = _elementary.log2(frac)
 
-    def f(x: Distance, d: Distance) -> tuple[int, int]:
+    def f(x: Distance) -> tuple[int, int]:
         # log(2 * sin(x)) ** 2: y within u units squares to within
         # (2 |y| + u) u, then rounds down
         log_sin, units = _log_sin(x, frac)
@@ -377,7 +371,7 @@ def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
     cutoff = default_semi_infinite_cutoff_policy(n, target)
     keep = frac + (n + 4 * math.ceil(cutoff) + 3).bit_length() + 2
 
-    def f(x: Distance, d: Distance) -> tuple[int, int]:
+    def f(x: Distance) -> tuple[int, int]:
         cut = max(x[0].bit_length() - keep, 0)
         y_man, y_exp = x[0] >> cut, x[1] + cut
         # y_exp < 0, and y_man may be past the double range
@@ -400,7 +394,7 @@ def _cosine_moment(prec: int, l: int, power: int) -> Integrand:
     units of it; |integrand| < 4, so [b, pi] leaves out under 4 u units."""
     frac = prec + _precision._GUARD
 
-    def f(x: Distance, d: Distance) -> tuple[int, int]:
+    def f(x: Distance) -> tuple[int, int]:
         # x ** power * cos(2 * l * x): x < 4 times the cosine's units, and
         # a unit for the floor
         value, units = _elementary.sin_cos((x[0] * 2 * l, x[1]), frac, 1)
@@ -417,7 +411,7 @@ def _cosine_orth(prec: int, l: int, lp: int) -> Integrand:
     u units of it; |integrand| <= 1, so [b, pi] leaves out under u units."""
     frac = prec + _precision._GUARD
 
-    def f(x: Distance, d: Distance) -> tuple[int, int]:
+    def f(x: Distance) -> tuple[int, int]:
         # cos(2 * l * x) * cos(2 * lp * x): cosines within u and u' units
         # multiply to within u + u' + 1, then round down
         cos_l, units_l = _elementary.sin_cos((x[0] * 2 * l, x[1]), frac, 1)

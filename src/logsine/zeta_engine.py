@@ -26,7 +26,7 @@ prec + 9 bits each.
 
 Every numeric zeta value passes through one table, keyed by (s, working
 precision in bits), that holds the series' value and bound in units; they
-stay integers until ``_float_units`` rounds them to doubles.  The contour
+stay integers until ``certify`` rounds them to doubles.  The contour
 legs, the closed form and zeta_numeric ask for the same zeta(k+2) for
 every n, so each pair is summed once per process.  The table grows by one
 entry (about two hundred bytes with its key) per pair asked for; the
@@ -52,8 +52,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _elementary
-from ._precision import _GUARD, _float_units, prec_for
-from .errors import CertificationError, _require_int
+from ._precision import _GUARD, RealApprox, certify, prec_for
+from .errors import _require_int
 from .exact_core import BernoulliTable
 
 __all__ = [
@@ -63,21 +63,6 @@ __all__ = [
     "zeta_series_partial",
     "zeta_numeric",
 ]
-
-
-@dataclass(frozen=True)
-class RealApprox:
-    """A double plus a certified absolute error bound.
-
-    The represented true quantity lies in [value - abs_error, value + abs_error].
-    """
-
-    value: float
-    abs_error: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.abs_error) or self.abs_error < 0:
-            raise ValueError("abs_error must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -248,9 +233,4 @@ def zeta_numeric(s: int, target_abs_error: float) -> RealApprox:
     """
     _require_int(s, 2, "require integer s >= 2")
     prec = prec_for(target_abs_error, extra_digits=15, min_dps=25)
-    value, bound = _float_units(*_zeta_fixed(s, prec), prec)
-    if bound > target_abs_error:
-        raise CertificationError(
-            f"zeta({s}) certified to {bound:.3e}, target {target_abs_error:.3e}"
-        )
-    return RealApprox(value=value, abs_error=bound)
+    return certify(*_zeta_fixed(s, prec), prec, target=target_abs_error, what=f"zeta({s})")

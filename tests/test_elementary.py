@@ -5,9 +5,11 @@ against mpmath 64 bits finer: its value lies within its stated units of
 the reference.  Nearly every value there is the function rounded down with
 units 1, so a routine that stated one unit fewer fails here.
 
-``_float_units`` is checked to round once to the nearest double, bit for
-bit with the mpmath rounding it replaced wherever that rounded once, and
-the package is checked to import no mpmath at all.
+``certify``, the one exit from integers to doubles, is checked to round
+once to the nearest double, bit for bit with the mpmath rounding it
+replaced wherever that rounded once, also after adding a certified double
+exactly; ``_sum_components`` to round the exact sum of certified doubles
+once; and the package is checked to import no mpmath at all.
 """
 
 import math
@@ -191,20 +193,21 @@ MANTISSA = st.one_of(
 @example(mantissa=2**54 - 1, scale=-54, negative=False, fbits=102, bound=0)  # a tie at 1
 @example(mantissa=3, scale=-1076, negative=False, fbits=1200, bound=1)  # subnormal
 @example(mantissa=1, scale=1024, negative=True, fbits=102, bound=0)  # past the range
-def test_float_units_rounds_once_to_nearest(mantissa, scale, negative, fbits, bound):
-    """``_float_units`` rounds a value and a bound once to the nearest
-    double, ties to even, bit for bit with mpmath's rounding wherever that
-    rounds once; past the double range it raises CertificationError."""
+def test_certify_rounds_once_to_nearest(mantissa, scale, negative, fbits, bound):
+    """``certify`` rounds a value and a bound once to the nearest double,
+    ties to even, bit for bit with mpmath's rounding wherever that rounds
+    once; past the double range it raises CertificationError."""
     value = (-mantissa if negative else mantissa) << max(scale + fbits, 0)
     value >>= max(-(scale + fbits), 0)
     v, b = _nearest_double(value, fbits), _nearest_double(bound, fbits)
     b += 0.5 * math.ulp(abs(v) if v else 1e-300)
     if not (math.isfinite(v) and math.isfinite(b)):
         with pytest.raises(CertificationError, match="exceeds the double range"):
-            _precision._float_units(value, bound, fbits - GUARD)
+            _precision.certify(value, bound, fbits - GUARD)
         return
     expected = (v, math.nextafter(b, math.inf))
-    assert _precision._float_units(value, bound, fbits - GUARD) == expected
+    approx = _precision.certify(value, bound, fbits - GUARD)
+    assert (approx.value, approx.abs_error) == expected
     if all(not x or abs(Fraction(x, 2**fbits)) >= Fraction(2) ** -1022 for x in (value, bound)):
         assert _mpmath_float_with_bound(value, bound, fbits) == expected
 
@@ -218,12 +221,70 @@ def test_float_with_bound_rounds_once_below_the_normal_range():
 
 
 @pytest.mark.parametrize(
-    "value, bound", [(1 << 1126, 0), (0, 1 << 1126), (-(1 << 1200), 0)],
-    ids=["value", "bound", "negative"],
+    "value, bound",
+    [(1 << 1126, 0), (0, 1 << 1126), (-(1 << 1200), 0), (1 << 102, int(sys.float_info.max) << 102)],
+    ids=["value", "bound", "negative", "bound-rounded-up"],
 )
 def test_float_with_bound_raises_past_the_double_range(value, bound):
     with pytest.raises(CertificationError, match="exceeds the double range"):
         _precision.float_with_bound(value, bound, 102)
+
+
+def _rounded_once(value: Fraction, bound: Fraction) -> tuple[float, float]:
+    """An exact value and bound rounded once to the nearest double, the
+    bound with half an ulp of the value added and then rounded up."""
+    v = float(value)
+    return v, math.nextafter(float(bound) + 0.5 * math.ulp(abs(v) or 1e-300), math.inf)
+
+
+# (m, k) for a double m 2^(k - F), F = prec + 16: from 200 bits finer than
+# the unit 2^-F, which then does not divide it, to 60 bits coarser
+NEAR_UNIT = st.tuples(st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-200, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prec=st.sampled_from(PRECISIONS), value=st.integers(-(2**250), 2**250),
+       bound=st.integers(0, 2**120), x=NEAR_UNIT, e=NEAR_UNIT)
+@example(prec=86, value=3, bound=1, x=(1, -48), e=(1, -58))  # finer: 2^-150 and 2^-160
+@example(prec=86, value=-(1 << 110), bound=5, x=(3, 100), e=(1, 12))  # coarser: 0.75, 2^-90
+def test_certify_adds_a_double_exactly_then_rounds_once(prec, value, bound, x, e):
+    """``certify`` with ``plus`` adds the double's value and bound to the
+    integers' exactly, whether the doubles have more fractional bits than
+    the unit or fewer, and rounds each sum once."""
+    fbits = prec + GUARD
+    x, e = math.ldexp(x[0], x[1] - fbits), math.ldexp(abs(e[0]), e[1] - fbits)
+    approx = _precision.certify(value, bound, prec, plus=_precision.RealApprox(x, e))
+    unit = Fraction(1, 2**fbits)
+    expected = _rounded_once(value * unit + Fraction(x), bound * unit + Fraction(e))
+    assert (approx.value, approx.abs_error) == expected
+
+
+def test_certify_raises_past_its_target():
+    approx = _precision.certify(3 << 102, 1 << 60, 86)
+    assert _precision.certify(3 << 102, 1 << 60, 86, target=approx.abs_error) == approx
+    message = rf"^I_3 certified to {approx.abs_error:.3e}, target 1\.000e-20$"
+    with pytest.raises(CertificationError, match=message):
+        _precision.certify(3 << 102, 1 << 60, 86, target=1e-20, what="I_3")
+
+
+# values without -0.0, whose sum with +0.0 terms would be -0.0 in no case
+VALUES = st.floats(-1e300, 1e300).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(VALUES, min_size=3, max_size=3),
+       bounds=st.lists(st.floats(0, 1e300), min_size=3, max_size=3))
+@example(values=[0.1, -0.1, 0.0], bounds=[0.0, 0.0, 0.0])  # cancels exactly to +0.0
+@example(values=[1e300, 1.0, -1e300], bounds=[1e-300, 1.0, 5e-324])  # no double sum holds 1.0
+def test_sum_components_rounds_the_exact_sum_once(values, bounds):
+    """The sum of certified doubles is their exact sum rounded once, and
+    its bound their bounds' exact sum rounded once, with half an ulp of
+    the value added and then rounded up; a sum that cancels is +0.0."""
+    parts = [_precision.RealApprox(v, b) for v, b in zip(values, bounds)]
+    total = _precision._sum_components(parts)
+    expected = _rounded_once(sum(map(Fraction, values)), sum(map(Fraction, bounds)))
+    assert (total.value, total.abs_error) == expected
+    assert math.copysign(1.0, total.value) == math.copysign(1.0, expected[0])
 
 
 def test_units_below_rounds_down():

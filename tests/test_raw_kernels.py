@@ -215,19 +215,27 @@ def test_node_tables_cover_every_level_the_engine_reaches(cold_caches):
 # ---------------------------------------------------------------------------
 
 
+def _nearer(b: tuple[int, int], x: tuple[int, int]) -> tuple[int, int]:
+    """The exact distance of x from the nearer end of [0, b], as a pair
+    with x's exponent."""
+    rest = (b[0] << (b[1] - x[1])) - x[0]
+    return (rest, x[1]) if rest < x[0] else x
+
+
 @pytest.fixture
 def engine_runs(cold_caches, monkeypatch):
     """Every call into the tanh-sinh engine from empty caches: its
-    arguments, each integrand call's (x, d, value, units), and its result."""
+    arguments, each integrand call's (x, d, value, units), d the distance
+    from the nearer end, and its result."""
     runs = []
     engine = quadrature_oracle._tanh_sinh
 
     def recording(f, b, rule_target, prec):
         seen = []
 
-        def g(x, d):
-            value = f(x, d)
-            seen.append((x, d, *value))
+        def g(x):
+            value = f(x)
+            seen.append((x, _nearer(b, x), *value))
             return value
 
         out = engine(g, b, rule_target, prec)
@@ -310,9 +318,9 @@ def _engine_error(value, b, prec) -> tuple[Fraction, int]:
     checked by ``_check_rule``, and the engine's count."""
     seen = []
 
-    def f(x, d):
+    def f(x):
         v = value(x)
-        seen.append((x, d, v, 0))
+        seen.append((x, _nearer(b, x), v, 0))
         return v, 0
 
     out = quadrature_oracle._tanh_sinh(f, b, 1 << GUARD, prec)
@@ -414,7 +422,7 @@ def test_leg_integrand_past_the_double_range(cold_caches):
     f, (bm, be), _, _ = quadrature_oracle._vertical_leg(prec, 3, 1e-290)
     gm, ge, *_ = quadrature_oracle._nodes(prec, 0)[0]
     near = (bm * gm, be + ge)
-    _check_values(prec, [(near, near, *f(near, near))], _leg_integrand(3), prec + GUARD)
+    _check_values(prec, [(near, near, *f(near))], _leg_integrand(3), prec + GUARD)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +486,8 @@ def _check_term(prec: int, num: int, den: int, m: int, key, out: tuple[int, int]
 
 
 def _raw(value: int, bound: int, prec: int) -> tuple:
-    """What ``_float_units`` hands ``float_with_bound`` for a value and a
-    bound in units at ``prec`` bits."""
+    """What ``certify`` hands ``float_with_bound`` for a value and a bound
+    in units at ``prec`` bits."""
     return value, bound, prec + GUARD
 
 
