@@ -10,6 +10,7 @@ tanh-sinh quadrature of the defining integral.
 """
 
 from .errors import CertificationError, RefinementExhausted
+from ._precision import RealApprox
 from .exact_core import (
     BernoulliTable,
     bernoulli_table,
@@ -17,7 +18,6 @@ from .exact_core import (
     verify_recurrence,
 )
 from .zeta_engine import (
-    RealApprox,
     ZetaEvenValue,
     zeta_even_exact,
     zeta_numeric,

@@ -270,7 +270,3 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     _emit(records, header, plain_line, args.format)
     return 0 if all(r.get("pass", True) for r in records) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

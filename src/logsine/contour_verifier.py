@@ -31,16 +31,16 @@ exactly to its log-2 term there first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from ._precision import RealApprox, _sum_components, _units_below, certify, prec_for
+from ._precision import RealApprox, _sum_components, _units_below, certify
 from .errors import CertificationError, _require_int
 from .exact_core import BernoulliTable
 from .logsine_closed_form import logsine_numeric
 from .quadrature_oracle import QuadratureSettings, integrate_logsine
-from .zeta_engine import _fixed_term, _log2_fixed, _zeta_fixed
+from .zeta_engine import _fixed_term, _log2_fixed, _term_prec, _zeta_fixed
 
 __all__ = [
     "ComplexApprox",
@@ -76,10 +76,6 @@ class ComplexApprox:
         return self.re.abs_error + self.im.abs_error
 
 
-def _leg_prec(tol: float) -> int:
-    return prec_for(tol, extra_digits=25, min_dps=30)
-
-
 _ZERO = RealApprox(0.0, 0.0)
 
 
@@ -99,7 +95,7 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
     Exactly one component is nonzero, selected by (n+1) mod 4.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    prec = _leg_prec(tol)
+    prec = _term_prec(tol)
     _, mag, err = _leg_r_term(n, n, prec)  # the right leg's last summand
     leg = _one_component((n + 1) % 4, mag, err, prec)
     if leg.modulus_bound > tol:
@@ -126,7 +122,7 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
     on integers in units of 2^-(prec + 16).
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    prec = _leg_prec(tol)
+    prec = _term_prec(tol)
     share = tol / (n + 1)
     share_units = _units_below(share, prec)
     sums, errs = [0, 0], [0, 0]  # re, im
@@ -152,7 +148,7 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     _require_int(k, 0, "require 0 <= k <= n")
     if k > n:
         raise ValueError("require 0 <= k <= n")
-    prec = _leg_prec(tol)
+    prec = _term_prec(tol)
     return _one_component(*_leg_r_term(n, k, prec), prec)
 
 
@@ -180,31 +176,30 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     _require_int(n, 0, "n must be a nonnegative integer")
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
-    prec = _leg_prec(settings.target_abs_error)
+    prec = _term_prec(settings.target_abs_error)
     re = certify(*_log2_term(n, prec), prec, plus=oracle)
     r = leg_H_im_coefficient(n)
     im = _fixed_term(r.numerator, r.denominator, n + 2, None, prec)
     return ComplexApprox(re=re, im=certify(*im, prec))
 
 
+_NAN_COMPLEX = ComplexApprox(re=RealApprox(math.nan, 0.0), im=RealApprox(math.nan, 0.0))
+
+
 @dataclass(frozen=True)
 class ContourReport:
-    """Per-n record of the three legs, their sum K, and the certification."""
+    """Per-n record of the three legs, their sum K, and the certification.
+    Every field after ``n`` defaults to what a failed report holds."""
 
     n: int
-    L: ComplexApprox
-    R: ComplexApprox
-    H: ComplexApprox
-    K: ComplexApprox
-    residual_modulus: float
-    certified_bound: float
-    passed: bool
-    failure: str = field(default="")
-
-
-_NAN_COMPLEX = ComplexApprox(
-    re=RealApprox(math.nan, 0.0), im=RealApprox(math.nan, 0.0)
-)
+    L: ComplexApprox = _NAN_COMPLEX
+    R: ComplexApprox = _NAN_COMPLEX
+    H: ComplexApprox = _NAN_COMPLEX
+    K: ComplexApprox = _NAN_COMPLEX
+    residual_modulus: float = math.inf
+    certified_bound: float = 0.0
+    passed: bool = False
+    failure: str = ""
 
 
 def verify_null(n: int, tol: float) -> ContourReport:
@@ -220,17 +215,7 @@ def verify_null(n: int, tol: float) -> ContourReport:
         R = leg_R(n, tol)
         H = leg_H(n, QuadratureSettings(target_abs_error=tol))
     except CertificationError as exc:
-        return ContourReport(
-            n=n,
-            L=_NAN_COMPLEX,
-            R=_NAN_COMPLEX,
-            H=_NAN_COMPLEX,
-            K=_NAN_COMPLEX,
-            residual_modulus=math.inf,
-            certified_bound=0.0,
-            passed=False,
-            failure=str(exc),
-        )
+        return ContourReport(n=n, failure=str(exc))
     K = ComplexApprox(
         re=_sum_components([L.re, H.re, R.re]),
         im=_sum_components([L.im, H.im, R.im]),
@@ -259,7 +244,7 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     L = leg_L(n, tol / 4)
     R = leg_R(n, tol / 4)
     closed = logsine_numeric(n, tol / 4)
-    prec = _leg_prec(tol)
+    prec = _term_prec(tol)
     return _sum_components([L.re, R.re, certify(*_log2_term(n, prec), prec), closed])
 
 

@@ -46,6 +46,8 @@ class BernoulliTable:
     values: tuple[Fraction, ...]
 
     def __getitem__(self, k: int) -> Fraction:
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise TypeError(f"Bernoulli index must be an int, not {type(k).__name__}")
         if not 0 <= k <= self.max_index:
             raise IndexError(f"B_{k} not in table (max index {self.max_index})")
         return self.values[k]

@@ -45,21 +45,17 @@ def _validate_theta(theta: float) -> None:
         raise ValueError("theta too close to the divergent lattice 0 mod 2*pi")
 
 
-def _validate_terms(terms: int) -> None:
-    _require_int(terms, 1, "terms must be a positive integer")
-
-
 def logsin_series_partial(theta: float, terms: int) -> float:
     """-sum_{l=1}^{terms} cos(l*theta)/l, the log(2|sin(theta/2)|) series."""
     _validate_theta(theta)
-    _validate_terms(terms)
+    _require_int(terms, 1, "terms must be a positive integer")
     return -math.fsum(math.cos(l * theta) / l for l in range(1, terms + 1))
 
 
 def sawtooth_series_partial(theta: float, terms: int) -> float:
     """-sum_{l=1}^{terms} sin(l*theta)/l, the (theta - pi)/2 series."""
     _validate_theta(theta)
-    _validate_terms(terms)
+    _require_int(terms, 1, "terms must be a positive integer")
     return -math.fsum(math.sin(l * theta) / l for l in range(1, terms + 1))
 
 
@@ -70,7 +66,7 @@ def parseval_logsquared(terms: int) -> float:
     Strictly increasing in ``terms`` with limit pi^3/24; the tail after N
     terms is below (pi/4)/N.
     """
-    _validate_terms(terms)
+    _require_int(terms, 1, "terms must be a positive integer")
     return math.pi / 4 * math.fsum(1.0 / (l * l) for l in range(1, terms + 1))
 
 

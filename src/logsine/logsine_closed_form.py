@@ -26,9 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from ._precision import RealApprox, _units_below, certify, prec_for
+from ._precision import RealApprox, _units_below, certify
 from .errors import CertificationError, _require_int
-from .zeta_engine import _fixed_term, _log2_fixed, _zeta_fixed
+from .zeta_engine import _fixed_term, _log2_fixed, _term_prec, _zeta_fixed
 
 __all__ = [
     "SymbolicLogSine",
@@ -81,7 +81,7 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     double must fit the total, else CertificationError.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    prec = prec_for(target_abs_error, extra_digits=25, min_dps=30)
+    prec = _term_prec(target_abs_error)
     sym = logsine_symbolic(n)
     share = target_abs_error / (n // 2 + 1)
     share_units = _units_below(share, prec)

@@ -166,10 +166,11 @@ Distance = tuple[int, int]
 RawIntegrand = Callable[[Distance], tuple[int, int]]
 
 
-def _t_limit(dps: int) -> int:
-    """Integer t-range such that the double-exponential weight underflows
-    the working precision beyond it."""
-    return int(math.ceil(math.asinh(math.log(10.0) * (dps + 8) / math.pi)))
+def _t_limit(prec: int) -> int:
+    """Integer t-range for ``prec`` bits: the least T with
+    e^(-pi sinh T) <= 2^-(prec + 22), so that the double-exponential
+    weight underflows the working precision beyond it."""
+    return math.ceil(math.asinh(math.log(2.0) * (prec + 22) / math.pi))
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +182,7 @@ def _nodes(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
     g = q/(1+q) (distance of each mirrored node from its nearer endpoint,
     as a fraction of the interval), weight w = 2 pi cosh(t) g (1 - g).
     Level 0 has t = 0..T, level k >= 1 the odd multiples of 2^-k up to T;
-    T is ``_t_limit`` of the precision's decimal digits.  Mirrored nodes
+    T is ``_t_limit`` of the precision in bits.  Mirrored nodes
     share g and w; the center node g = 1/2, its own mirror, holds half
     its weight.
 
@@ -196,12 +197,11 @@ def _nodes(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
     """
     frac = prec + _precision._GUARD
     bits = frac + _NODE_BITS
-    dps = max(1, round(prec / 3.3219280948873626) - 1)  # decimal digits of prec bits
     pi, pi_units = _elementary.pi(bits)
     out = []
     # t = j 2^-level, exact: every j <= T at level 0, the odd j above
     odd = level > 0
-    for j in range(odd, (_t_limit(dps) << level) + 1, 1 + odd):
+    for j in range(odd, (_t_limit(prec) << level) + 1, 1 + odd):
         cosh, sinh, hyp_units = _elementary.cosh_sinh((j, -level), bits)
         a = pi * sinh >> bits  # 2u = pi sinh t
         a_units = ((pi + pi_units) * hyp_units + sinh * pi_units >> bits) + 2

@@ -36,7 +36,8 @@ entries.  What either table stores depends on its key alone.
 
 The contour legs and the closed form sum terms num/den * pi^m * x, x a
 zeta value, log 2 or 1, in the series' units 2^-(prec + 16) with one
-integer kernel, ``_fixed_term``.  A term is one floor division; its bound
+integer kernel, ``_fixed_term``, at the one working precision
+``_term_prec`` gives.  A term is one floor division; its bound
 counts that unit and carries the units of pi^m and of x through the
 product.  pi^m comes from an integer table keyed by (precision in bits,
 m), and log 2 straight from its routine, both seeded by the counted
@@ -57,7 +58,6 @@ from .errors import _require_int
 from .exact_core import BernoulliTable
 
 __all__ = [
-    "RealApprox",
     "ZetaEvenValue",
     "zeta_even_exact",
     "zeta_series_partial",
@@ -72,10 +72,6 @@ class ZetaEvenValue:
     k: int
     pi_power: int
     coefficient: Fraction
-
-    def float_value(self) -> float:
-        """Double-precision zeta(2k) from the exact coefficient."""
-        return float(self.coefficient) * math.pi ** self.pi_power
 
 
 def zeta_even_exact(k: int, table: BernoulliTable) -> ZetaEvenValue:
@@ -205,6 +201,11 @@ def _log2_fixed(prec: int) -> tuple[int, int]:
     and its count, but at least 2, as for pi."""
     log2, units = _elementary.log2(prec + _GUARD)
     return log2, max(units, 2)
+
+
+def _term_prec(tol: float) -> int:
+    """The working precision of the legs' and the closed form's term sums."""
+    return prec_for(tol, extra_digits=25, min_dps=30)
 
 
 def _fixed_term(

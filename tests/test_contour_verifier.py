@@ -6,7 +6,6 @@ from mpmath import mp, workdps
 
 from logsine import _precision
 from logsine.contour_verifier import (
-    _leg_prec,
     _log2_term,
     leg_H,
     leg_H_im_coefficient,
@@ -24,6 +23,7 @@ from logsine.errors import CertificationError
 from logsine.exact_core import bernoulli_table, verify_recurrence
 from logsine.logsine_closed_form import logsine_numeric, logsine_symbolic
 from logsine.quadrature_oracle import QuadratureSettings, integrate_logsine
+from logsine.zeta_engine import _term_prec
 
 TOL = 1e-10
 
@@ -125,7 +125,7 @@ class TestLegH:
         # Re(H_n) is the log-2 term plus the oracle's double, and the bound
         # their bounds, each summed exactly and rounded once to nearest
         settings = QuadratureSettings(target_abs_error=tol)
-        prec = _leg_prec(tol)
+        prec = _term_prec(tol)
         unit = Fraction(1, 2 ** (prec + _precision._GUARD))
         for n in range(13):
             oracle = integrate_logsine(n, settings)
@@ -187,6 +187,17 @@ class TestVerifyNull:
         assert report.failure
         doc = report_to_json(report)
         assert doc["pass"] is False and "error" in doc
+
+    def test_failed_report_holds_every_field_of_a_failure(self):
+        # the envelope's edge at 1e-10: leg R cannot certify n = 13
+        report = verify_null(13, TOL)
+        legs = (report.L, report.R, report.H, report.K)
+        parts = [part for leg in legs for part in (leg.re, leg.im)]
+        assert all(math.isnan(part.value) and part.abs_error == 0.0 for part in parts)
+        assert report.n == 13 and report.passed is False
+        assert report.residual_modulus == math.inf and report.certified_bound == 0.0
+        assert report.failure == "leg R(n=13) certified to 1.746e-10 > 1.000e-10"
+        assert report_to_json(report)["error"] == report.failure
 
     def test_json_schema(self):
         doc = report_to_json(verify_null(2, TOL))

@@ -134,6 +134,13 @@ class TestBernoulliTable:
         with pytest.raises(IndexError):
             table[5]
         assert len(table) == 5
+        assert list(table) == list(table.values)  # iteration stops at IndexError
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1"])
+    def test_getitem_rejects_a_non_int_index(self, index):
+        # a bool is an int to Python, so True would read B_1 = -1/2
+        with pytest.raises(TypeError, match="^Bernoulli index must be an int"):
+            bernoulli_table(10)[index]
 
 
 def _sum_rule_solver(max_index: int) -> tuple[Fraction, ...]:

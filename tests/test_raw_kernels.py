@@ -41,7 +41,7 @@ from logsine import (
 )
 from logsine._elementary import _shift
 from logsine._precision import prec_for
-from logsine.contour_verifier import _PHASE_SIGN, _leg_prec
+from logsine.contour_verifier import _PHASE_SIGN
 from logsine.errors import CertificationError
 from logsine.logsine_closed_form import logsine_symbolic
 from logsine.quadrature_oracle import (
@@ -53,6 +53,7 @@ from logsine.quadrature_oracle import (
     integrate_logsquared,
     integrate_vertical_leg,
 )
+from logsine.zeta_engine import _term_prec
 
 TOLERANCES = (1e-3, 1e-6, 1e-10, 1e-12)
 # (extra digits, floor) of zeta_numeric and of the legs and the closed form,
@@ -91,10 +92,9 @@ def _nodes_reference(prec: int, level: int) -> tuple[tuple[tuple, tuple], ...]:
     t = 0..T; level k >= 1 contributes the odd multiples of 2^-k up to T.
     Mirrored nodes share g and w by symmetry.
     """
-    dps = prec_to_dps(prec)
     ctx = _context(prec + GUARD + quadrature_oracle._NODE_BITS + 64)
     mpf = ctx.mpf
-    t_max = quadrature_oracle._t_limit(dps)
+    t_max = quadrature_oracle._t_limit(prec)
     if level == 0:
         ts = [mpf(j) for j in range(t_max + 1)]
     else:
@@ -194,13 +194,26 @@ def test_node_tables_match_mpf_reference(cold_caches, prec):
         _check_nodes(prec, level)
 
 
+def test_t_limit_keeps_the_decimal_digits_range():
+    """``_t_limit`` of the bits is the range the node tables were built
+    with from decimal digits, ceil(asinh(ln 10 (dps + 8) / pi)), at every
+    precision the quadrature works at, so no node moves."""
+    # 0 to 324 digits below the target
+    tolerances = (1e3, *(float(f"3e-{d}") for d in range(1, 324)), 5e-324)
+    precisions = {prec_for(tol, 12, 25) for tol in tolerances}
+    assert len(precisions) == 312  # every dps from 25 to 336
+    for prec in precisions:
+        digits_range = math.asinh(math.log(10.0) * (prec_to_dps(prec) + 8) / math.pi)
+        assert quadrature_oracle._t_limit(prec) == math.ceil(digits_range), prec
+
+
 def test_node_tables_cover_every_level_the_engine_reaches(cold_caches):
     """At the quadrature's coarsest precision, every level to
     ``_MAX_DEPTH`` has T + 1 nodes at level 0 and T 2^(level - 1) above,
     with offsets in (0, 1/2] that strictly decrease, and matches the
     reference."""
     prec = QUAD_PRECISIONS[0]
-    t_max = quadrature_oracle._t_limit(prec_to_dps(prec))
+    t_max = quadrature_oracle._t_limit(prec)
     for level in range(quadrature_oracle._MAX_DEPTH + 1):
         nodes = quadrature_oracle._nodes(prec, level)
         assert len(nodes) == (t_max + 1 if level == 0 else t_max << (level - 1)), level
@@ -511,7 +524,7 @@ def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
     """Each summand of the right leg for n <= 40, leg L's the last, lies
     within its counted units of the reference, and so do the two summed
     components; they are what leg_R_term, leg_L and leg_R round."""
-    prec = _leg_prec(tol)
+    prec = _term_prec(tol)
     _check_inputs(prec)
     reached = 0
     for n in LEG_N:
@@ -545,7 +558,7 @@ def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
 def test_log2_terms_match_mpf_reference(cold_caches, tol):
     """The log-2 term of Re(H_n) and Im(H_n) = r pi^(n+2) for n <= 40
     lie within their counted units of the reference."""
-    prec = _leg_prec(tol)
+    prec = _term_prec(tol)
     for n in LEG_N:
         _check_term(prec, 1, n + 1, n + 1, "log2", contour_verifier._log2_term(n, prec))
         r = contour_verifier.leg_H_im_coefficient(n)
@@ -559,10 +572,10 @@ def test_legs_and_closed_form_match_mpf_reference(cold_caches, rounded):
     units of the reference, and so does their sum; the sum is what
     logsine_numeric rounds."""
     every = {prec_for(tol, 25, 30) for tol in (3e-2, *(10.0**-e for e in range(2, 15)))}
-    assert {_leg_prec(tol) for tol in LEG_TOLERANCES} == every | {dps_to_prec(40), dps_to_prec(80)}
+    assert {_term_prec(tol) for tol in LEG_TOLERANCES} == every | {dps_to_prec(40), dps_to_prec(80)}
     reached = 0
     for tol in LEG_TOLERANCES:
-        prec = _leg_prec(tol)
+        prec = _term_prec(tol)
         for n in LEG_N:
             sym = logsine_symbolic(n)
             total = internal = 0

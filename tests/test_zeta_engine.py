@@ -52,11 +52,6 @@ class TestZetaEvenExact:
         for k in range(1, 40):
             assert zeta_even_exact(k, table_202).coefficient > 0
 
-    def test_float_value(self, table_202):
-        assert zeta_even_exact(1, table_202).float_value() == pytest.approx(
-            ZETA2, abs=1e-14
-        )
-
     def test_rejects_bad_k(self, table_202):
         with pytest.raises(ValueError):
             zeta_even_exact(0, table_202)
