@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CertificationError
+from .errors import CertificationError, _require_positive
 
 _GUARD = 16  # fractional bits of the fixed-point integers beyond the working precision
 
@@ -33,8 +33,7 @@ def prec_for(target_abs_error: float, extra_digits: int, min_dps: int) -> int:
     """The working precision in bits for a target absolute error:
     ``extra_digits`` decimal digits below the target, and never fewer than
     ``min_dps``."""
-    if target_abs_error <= 0 or not math.isfinite(target_abs_error):
-        raise ValueError("target absolute error must be positive and finite")
+    _require_positive(target_abs_error, "target absolute error")
     digits = -math.log10(target_abs_error) if target_abs_error < 1 else 0.0
     dps = max(min_dps, int(math.ceil(digits)) + extra_digits)
     return max(1, round((dps + 1) * 3.3219280948873626))  # log2(10) bits per digit

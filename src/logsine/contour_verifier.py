@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from ._precision import RealApprox, _sum_components, _units_below, certify
-from .errors import CertificationError, _require_int
+from ._precision import RealApprox, _sum_components, certify
+from .errors import CertificationError, _require_int, _require_positive
 from .exact_core import BernoulliTable
 from .logsine_closed_form import logsine_numeric
 from .quadrature_oracle import QuadratureSettings, integrate_logsine
@@ -117,21 +117,14 @@ def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, int, int]:
 def leg_R(n: int, tol: float) -> ComplexApprox:
     """Right vertical leg: the binomial sum over zeta(k+2), k = 0..n.
 
-    Each summand's certified error must fit tol/(n+1), so the assembled
-    component bounds stay within tol overall.  The components are summed
-    on integers in units of 2^-(prec + 16).
+    The components are summed on integers in units of 2^-(prec + 16),
+    and their assembled bounds must stay within tol.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _term_prec(tol)
-    share = tol / (n + 1)
-    share_units = _units_below(share, prec)
     sums, errs = [0, 0], [0, 0]  # re, im
-    # every summand, and so every zeta value it needs, before any check
-    for phase, mag, err in [_leg_r_term(n, k, prec) for k in range(n + 1)]:
-        if err > share_units:
-            raise CertificationError(
-                f"leg R(n={n}) term exceeds its error share {share:.3e}"
-            )
+    for k in range(n + 1):
+        phase, mag, err = _leg_r_term(n, k, prec)
         comp, sign = _PHASE_SIGN[phase]
         sums[comp] += sign * mag
         errs[comp] += err
@@ -241,9 +234,13 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     annihilate the real part it was derived from.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    L = leg_L(n, tol / 4)
-    R = leg_R(n, tol / 4)
-    closed = logsine_numeric(n, tol / 4)
+    _require_positive(tol, "target absolute error")
+    quarter = tol / 4
+    if not quarter:
+        raise CertificationError(f"a quarter of {tol!r} underflows to 0")
+    L = leg_L(n, quarter)
+    R = leg_R(n, quarter)
+    closed = logsine_numeric(n, quarter)
     prec = _term_prec(tol)
     return _sum_components([L.re, R.re, certify(*_log2_term(n, prec), prec), closed])
 
@@ -258,8 +255,7 @@ def verify_imag_identity_exact(n: int, table: BernoulliTable) -> bool:
     """
     _require_int(n, 1, "require n >= 1")
     top = (n - 1) // 2
-    if table.max_index < 2 * top + 2:
-        raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * top + 2}")
+    table._require(2 * top + 2)
     lhs = Fraction(0)
     for k in range(top + 1):
         lhs += Fraction(math.comb(n, 2 * k), (k + 1) * (2 * k + 1)) * table[2 * k + 2]
@@ -276,8 +272,7 @@ def reduction_chain_steps(n: int, table: BernoulliTable) -> dict[str, bool]:
     (d) full sum:  sum_{k=0}^{n+1} C(n+2,k) B_k = 0
     """
     _require_int(n, 1, "require n >= 1")
-    if table.max_index < n + 1:
-        raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{n + 1}")
+    table._require(n + 1)
     half_n = Fraction(n, 2)
 
     sum_a = Fraction(0)

@@ -1,4 +1,6 @@
-"""Failure types and the integer-argument check shared across the numeric modules."""
+"""Failure types and the argument checks shared across the numeric modules."""
+
+import math
 
 
 def _require_int(value: int, least: int, message: str) -> None:
@@ -6,6 +8,13 @@ def _require_int(value: int, least: int, message: str) -> None:
     and at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(message)
+
+
+def _require_positive(value: float, what: str) -> None:
+    """Raise ValueError unless ``value``, named ``what``, is a positive,
+    finite number, not a bool."""
+    if isinstance(value, bool) or not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be positive and finite")
 
 
 class CertificationError(Exception):

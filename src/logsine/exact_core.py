@@ -55,6 +55,11 @@ class BernoulliTable:
     def __len__(self) -> int:
         return self.max_index + 1
 
+    def _require(self, k: int) -> None:
+        """Raise ValueError unless the table holds B_k."""
+        if self.max_index < k:
+            raise ValueError(f"table holds B_0..B_{self.max_index}, need B_{k}")
+
 
 def _tangent_numbers(count: int) -> list[int]:
     """Tangent numbers T_1 .. T_count (1, 2, 16, 272, ...), where
@@ -89,8 +94,7 @@ def bernoulli_table(max_index: int) -> BernoulliTable:
 def verify_recurrence(n: int, table: BernoulliTable) -> bool:
     """Exact check of sum_{k=0}^{n-1} C(n,k) B_k = 0 for a given n >= 2."""
     _require_int(n, 2, "the binomial-weighted sum rule holds only for n >= 2")
-    if table.max_index < n - 1:
-        raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{n - 1}")
+    table._require(n - 1)
     acc = Fraction(0)
     for k in range(n):
         acc += math.comb(n, k) * table[k]

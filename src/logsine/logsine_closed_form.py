@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from ._precision import RealApprox, _units_below, certify
-from .errors import CertificationError, _require_int
+from ._precision import RealApprox, certify
+from .errors import _require_int
 from .zeta_engine import _fixed_term, _log2_fixed, _term_prec, _zeta_fixed
 
 __all__ = [
@@ -76,27 +76,19 @@ def logsine_symbolic(n: int) -> SymbolicLogSine:
 def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     """Evaluate the closed form of I_n with a certified absolute bound.
 
-    The budget is split evenly across the floor(n/2)+1 summands; each
-    zeta(2k+1) substitution must fit its share, and the final rounding to
-    double must fit the total, else CertificationError.
+    The floor(n/2)+1 summands and their bounds are summed exactly; the
+    total, rounded to double once, must fit the target, else
+    CertificationError.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _term_prec(target_abs_error)
     sym = logsine_symbolic(n)
-    share = target_abs_error / (n // 2 + 1)
-    share_units = _units_below(share, prec)
     c0 = sym.log2_coefficient
     total, internal = _fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)
-    if internal > share_units:
-        raise CertificationError("log-2 term exceeds its error share")
     for arg, coeff in sym.zeta_terms:
         term, term_err = _fixed_term(
             coeff.numerator, coeff.denominator, sym.pi_power(arg), _zeta_fixed(arg, prec), prec
         )
-        if term_err > share_units:
-            raise CertificationError(
-                f"zeta({arg}) term exceeds its error share {share:.3e}"
-            )
         total += term
         internal += term_err
     return certify(total, internal, prec, target=target_abs_error, what=f"I_{n}")

@@ -67,7 +67,7 @@ from typing import Callable
 from . import _elementary, _precision
 from ._elementary import _shift
 from ._precision import RealApprox, _units_below, certify, prec_for
-from .errors import CertificationError, RefinementExhausted, _require_int
+from .errors import CertificationError, RefinementExhausted, _require_int, _require_positive
 
 __all__ = [
     "QuadratureSettings",
@@ -100,8 +100,7 @@ def vertical_tail_bound(n: int, cutoff: float) -> float:
     the double range raises CertificationError.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    if not (cutoff > 0 and math.isfinite(cutoff)):
-        raise ValueError("cutoff must be positive and finite")
+    _require_positive(cutoff, "cutoff")
     # sum_j (n!/j!) (2Y)^j by Horner's rule
     x, poly, coeff = 2 * Fraction(cutoff), Fraction(1), 1
     for j in range(n, 0, -1):
@@ -133,8 +132,7 @@ def default_semi_infinite_cutoff_policy(n: int, target_abs_error: float) -> floa
     CertificationError when target/2 is not above the smallest normal
     double, under which the tail bound never falls."""
     _require_int(n, 0, "n must be a nonnegative integer")
-    if not (target_abs_error > 0 and math.isfinite(target_abs_error)):
-        raise ValueError("target absolute error must be positive and finite")
+    _require_positive(target_abs_error, "target absolute error")
     if target_abs_error / 2 <= sys.float_info.min:
         raise CertificationError(f"no cutoff brings the tail bound under {target_abs_error / 2!r}")
     cutoff = max(20.0, 5.0 * n)
@@ -150,8 +148,7 @@ class QuadratureSettings:
     target_abs_error: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.target_abs_error) and self.target_abs_error > 0):
-            raise ValueError("target_abs_error must be positive and finite")
+        _require_positive(self.target_abs_error, "target_abs_error")
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,7 @@ class ZetaEvenValue:
 def zeta_even_exact(k: int, table: BernoulliTable) -> ZetaEvenValue:
     """Exact zeta(2k)/pi^(2k) via the Bernoulli bridge; requires B_{2k}."""
     _require_int(k, 1, "k must be a positive integer")
-    if table.max_index < 2 * k:
-        raise ValueError(f"table holds B_0..B_{table.max_index}, need B_{2 * k}")
+    table._require(2 * k)
     coeff = (
         Fraction((-1) ** (k + 1) * 2 ** (2 * k), 2 * math.factorial(2 * k))
         * table[2 * k]

@@ -213,6 +213,11 @@ class TestVerifyRealPart:
         assert abs(residual.value) <= residual.abs_error
         assert residual.abs_error <= ceiling
 
+    def test_tolerance_whose_quarter_underflows_fails_certification(self):
+        # tol / 4 rounded to 0.0, which the legs rejected as no tolerance
+        with pytest.raises(CertificationError, match="^a quarter of 1e-323 underflows to 0$"):
+            verify_real_part(0, 1e-323)
+
 
 class TestExactIdentities:
     def test_imag_identity_hand_cases(self, table_202):

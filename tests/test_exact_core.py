@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsine.contour_verifier import reduction_chain_steps, verify_imag_identity_exact
+from logsine._precision import prec_for
+from logsine.contour_verifier import (
+    leg_L,
+    leg_R,
+    leg_R_term,
+    reduction_chain_steps,
+    verify_imag_identity_exact,
+    verify_null,
+    verify_real_part,
+)
 from logsine.exact_core import (
     bernoulli_table,
     verify_binomial_identity,
@@ -16,7 +25,9 @@ from logsine.fourier_appendix import (
     parseval_logsquared,
     sawtooth_series_partial,
 )
+from logsine.logsine_closed_form import logsine_numeric
 from logsine.quadrature_oracle import (
+    QuadratureSettings,
     cosine_moment,
     default_semi_infinite_cutoff_policy,
     vertical_tail_bound,
@@ -53,6 +64,60 @@ from logsine.zeta_engine import zeta_even_exact, zeta_numeric, zeta_series_parti
 def test_index_and_term_count_must_be_integers(call, value):
     with pytest.raises(ValueError):
         call(value)
+
+
+# a bool tolerance ran as 1.0; every tolerance passes one check
+@pytest.mark.parametrize(
+    "value", [True, 0.0, -1.0, math.nan, math.inf], ids=["bool", "zero", "negative", "nan", "inf"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: prec_for(tol, 25, 30),
+        QuadratureSettings,
+        lambda tol: logsine_numeric(3, tol),
+        lambda tol: zeta_numeric(3, tol),
+        lambda tol: leg_L(3, tol),
+        lambda tol: leg_R(3, tol),
+        lambda tol: leg_R_term(3, 1, tol),
+        lambda tol: verify_null(3, tol),
+        lambda tol: verify_real_part(3, tol),
+        lambda tol: default_semi_infinite_cutoff_policy(2, tol),
+        lambda cutoff: vertical_tail_bound(2, cutoff),
+    ],
+    ids=[
+        "prec_for",
+        "QuadratureSettings",
+        "logsine_numeric",
+        "zeta_numeric",
+        "leg_L",
+        "leg_R",
+        "leg_R_term",
+        "verify_null",
+        "verify_real_part",
+        "cutoff_policy",
+        "vertical_tail_bound",
+    ],
+)
+def test_tolerance_must_be_positive_and_finite(call, value):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        call(value)
+
+
+# every routine that reads a Bernoulli table asks it for the index it needs
+@pytest.mark.parametrize(
+    "call, need",
+    [
+        (lambda table: verify_recurrence(10, table), 9),
+        (lambda table: zeta_even_exact(3, table), 6),
+        (lambda table: verify_imag_identity_exact(5, table), 6),
+        (lambda table: reduction_chain_steps(5, table), 6),
+    ],
+    ids=["recurrence", "zeta_even_exact", "imag_identity", "reduction_chain"],
+)
+def test_short_table_names_the_index_it_lacks(call, need):
+    with pytest.raises(ValueError, match=rf"^table holds B_0\.\.B_4, need B_{need}$"):
+        call(bernoulli_table(4))
 
 
 # the table's cache once keyed max_index=2.0 and max_index=True as the

@@ -223,6 +223,14 @@ def test_node_tables_cover_every_level_the_engine_reaches(cold_caches):
         _check_nodes(prec, level)
 
 
+def test_node_past_its_count_raises(cold_caches, monkeypatch):
+    """A node whose weight's count passes 2^_NODE_BITS cannot keep its
+    weight within 2^-V of itself, and the table refuses to build."""
+    monkeypatch.setattr(quadrature_oracle, "_NODE_BITS", 4)
+    with pytest.raises(CertificationError, match=r"^tanh-sinh node 0 2\^-0 lost its precision"):
+        quadrature_oracle._nodes(86, 0)
+
+
 # ---------------------------------------------------------------------------
 # the fixed-point tanh-sinh engine
 # ---------------------------------------------------------------------------
