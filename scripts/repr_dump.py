@@ -13,9 +13,14 @@ lacks, or whose module it lacks, is listed as ``absent``.  Each zeta
 entry is the integers of its value and bound in units of 2^-(prec + 16),
 prec the key's precision.  The counted routines' pi and log 2 are listed
 by their precision in bits.  The tanh-sinh engine's tables are the
-log-sin values, keyed by precision and node distance, and its nodes, as
-the integers (gm, ge, cm, wm, ws) it sums with, listed as ``nodes`` for
-each (prec, level) that the calls ask ``_nodes`` for.  The two dumps are
+log-sin values and its nodes.  The log-sin values are listed by precision
+and node distance d from the nearer end of [0, pi]: a checkout that keys
+them by (prec, level), one per node of ``_nodes(prec, level)``, has them
+flattened to d = pi g, with g = gm 2^ge from the node and pi at the
+precision's unit, so that either layout of the same ``_log_sin`` values
+dumps the same lines.  The nodes are listed as the integers
+(gm, ge, cm, wm, ws) the engine sums with, as ``nodes`` for each
+(prec, level) that the calls ask ``_nodes`` for.  The two dumps are
 compared entry by entry.  Each checkout is then dumped again in a fresh
 process that makes the same calls in reverse order, and that dump is
 compared with its forward one: a result that changes is one that depends
@@ -47,7 +52,7 @@ TOLERANCES = (3e-2, 1e-3, 2e-5, 1e-6, 3e-8, 1e-10, 1e-12, 1e-14)
 N_RANGE = range(13)
 S_RANGE = range(2, 31)
 L_RANGE = range(1, 4)
-# (module, table); _LOGSIN_TABLE maps precision to a table of its own
+# (module, table); _LOGSIN_TABLE is flattened by ``log_sin_entries``
 RAW_TABLES = (
     ("_elementary", "_PI"),
     ("_elementary", "_LOG2"),
@@ -131,11 +136,32 @@ def dump(reverse: bool) -> None:
             print(f"{name} -> absent")
             continue
         if name == "_LOGSIN_TABLE":
-            table = {(prec, d): v for prec, inner in table.items() for d, v in inner.items()}
+            table = log_sin_entries(table, node_table)
         for key in sorted(table):
             print_entry(name, key, table[key])
     for key in sorted(node_keys):
         print_entry("nodes", key, node_table(*key))
+
+
+def log_sin_entries(table: dict, node_table) -> dict:
+    """The log-sin table as {(prec, d): entry}, d the exact distance from
+    the nearer end of [0, pi], from either layout: {prec: {d: entry}}, or
+    {(prec, level): row} with row[i] the entry of the node
+    node_table(prec, level)[i] = (gm, ge, ...), d = (pi gm, ge - V),
+    V = prec + _GUARD and pi at V bits."""
+    from logsine import _elementary, _precision
+
+    flat = {}
+    for key, entries in table.items():
+        if isinstance(key, int):
+            flat.update(((key, d), entry) for d, entry in entries.items())
+            continue
+        prec, level = key
+        frac = prec + _precision._GUARD
+        pi = _elementary.pi(frac)[0]
+        for (gm, ge, *_), entry in zip(node_table(prec, level), entries, strict=True):
+            flat[prec, (pi * gm, ge - frac)] = entry
+    return flat
 
 
 def print_entry(name: str, key, value) -> None:

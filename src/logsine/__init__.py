@@ -21,7 +21,6 @@ from .zeta_engine import (
     ZetaEvenValue,
     zeta_even_exact,
     zeta_numeric,
-    zeta_series_partial,
 )
 from .logsine_closed_form import (
     SymbolicLogSine,
@@ -53,7 +52,6 @@ from .fourier_appendix import (
     logsin_series_partial,
     logsine_via_fourier,
     parseval_logsquared,
-    sawtooth_series_partial,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +67,6 @@ __all__ = [
     "ZetaEvenValue",
     "zeta_even_exact",
     "zeta_numeric",
-    "zeta_series_partial",
     "SymbolicLogSine",
     "logsine_symbolic",
     "logsine_numeric",
@@ -91,7 +88,6 @@ __all__ = [
     "verify_reduction_chain",
     "report_to_json",
     "logsin_series_partial",
-    "sawtooth_series_partial",
     "parseval_logsquared",
     "logsine_via_fourier",
     "__version__",

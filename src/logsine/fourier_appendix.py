@@ -1,5 +1,5 @@
 """Fourier-series route to the same integrals: partial sums of the
-log-sine and sawtooth series, the orthogonality shortcut to
+log-sine series, the orthogonality shortcut to
 int_0^{pi/2} (log(2 sin x))^2 dx, and an independent derivation of the
 log-sine closed form by repeated integration by parts.
 
@@ -16,8 +16,8 @@ theta falling by two per couplet with endpoint contributions only on the
 second beat; unrolling that cadence reproduces the closed-form
 coefficients of I_n by a wholly different route.
 
-Both series diverge on the lattice theta = 0 mod 2pi; angles within
-1e-9 of it are rejected.
+The log-sine series diverges on the lattice theta = 0 mod 2pi; angles
+within 1e-9 of it are rejected, and so is a bool angle.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .logsine_closed_form import SymbolicLogSine
 
 __all__ = [
     "logsin_series_partial",
-    "sawtooth_series_partial",
     "parseval_logsquared",
     "logsine_via_fourier",
 ]
@@ -39,8 +38,8 @@ _LATTICE_RADIUS = 1e-9
 
 
 def _validate_theta(theta: float) -> None:
-    if not (0.0 < theta < 2.0 * math.pi):
-        raise ValueError("theta must lie strictly inside (0, 2*pi)")
+    if isinstance(theta, bool) or not (0.0 < theta < 2.0 * math.pi):
+        raise ValueError("theta must be a number strictly inside (0, 2*pi), not a bool")
     if theta <= _LATTICE_RADIUS or theta >= 2.0 * math.pi - _LATTICE_RADIUS:
         raise ValueError("theta too close to the divergent lattice 0 mod 2*pi")
 
@@ -50,13 +49,6 @@ def logsin_series_partial(theta: float, terms: int) -> float:
     _validate_theta(theta)
     _require_int(terms, 1, "terms must be a positive integer")
     return -math.fsum(math.cos(l * theta) / l for l in range(1, terms + 1))
-
-
-def sawtooth_series_partial(theta: float, terms: int) -> float:
-    """-sum_{l=1}^{terms} sin(l*theta)/l, the (theta - pi)/2 series."""
-    _validate_theta(theta)
-    _require_int(terms, 1, "terms must be a positive integer")
-    return -math.fsum(math.sin(l * theta) / l for l in range(1, terms + 1))
 
 
 def parseval_logsquared(terms: int) -> float:

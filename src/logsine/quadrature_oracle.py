@@ -46,13 +46,14 @@ cut's fraction are charged on the rule's |weight*f| mass.
 Results are memoized in one cache keyed by (integrand builder, its
 arguments, target), and the nodes in one table of the engine's integers
 keyed by (precision, level); every rule stops by level ``_MAX_DEPTH`` =
-12, so depth is no part of the key.  The x^n log(sin x) integrand takes
-log(sin d), d the node's distance from its nearer end, from a table
-keyed by working precision and d, so the moments for every n share one
-evaluation per node.  The other integrands are functions of x alone,
-evaluated with the counted routines of ``_elementary``.  Every rule runs
-at the working precision of its target, so every memoized value depends
-on its key alone.
+12, so depth is no part of the key.  The engine passes each integrand the
+node's level and index beside x.  Both nodes of a pair lie b g from their
+nearer end, so the x^n log(sin x) integrand reads log(sin(b g)) from a
+table keyed by (precision, level) at the node's index: the moments for
+every n share one evaluation per pair.  The other integrands are
+functions of x alone, evaluated with the counted routines of
+``_elementary``.  Every rule runs at the working precision of its target,
+so every memoized value depends on its key alone.
 """
 
 from __future__ import annotations
@@ -158,9 +159,10 @@ class QuadratureSettings:
 
 # An exact nonnegative number man * 2^exp as the pair (man, exp).
 Distance = tuple[int, int]
-# x -> (value, units): f(x) on [0, b] within units of 2^-V of the integer
-# value, V = prec + _precision._GUARD
-RawIntegrand = Callable[[Distance], tuple[int, int]]
+# (x, level, i) -> (value, units): f(x) on [0, b] within units of 2^-V of
+# the integer value, V = prec + _precision._GUARD, at x = b g or b (1 - g)
+# for the node g of _nodes(prec, level)[i]
+RawIntegrand = Callable[[Distance, int, int], tuple[int, int]]
 
 
 def _t_limit(prec: int) -> int:
@@ -223,7 +225,8 @@ def _tanh_sinh(
     rule_target an integer in units of 2^-V, V = prec + _precision._GUARD.
 
     The integrand takes a node's abscissa x = b g or b (1 - g) as an exact
-    pair and returns an integer and its units, both in units of 2^-V; each
+    pair, with the node's level and its index i in ``_nodes(prec, level)``,
+    and returns an integer and its units, both in units of 2^-V; each
     product with a weight is rounded down to an integer and summed.
 
     Returns (value, rule error estimate, accumulated |weight*f| mass,
@@ -235,9 +238,9 @@ def _tanh_sinh(
     # sums of w f, |w f| and the units of the values plus one per pair
     total_sum = mass_sum = unit_sum = 0
     for level in range(_MAX_DEPTH + 1):
-        for gm, ge, cm, wm, ws in _nodes(prec, level):
-            lo, lo_units = f((bm * gm, be + ge))
-            hi, hi_units = f((bm * cm, be + ge))
+        for i, (gm, ge, cm, wm, ws) in enumerate(_nodes(prec, level)):
+            lo, lo_units = f((bm * gm, be + ge), level, i)
+            hi, hi_units = f((bm * cm, be + ge), level, i)
             lo = (wm * lo) >> ws
             hi = (wm * hi) >> ws
             total_sum += lo + hi
@@ -298,35 +301,35 @@ def _log_sin(d: Distance, frac: int) -> tuple[int, int]:
     return _elementary.log((s, -ww), frac, s_units)
 
 
-# precision in bits -> {exact distance d from the nearer end of [0, pi]:
-# log(sin d) and its units, in units of 2^-(prec + _precision._GUARD)}
-_LOGSIN_TABLE: dict[int, dict[Distance, tuple[int, int]]] = {}
+# (precision in bits, level) -> for each node g of _nodes(prec, level),
+# log(sin(pi g)) and its units in units of 2^-(prec + _precision._GUARD):
+# both nodes of its pair lie pi g from their nearer end of [0, pi]
+_LOGSIN_TABLE: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
 
 def _logsine(prec: int, n: int) -> Integrand:
     """x^n log(sin x) on [0, b], b at most pi and within u units of it.
 
-    The integrand is x^n log(sin d), d the distance from the nearer end of
-    [0, b]; past b/2 it stands in for x^n log(sin(pi - x)).  The two
+    The integrand is x^n log(sin d), d = b g the distance of the node from
+    the nearer end of [0, b], read from ``_LOGSIN_TABLE`` by the node's
+    index; past b/2 it stands in for x^n log(sin(pi - x)).  The two
     differ, with the sliver [b, pi], by under 3 pi^n delta (log(2/delta)
     + 1) for delta = pi - b, under 3 pi^n u (V + 2) units.  x is cut to
     prec bits, which moves x^n by under n 2^(1 - prec) of itself.
     """
     frac = prec + _precision._GUARD
-    table = _LOGSIN_TABLE.setdefault(prec, {})
     pi_n = -(-(355**n) // 113**n)  # above pi^n, as 355/113 > pi
     pi, units = _elementary.pi(frac)
 
-    def f(x: Distance) -> tuple[int, int]:
-        # sin is symmetric about the midpoint of [0, pi]: evaluate it at the
-        # exact distance d from the nearer end, b - x past the midpoint, so
-        # nodes hugging pi stay on the positive branch
-        rest = (pi << (-frac - x[1])) - x[0]
-        d = (rest, x[1]) if rest < x[0] else x
-        entry = table.get(d)
-        if entry is None:
-            entry = table.setdefault(d, _log_sin(d, frac))
-        log_sin, units = entry
+    def f(x: Distance, level: int, i: int) -> tuple[int, int]:
+        # the level's row is built on its first visit at this precision,
+        # and read by every n
+        row = _LOGSIN_TABLE.get((prec, level))
+        if row is None:
+            nodes = _nodes(prec, level)
+            row = tuple(_log_sin((pi * gm, ge - frac), frac) for gm, ge, *_ in nodes)
+            row = _LOGSIN_TABLE.setdefault((prec, level), row)
+        log_sin, units = row[i]
         # x ** n * log_sin, exact once x is cut to the working precision,
         # then rounded down: x^n < pi^n times the log's units, and a unit
         cut = max(x[0].bit_length() - prec, 0)
@@ -342,7 +345,7 @@ def _logsquared(prec: int) -> Integrand:
     frac = prec + _precision._GUARD
     log2, log2_units = _elementary.log2(frac)
 
-    def f(x: Distance) -> tuple[int, int]:
+    def f(x: Distance, level: int, i: int) -> tuple[int, int]:
         # log(2 * sin(x)) ** 2: y within u units squares to within
         # (2 |y| + u) u, then rounds down
         log_sin, units = _log_sin(x, frac)
@@ -368,7 +371,7 @@ def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
     cutoff = default_semi_infinite_cutoff_policy(n, target)
     keep = frac + (n + 4 * math.ceil(cutoff) + 3).bit_length() + 2
 
-    def f(x: Distance) -> tuple[int, int]:
+    def f(x: Distance, level: int, i: int) -> tuple[int, int]:
         cut = max(x[0].bit_length() - keep, 0)
         y_man, y_exp = x[0] >> cut, x[1] + cut
         # y_exp < 0, and y_man may be past the double range
@@ -391,7 +394,7 @@ def _cosine_moment(prec: int, l: int, power: int) -> Integrand:
     units of it; |integrand| < 4, so [b, pi] leaves out under 4 u units."""
     frac = prec + _precision._GUARD
 
-    def f(x: Distance) -> tuple[int, int]:
+    def f(x: Distance, level: int, i: int) -> tuple[int, int]:
         # x ** power * cos(2 * l * x): x < 4 times the cosine's units, and
         # a unit for the floor
         value, units = _elementary.sin_cos((x[0] * 2 * l, x[1]), frac, 1)
@@ -408,7 +411,7 @@ def _cosine_orth(prec: int, l: int, lp: int) -> Integrand:
     u units of it; |integrand| <= 1, so [b, pi] leaves out under u units."""
     frac = prec + _precision._GUARD
 
-    def f(x: Distance) -> tuple[int, int]:
+    def f(x: Distance, level: int, i: int) -> tuple[int, int]:
         # cos(2 * l * x) * cos(2 * lp * x): cosines within u and u' units
         # multiply to within u + u' + 1, then round down
         cos_l, units_l = _elementary.sin_cos((x[0] * 2 * l, x[1]), frac, 1)

@@ -60,7 +60,6 @@ from .exact_core import BernoulliTable
 __all__ = [
     "ZetaEvenValue",
     "zeta_even_exact",
-    "zeta_series_partial",
     "zeta_numeric",
 ]
 
@@ -83,18 +82,6 @@ def zeta_even_exact(k: int, table: BernoulliTable) -> ZetaEvenValue:
         * table[2 * k]
     )
     return ZetaEvenValue(k=k, pi_power=2 * k, coefficient=coeff)
-
-
-def zeta_series_partial(s: float, terms: int) -> float:
-    """Partial sum sum_{l=1}^{terms} l^(-s) of the defining series (s > 1).
-
-    Exactly-rounded summation, so the result is nondecreasing in ``terms``
-    and always approaches the limit from below.
-    """
-    if not s > 1:
-        raise ValueError("the series converges only for s > 1")
-    _require_int(terms, 1, "terms must be a positive integer")
-    return math.fsum(l ** (-s) for l in range(1, terms + 1))
 
 
 # precision in bits -> (d_0..d_n, the bound in units of 2^-(prec + 16))

@@ -102,10 +102,16 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
         for bits, entry in table.items():
             assert build(bits) == entry, bits
 
+    # each log-sin entry against the one computed afresh from its node
     assert len(quadrature_oracle._LOGSIN_TABLE) > 0
-    for prec, table in quadrature_oracle._LOGSIN_TABLE.items():
-        for d, log_sin in table.items():
-            assert log_sin == quadrature_oracle._log_sin(d, prec + _precision._GUARD), (prec, d)
+    for (prec, level), row in quadrature_oracle._LOGSIN_TABLE.items():
+        frac = prec + _precision._GUARD
+        pi = _elementary.pi(frac)[0]
+        nodes = _nodes.__wrapped__(prec, level)
+        assert len(row) == len(nodes), (prec, level)
+        for i, ((gm, ge, *_), log_sin) in enumerate(zip(nodes, row)):
+            d = (pi * gm, ge - frac)
+            assert log_sin == quadrature_oracle._log_sin(d, frac), (prec, level, i)
 
     assert len(node_keys) > 0
     for prec, level in node_keys:
@@ -164,7 +170,7 @@ def _tables() -> list[dict]:
     return [
         dict(_elementary._PI),
         dict(_elementary._LOG2),
-        {prec: dict(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()},
+        dict(quadrature_oracle._LOGSIN_TABLE),
     ]
 
 

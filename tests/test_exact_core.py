@@ -23,7 +23,6 @@ from logsine.exact_core import (
 from logsine.fourier_appendix import (
     logsin_series_partial,
     parseval_logsquared,
-    sawtooth_series_partial,
 )
 from logsine.logsine_closed_form import logsine_numeric
 from logsine.quadrature_oracle import (
@@ -32,7 +31,7 @@ from logsine.quadrature_oracle import (
     default_semi_infinite_cutoff_policy,
     vertical_tail_bound,
 )
-from logsine.zeta_engine import zeta_even_exact, zeta_numeric, zeta_series_partial
+from logsine.zeta_engine import zeta_even_exact, zeta_numeric
 
 
 @pytest.mark.parametrize("value", [2.5, 4.0, True], ids=["float", "integral-float", "bool"])
@@ -42,10 +41,8 @@ from logsine.zeta_engine import zeta_even_exact, zeta_numeric, zeta_series_parti
         bernoulli_table,
         lambda k: zeta_even_exact(k, bernoulli_table(8)),
         lambda s: zeta_numeric(s, 1e-10),
-        lambda terms: zeta_series_partial(2.0, terms),
         parseval_logsquared,
         lambda terms: logsin_series_partial(1.0, terms),
-        lambda terms: sawtooth_series_partial(1.0, terms),
         lambda n: vertical_tail_bound(n, 20.0),
         lambda n: default_semi_infinite_cutoff_policy(n, 1e-10),
     ],
@@ -53,10 +50,8 @@ from logsine.zeta_engine import zeta_even_exact, zeta_numeric, zeta_series_parti
         "bernoulli_table",
         "zeta_even_exact",
         "zeta_numeric",
-        "zeta_series_partial",
         "parseval_logsquared",
         "logsin_series_partial",
-        "sawtooth_series_partial",
         "vertical_tail_bound",
         "cutoff_policy",
     ],

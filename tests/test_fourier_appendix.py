@@ -8,7 +8,6 @@ from logsine.fourier_appendix import (
     logsin_series_partial,
     logsine_via_fourier,
     parseval_logsquared,
-    sawtooth_series_partial,
 )
 from logsine.logsine_closed_form import logsine_symbolic
 from logsine.quadrature_oracle import cosine_moment
@@ -37,6 +36,12 @@ class TestLogsinSeries:
         with pytest.raises(ValueError):
             logsin_series_partial(theta, 10)
 
+    @pytest.mark.parametrize("theta", [True, False])
+    def test_rejects_bool_angle(self, theta):
+        # True ran as the angle 1.0
+        with pytest.raises(ValueError, match="not a bool"):
+            logsin_series_partial(theta, 10)
+
     def test_just_inside_guard_is_accepted(self):
         logsin_series_partial(1e-8, 10)
 
@@ -55,26 +60,6 @@ class TestLogsinSeries:
         )
         expected = -math.cos((terms + 1) * theta) / (terms + 1)
         assert abs(step - expected) <= 1e-11
-
-
-class TestSawtoothSeries:
-    def test_symmetry_point(self):
-        for terms in (1, 7, 100):
-            assert abs(sawtooth_series_partial(math.pi, terms)) <= 1e-12
-
-    def test_quarter_points(self):
-        assert abs(sawtooth_series_partial(math.pi / 2, 10 ** 4) + math.pi / 4) <= 1e-3
-        assert abs(sawtooth_series_partial(3 * math.pi / 2, 10 ** 4) - math.pi / 4) <= 1e-3
-
-    def test_odd_symmetry_about_pi(self):
-        for theta in (0.3, 1.1, 2.9):
-            left = sawtooth_series_partial(math.pi - theta, 500)
-            right = sawtooth_series_partial(math.pi + theta, 500)
-            assert left == pytest.approx(-right, abs=1e-12)
-
-    def test_lattice_rejection(self):
-        with pytest.raises(ValueError):
-            sawtooth_series_partial(2 * math.pi, 10)
 
 
 class TestParseval:

@@ -230,11 +230,11 @@ class TestCertification:
 class TestLogSinTable:
     def test_moments_share_one_log_sin_per_node(self, cold_caches):
         first = [integrate_logsine(n, TIGHT) for n in range(13)]
-        sizes = {prec: len(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()}
+        sizes = {key: len(row) for key, row in quadrature_oracle._LOGSIN_TABLE.items()}
         quadrature_oracle._certified.cache_clear()
         again = [integrate_logsine(n, TIGHT) for n in range(13)]
         assert again == first
-        assert {prec: len(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()} == sizes
+        assert {key: len(row) for key, row in quadrature_oracle._LOGSIN_TABLE.items()} == sizes
 
     def test_results_independent_of_call_order(self, cold_caches):
         cold = [integrate_logsine(n, TIGHT) for n in range(13)]
@@ -345,8 +345,7 @@ def test_shared_geometry_is_independent_of_call_order(cold_caches, node_keys):
     ]
 
     def tables():
-        log_sin = {prec: dict(t) for prec, t in quadrature_oracle._LOGSIN_TABLE.items()}
-        return {key: _nodes(*key) for key in node_keys}, log_sin
+        return {key: _nodes(*key) for key in node_keys}, dict(quadrature_oracle._LOGSIN_TABLE)
 
     forward = [call() for call in calls]
     nodes, log_sin = tables()
@@ -356,4 +355,4 @@ def test_shared_geometry_is_independent_of_call_order(cold_caches, node_keys):
     assert backward == forward
     assert tables() == (nodes, log_sin)
     assert len({prec for prec, _ in nodes}) == 1  # one working precision
-    assert set(log_sin) == {prec for prec, _ in nodes}
+    assert {prec for prec, _ in log_sin} == {prec for prec, _ in nodes}

@@ -246,17 +246,18 @@ def _nearer(b: tuple[int, int], x: tuple[int, int]) -> tuple[int, int]:
 @pytest.fixture
 def engine_runs(cold_caches, monkeypatch):
     """Every call into the tanh-sinh engine from empty caches: its
-    arguments, each integrand call's (x, d, value, units), d the distance
-    from the nearer end, and its result."""
+    arguments, each integrand call's (x, (level, i), d, value, units),
+    (level, i) the node's place the engine passed and d the distance from
+    the nearer end, and its result."""
     runs = []
     engine = quadrature_oracle._tanh_sinh
 
     def recording(f, b, rule_target, prec):
         seen = []
 
-        def g(x):
-            value = f(x)
-            seen.append((x, _nearer(b, x), *value))
+        def g(x, level, i):
+            value = f(x, level, i)
+            seen.append((x, (level, i), _nearer(b, x), *value))
             return value
 
         out = engine(g, b, rule_target, prec)
@@ -286,7 +287,8 @@ def _check_rule(b, rule_target, prec, seen, out) -> Fraction:
     the value, and the mass within them of the exact mass, the estimate
     within twice them, and the rule stops at the first level from
     ``_MIN_ACCEPT_LEVEL`` on whose estimate meets the target; all in units
-    of 2^-V.  Returns the value's distance from the exact sum."""
+    of 2^-V.  Each node's integrand call names the node's level and index.
+    Returns the value's distance from the exact sum."""
     value, estimate, mass, units = out
     half_b = _pair(b) / 2
     calls = iter(seen)
@@ -299,7 +301,8 @@ def _check_rule(b, rule_target, prec, seen, out) -> Fraction:
             g, w = _pair((gm, ge)), _pair((wm, -ws))
             # the lower node at b g, then its mirror at b (1 - g)
             for x_exact in (2 * half_b * g, 2 * half_b * (1 - g)):
-                x, d, v, u = next(calls)
+                x, place, d, v, u = next(calls)
+                assert place == (level, i)
                 assert (_pair(x), _pair(d)) == (x_exact, 2 * half_b * g), (level, i)
                 total_sum += w * v
                 mass_sum += abs(w * v)
@@ -339,9 +342,9 @@ def _engine_error(value, b, prec) -> tuple[Fraction, int]:
     checked by ``_check_rule``, and the engine's count."""
     seen = []
 
-    def f(x):
+    def f(x, level, i):
         v = value(x)
-        seen.append((x, _nearer(b, x), v, 0))
+        seen.append((x, (level, i), _nearer(b, x), v, 0))
         return v, 0
 
     out = quadrature_oracle._tanh_sinh(f, b, 1 << GUARD, prec)
@@ -373,7 +376,7 @@ def _check_values(prec, seen, reference, rel=None) -> None:
     and where the integrand cuts x, 2^-rel of the reference more."""
     fine = _context(prec + 64)
     fbits = prec + GUARD
-    for x, d, v, u in seen:
+    for x, _, d, v, u in seen:
         x_f, d_f = (fine.ldexp(*p) for p in (x, d))
         expected = _fraction(reference(fine, x_f, d_f)._mpf_) * 2**fbits
         slack = abs(expected) / 2**rel if rel is not None else 0
@@ -393,6 +396,24 @@ def test_logsine_moments_match_mpf_reference(engine_runs, tol):
             lambda fine, x, d: x**n * fine.log(fine.sin(d)),
             prec - 1 - n.bit_length(),
         )
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_log_sin_table_holds_one_value_per_node_pair(engine_runs, tol):
+    """Each (prec, level) the engine visited holds one entry per node, and
+    entry i is ``_log_sin`` at the nearer-end distance, derived from x, of
+    both nodes of pair i; at n = 0 the integrand returns that entry, with
+    one unit more, at both."""
+    integrate_logsine(0, QuadratureSettings(target_abs_error=tol))
+    _, _, prec, seen, _ = engine_runs.pop()
+    table = quadrature_oracle._LOGSIN_TABLE
+    assert set(table) == {(prec, place[0]) for _, place, *_ in seen}
+    for key, row in table.items():
+        assert len(row) == len(quadrature_oracle._nodes(*key)), key
+    for _, (level, i), d, v, u in seen:
+        log_sin, units = table[prec, level][i]
+        assert (log_sin, units) == quadrature_oracle._log_sin(d, prec + GUARD), (level, i)
+        assert (v, u) == (log_sin, units + 1), (level, i)
 
 
 def _leg_integrand(n):
@@ -443,7 +464,7 @@ def test_leg_integrand_past_the_double_range(cold_caches):
     f, (bm, be), _, _ = quadrature_oracle._vertical_leg(prec, 3, 1e-290)
     gm, ge, *_ = quadrature_oracle._nodes(prec, 0)[0]
     near = (bm * gm, be + ge)
-    _check_values(prec, [(near, near, *f(near))], _leg_integrand(3), prec + GUARD)
+    _check_values(prec, [(near, (0, 0), near, *f(near, 0, 0))], _leg_integrand(3), prec + GUARD)
 
 
 # ---------------------------------------------------------------------------

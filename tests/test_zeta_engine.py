@@ -15,7 +15,6 @@ from logsine.zeta_engine import (
     RealApprox,
     zeta_even_exact,
     zeta_numeric,
-    zeta_series_partial,
 )
 
 # 40-digit reference values, rounded once to double
@@ -61,29 +60,6 @@ class TestZetaEvenExact:
             zeta_even_exact(5, bernoulli_table(8))
 
 
-class TestSeriesPartial:
-    def test_single_term(self):
-        assert zeta_series_partial(2, 1) == 1.0
-
-    def test_two_terms_hand_sum(self):
-        assert zeta_series_partial(4, 2) == 1.0625
-
-    def test_converges_toward_limit(self):
-        assert zeta_series_partial(2, 200_000) == pytest.approx(ZETA2, abs=1e-4)
-
-    def test_rejects_s_at_most_one(self):
-        with pytest.raises(ValueError):
-            zeta_series_partial(1.0, 10)
-
-    def test_rejects_nonpositive_terms(self):
-        with pytest.raises(ValueError):
-            zeta_series_partial(2, 0)
-
-    def test_nondecreasing_in_terms(self):
-        values = [zeta_series_partial(3, n) for n in (1, 2, 5, 10, 100, 1000)]
-        assert values == sorted(values)
-
-
 class TestZetaNumeric:
     @pytest.mark.parametrize(
         "s,expected", [(2, ZETA2), (3, ZETA3), (5, ZETA5)]
@@ -119,7 +95,8 @@ class TestZetaNumeric:
     @given(st.integers(2, 12), st.integers(1, 5000))
     def test_partial_sums_stay_below(self, s, terms):
         approx = zeta_numeric(s, 1e-12)
-        assert zeta_series_partial(s, terms) <= approx.value + approx.abs_error
+        partial = math.fsum(l ** (-s) for l in range(1, terms + 1))
+        assert partial <= approx.value + approx.abs_error
 
 
 def test_euler_connection_numerically(table_202):
