@@ -32,6 +32,7 @@ from typing import Callable
 from . import contour_verifier, exact_core, fourier_appendix
 from . import logsine_closed_form as closed_form
 from . import zeta_engine
+from ._precision import certify
 from .errors import CertificationError
 
 __all__ = ["main"]
@@ -183,9 +184,18 @@ def _suite_fourier(n_max: int, tol: float) -> list[dict]:
     for n in range(n_max + 1):
         same = fourier_appendix.logsine_via_fourier(n) == closed_form.logsine_symbolic(n)
         checks.append(_check("fourier", "route-equivalence", n, same))
-    value = fourier_appendix.parseval_logsquared(_PARSEVAL_TERMS)
-    ok = abs(value - math.pi ** 3 / 24) <= 1e-6
-    checks.append(_check("fourier", "parseval", _PARSEVAL_TERMS, ok, f"value={value!r}"))
+    # the partial sum's enclosure less pi^3/24 = (pi/4) zeta(2) by the
+    # Bernoulli bridge, certified within 1e-6 as a whole
+    prec = zeta_engine._term_prec(1e-6)
+    value, bound = fourier_appendix._parseval_fixed(_PARSEVAL_TERMS, prec)
+    exact = zeta_engine.zeta_even_exact(1, exact_core.bernoulli_table(2)).coefficient / 4
+    target, target_bound = zeta_engine._fixed_term(
+        exact.numerator, exact.denominator, 3, None, prec
+    )
+    d = certify(value - target, bound + target_bound, prec)
+    ok = abs(d.value) + d.abs_error <= 1e-6
+    detail = f"value={certify(value, bound, prec).value!r}"
+    checks.append(_check("fourier", "parseval", _PARSEVAL_TERMS, ok, detail))
     return checks
 
 

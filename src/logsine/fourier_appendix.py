@@ -16,6 +16,18 @@ theta falling by two per couplet with endpoint contributions only on the
 second beat; unrolling that cadence reproduces the closed-form
 coefficients of I_n by a wholly different route.
 
+``_parseval_fixed`` encloses the partial sum (pi/4) sum_{l<=N} 1/l^2 in
+closed form, as (pi/4)(zeta(2) - T_N): zeta(2) from Borwein's series,
+and the tail T_N = sum_{l>N} 1/l^2 from Euler-Maclaurin,
+
+    A - 1/(30 N^5) <= T_N <= A,   A = 1/N - 1/(2N^2) + 1/(6N^3).
+
+The summand 1/x^2 is completely monotone (its derivatives alternate in
+sign), so the remainder after any Euler-Maclaurin term has the sign of
+the first omitted term, here -1/(30 N^5), and is no larger than it.
+``parseval_logsquared`` sums the same partial sum in doubles, with no
+bound.
+
 The log-sine series diverges on the lattice theta = 0 mod 2pi; angles
 within 1e-9 of it are rejected, and so is a bool angle.
 """
@@ -25,8 +37,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._precision import _GUARD
 from .errors import _require_int
 from .logsine_closed_form import SymbolicLogSine
+from .zeta_engine import _fixed_term, _zeta_fixed
 
 __all__ = [
     "logsin_series_partial",
@@ -60,6 +74,19 @@ def parseval_logsquared(terms: int) -> float:
     """
     _require_int(terms, 1, "terms must be a positive integer")
     return math.pi / 4 * math.fsum(1.0 / (l * l) for l in range(1, terms + 1))
+
+
+def _parseval_fixed(terms: int, prec: int) -> tuple[int, int]:
+    """(pi/4) sum_{l=1}^{terms} 1/l^2 in units of 2^-(prec + 16): (value,
+    bound), as (pi/4)(zeta(2) - T_N), N = terms, with the tail T_N
+    enclosed between the integers lo and hi by the Euler-Maclaurin bounds
+    above: zeta(2) - T_N lies within u + hi - lo units of z - hi."""
+    unit = 1 << prec + _GUARD
+    a = Fraction(1, terms) - Fraction(1, 2 * terms ** 2) + Fraction(1, 6 * terms ** 3)
+    lo = math.floor((a - Fraction(1, 30 * terms ** 5)) * unit)
+    hi = math.ceil(a * unit)
+    z, u = _zeta_fixed(2, prec)
+    return _fixed_term(1, 4, 1, (z - hi, u + hi - lo), prec)
 
 
 def _theta_cosine_moments(n: int) -> dict[int, Fraction]:

@@ -1,11 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from logsine import cli
+from logsine import cli, fourier_appendix
 
 
 def run_cli(*args, env_extra=None):
@@ -175,13 +176,44 @@ class TestEnvironmentTolerance:
 
 class TestExitOne:
     def test_failed_check_exits_1(self, monkeypatch, capsys):
-        # a one-term orthogonality sum is nowhere near pi^3/24, so the
-        # parseval check genuinely fails and the command reports it
+        # the enclosure of a one-term orthogonality sum is nowhere near
+        # pi^3/24, so the parseval check genuinely fails and the command
+        # reports it
         monkeypatch.setattr(cli, "_PARSEVAL_TERMS", 1)
         code = cli.main(["verify", "--suite", "fourier", "--n-max", "2"])
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL fourier/parseval" in out
+
+
+class TestParseval:
+    @pytest.mark.parametrize("terms,passed", [(785397, False), (785398, True)])
+    def test_certified_edge_agrees_with_float_sum(self, monkeypatch, capsys, terms, passed):
+        # (pi/4) sum_{l>N} 1/l^2 first falls to 1e-6 at N = 785398
+        monkeypatch.setattr(cli, "_PARSEVAL_TERMS", terms)
+        code = cli.main(["verify", "--suite", "fourier", "--n-max", "0"])
+        assert code == (0 if passed else 1)
+        status = "PASS" if passed else "FAIL"
+        assert f"{status} fourier/parseval n={terms} value=" in capsys.readouterr().out
+        float_sum = fourier_appendix.parseval_logsquared(terms)
+        assert (abs(float_sum - math.pi ** 3 / 24) <= 1e-6) == passed
+
+    def test_value_in_every_format(self, capsys):
+        argv = ["verify", "--suite", "fourier", "--n-max", "0", "--format"]
+        assert cli.main([*argv, "plain"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "PASS fourier/parseval n=1000000 value=1.2919274096147217"
+        assert cli.main([*argv, "json"]) == 0
+        assert json.loads(capsys.readouterr().out)[-1] == {
+            "suite": "fourier",
+            "check": "parseval",
+            "n": 1000000,
+            "pass": True,
+            "detail": "value=1.2919274096147217",
+        }
+        assert cli.main([*argv, "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "fourier,parseval,1000000,true,value=1.2919274096147217"
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,20 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, workdps
 
 from logsine.fourier_appendix import (
+    _parseval_fixed,
     logsin_series_partial,
     logsine_via_fourier,
     parseval_logsquared,
 )
 from logsine.logsine_closed_form import logsine_symbolic
 from logsine.quadrature_oracle import cosine_moment
+from logsine.zeta_engine import _term_prec
 
 PI3_OVER_24 = 1.2919281950124926
 
@@ -82,6 +86,28 @@ class TestParseval:
     def test_rejects_nonpositive_terms(self):
         with pytest.raises(ValueError):
             parseval_logsquared(0)
+
+
+class TestParsevalEnclosure:
+    """``_parseval_fixed``'s value lies within its bound of the true
+    partial sum (pi/4) sum_{l<=N} 1/l^2, in units of 2^-(prec + 16)."""
+
+    PREC = _term_prec(1e-6)
+
+    def _assert_encloses(self, terms, truth):
+        value, bound = _parseval_fixed(terms, self.PREC)
+        assert abs(value - truth * 2 ** (self.PREC + 16)) <= bound
+
+    @pytest.mark.parametrize("terms", range(1, 31))
+    def test_small_n_against_exact_partial_sum(self, terms):
+        partial = sum(Fraction(1, l * l) for l in range(1, terms + 1))
+        with workdps(60):
+            self._assert_encloses(terms, mp.pi / 4 * partial.numerator / partial.denominator)
+
+    @pytest.mark.parametrize("terms", [10 ** 3, 785397, 10 ** 6, 10 ** 9])
+    def test_large_n_against_hurwitz_tail(self, terms):
+        with workdps(60):
+            self._assert_encloses(terms, mp.pi / 4 * (mp.zeta(2) - mp.zeta(2, terms + 1)))
 
 
 class TestRouteEquivalence:
