@@ -42,7 +42,6 @@ from .contour_verifier import (
     leg_H,
     leg_L,
     leg_R,
-    report_to_json,
     verify_imag_identity_exact,
     verify_null,
     verify_real_part,
@@ -86,7 +85,6 @@ __all__ = [
     "verify_real_part",
     "verify_imag_identity_exact",
     "verify_reduction_chain",
-    "report_to_json",
     "logsin_series_partial",
     "parseval_logsquared",
     "logsine_via_fourier",

@@ -23,9 +23,10 @@ Each term of L and R, (p/q) pi^m zeta(k+2), H's log-2 term and its
 imaginary part r pi^(n+2) come from zeta_engine's integer kernel as a
 value and a bound in units of 2^-(prec + 16), and R sums them exactly:
 each bound counts the kernel's floor division and carries the units of
-pi^m, log 2 and zeta.  Each component of a leg is rounded to double
-once, by ``_precision.certify``; Re(H_n) adds the oracle's doubles
-exactly to its log-2 term there first.
+pi^m, log 2 and zeta.  ``_leg`` sums each component of L, R, each R_k
+and Im(H) on integers and rounds it once, by ``_precision.certify``; an
+exact-zero component is RealApprox(0.0, 0.0), radius 0.  Re(H_n) adds
+the oracle's doubles exactly to its log-2 term in ``certify`` first.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 from ._precision import RealApprox, _sum_components, certify
 from .errors import CertificationError, _require_int, _require_positive
@@ -55,7 +55,6 @@ __all__ = [
     "verify_imag_identity_exact",
     "reduction_chain_steps",
     "verify_reduction_chain",
-    "report_to_json",
 ]
 
 # phase index p -> contribution of i^p: (target component, sign)
@@ -79,28 +78,34 @@ class ComplexApprox:
 _ZERO = RealApprox(0.0, 0.0)
 
 
-def _one_component(phase: int, mag: int, err: int, prec: int) -> ComplexApprox:
-    """i^phase times a real value of ``mag`` within ``err`` units: one
-    nonzero component."""
-    comp, sign = _PHASE_SIGN[phase]
-    part = certify(mag, err, prec)
-    parts = [_ZERO, _ZERO]
-    parts[comp] = part if sign > 0 else RealApprox(-part.value, part.abs_error)
-    return ComplexApprox(re=parts[0], im=parts[1])
+def _leg(
+    terms: list[tuple[int, int, int]], prec: int, tol: float = math.inf, what: str = ""
+) -> ComplexApprox:
+    """The sum of i^phase * value over ``terms``, (phase, value, bound) in
+    units of 2^-(prec + 16), each component summed on integers and
+    certified once; an exact zero (no term, or value and bound both 0) is
+    ``RealApprox(0.0, 0.0)``.  Raises CertificationError naming leg
+    ``what`` when the modulus bound exceeds ``tol``."""
+    sums, errs = [0, 0], [0, 0]  # re, im
+    for phase, value, bound in terms:
+        comp, sign = _PHASE_SIGN[phase]
+        sums[comp] += sign * value
+        errs[comp] += bound
+    re = certify(sums[0], errs[0], prec) if sums[0] or errs[0] else _ZERO
+    im = certify(sums[1], errs[1], prec) if sums[1] or errs[1] else _ZERO
+    leg = ComplexApprox(re=re, im=im)
+    if leg.modulus_bound > tol:
+        raise CertificationError(f"leg {what} certified to {leg.modulus_bound:.3e} > {tol:.3e}")
+    return leg
 
 
 def leg_L(n: int, tol: float) -> ComplexApprox:
-    """Left vertical leg: i^(n+1) (n!/2^(n+1)) zeta(n+2).
-
-    Exactly one component is nonzero, selected by (n+1) mod 4.
-    """
+    """Left vertical leg: i^(n+1) (n!/2^(n+1)) zeta(n+2), R's last summand
+    negated; its one nonzero component is selected by (n+1) mod 4."""
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _term_prec(tol)
-    _, mag, err = _leg_r_term(n, n, prec)  # the right leg's last summand
-    leg = _one_component((n + 1) % 4, mag, err, prec)
-    if leg.modulus_bound > tol:
-        raise CertificationError(f"leg L(n={n}) certified to {leg.modulus_bound:.3e} > {tol:.3e}")
-    return leg
+    phase, value, bound = _leg_r_term(n, n, prec)
+    return _leg([((phase + 2) % 4, value, bound)], prec, tol, f"L(n={n})")
 
 
 def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, int, int]:
@@ -115,23 +120,11 @@ def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, int, int]:
 
 
 def leg_R(n: int, tol: float) -> ComplexApprox:
-    """Right vertical leg: the binomial sum over zeta(k+2), k = 0..n.
-
-    The components are summed on integers in units of 2^-(prec + 16),
-    and their assembled bounds must stay within tol.
-    """
+    """Right vertical leg: the binomial sum over zeta(k+2), k = 0..n,
+    whose modulus bound must stay within tol."""
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _term_prec(tol)
-    sums, errs = [0, 0], [0, 0]  # re, im
-    for k in range(n + 1):
-        phase, mag, err = _leg_r_term(n, k, prec)
-        comp, sign = _PHASE_SIGN[phase]
-        sums[comp] += sign * mag
-        errs[comp] += err
-    leg = ComplexApprox(re=certify(sums[0], errs[0], prec), im=certify(sums[1], errs[1], prec))
-    if leg.modulus_bound > tol:
-        raise CertificationError(f"leg R(n={n}) certified to {leg.modulus_bound:.3e} > {tol:.3e}")
-    return leg
+    return _leg([_leg_r_term(n, k, prec) for k in range(n + 1)], prec, tol, f"R(n={n})")
 
 
 def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
@@ -139,10 +132,9 @@ def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
     the left leg."""
     _require_int(n, 0, "n must be a nonnegative integer")
     _require_int(k, 0, "require 0 <= k <= n")
-    if k > n:
-        raise ValueError("require 0 <= k <= n")
+    _require_int(n - k, 0, "require 0 <= k <= n")
     prec = _term_prec(tol)
-    return _one_component(*_leg_r_term(n, k, prec), prec)
+    return _leg([_leg_r_term(n, k, prec)], prec)
 
 
 def leg_H_im_coefficient(n: int) -> Fraction:
@@ -173,7 +165,7 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     re = certify(*_log2_term(n, prec), prec, plus=oracle)
     r = leg_H_im_coefficient(n)
     im = _fixed_term(r.numerator, r.denominator, n + 2, None, prec)
-    return ComplexApprox(re=re, im=certify(*im, prec))
+    return ComplexApprox(re=re, im=_leg([(1, *im)], prec).im)
 
 
 _NAN_COMPLEX = ComplexApprox(re=RealApprox(math.nan, 0.0), im=RealApprox(math.nan, 0.0))
@@ -299,20 +291,3 @@ def verify_reduction_chain(n: int, table: BernoulliTable) -> bool:
     """True iff all four reduction steps hold exactly (see
     reduction_chain_steps for the step-by-step breakdown)."""
     return all(reduction_chain_steps(n, table).values())
-
-
-def report_to_json(report: ContourReport) -> dict[str, Any]:
-    """Serializable report; leg entries are [re, im] value pairs."""
-    out: dict[str, Any] = {
-        "n": report.n,
-        "L": [report.L.re.value, report.L.im.value],
-        "R": [report.R.re.value, report.R.im.value],
-        "H": [report.H.re.value, report.H.im.value],
-        "K": [report.K.re.value, report.K.im.value],
-        "residual": report.residual_modulus,
-        "bound": report.certified_bound,
-        "pass": report.passed,
-    }
-    if report.failure:
-        out["error"] = report.failure
-    return out

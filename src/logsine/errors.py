@@ -1,6 +1,7 @@
 """Failure types and the argument checks shared across the numeric modules."""
 
 import math
+import numbers
 
 
 def _require_int(value: int, least: int, message: str) -> None:
@@ -12,8 +13,9 @@ def _require_int(value: int, least: int, message: str) -> None:
 
 def _require_positive(value: float, what: str) -> None:
     """Raise ValueError unless ``value``, named ``what``, is a positive,
-    finite number, not a bool."""
-    if isinstance(value, bool) or not (value > 0 and math.isfinite(value)):
+    finite real number (a ``numbers.Real``), not a bool."""
+    real = isinstance(value, (float, int, numbers.Real))  # float and int skip the slow ABC check
+    if isinstance(value, bool) or not (real and 0 < value < math.inf):
         raise ValueError(f"{what} must be positive and finite")
 
 

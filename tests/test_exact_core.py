@@ -61,9 +61,12 @@ def test_index_and_term_count_must_be_integers(call, value):
         call(value)
 
 
-# a bool tolerance ran as 1.0; every tolerance passes one check
+# a bool tolerance ran as 1.0, and a string or None raised TypeError;
+# every tolerance passes one check
 @pytest.mark.parametrize(
-    "value", [True, 0.0, -1.0, math.nan, math.inf], ids=["bool", "zero", "negative", "nan", "inf"]
+    "value",
+    [True, 0.0, -1.0, math.nan, math.inf, "1e-8", None],
+    ids=["bool", "zero", "negative", "nan", "inf", "1e-8", "None"],
 )
 @pytest.mark.parametrize(
     "call",

@@ -552,7 +552,8 @@ def rounded(monkeypatch):
 def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
     """Each summand of the right leg for n <= 40, leg L's the last, lies
     within its counted units of the reference, and so do the two summed
-    components; they are what leg_R_term, leg_L and leg_R round."""
+    components; they are what leg_R_term, leg_L and leg_R round, signed,
+    each component once, and a component with no term not at all."""
     prec = _term_prec(tol)
     _check_inputs(prec)
     reached = 0
@@ -562,23 +563,26 @@ def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
             rounded.clear()
             _run(lambda: contour_verifier.leg_R_term(n, k, tol))
             phase, value, bound = contour_verifier._leg_r_term(n, k, prec)
-            assert phase == (k + 3) % 4 and rounded == [_raw(value, bound, prec)], (n, k)
+            comp, sign = _PHASE_SIGN[phase]
+            assert phase == (k + 3) % 4, (n, k)
+            assert rounded == [_raw(sign * value, bound, prec)], (n, k)
             num = math.comb(n, k) * math.factorial(k)
             term = _check_term(prec, num, 2 ** (k + 1), n - k, k + 2, (value, bound))
-            comp, sign = _PHASE_SIGN[phase]
             sums[comp] += sign * value
             errs[comp] += bound
             exact[comp] += sign * term
         rounded.clear()
         _run(lambda: contour_verifier.leg_L(n, tol))
-        assert rounded == [_raw(value, bound, prec)], n
+        assert rounded == [_raw(-sign * value, bound, prec)], n  # i^(n+1) = -i^(n+3)
         unit = Fraction(1, 2 ** (prec + GUARD))
         for comp in (0, 1):
             assert abs(exact[comp] - sums[comp] * unit) <= errs[comp] * unit, (n, comp)
         rounded.clear()
         _run(lambda: contour_verifier.leg_R(n, tol))
         if rounded:
-            assert rounded == [_raw(sums[0], errs[0], prec), _raw(sums[1], errs[1], prec)], n
+            # R_0 = -i zeta(2)/2 has no real term
+            comps = (1,) if n == 0 else (0, 1)
+            assert rounded == [_raw(sums[c], errs[c], prec) for c in comps], n
             reached += 1
     assert reached > 0
 
