@@ -1,8 +1,8 @@
 """Check that two checkouts return bit-identical library results.
 
 Imports ``logsine`` from each checkout's ``src/`` in a fresh process and
-dumps the repr of every numeric entry point over n = 0..12 (zeta over
-s = 2..30) at tolerances from 3e-2, where the working-precision floors
+dumps the repr of every public numeric entry point over n = 0..12 (zeta
+over s = 2..30) at tolerances from 3e-2, where the working-precision floors
 apply, down to 1e-14, past the certified envelope.  A call that raises
 is recorded as its error type and text.  After the results, each dump
 lists every entry of the working-precision memo tables the calls filled
@@ -13,13 +13,11 @@ lacks, or whose module it lacks, is listed as ``absent``.  Each zeta
 entry is the integers of its value and bound in units of 2^-(prec + 16),
 prec the key's precision.  The counted routines' pi and log 2 are listed
 by their precision in bits.  The tanh-sinh engine's tables are the
-log-sin values and its nodes.  The log-sin values are listed by precision
-and node distance d from the nearer end of [0, pi]: a checkout that keys
-them by (prec, level), one per node of ``_nodes(prec, level)``, has them
-flattened to d = pi g, with g = gm 2^ge from the node and pi at the
-precision's unit, so that either layout of the same ``_log_sin`` values
-dumps the same lines.  The nodes are listed as the integers
-(gm, ge, cm, wm, ws) the engine sums with, as ``nodes`` for each
+log-sin values and its nodes.  The log-sin values, kept by (prec, level),
+one per node of ``_nodes(prec, level)``, are listed by precision and node
+distance d = pi g from the nearer end of [0, pi], with g = gm 2^ge from
+the node and pi at the precision's unit.  The nodes are listed as the
+integers (gm, ge, cm, wm, ws) the engine sums with, as ``nodes`` for each
 (prec, level) that the calls ask ``_nodes`` for.  The two dumps are
 compared entry by entry.  Each checkout is then dumped again in a fresh
 process that makes the same calls in reverse order, and that dump is
@@ -68,7 +66,6 @@ REAL_APPROX = re.compile(r"RealApprox\(value=([^,]+), abs_error=([^)]+)\)")
 def calls():
     """(label, thunk) for every dumped result, in a fixed order."""
     import logsine
-    from logsine.contour_verifier import leg_R_term
 
     for tol in TOLERANCES:
         settings = logsine.QuadratureSettings(target_abs_error=tol)
@@ -83,8 +80,6 @@ def calls():
             yield f"leg_L({n}, {tol!r})", partial(logsine.leg_L, n, tol)
             yield f"leg_R({n}, {tol!r})", partial(logsine.leg_R, n, tol)
             yield f"leg_H({n}, {tol!r})", partial(logsine.leg_H, n, settings)
-            for k in range(n + 1):
-                yield f"leg_R_term({n}, {k}, {tol!r})", partial(leg_R_term, n, k, tol)
             yield f"verify_null({n}, {tol!r})", partial(logsine.verify_null, n, tol)
             yield f"verify_real_part({n}, {tol!r})", partial(logsine.verify_real_part, n, tol)
         for s in S_RANGE:
@@ -144,19 +139,14 @@ def dump(reverse: bool) -> None:
 
 
 def log_sin_entries(table: dict, node_table) -> dict:
-    """The log-sin table as {(prec, d): entry}, d the exact distance from
-    the nearer end of [0, pi], from either layout: {prec: {d: entry}}, or
-    {(prec, level): row} with row[i] the entry of the node
-    node_table(prec, level)[i] = (gm, ge, ...), d = (pi gm, ge - V),
+    """The log-sin table {(prec, level): row}, row[i] the entry of the node
+    node_table(prec, level)[i] = (gm, ge, ...), as {(prec, d): entry}, d
+    = (pi gm, ge - V) the exact distance from the nearer end of [0, pi],
     V = prec + _GUARD and pi at V bits."""
     from logsine import _elementary, _precision
 
     flat = {}
-    for key, entries in table.items():
-        if isinstance(key, int):
-            flat.update(((key, d), entry) for d, entry in entries.items())
-            continue
-        prec, level = key
+    for (prec, level), entries in table.items():
         frac = prec + _precision._GUARD
         pi = _elementary.pi(frac)[0]
         for (gm, ge, *_), entry in zip(node_table(prec, level), entries, strict=True):

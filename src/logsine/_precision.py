@@ -113,7 +113,7 @@ def certify(
         bound = (bound << fbits - unit) + fixed_below(doubles[1], fbits)
     value, bound = float_with_bound(value, bound, fbits)
     if bound > target:
-        raise CertificationError(f"{what} certified to {bound:.3e}, target {target:.3e}")
+        raise CertificationError(f"{what} certified to {bound:.3e}, target {float(target):.3e}")
     return RealApprox(value, bound)
 
 

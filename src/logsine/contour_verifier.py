@@ -23,8 +23,8 @@ Each term of L and R, (p/q) pi^m zeta(k+2), H's log-2 term and its
 imaginary part r pi^(n+2) come from zeta_engine's integer kernel as a
 value and a bound in units of 2^-(prec + 16), and R sums them exactly:
 each bound counts the kernel's floor division and carries the units of
-pi^m, log 2 and zeta.  ``_leg`` sums each component of L, R, each R_k
-and Im(H) on integers and rounds it once, by ``_precision.certify``; an
+pi^m, log 2 and zeta.  ``_leg`` sums each component of L, R and Im(H)
+on integers and rounds it once, by ``_precision.certify``; an
 exact-zero component is RealApprox(0.0, 0.0), radius 0.  Re(H_n) adds
 the oracle's doubles exactly to its log-2 term in ``certify`` first.
 """
@@ -47,9 +47,7 @@ __all__ = [
     "ContourReport",
     "leg_L",
     "leg_R",
-    "leg_R_term",
     "leg_H",
-    "leg_H_im_coefficient",
     "verify_null",
     "verify_real_part",
     "verify_imag_identity_exact",
@@ -94,8 +92,8 @@ def _leg(
     re = certify(sums[0], errs[0], prec) if sums[0] or errs[0] else _ZERO
     im = certify(sums[1], errs[1], prec) if sums[1] or errs[1] else _ZERO
     leg = ComplexApprox(re=re, im=im)
-    if leg.modulus_bound > tol:
-        raise CertificationError(f"leg {what} certified to {leg.modulus_bound:.3e} > {tol:.3e}")
+    if (bound := leg.modulus_bound) > tol:
+        raise CertificationError(f"leg {what} certified to {bound:.3e} > {float(tol):.3e}")
     return leg
 
 
@@ -127,23 +125,6 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
     return _leg([_leg_r_term(n, k, prec) for k in range(n + 1)], prec, tol, f"R(n={n})")
 
 
-def leg_R_term(n: int, k: int, tol: float) -> ComplexApprox:
-    """Single right-leg summand (index k); the k = n term always cancels
-    the left leg."""
-    _require_int(n, 0, "n must be a nonnegative integer")
-    _require_int(k, 0, "require 0 <= k <= n")
-    _require_int(n - k, 0, "require 0 <= k <= n")
-    prec = _term_prec(tol)
-    return _leg([_leg_r_term(n, k, prec)], prec)
-
-
-def leg_H_im_coefficient(n: int) -> Fraction:
-    """Exact rational r with Im(H_n) = r * pi^(n+2): the two imaginary
-    bottom-leg terms collapse to n/(2(n+1)(n+2))."""
-    _require_int(n, 0, "n must be a nonnegative integer")
-    return Fraction(1, n + 2) - Fraction(1, 2 * (n + 1))
-
-
 def _log2_term(n: int, prec: int) -> tuple[int, int]:
     """pi^(n+1) log(2) / (n+1), the term that sits beside I_n in Re(H_n):
     (value, bound) in units of 2^-(prec + 16)."""
@@ -156,15 +137,15 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     The real part takes I_n from the quadrature oracle, never from the
     closed form, so downstream nullity checks stay independent, and adds
     it exactly to the log-2 term before rounding once.  The imaginary
-    part is the exact rational times pi^(n+2), floated once.
+    part is n/(2(n+1)(n+2)) pi^(n+2), floated once.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
     prec = _term_prec(settings.target_abs_error)
     re = certify(*_log2_term(n, prec), prec, plus=oracle)
-    r = leg_H_im_coefficient(n)
-    im = _fixed_term(r.numerator, r.denominator, n + 2, None, prec)
+    # unreduced: a factor common to num and den moves no floor of num X / den
+    im = _fixed_term(n, 2 * (n + 1) * (n + 2), n + 2, None, prec)
     return ComplexApprox(re=re, im=_leg([(1, *im)], prec).im)
 
 

@@ -12,10 +12,10 @@ def _require_int(value: int, least: int, message: str) -> None:
 
 
 def _require_positive(value: float, what: str) -> None:
-    """Raise ValueError unless ``value``, named ``what``, is a positive,
-    finite real number (a ``numbers.Real``), not a bool."""
+    """Raise ValueError unless ``value``, named ``what``, is a finite real
+    (a ``numbers.Real``), not a bool, and at least 5e-324, the least double."""
     real = isinstance(value, (float, int, numbers.Real))  # float and int skip the slow ABC check
-    if isinstance(value, bool) or not (real and 0 < value < math.inf):
+    if isinstance(value, bool) or not (real and 5e-324 <= value < math.inf):
         raise ValueError(f"{what} must be positive and finite")
 
 

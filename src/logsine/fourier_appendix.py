@@ -29,12 +29,14 @@ the first omitted term, here -1/(30 N^5), and is no larger than it.
 bound.
 
 The log-sine series diverges on the lattice theta = 0 mod 2pi; angles
-within 1e-9 of it are rejected, and so is a bool angle.
+within 1e-9 of it are rejected, and so is a bool or any angle that is
+not a real number.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 from ._precision import _GUARD
@@ -52,7 +54,8 @@ _LATTICE_RADIUS = 1e-9
 
 
 def _validate_theta(theta: float) -> None:
-    if isinstance(theta, bool) or not (0.0 < theta < 2.0 * math.pi):
+    real = isinstance(theta, numbers.Real)
+    if isinstance(theta, bool) or not (real and 0.0 < theta < 2.0 * math.pi):
         raise ValueError("theta must be a number strictly inside (0, 2*pi), not a bool")
     if theta <= _LATTICE_RADIUS or theta >= 2.0 * math.pi - _LATTICE_RADIUS:
         raise ValueError("theta too close to the divergent lattice 0 mod 2*pi")

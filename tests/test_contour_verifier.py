@@ -7,12 +7,12 @@ from mpmath import mp, workdps
 from logsine import _precision
 from logsine._precision import RealApprox
 from logsine.contour_verifier import (
+    _leg,
+    _leg_r_term,
     _log2_term,
     leg_H,
-    leg_H_im_coefficient,
     leg_L,
     leg_R,
-    leg_R_term,
     reduction_chain_steps,
     verify_imag_identity_exact,
     verify_null,
@@ -82,8 +82,9 @@ class TestLegR:
 
     def test_absorption_of_highest_power(self):
         # the k = n summand always cancels the left leg
+        prec = _term_prec(TOL)
         for n in range(11):
-            term = leg_R_term(n, n, TOL)
+            term = _leg([_leg_r_term(n, n, prec)], prec)
             left = leg_L(n, TOL)
             assert abs(term.re.value + left.re.value) <= (
                 term.re.abs_error + left.re.abs_error
@@ -93,20 +94,11 @@ class TestLegR:
             )
 
     def test_term_past_the_double_range_raises_certification_error(self):
-        # its value, about 7e380, and its bound overflow a double; they
-        # reached RealApprox as inf, which raised ValueError
-        with pytest.raises(CertificationError):
-            leg_R_term(300, 150, 1e-10)
-
-    def test_term_index_validated(self):
-        with pytest.raises(ValueError):
-            leg_R_term(3, 4, TOL)
-
-    @pytest.mark.parametrize("k", [-1, 1.5, True])
-    def test_term_index_must_be_an_integer(self, k):
-        # True must not certify as k = 1
-        with pytest.raises(ValueError, match="require 0 <= k <= n"):
-            leg_R_term(3, k, TOL)
+        # both components, about 8e481 and 8e523, and their bounds
+        # overflow a double; an overflow reached RealApprox as inf, which
+        # raised ValueError
+        with pytest.raises(CertificationError, match="exceeds the double range"):
+            leg_R(300, 1e-10)
 
 
 class TestLegH:
@@ -140,15 +132,16 @@ class TestLegH:
             assert (h.re.value, h.re.abs_error) == (re, re_bound), n
 
     def test_im_coefficient_exact_form(self):
+        # the two imaginary terms of H_n collapse to the rational leg_H uses
         for n in range(30):
-            coeff = leg_H_im_coefficient(n)
+            coeff = Fraction(1, n + 2) - Fraction(1, 2 * (n + 1))
             assert coeff == Fraction(n, 2 * (n + 1) * (n + 2))
 
     def test_im_matches_exact_coefficient(self):
         for n in (0, 1, 5, 10):
             h = leg_H(n, QuadratureSettings(target_abs_error=TOL))
             with workdps(40):
-                coeff = leg_H_im_coefficient(n)
+                coeff = Fraction(n, 2 * (n + 1) * (n + 2))
                 expected = float(
                     mp.mpf(coeff.numerator) / coeff.denominator * mp.pi ** (n + 2)
                 )
@@ -259,7 +252,6 @@ class TestExactIdentities:
         logsine_symbolic,
         lambda n: leg_L(n, TOL),
         lambda n: leg_R(n, TOL),
-        lambda n: leg_R_term(n, 0, TOL),
         lambda n: verify_null(n, TOL),
         lambda n: verify_real_part(n, TOL),
     ],
@@ -268,7 +260,6 @@ class TestExactIdentities:
         "logsine_symbolic",
         "leg_L",
         "leg_R",
-        "leg_R_term",
         "verify_null",
         "verify_real_part",
     ],

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsine._precision import prec_for
+from logsine.errors import CertificationError
 from logsine.contour_verifier import (
     leg_L,
     leg_R,
-    leg_R_term,
     reduction_chain_steps,
     verify_imag_identity_exact,
     verify_null,
@@ -29,6 +29,7 @@ from logsine.quadrature_oracle import (
     QuadratureSettings,
     cosine_moment,
     default_semi_infinite_cutoff_policy,
+    integrate_logsine,
     vertical_tail_bound,
 )
 from logsine.zeta_engine import zeta_even_exact, zeta_numeric
@@ -61,12 +62,13 @@ def test_index_and_term_count_must_be_integers(call, value):
         call(value)
 
 
-# a bool tolerance ran as 1.0, and a string or None raised TypeError;
-# every tolerance passes one check
+# a bool tolerance ran as 1.0, a string or None raised TypeError, and a
+# Fraction below the least double died in math.log10; every tolerance
+# passes one check
 @pytest.mark.parametrize(
     "value",
-    [True, 0.0, -1.0, math.nan, math.inf, "1e-8", None],
-    ids=["bool", "zero", "negative", "nan", "inf", "1e-8", "None"],
+    [True, 0.0, -1.0, math.nan, math.inf, "1e-8", None, Fraction(1, 10**400)],
+    ids=["bool", "zero", "negative", "nan", "inf", "1e-8", "None", "tiny-Fraction"],
 )
 @pytest.mark.parametrize(
     "call",
@@ -77,7 +79,6 @@ def test_index_and_term_count_must_be_integers(call, value):
         lambda tol: zeta_numeric(3, tol),
         lambda tol: leg_L(3, tol),
         lambda tol: leg_R(3, tol),
-        lambda tol: leg_R_term(3, 1, tol),
         lambda tol: verify_null(3, tol),
         lambda tol: verify_real_part(3, tol),
         lambda tol: default_semi_infinite_cutoff_policy(2, tol),
@@ -90,7 +91,6 @@ def test_index_and_term_count_must_be_integers(call, value):
         "zeta_numeric",
         "leg_L",
         "leg_R",
-        "leg_R_term",
         "verify_null",
         "verify_real_part",
         "cutoff_policy",
@@ -100,6 +100,35 @@ def test_index_and_term_count_must_be_integers(call, value):
 def test_tolerance_must_be_positive_and_finite(call, value):
     with pytest.raises(ValueError, match="must be positive and finite"):
         call(value)
+
+
+# a Fraction tolerance certifies like a float; one that cannot be met
+# raised TypeError from formatting it into the error's message
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tol: logsine_numeric(13, tol), "I_13 certified to 1.164e-10, target 1.000e-10"),
+        (
+            lambda tol: zeta_numeric(2, tol / 10**20),
+            "zeta(2) certified to 1.110e-16, target 1.000e-30",
+        ),
+        (
+            lambda tol: integrate_logsine(13, QuadratureSettings(tol)),
+            "quadrature certified to 1.164e-10, target 1.000e-10",
+        ),
+    ],
+    ids=["logsine_numeric", "zeta_numeric", "integrate_logsine"],
+)
+def test_unmet_fraction_tolerance_raises_certification_error(call, message):
+    with pytest.raises(CertificationError) as raised:
+        call(Fraction(1, 10**10))
+    assert str(raised.value) == message
+
+
+def test_unmet_fraction_tolerance_fails_the_report():
+    report = verify_null(13, Fraction(1, 10**10))
+    assert not report.passed
+    assert report.failure == "leg R(n=13) certified to 1.746e-10 > 1.000e-10"
 
 
 # every routine that reads a Bernoulli table asks it for the index it needs

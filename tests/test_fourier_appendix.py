@@ -46,6 +46,12 @@ class TestLogsinSeries:
         with pytest.raises(ValueError, match="not a bool"):
             logsin_series_partial(theta, 10)
 
+    @pytest.mark.parametrize("theta", ["1", b"1", None], ids=["str", "bytes", "None"])
+    def test_rejects_non_number_angle(self, theta):
+        # each raised a bare TypeError from the range comparison
+        with pytest.raises(ValueError, match="must be a number"):
+            logsin_series_partial(theta, 10)
+
     def test_just_inside_guard_is_accepted(self):
         logsin_series_partial(1e-8, 10)
 

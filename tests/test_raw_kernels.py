@@ -552,8 +552,9 @@ def rounded(monkeypatch):
 def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
     """Each summand of the right leg for n <= 40, leg L's the last, lies
     within its counted units of the reference, and so do the two summed
-    components; they are what leg_R_term, leg_L and leg_R round, signed,
-    each component once, and a component with no term not at all."""
+    components; they are what ``_leg`` rounds for one summand, leg_L and
+    leg_R, signed, each component once, and a component with no term not
+    at all."""
     prec = _term_prec(tol)
     _check_inputs(prec)
     reached = 0
@@ -561,7 +562,7 @@ def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
         sums, errs, exact = [0, 0], [0, 0], [Fraction(0), Fraction(0)]
         for k in range(n + 1):
             rounded.clear()
-            _run(lambda: contour_verifier.leg_R_term(n, k, tol))
+            _run(lambda: contour_verifier._leg([contour_verifier._leg_r_term(n, k, prec)], prec))
             phase, value, bound = contour_verifier._leg_r_term(n, k, prec)
             comp, sign = _PHASE_SIGN[phase]
             assert phase == (k + 3) % 4, (n, k)
@@ -594,9 +595,11 @@ def test_log2_terms_match_mpf_reference(cold_caches, tol):
     prec = _term_prec(tol)
     for n in LEG_N:
         _check_term(prec, 1, n + 1, n + 1, "log2", contour_verifier._log2_term(n, prec))
-        r = contour_verifier.leg_H_im_coefficient(n)
+        r = Fraction(n, 2 * (n + 1) * (n + 2))
         im = zeta_engine._fixed_term(r.numerator, r.denominator, n + 2, None, prec)
         _check_term(prec, r.numerator, r.denominator, n + 2, None, im)
+        # leg_H passes the rational unreduced, to the same integers
+        assert zeta_engine._fixed_term(n, 2 * (n + 1) * (n + 2), n + 2, None, prec) == im, n
 
 
 def test_legs_and_closed_form_match_mpf_reference(cold_caches, rounded):
