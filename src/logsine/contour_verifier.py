@@ -27,13 +27,18 @@ pi^m, log 2 and zeta.  ``_leg`` sums each component of L, R and Im(H)
 on integers and rounds it once, by ``_precision.certify``; an
 exact-zero component is RealApprox(0.0, 0.0), radius 0.  Re(H_n) adds
 the oracle's doubles exactly to its log-2 term in ``certify`` first.
+R's summands and H's two terms depend on n and the working precision
+alone, so each is kept in a table keyed by the two; the rounding and
+the tolerance check run on every call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from ._precision import RealApprox, _sum_components, certify
 from .errors import CertificationError, _require_int, _require_positive
@@ -77,7 +82,7 @@ _ZERO = RealApprox(0.0, 0.0)
 
 
 def _leg(
-    terms: list[tuple[int, int, int]], prec: int, tol: float = math.inf, what: str = ""
+    terms: Sequence[tuple[int, int, int]], prec: int, tol: float = math.inf, what: str = ""
 ) -> ComplexApprox:
     """The sum of i^phase * value over ``terms``, (phase, value, bound) in
     units of 2^-(prec + 16), each component summed on integers and
@@ -99,10 +104,13 @@ def _leg(
 
 def leg_L(n: int, tol: float) -> ComplexApprox:
     """Left vertical leg: i^(n+1) (n!/2^(n+1)) zeta(n+2), R's last summand
-    negated; its one nonzero component is selected by (n+1) mod 4."""
+    negated; its one nonzero component is selected by (n+1) mod 4.  The
+    summand is read from R's row once R has been built at this precision;
+    L alone computes no zeta value or power of pi that only R needs."""
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _term_prec(tol)
-    phase, value, bound = _leg_r_term(n, n, prec)
+    row = _LEG_R_TERMS.get((n, prec))
+    phase, value, bound = row[n] if row else _leg_r_term(n, n, prec)
     return _leg([((phase + 2) % 4, value, bound)], prec, tol, f"L(n={n})")
 
 
@@ -117,18 +125,43 @@ def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, int, int]:
     return ((k + 3) % 4, *_fixed_term(num, 2 ** (k + 1), n - k, _zeta_fixed(k + 2, prec), prec))
 
 
+# (n, precision in bits) -> the right leg's summands k = 0..n, as
+# ``_leg_r_term`` gives them
+_LEG_R_TERMS: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
+
+
+def _leg_r_terms(n: int, prec: int) -> tuple[tuple[int, int, int], ...]:
+    """The right leg's n + 1 summands at ``prec`` bits, built once per key."""
+    entry = _LEG_R_TERMS.get((n, prec))
+    if entry is None:
+        row = tuple(_leg_r_term(n, k, prec) for k in range(n + 1))
+        entry = _LEG_R_TERMS.setdefault((n, prec), row)
+    return entry
+
+
 def leg_R(n: int, tol: float) -> ComplexApprox:
     """Right vertical leg: the binomial sum over zeta(k+2), k = 0..n,
     whose modulus bound must stay within tol."""
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _term_prec(tol)
-    return _leg([_leg_r_term(n, k, prec) for k in range(n + 1)], prec, tol, f"R(n={n})")
+    return _leg(_leg_r_terms(n, prec), prec, tol, f"R(n={n})")
 
 
-def _log2_term(n: int, prec: int) -> tuple[int, int]:
-    """pi^(n+1) log(2) / (n+1), the term that sits beside I_n in Re(H_n):
-    (value, bound) in units of 2^-(prec + 16)."""
-    return _fixed_term(1, n + 1, n + 1, _log2_fixed(prec), prec)
+# (n, precision in bits) -> H_n's two terms, as ``_leg_h_terms`` gives them
+_LEG_H_TERMS: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
+
+
+def _leg_h_terms(n: int, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """H_n's terms at ``prec`` bits, built once per key, each (value,
+    bound) in units of 2^-(prec + 16): pi^(n+1) log(2) / (n+1), the term
+    that sits beside I_n in Re(H_n), and Im(H_n) = n/(2(n+1)(n+2)) pi^(n+2)."""
+    entry = _LEG_H_TERMS.get((n, prec))
+    if entry is None:
+        log2 = _fixed_term(1, n + 1, n + 1, _log2_fixed(prec), prec)
+        # unreduced: a factor common to num and den moves no floor of num X / den
+        im = _fixed_term(n, 2 * (n + 1) * (n + 2), n + 2, None, prec)
+        entry = _LEG_H_TERMS.setdefault((n, prec), (log2, im))
+    return entry
 
 
 def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
@@ -143,9 +176,8 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     settings = settings or QuadratureSettings()
     oracle = integrate_logsine(n, settings)
     prec = _term_prec(settings.target_abs_error)
-    re = certify(*_log2_term(n, prec), prec, plus=oracle)
-    # unreduced: a factor common to num and den moves no floor of num X / den
-    im = _fixed_term(n, 2 * (n + 1) * (n + 2), n + 2, None, prec)
+    log2, im = _leg_h_terms(n, prec)
+    re = certify(*log2, prec, plus=oracle)
     return ComplexApprox(re=re, im=_leg([(1, *im)], prec).im)
 
 
@@ -208,14 +240,14 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     """
     _require_int(n, 0, "n must be a nonnegative integer")
     _require_positive(tol, "target absolute error")
-    quarter = tol / 4
+    quarter = min(tol, sys.float_info.max) / 4  # capped, as it may be a huge int
     if not quarter:
         raise CertificationError(f"a quarter of {tol!r} underflows to 0")
     L = leg_L(n, quarter)
     R = leg_R(n, quarter)
     closed = logsine_numeric(n, quarter)
     prec = _term_prec(tol)
-    return _sum_components([L.re, R.re, certify(*_log2_term(n, prec), prec), closed])
+    return _sum_components([L.re, R.re, certify(*_leg_h_terms(n, prec)[0], prec), closed])
 
 
 def verify_imag_identity_exact(n: int, table: BernoulliTable) -> bool:

@@ -15,7 +15,9 @@ empty zeta sums and reduce to -pi log 2 and -(pi^2/2) log 2.
 The numeric form sums its terms exactly on integers: each term and its
 bound come from zeta_engine's kernel in units of 2^-(prec + 16), counting
 its floor division and the units of pi^m, log 2 and zeta(2k+1), and the
-sum is rounded to double once.
+sum is rounded to double once.  The integer sum depends on n and the
+working precision alone, so it is kept in a table keyed by the two;
+rounding and the target check run on every call.
 """
 
 from __future__ import annotations
@@ -73,25 +75,38 @@ def logsine_symbolic(n: int) -> SymbolicLogSine:
     )
 
 
+# (n, precision in bits) -> the closed form's (total, bound) in units of
+# 2^-(prec + 16)
+_CLOSED_FORM: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _closed_form_fixed(n: int, prec: int) -> tuple[int, int]:
+    """The floor(n/2)+1 summands of I_n and their bounds, summed exactly at
+    ``prec`` bits: (total, bound) in units of 2^-(prec + 16)."""
+    entry = _CLOSED_FORM.get((n, prec))
+    if entry is None:
+        sym = logsine_symbolic(n)
+        c0 = sym.log2_coefficient
+        total, internal = _fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)
+        for arg, coeff in sym.zeta_terms:
+            term, term_err = _fixed_term(
+                coeff.numerator, coeff.denominator, sym.pi_power(arg), _zeta_fixed(arg, prec), prec
+            )
+            total += term
+            internal += term_err
+        entry = _CLOSED_FORM.setdefault((n, prec), (total, internal))
+    return entry
+
+
 def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     """Evaluate the closed form of I_n with a certified absolute bound.
 
-    The floor(n/2)+1 summands and their bounds are summed exactly; the
-    total, rounded to double once, must fit the target, else
-    CertificationError.
+    The summed total, rounded to double once, must fit the target, else
+    CertificationError; the check runs on every call.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _term_prec(target_abs_error)
-    sym = logsine_symbolic(n)
-    c0 = sym.log2_coefficient
-    total, internal = _fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)
-    for arg, coeff in sym.zeta_terms:
-        term, term_err = _fixed_term(
-            coeff.numerator, coeff.denominator, sym.pi_power(arg), _zeta_fixed(arg, prec), prec
-        )
-        total += term
-        internal += term_err
-    return certify(total, internal, prec, target=target_abs_error, what=f"I_{n}")
+    return certify(*_closed_form_fixed(n, prec), prec, target=target_abs_error, what=f"I_{n}")
 
 
 def symbolic_to_json(sym: SymbolicLogSine) -> dict[str, Any]:

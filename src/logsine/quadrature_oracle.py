@@ -134,10 +134,11 @@ def default_semi_infinite_cutoff_policy(n: int, target_abs_error: float) -> floa
     double, under which the tail bound never falls."""
     _require_int(n, 0, "n must be a nonnegative integer")
     _require_positive(target_abs_error, "target absolute error")
-    if target_abs_error / 2 <= sys.float_info.min:
-        raise CertificationError(f"no cutoff brings the tail bound under {target_abs_error / 2!r}")
+    half = min(target_abs_error, sys.float_info.max) / 2  # capped, as it may be a huge int
+    if half <= sys.float_info.min:
+        raise CertificationError(f"no cutoff brings the tail bound under {half!r}")
     cutoff = max(20.0, 5.0 * n)
-    while vertical_tail_bound(n, cutoff) >= target_abs_error / 2:
+    while vertical_tail_bound(n, cutoff) >= half:
         cutoff *= 1.25
     return cutoff
 
@@ -284,7 +285,9 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     and the units."""
     prec = prec_for(target, extra_digits=12, min_dps=25)
     f, b, left_out, r = integrand(prec, *args)
-    value, rule_est, mass, units = _tanh_sinh(f, b, _units_below(target / 4, prec), prec)
+    # a target past the largest double is capped there before it is quartered
+    rule_target = _units_below(min(target, sys.float_info.max) / 4, prec)
+    value, rule_est, mass, units = _tanh_sinh(f, b, rule_target, prec)
     units += ((mass + units + 1) >> (r - 1)) + 1
     return certify(value, rule_est + left_out + units, prec, target=target, what="quadrature")
 

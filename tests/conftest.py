@@ -1,6 +1,13 @@
 import pytest
 
-from logsine import _elementary, quadrature_oracle, zeta_engine
+from logsine import (
+    _elementary,
+    _precision,
+    contour_verifier,
+    logsine_closed_form,
+    quadrature_oracle,
+    zeta_engine,
+)
 from logsine.exact_core import bernoulli_table
 
 
@@ -11,9 +18,14 @@ def table_202():
 
 
 def clear_numeric_caches():
-    """Empty the zeta table, the series' coefficient table, the integer
-    table of pi^m, the routines' pi and log 2, the log-sin node table, and
-    the quadrature result cache and node tables built on them."""
+    """Empty the precision memo, the zeta table, the series' coefficient
+    table, the integer table of pi^m, the routines' pi and log 2, the term
+    sums of the closed form and the legs, the log-sin node table, and the
+    quadrature result cache and node tables built on them."""
+    _precision._PREC_FOR.clear()
+    logsine_closed_form._CLOSED_FORM.clear()
+    contour_verifier._LEG_R_TERMS.clear()
+    contour_verifier._LEG_H_TERMS.clear()
     _elementary._PI.clear()
     _elementary._LOG2.clear()
     zeta_engine._ZETA_TABLE.clear()

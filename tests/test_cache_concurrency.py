@@ -1,9 +1,10 @@
 """Under any thread interleaving, numeric calls return what a serial run
 returns, leave the global mpmath precision alone, and fill the zeta table,
 the series' coefficient table, the integer table of pi^m, the counted
-routines' tables of pi and log 2, the log-sin node table, the
-engine's node table and the result caches with exactly the values a
-serial run computes at each entry's precision.
+routines' tables of pi and log 2, the term sums of the closed form and
+the legs, the precision memo, the log-sin node table, the engine's node
+table and the result caches with exactly the values a serial run
+computes at each entry's key.
 """
 
 import ast
@@ -14,8 +15,15 @@ import threading
 
 from mpmath import mp
 
-from logsine import _elementary, _precision, quadrature_oracle, zeta_engine
-from logsine.contour_verifier import leg_R
+from logsine import (
+    _elementary,
+    _precision,
+    contour_verifier,
+    logsine_closed_form,
+    quadrature_oracle,
+    zeta_engine,
+)
+from logsine.contour_verifier import leg_H, leg_L, leg_R
 from logsine.errors import CertificationError
 from logsine.logsine_closed_form import logsine_numeric
 from logsine.quadrature_oracle import (
@@ -34,8 +42,10 @@ def _calls(tol: float) -> None:
     for n in range(13):
         for call in (
             lambda: logsine_numeric(n, tol),
+            lambda: leg_L(n, tol),
             lambda: leg_R(n, tol),
             lambda: integrate_logsine(n, settings),
+            lambda: leg_H(n, settings),
         ):
             try:
                 call()
@@ -92,6 +102,20 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
     pi_powers = dict(zeta_engine._PI_FIXED)
     assert len(pi_powers) > 0
     assert _rebuilt(list(pi_powers)) == list(pi_powers.values())
+
+    # the term sums and the precisions, each entry against one built
+    # afresh from an empty table, on the serially checked tables above
+    for table, build in (
+        (logsine_closed_form._CLOSED_FORM, logsine_closed_form._closed_form_fixed),
+        (contour_verifier._LEG_R_TERMS, contour_verifier._leg_r_terms),
+        (contour_verifier._LEG_H_TERMS, contour_verifier._leg_h_terms),
+        (_precision._PREC_FOR, _precision.prec_for),
+    ):
+        built = dict(table)
+        assert len(built) > 0
+        table.clear()
+        for key, entry in built.items():
+            assert build(*key) == entry, key
 
     # the routines' pi and log 2, each entry against one built afresh
     for table, build in (
@@ -166,10 +190,14 @@ def _outcomes(tol: float) -> dict:
 
 
 def _tables() -> list[dict]:
-    """Copies of the routines' pi and log 2 tables and the log-sin table."""
+    """Copies of the routines' pi and log 2 tables, the term sums of the
+    closed form and leg R, the precision memo and the log-sin table."""
     return [
         dict(_elementary._PI),
         dict(_elementary._LOG2),
+        dict(logsine_closed_form._CLOSED_FORM),
+        dict(contour_verifier._LEG_R_TERMS),
+        dict(_precision._PREC_FOR),
         dict(quadrature_oracle._LOGSIN_TABLE),
     ]
 

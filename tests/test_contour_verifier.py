@@ -8,8 +8,8 @@ from logsine import _precision
 from logsine._precision import RealApprox
 from logsine.contour_verifier import (
     _leg,
+    _leg_h_terms,
     _leg_r_term,
-    _log2_term,
     leg_H,
     leg_L,
     leg_R,
@@ -122,7 +122,7 @@ class TestLegH:
         unit = Fraction(1, 2 ** (prec + _precision._GUARD))
         for n in range(13):
             oracle = integrate_logsine(n, settings)
-            value, bound = _log2_term(n, prec)
+            value, bound = _leg_h_terms(n, prec)[0]
             re = float(value * unit + Fraction(oracle.value))
             half_ulp = 0.5 * math.ulp(abs(re) if re else 1e-300)
             re_bound = math.nextafter(

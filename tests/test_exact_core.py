@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from logsine._precision import prec_for
 from logsine.errors import CertificationError
 from logsine.contour_verifier import (
+    leg_H,
     leg_L,
     leg_R,
     reduction_chain_steps,
@@ -28,8 +30,11 @@ from logsine.logsine_closed_form import logsine_numeric
 from logsine.quadrature_oracle import (
     QuadratureSettings,
     cosine_moment,
+    cosine_orthogonality,
     default_semi_infinite_cutoff_policy,
     integrate_logsine,
+    integrate_logsquared,
+    integrate_vertical_leg,
     vertical_tail_bound,
 )
 from logsine.zeta_engine import zeta_even_exact, zeta_numeric
@@ -100,6 +105,39 @@ def test_index_and_term_count_must_be_integers(call, value):
 def test_tolerance_must_be_positive_and_finite(call, value):
     with pytest.raises(ValueError, match="must be positive and finite"):
         call(value)
+
+
+# a tolerance past the largest double, an int such as 10**400, raised a bare
+# OverflowError where a routine quartered or halved it; it now certifies as
+# the largest double does.  logsine_numeric, zeta_numeric, leg_L and leg_R
+# never divide it, and returned already.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: leg_H(3, QuadratureSettings(tol)),
+        lambda tol: verify_null(3, tol),
+        lambda tol: verify_real_part(3, tol),
+        lambda tol: integrate_logsine(3, QuadratureSettings(tol)),
+        lambda tol: integrate_logsquared(QuadratureSettings(tol)),
+        lambda tol: integrate_vertical_leg(3, QuadratureSettings(tol)),
+        lambda tol: cosine_moment(1, 1, QuadratureSettings(tol)),
+        lambda tol: cosine_orthogonality(1, 2, QuadratureSettings(tol)),
+        lambda tol: default_semi_infinite_cutoff_policy(3, tol),
+    ],
+    ids=[
+        "leg_H",
+        "verify_null",
+        "verify_real_part",
+        "integrate_logsine",
+        "integrate_logsquared",
+        "integrate_vertical_leg",
+        "cosine_moment",
+        "cosine_orthogonality",
+        "cutoff_policy",
+    ],
+)
+def test_tolerance_past_the_double_range_certifies(call):
+    assert call(10**400) == call(sys.float_info.max)
 
 
 # a Fraction tolerance certifies like a float; one that cannot be met

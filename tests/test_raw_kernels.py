@@ -594,12 +594,13 @@ def test_log2_terms_match_mpf_reference(cold_caches, tol):
     lie within their counted units of the reference."""
     prec = _term_prec(tol)
     for n in LEG_N:
-        _check_term(prec, 1, n + 1, n + 1, "log2", contour_verifier._log2_term(n, prec))
+        log2, im_h = contour_verifier._leg_h_terms(n, prec)
+        _check_term(prec, 1, n + 1, n + 1, "log2", log2)
         r = Fraction(n, 2 * (n + 1) * (n + 2))
         im = zeta_engine._fixed_term(r.numerator, r.denominator, n + 2, None, prec)
         _check_term(prec, r.numerator, r.denominator, n + 2, None, im)
         # leg_H passes the rational unreduced, to the same integers
-        assert zeta_engine._fixed_term(n, 2 * (n + 1) * (n + 2), n + 2, None, prec) == im, n
+        assert im_h == im, n
 
 
 def test_legs_and_closed_form_match_mpf_reference(cold_caches, rounded):
