@@ -9,27 +9,28 @@ bottom leg H, and a right leg R, with K_n = L_n + H_n + R_n = 0:
     R_n = -i sum_{k=0}^{n} C(n,k) pi^(n-k) i^k (k!/2^(k+1)) zeta(k+2)
     H_n = pi^(n+1) log(2)/(n+1) - i pi^(n+2)/(2(n+1)) + i pi^(n+2)/(n+2) + I_n
 
-Numeric checks here are deliberately non-circular: verify_null builds
-H_n from the quadrature oracle's I_n (so K ~ 0 tests the closed form's
-real-part origin independently), while verify_real_part swaps in the
-closed-form I_n to test the converse direction.  The vanishing imaginary
-part reduces, through the even-zeta Bernoulli bridge, to exact rational
-identities checked with no floating arithmetic at all.
+The closed form of I_n is -Re(L_n + R_n) - pi^(n+1) log(2)/(n+1), term
+for term, and R and H read their real terms from its row of summands,
+``logsine_closed_form._CLOSED_FORM``.  So verify_real_part, with the
+closed-form I_n, checks signs and roundings, while verify_null builds H_n
+from the quadrature oracle's I_n and tests the real-part origin without
+resting on the closed form.  The vanishing imaginary part reduces,
+through the even-zeta Bernoulli bridge, to exact rational identities
+checked with no floating arithmetic at all.
 
 Powers of i are resolved by residue mod 4, never by complex
 exponentials, so parity structure is exact.
 
-Each term of L and R, (p/q) pi^m zeta(k+2), H's log-2 term and its
-imaginary part r pi^(n+2) come from zeta_engine's integer kernel as a
-value and a bound in units of 2^-(prec + 16), and R sums them exactly:
-each bound counts the kernel's floor division and carries the units of
-pi^m, log 2 and zeta.  ``_leg`` sums each component of L, R and Im(H)
-on integers and rounds it once, by ``_precision.certify``; an
-exact-zero component is RealApprox(0.0, 0.0), radius 0.  Re(H_n) adds
-the oracle's doubles exactly to its log-2 term in ``certify`` first.
-R's summands and H's two terms depend on n and the working precision
-alone, so each is kept in a table keyed by the two; the rounding and
-the tolerance check run on every call.
+Each term is a value and a bound in units of 2^-(prec + 16) from
+zeta_engine's integer kernel, which counts its floor division and
+carries the units of pi^m, log 2 and zeta; R's summands k = 2j - 1 < n
+and H's log-2 term are read, signed, from the closed form's row.
+``_leg`` sums each component of L, R and Im(H) on integers and rounds it
+once, by ``_precision.certify``; an exact zero is RealApprox(0.0, 0.0).
+Re(H_n) adds the oracle's doubles exactly to its log-2 term in
+``certify`` first.  R's summands and Im(H) depend on n and the precision
+alone, so each is kept in a table keyed by the two; the rounding and the
+tolerance check run on every call.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from typing import Sequence
 from ._precision import RealApprox, _sum_components, certify
 from .errors import CertificationError, _require_int, _require_positive
 from .exact_core import BernoulliTable
-from .logsine_closed_form import logsine_numeric
-from .quadrature_oracle import QuadratureSettings, integrate_logsine
-from .zeta_engine import _fixed_term, _log2_fixed, _term_prec, _zeta_fixed
+from .logsine_closed_form import _closed_form_terms, logsine_numeric
+from .quadrature_oracle import QuadratureSettings, _target, integrate_logsine
+from .zeta_engine import _fixed_term, _term_prec, _zeta_fixed
 
 __all__ = [
     "ComplexApprox",
@@ -115,26 +116,26 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
 
 
 def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, int, int]:
-    """Summand k of the right leg at ``prec`` bits: (phase, value, bound),
-    the last two in units of 2^-(prec + 16).
-
-    Term k carries -i * i^k = i^(k+3), magnitude
-    C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2).
-    """
+    """Summand k of the right leg at ``prec`` bits, (phase, value, bound):
+    -i i^k = i^(k+3) times C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2)."""
     num = math.comb(n, k) * math.factorial(k)
     return ((k + 3) % 4, *_fixed_term(num, 2 ** (k + 1), n - k, _zeta_fixed(k + 2, prec), prec))
 
 
-# (n, precision in bits) -> the right leg's summands k = 0..n, as
-# ``_leg_r_term`` gives them
+# (n, precision in bits) -> the right leg's summands k = 0..n
 _LEG_R_TERMS: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
 
 
 def _leg_r_terms(n: int, prec: int) -> tuple[tuple[int, int, int], ...]:
-    """The right leg's n + 1 summands at ``prec`` bits, built once per key."""
+    """The right leg's n + 1 summands at ``prec`` bits, built once per key;
+    summand k = 2j - 1 < n, i^(k+3) = -(-1)^j, is the closed form's entry j at phase 2."""
     entry = _LEG_R_TERMS.get((n, prec))
     if entry is None:
-        row = tuple(_leg_r_term(n, k, prec) for k in range(n + 1))
+        closed = _closed_form_terms(n, prec)
+        row = tuple(
+            (2, *closed[(k + 1) // 2]) if k % 2 and k < n else _leg_r_term(n, k, prec)
+            for k in range(n + 1)
+        )
         entry = _LEG_R_TERMS.setdefault((n, prec), row)
     return entry
 
@@ -147,20 +148,16 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
     return _leg(_leg_r_terms(n, prec), prec, tol, f"R(n={n})")
 
 
-# (n, precision in bits) -> H_n's two terms, as ``_leg_h_terms`` gives them
-_LEG_H_TERMS: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
+# (n, precision in bits) -> Im(H_n) = n/(2(n+1)(n+2)) pi^(n+2)
+_LEG_H_IM: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def _leg_h_terms(n: int, prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """H_n's terms at ``prec`` bits, built once per key, each (value,
-    bound) in units of 2^-(prec + 16): pi^(n+1) log(2) / (n+1), the term
-    that sits beside I_n in Re(H_n), and Im(H_n) = n/(2(n+1)(n+2)) pi^(n+2)."""
-    entry = _LEG_H_TERMS.get((n, prec))
+def _leg_h_im(n: int, prec: int) -> tuple[int, int]:
+    """Im(H_n) at ``prec`` bits from the unreduced rational, built once per key."""
+    entry = _LEG_H_IM.get((n, prec))
     if entry is None:
-        log2 = _fixed_term(1, n + 1, n + 1, _log2_fixed(prec), prec)
-        # unreduced: a factor common to num and den moves no floor of num X / den
         im = _fixed_term(n, 2 * (n + 1) * (n + 2), n + 2, None, prec)
-        entry = _LEG_H_TERMS.setdefault((n, prec), (log2, im))
+        entry = _LEG_H_IM.setdefault((n, prec), im)
     return entry
 
 
@@ -169,16 +166,15 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
 
     The real part takes I_n from the quadrature oracle, never from the
     closed form, so downstream nullity checks stay independent, and adds
-    it exactly to the log-2 term before rounding once.  The imaginary
-    part is n/(2(n+1)(n+2)) pi^(n+2), floated once.
+    it exactly to the log-2 term, the closed form's negated, before
+    rounding once.  The imaginary part is n/(2(n+1)(n+2)) pi^(n+2).
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    settings = settings or QuadratureSettings()
+    prec = _term_prec(_target(settings))
     oracle = integrate_logsine(n, settings)
-    prec = _term_prec(settings.target_abs_error)
-    log2, im = _leg_h_terms(n, prec)
-    re = certify(*log2, prec, plus=oracle)
-    return ComplexApprox(re=re, im=_leg([(1, *im)], prec).im)
+    value, bound = _closed_form_terms(n, prec)[0]
+    re = certify(-value, bound, prec, plus=oracle)
+    return ComplexApprox(re=re, im=_leg([(1, *_leg_h_im(n, prec))], prec).im)
 
 
 _NAN_COMPLEX = ComplexApprox(re=RealApprox(math.nan, 0.0), im=RealApprox(math.nan, 0.0))
@@ -235,8 +231,10 @@ def verify_null(n: int, tol: float) -> ContourReport:
 def verify_real_part(n: int, tol: float) -> RealApprox:
     """Re(K_n) with I_n substituted from the closed form, certified near 0.
 
-    This is the converse of verify_null: here the closed form must
-    annihilate the real part it was derived from.
+    As the legs read the closed form's row, the terms cancel on integers,
+    but for the log-2 term, taken at tol's precision, not tol/4's: this
+    checks the row's signs in the legs, that term and the four roundings
+    to double, not the paper's derivation, which verify_null checks.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
     _require_positive(tol, "target absolute error")
@@ -247,7 +245,8 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     R = leg_R(n, quarter)
     closed = logsine_numeric(n, quarter)
     prec = _term_prec(tol)
-    return _sum_components([L.re, R.re, certify(*_leg_h_terms(n, prec)[0], prec), closed])
+    value, bound = _closed_form_terms(n, prec)[0]
+    return _sum_components([L.re, R.re, certify(-value, bound, prec), closed])
 
 
 def verify_imag_identity_exact(n: int, table: BernoulliTable) -> bool:
@@ -279,25 +278,11 @@ def reduction_chain_steps(n: int, table: BernoulliTable) -> dict[str, bool]:
     _require_int(n, 1, "require n >= 1")
     table._require(n + 1)
     half_n = Fraction(n, 2)
-
-    sum_a = Fraction(0)
-    for k in range((n - 1) // 2 + 1):
-        sum_a += math.comb(n + 2, 2 * k + 2) * table[2 * k + 2]
-
-    sum_b = Fraction(0)
-    for k in range(2, n + 2):
-        sum_b += math.comb(n + 2, k) * table[k]
-
+    sum_a = sum(math.comb(n + 2, 2 * k + 2) * table[2 * k + 2] for k in range((n - 1) // 2 + 1))
+    sum_b = sum(math.comb(n + 2, k) * table[k] for k in range(2, n + 2))
     lead = math.comb(n + 2, 0) * table[0] + math.comb(n + 2, 1) * table[1]
-
     sum_d = sum_b + lead
-
-    return {
-        "a": sum_a == half_n,
-        "b": sum_b == half_n,
-        "c": lead == -half_n,
-        "d": sum_d == 0,
-    }
+    return {"a": sum_a == half_n, "b": sum_b == half_n, "c": lead == -half_n, "d": sum_d == 0}
 
 
 def verify_reduction_chain(n: int, table: BernoulliTable) -> bool:

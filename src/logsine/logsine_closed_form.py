@@ -15,8 +15,9 @@ empty zeta sums and reduce to -pi log 2 and -(pi^2/2) log 2.
 The numeric form sums its terms exactly on integers: each term and its
 bound come from zeta_engine's kernel in units of 2^-(prec + 16), counting
 its floor division and the units of pi^m, log 2 and zeta(2k+1), and the
-sum is rounded to double once.  The integer sum depends on n and the
-working precision alone, so it is kept in a table keyed by the two;
+sum is rounded to double once.  The summands depend on n and the working
+precision alone, so they are kept as one row in a table keyed by the two;
+the contour legs read the real parts of R and H from the same row, and
 rounding and the target check run on every call.
 """
 
@@ -75,26 +76,24 @@ def logsine_symbolic(n: int) -> SymbolicLogSine:
     )
 
 
-# (n, precision in bits) -> the closed form's (total, bound) in units of
+# (n, precision in bits) -> the closed form's summands, the log-2 term and
+# then zeta(2k+1) for k = 1..floor(n/2), each (value, bound) in units of
 # 2^-(prec + 16)
-_CLOSED_FORM: dict[tuple[int, int], tuple[int, int]] = {}
+_CLOSED_FORM: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
 
-def _closed_form_fixed(n: int, prec: int) -> tuple[int, int]:
-    """The floor(n/2)+1 summands of I_n and their bounds, summed exactly at
-    ``prec`` bits: (total, bound) in units of 2^-(prec + 16)."""
+def _closed_form_terms(n: int, prec: int) -> tuple[tuple[int, int], ...]:
+    """The floor(n/2)+1 summands of I_n at ``prec`` bits, built once per key."""
     entry = _CLOSED_FORM.get((n, prec))
     if entry is None:
         sym = logsine_symbolic(n)
         c0 = sym.log2_coefficient
-        total, internal = _fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)
-        for arg, coeff in sym.zeta_terms:
-            term, term_err = _fixed_term(
-                coeff.numerator, coeff.denominator, sym.pi_power(arg), _zeta_fixed(arg, prec), prec
-            )
-            total += term
-            internal += term_err
-        entry = _CLOSED_FORM.setdefault((n, prec), (total, internal))
+        row = [_fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)]
+        row += (
+            _fixed_term(c.numerator, c.denominator, sym.pi_power(s), _zeta_fixed(s, prec), prec)
+            for s, c in sym.zeta_terms
+        )
+        entry = _CLOSED_FORM.setdefault((n, prec), tuple(row))
     return entry
 
 
@@ -106,7 +105,8 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     """
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _term_prec(target_abs_error)
-    return certify(*_closed_form_fixed(n, prec), prec, target=target_abs_error, what=f"I_{n}")
+    total, bound = map(sum, zip(*_closed_form_terms(n, prec)))
+    return certify(total, bound, prec, target=target_abs_error, what=f"I_{n}")
 
 
 def symbolic_to_json(sym: SymbolicLogSine) -> dict[str, Any]:

@@ -153,6 +153,14 @@ class QuadratureSettings:
         _require_positive(self.target_abs_error, "target_abs_error")
 
 
+def _target(settings: QuadratureSettings | None, default: float = 1e-10) -> float:
+    """The target of ``settings``, ``default`` for None; anything else,
+    even a falsy value or a bare number, raises ValueError."""
+    if settings is not None and not isinstance(settings, QuadratureSettings):
+        raise ValueError(f"settings must be a QuadratureSettings or None, not {settings!r}")
+    return default if settings is None else settings.target_abs_error
+
+
 # ---------------------------------------------------------------------------
 # tanh-sinh engine
 # ---------------------------------------------------------------------------
@@ -290,6 +298,16 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     value, rule_est, mass, units = _tanh_sinh(f, b, rule_target, prec)
     units += ((mass + units + 1) >> (r - 1)) + 1
     return certify(value, rule_est + left_out + units, prec, target=target, what="quadrature")
+
+
+def _integral(integrand: Callable[..., Integrand], args: tuple, target: float) -> RealApprox:
+    """``_certified``'s memoized result; a target that cannot be hashed,
+    such as a real that defines ``__eq__`` alone, runs the rule afresh."""
+    try:
+        hash(target)
+    except TypeError:
+        return _certified.__wrapped__(integrand, args, target)
+    return _certified(integrand, args, target)
 
 
 def _log_sin(d: Distance, frac: int) -> tuple[int, int]:
@@ -432,22 +450,20 @@ def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> Rea
     double-exponential nodes absorb them (see module docstring).
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    s = settings or QuadratureSettings()
-    return _certified(_logsine, (n,), s.target_abs_error)
+    return _integral(_logsine, (n,), _target(settings))
 
 
 def integrate_logsquared(settings: QuadratureSettings | None = None) -> RealApprox:
     """int_0^{pi/2} (log(2 sin x))^2 dx; log-squared singularity at x = 0."""
-    s = settings or QuadratureSettings()
-    return _certified(_logsquared, (), s.target_abs_error)
+    return _integral(_logsquared, (), _target(settings))
 
 
 def integrate_vertical_leg(n: int, settings: QuadratureSettings | None = None) -> RealApprox:
     """int_0^inf y^n log(1 - e^(-2y)) dy (negative), truncated by the
     cutoff policy with the dropped tail added to the bound."""
     _require_int(n, 0, "n must be a nonnegative integer")
-    s = settings or QuadratureSettings()
-    return _certified(_vertical_leg, (n, s.target_abs_error), s.target_abs_error)
+    target = _target(settings)
+    return _integral(_vertical_leg, (n, target), target)
 
 
 def cosine_moment(l: int, power: int, settings: QuadratureSettings | None = None) -> RealApprox:
@@ -460,8 +476,7 @@ def cosine_moment(l: int, power: int, settings: QuadratureSettings | None = None
     _require_int(power, 0, "power must be 0 or 1")
     if power > 1:
         raise ValueError("power must be 0 or 1")
-    s = settings or QuadratureSettings(target_abs_error=1e-12)
-    return _certified(_cosine_moment, (l, power), s.target_abs_error)
+    return _integral(_cosine_moment, (l, power), _target(settings, 1e-12))
 
 
 def cosine_orthogonality(
@@ -471,5 +486,4 @@ def cosine_orthogonality(
     zero otherwise."""
     for value in (l, l_prime):
         _require_int(value, 1, "l and l' must be positive integers")
-    s = settings or QuadratureSettings(target_abs_error=1e-12)
-    return _certified(_cosine_orth, (l, l_prime), s.target_abs_error)
+    return _integral(_cosine_orth, (l, l_prime), _target(settings, 1e-12))

@@ -25,7 +25,7 @@ def clear_numeric_caches():
     _precision._PREC_FOR.clear()
     logsine_closed_form._CLOSED_FORM.clear()
     contour_verifier._LEG_R_TERMS.clear()
-    contour_verifier._LEG_H_TERMS.clear()
+    contour_verifier._LEG_H_IM.clear()
     _elementary._PI.clear()
     _elementary._LOG2.clear()
     zeta_engine._ZETA_TABLE.clear()

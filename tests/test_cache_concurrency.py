@@ -106,9 +106,9 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
     # the term sums and the precisions, each entry against one built
     # afresh from an empty table, on the serially checked tables above
     for table, build in (
-        (logsine_closed_form._CLOSED_FORM, logsine_closed_form._closed_form_fixed),
+        (logsine_closed_form._CLOSED_FORM, logsine_closed_form._closed_form_terms),
         (contour_verifier._LEG_R_TERMS, contour_verifier._leg_r_terms),
-        (contour_verifier._LEG_H_TERMS, contour_verifier._leg_h_terms),
+        (contour_verifier._LEG_H_IM, contour_verifier._leg_h_im),
         (_precision._PREC_FOR, _precision.prec_for),
     ):
         built = dict(table)

@@ -8,7 +8,6 @@ from logsine import _precision
 from logsine._precision import RealApprox
 from logsine.contour_verifier import (
     _leg,
-    _leg_h_terms,
     _leg_r_term,
     leg_H,
     leg_L,
@@ -21,7 +20,7 @@ from logsine.contour_verifier import (
 )
 from logsine.errors import CertificationError
 from logsine.exact_core import bernoulli_table, verify_recurrence
-from logsine.logsine_closed_form import logsine_numeric, logsine_symbolic
+from logsine.logsine_closed_form import _closed_form_terms, logsine_numeric, logsine_symbolic
 from logsine.quadrature_oracle import QuadratureSettings, integrate_logsine
 from logsine.zeta_engine import _term_prec
 
@@ -122,8 +121,8 @@ class TestLegH:
         unit = Fraction(1, 2 ** (prec + _precision._GUARD))
         for n in range(13):
             oracle = integrate_logsine(n, settings)
-            value, bound = _leg_h_terms(n, prec)[0]
-            re = float(value * unit + Fraction(oracle.value))
+            value, bound = _closed_form_terms(n, prec)[0]  # the log-2 term, negated
+            re = float(-value * unit + Fraction(oracle.value))
             half_ulp = 0.5 * math.ulp(abs(re) if re else 1e-300)
             re_bound = math.nextafter(
                 float(bound * unit + Fraction(oracle.abs_error)) + half_ulp, math.inf
@@ -204,7 +203,36 @@ class TestVerifyRealPart:
             verify_real_part(0, 1e-323)
 
 
+def _real_part_of_legs(n: int) -> dict[tuple[int, int], Fraction]:
+    """Re(L_n + R_n) from the paper's formulas, as {(power of pi, zeta
+    argument): coefficient}, with i^p resolved by p mod 4 and the zero
+    coefficients dropped:
+
+        L_n = i^(n+1) (n!/2^(n+1)) zeta(n+2)
+        R_n = -i sum_k C(n,k) pi^(n-k) i^k (k!/2^(k+1)) zeta(k+2)
+    """
+    re: dict[tuple[int, int], Fraction] = {}
+    terms = [(n + 1, Fraction(math.factorial(n), 2 ** (n + 1)), (0, n + 2))]
+    for k in range(n + 1):  # -i i^k = i^(k+3)
+        coeff = math.comb(n, k) * Fraction(math.factorial(k), 2 ** (k + 1))
+        terms.append((k + 3, coeff, (n - k, k + 2)))
+    for p, coeff, key in terms:
+        if p % 2 == 0:  # i^0 = 1, i^2 = -1; i^1 and i^3 are imaginary
+            re[key] = re.get(key, Fraction(0)) + (coeff if p % 4 == 0 else -coeff)
+    return {key: c for key, c in re.items() if c}
+
+
 class TestExactIdentities:
+    def test_real_identity_exact(self):
+        # the vanishing real part evaluates the sequence: I_n is
+        # -Re(L_n + R_n) - pi^(n+1) log 2/(n+1), coefficient by coefficient
+        for n in range(1, 201):
+            sym = logsine_symbolic(n)
+            assert sym.log2_coefficient == Fraction(-1, n + 1), n
+            closed = {(sym.pi_power(s), s): coeff for s, coeff in sym.zeta_terms}
+            assert len(closed) == n // 2, n
+            assert closed == {key: -c for key, c in _real_part_of_legs(n).items()}, n
+
     def test_imag_identity_hand_cases(self, table_202):
         # n=1: C(1,0) B_2 / 1 = 1/6 and 1/(2*3) = 1/6
         assert verify_imag_identity_exact(1, table_202)

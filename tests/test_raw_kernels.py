@@ -554,20 +554,31 @@ def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
     within its counted units of the reference, and so do the two summed
     components; they are what ``_leg`` rounds for one summand, leg_L and
     leg_R, signed, each component once, and a component with no term not
-    at all."""
+    at all.  Summand k = 2j - 1 < n is the closed form's zeta(2j+1)
+    summand, read from its row at phase 2."""
     prec = _term_prec(tol)
     _check_inputs(prec)
     reached = 0
     for n in LEG_N:
         sums, errs, exact = [0, 0], [0, 0], [Fraction(0), Fraction(0)]
+        row = contour_verifier._leg_r_terms(n, prec)
+        closed = logsine_closed_form._closed_form_terms(n, prec)
+        assert len(row) == n + 1 and len(closed) == n // 2 + 1, n
         for k in range(n + 1):
             rounded.clear()
-            _run(lambda: contour_verifier._leg([contour_verifier._leg_r_term(n, k, prec)], prec))
-            phase, value, bound = contour_verifier._leg_r_term(n, k, prec)
+            _run(lambda: contour_verifier._leg([row[k]], prec))
+            phase, value, bound = row[k]
             comp, sign = _PHASE_SIGN[phase]
-            assert phase == (k + 3) % 4, (n, k)
+            shared = k % 2 == 1 and k < n
+            assert phase == (2 if shared else (k + 3) % 4), (n, k)
+            if shared:
+                assert (value, bound) == closed[(k + 1) // 2], (n, k)
             assert rounded == [_raw(sign * value, bound, prec)], (n, k)
-            num = math.comb(n, k) * math.factorial(k)
+            # the term i^(k+3) num/den pi^(n-k) zeta(k+2) adds sign_k * T
+            # to the component, and the library adds sign * value
+            sign_k = _PHASE_SIGN[(k + 3) % 4][1]
+            assert comp == _PHASE_SIGN[(k + 3) % 4][0], (n, k)
+            num = sign * sign_k * math.comb(n, k) * math.factorial(k)
             term = _check_term(prec, num, 2 ** (k + 1), n - k, k + 2, (value, bound))
             sums[comp] += sign * value
             errs[comp] += bound
@@ -590,17 +601,18 @@ def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
 
 @pytest.mark.parametrize("tol", LEG_TOLERANCES)
 def test_log2_terms_match_mpf_reference(cold_caches, tol):
-    """The log-2 term of Re(H_n) and Im(H_n) = r pi^(n+2) for n <= 40
-    lie within their counted units of the reference."""
+    """The log-2 term of Re(H_n), the closed form's first summand negated,
+    and Im(H_n) = r pi^(n+2) for n <= 40 lie within their counted units of
+    the reference."""
     prec = _term_prec(tol)
     for n in LEG_N:
-        log2, im_h = contour_verifier._leg_h_terms(n, prec)
-        _check_term(prec, 1, n + 1, n + 1, "log2", log2)
+        value, bound = logsine_closed_form._closed_form_terms(n, prec)[0]
+        _check_term(prec, 1, n + 1, n + 1, "log2", (-value, bound))
         r = Fraction(n, 2 * (n + 1) * (n + 2))
         im = zeta_engine._fixed_term(r.numerator, r.denominator, n + 2, None, prec)
         _check_term(prec, r.numerator, r.denominator, n + 2, None, im)
         # leg_H passes the rational unreduced, to the same integers
-        assert im_h == im, n
+        assert contour_verifier._leg_h_im(n, prec) == im, n
 
 
 def test_legs_and_closed_form_match_mpf_reference(cold_caches, rounded):

@@ -63,6 +63,19 @@ def test_warm_tables_answer_another_tolerance_without_the_kernel(
     assert kernel_calls  # the cold calls ran the kernel
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_leg_r_reads_its_odd_summands_from_the_closed_form(n, cold_caches, kernel_calls):
+    # once the closed form is built, a cold leg R runs the kernel for its
+    # even k and for k = n, which leg L cancels, alone: every other odd k
+    # is the closed form's summand
+    logsine_numeric(n, T1)
+    kernel_calls.clear()
+    leg_R(n, T1)
+    assert [n - m for _, _, m, _, _ in kernel_calls] == [
+        k for k in range(n + 1) if k % 2 == 0 or k == n
+    ]
+
+
 def test_kept_sum_still_checks_the_target(cold_caches):
     # the sums for n = 13 are kept from a met target; an unmet one at the
     # same precision raises with the message a cold call gives
