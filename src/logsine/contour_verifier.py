@@ -10,13 +10,13 @@ bottom leg H, and a right leg R, with K_n = L_n + H_n + R_n = 0:
     H_n = pi^(n+1) log(2)/(n+1) - i pi^(n+2)/(2(n+1)) + i pi^(n+2)/(n+2) + I_n
 
 The closed form of I_n is -Re(L_n + R_n) - pi^(n+1) log(2)/(n+1), term
-for term, and R and H read their real terms from its row of summands,
-``logsine_closed_form._CLOSED_FORM``.  So verify_real_part, with the
-closed-form I_n, checks signs and roundings, while verify_null builds H_n
-from the quadrature oracle's I_n and tests the real-part origin without
-resting on the closed form.  The vanishing imaginary part reduces,
-through the even-zeta Bernoulli bridge, to exact rational identities
-checked with no floating arithmetic at all.
+for term, and R and H read their real terms from its tables,
+``logsine_closed_form._ZETA_TERMS`` and ``_LOG2_TERM``.  So
+verify_real_part, with the closed-form I_n, checks signs and roundings,
+while verify_null builds H_n from the quadrature oracle's I_n and tests
+the real-part origin without resting on the closed form.  The vanishing
+imaginary part reduces, through the even-zeta Bernoulli bridge, to exact
+rational identities checked with no floating arithmetic at all.
 
 Powers of i are resolved by residue mod 4, never by complex
 exponentials, so parity structure is exact.
@@ -24,7 +24,7 @@ exponentials, so parity structure is exact.
 Each term is a value and a bound in units of 2^-(prec + 16) from
 zeta_engine's integer kernel, which counts its floor division and
 carries the units of pi^m, log 2 and zeta; R's summands k = 2j - 1 < n
-and H's log-2 term are read, signed, from the closed form's row.
+and H's log-2 term are read, signed, from the closed form's terms.
 ``_leg`` sums each component of L, R and Im(H) on integers and rounds it
 once, by ``_precision.certify``; an exact zero is RealApprox(0.0, 0.0).
 Re(H_n) adds the oracle's doubles exactly to its log-2 term in
@@ -44,7 +44,7 @@ from typing import Sequence
 from ._precision import RealApprox, _sum_components, certify
 from .errors import CertificationError, _require_int, _require_positive
 from .exact_core import BernoulliTable
-from .logsine_closed_form import _closed_form_terms, logsine_numeric
+from .logsine_closed_form import _log2_term, _zeta_terms, logsine_numeric
 from .quadrature_oracle import QuadratureSettings, _target, integrate_logsine
 from .zeta_engine import _fixed_term, _term_prec, _zeta_fixed
 
@@ -116,8 +116,12 @@ def leg_L(n: int, tol: float) -> ComplexApprox:
 
 
 def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, int, int]:
-    """Summand k of the right leg at ``prec`` bits, (phase, value, bound):
-    -i i^k = i^(k+3) times C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2)."""
+    """Summand k of the right leg at ``prec`` bits: (phase, value, bound),
+    the last two in units of 2^-(prec + 16).
+
+    Term k carries -i * i^k = i^(k+3), magnitude
+    C(n,k) pi^(n-k) (k!/2^(k+1)) zeta(k+2).
+    """
     num = math.comb(n, k) * math.factorial(k)
     return ((k + 3) % 4, *_fixed_term(num, 2 ** (k + 1), n - k, _zeta_fixed(k + 2, prec), prec))
 
@@ -128,12 +132,13 @@ _LEG_R_TERMS: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
 
 def _leg_r_terms(n: int, prec: int) -> tuple[tuple[int, int, int], ...]:
     """The right leg's n + 1 summands at ``prec`` bits, built once per key;
-    summand k = 2j - 1 < n, i^(k+3) = -(-1)^j, is the closed form's entry j at phase 2."""
+    summand k = 2j - 1 < n, i^(k+3) = -(-1)^j, is the closed form's zeta(2j+1)
+    term at phase 2."""
     entry = _LEG_R_TERMS.get((n, prec))
     if entry is None:
-        closed = _closed_form_terms(n, prec)
+        closed = _zeta_terms(n, prec)
         row = tuple(
-            (2, *closed[(k + 1) // 2]) if k % 2 and k < n else _leg_r_term(n, k, prec)
+            (2, *closed[k // 2]) if k % 2 and k < n else _leg_r_term(n, k, prec)
             for k in range(n + 1)
         )
         entry = _LEG_R_TERMS.setdefault((n, prec), row)
@@ -153,9 +158,10 @@ _LEG_H_IM: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def _leg_h_im(n: int, prec: int) -> tuple[int, int]:
-    """Im(H_n) at ``prec`` bits from the unreduced rational, built once per key."""
+    """Im(H_n) at ``prec`` bits, built once per key."""
     entry = _LEG_H_IM.get((n, prec))
     if entry is None:
+        # unreduced: a factor common to num and den moves no floor of num X / den
         im = _fixed_term(n, 2 * (n + 1) * (n + 2), n + 2, None, prec)
         entry = _LEG_H_IM.setdefault((n, prec), im)
     return entry
@@ -172,7 +178,7 @@ def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _term_prec(_target(settings))
     oracle = integrate_logsine(n, settings)
-    value, bound = _closed_form_terms(n, prec)[0]
+    value, bound = _log2_term(n, prec)
     re = certify(-value, bound, prec, plus=oracle)
     return ComplexApprox(re=re, im=_leg([(1, *_leg_h_im(n, prec))], prec).im)
 
@@ -231,9 +237,9 @@ def verify_null(n: int, tol: float) -> ContourReport:
 def verify_real_part(n: int, tol: float) -> RealApprox:
     """Re(K_n) with I_n substituted from the closed form, certified near 0.
 
-    As the legs read the closed form's row, the terms cancel on integers,
+    As the legs read the closed form's terms, they cancel on integers,
     but for the log-2 term, taken at tol's precision, not tol/4's: this
-    checks the row's signs in the legs, that term and the four roundings
+    checks the terms' signs in the legs, that term and the four roundings
     to double, not the paper's derivation, which verify_null checks.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
@@ -245,7 +251,7 @@ def verify_real_part(n: int, tol: float) -> RealApprox:
     R = leg_R(n, quarter)
     closed = logsine_numeric(n, quarter)
     prec = _term_prec(tol)
-    value, bound = _closed_form_terms(n, prec)[0]
+    value, bound = _log2_term(n, prec)
     return _sum_components([L.re, R.re, certify(-value, bound, prec), closed])
 
 
@@ -278,11 +284,25 @@ def reduction_chain_steps(n: int, table: BernoulliTable) -> dict[str, bool]:
     _require_int(n, 1, "require n >= 1")
     table._require(n + 1)
     half_n = Fraction(n, 2)
-    sum_a = sum(math.comb(n + 2, 2 * k + 2) * table[2 * k + 2] for k in range((n - 1) // 2 + 1))
-    sum_b = sum(math.comb(n + 2, k) * table[k] for k in range(2, n + 2))
+
+    sum_a = Fraction(0)
+    for k in range((n - 1) // 2 + 1):
+        sum_a += math.comb(n + 2, 2 * k + 2) * table[2 * k + 2]
+
+    sum_b = Fraction(0)
+    for k in range(2, n + 2):
+        sum_b += math.comb(n + 2, k) * table[k]
+
     lead = math.comb(n + 2, 0) * table[0] + math.comb(n + 2, 1) * table[1]
+
     sum_d = sum_b + lead
-    return {"a": sum_a == half_n, "b": sum_b == half_n, "c": lead == -half_n, "d": sum_d == 0}
+
+    return {
+        "a": sum_a == half_n,
+        "b": sum_b == half_n,
+        "c": lead == -half_n,
+        "d": sum_d == 0,
+    }
 
 
 def verify_reduction_chain(n: int, table: BernoulliTable) -> bool:

@@ -15,10 +15,10 @@ empty zeta sums and reduce to -pi log 2 and -(pi^2/2) log 2.
 The numeric form sums its terms exactly on integers: each term and its
 bound come from zeta_engine's kernel in units of 2^-(prec + 16), counting
 its floor division and the units of pi^m, log 2 and zeta(2k+1), and the
-sum is rounded to double once.  The summands depend on n and the working
-precision alone, so they are kept as one row in a table keyed by the two;
-the contour legs read the real parts of R and H from the same row, and
-rounding and the target check run on every call.
+sum is rounded to double once.  The log-2 term, the zeta terms and their
+sum depend on n and the working precision alone, so each is kept in a
+table keyed by the two; the contour legs read the real parts of H and R
+from the first two, and rounding and the target check run on every call.
 """
 
 from __future__ import annotations
@@ -76,24 +76,52 @@ def logsine_symbolic(n: int) -> SymbolicLogSine:
     )
 
 
-# (n, precision in bits) -> the closed form's summands, the log-2 term and
-# then zeta(2k+1) for k = 1..floor(n/2), each (value, bound) in units of
-# 2^-(prec + 16)
-_CLOSED_FORM: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+# (n, precision in bits) -> the closed form's log-2 term, -pi^(n+1) log(2)
+# / (n+1), as (value, bound) in units of 2^-(prec + 16); leg H reads it too
+_LOG2_TERM: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def _closed_form_terms(n: int, prec: int) -> tuple[tuple[int, int], ...]:
-    """The floor(n/2)+1 summands of I_n at ``prec`` bits, built once per key."""
-    entry = _CLOSED_FORM.get((n, prec))
+def _log2_term(n: int, prec: int) -> tuple[int, int]:
+    """The closed form's log-2 term at ``prec`` bits, built once per key."""
+    entry = _LOG2_TERM.get((n, prec))
+    if entry is None:
+        c0 = logsine_symbolic(n).log2_coefficient
+        term = _fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)
+        entry = _LOG2_TERM.setdefault((n, prec), term)
+    return entry
+
+
+# (n, precision in bits) -> the closed form's zeta(2k+1) terms for
+# k = 1..floor(n/2), each (value, bound) in units of 2^-(prec + 16); leg R
+# reads them too
+_ZETA_TERMS: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+
+def _zeta_terms(n: int, prec: int) -> tuple[tuple[int, int], ...]:
+    """The closed form's floor(n/2) zeta terms at ``prec`` bits, built once per key."""
+    entry = _ZETA_TERMS.get((n, prec))
     if entry is None:
         sym = logsine_symbolic(n)
-        c0 = sym.log2_coefficient
-        row = [_fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)]
-        row += (
+        row = tuple(
             _fixed_term(c.numerator, c.denominator, sym.pi_power(s), _zeta_fixed(s, prec), prec)
             for s, c in sym.zeta_terms
         )
-        entry = _CLOSED_FORM.setdefault((n, prec), tuple(row))
+        entry = _ZETA_TERMS.setdefault((n, prec), row)
+    return entry
+
+
+# (n, precision in bits) -> the closed form's (total, bound) in units of
+# 2^-(prec + 16)
+_CLOSED_FORM: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _closed_form_fixed(n: int, prec: int) -> tuple[int, int]:
+    """The floor(n/2)+1 summands of I_n and their bounds, summed exactly at
+    ``prec`` bits: (total, bound) in units of 2^-(prec + 16)."""
+    entry = _CLOSED_FORM.get((n, prec))
+    if entry is None:
+        total = tuple(map(sum, zip(_log2_term(n, prec), *_zeta_terms(n, prec))))
+        entry = _CLOSED_FORM.setdefault((n, prec), total)
     return entry
 
 
@@ -105,8 +133,7 @@ def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:
     """
     _require_int(n, 0, "n must be a nonnegative integer")
     prec = _term_prec(target_abs_error)
-    total, bound = map(sum, zip(*_closed_form_terms(n, prec)))
-    return certify(total, bound, prec, target=target_abs_error, what=f"I_{n}")
+    return certify(*_closed_form_fixed(n, prec), prec, target=target_abs_error, what=f"I_{n}")
 
 
 def symbolic_to_json(sym: SymbolicLogSine) -> dict[str, Any]:

@@ -153,12 +153,16 @@ class QuadratureSettings:
         _require_positive(self.target_abs_error, "target_abs_error")
 
 
-def _target(settings: QuadratureSettings | None, default: float = 1e-10) -> float:
+def _target(
+    settings: QuadratureSettings | None, default: float = QuadratureSettings.target_abs_error
+) -> float:
     """The target of ``settings``, ``default`` for None; anything else,
     even a falsy value or a bare number, raises ValueError."""
-    if settings is not None and not isinstance(settings, QuadratureSettings):
-        raise ValueError(f"settings must be a QuadratureSettings or None, not {settings!r}")
-    return default if settings is None else settings.target_abs_error
+    if isinstance(settings, QuadratureSettings):
+        return settings.target_abs_error
+    if settings is None:
+        return default
+    raise ValueError(f"settings must be a QuadratureSettings or None, not {settings!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +308,13 @@ def _integral(integrand: Callable[..., Integrand], args: tuple, target: float) -
     """``_certified``'s memoized result; a target that cannot be hashed,
     such as a real that defines ``__eq__`` alone, runs the rule afresh."""
     try:
-        hash(target)
+        return _certified(integrand, args, target)
     except TypeError:
-        return _certified.__wrapped__(integrand, args, target)
-    return _certified(integrand, args, target)
+        try:
+            hash(target)
+        except TypeError:  # the cache's key raised, before the rule ran
+            return _certified.__wrapped__(integrand, args, target)
+        raise
 
 
 def _log_sin(d: Distance, frac: int) -> tuple[int, int]:

@@ -19,10 +19,12 @@ def table_202():
 
 def clear_numeric_caches():
     """Empty the precision memo, the zeta table, the series' coefficient
-    table, the integer table of pi^m, the routines' pi and log 2, the term
-    sums of the closed form and the legs, the log-sin node table, and the
+    table, the integer table of pi^m, the routines' pi and log 2, the terms
+    and sums of the closed form and the legs, the log-sin node table, and the
     quadrature result cache and node tables built on them."""
     _precision._PREC_FOR.clear()
+    logsine_closed_form._LOG2_TERM.clear()
+    logsine_closed_form._ZETA_TERMS.clear()
     logsine_closed_form._CLOSED_FORM.clear()
     contour_verifier._LEG_R_TERMS.clear()
     contour_verifier._LEG_H_IM.clear()

@@ -106,7 +106,9 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
     # the term sums and the precisions, each entry against one built
     # afresh from an empty table, on the serially checked tables above
     for table, build in (
-        (logsine_closed_form._CLOSED_FORM, logsine_closed_form._closed_form_terms),
+        (logsine_closed_form._LOG2_TERM, logsine_closed_form._log2_term),
+        (logsine_closed_form._ZETA_TERMS, logsine_closed_form._zeta_terms),
+        (logsine_closed_form._CLOSED_FORM, logsine_closed_form._closed_form_fixed),
         (contour_verifier._LEG_R_TERMS, contour_verifier._leg_r_terms),
         (contour_verifier._LEG_H_IM, contour_verifier._leg_h_im),
         (_precision._PREC_FOR, _precision.prec_for),
@@ -190,11 +192,13 @@ def _outcomes(tol: float) -> dict:
 
 
 def _tables() -> list[dict]:
-    """Copies of the routines' pi and log 2 tables, the term sums of the
-    closed form and leg R, the precision memo and the log-sin table."""
+    """Copies of the routines' pi and log 2 tables, the terms and sums of
+    the closed form and leg R, the precision memo and the log-sin table."""
     return [
         dict(_elementary._PI),
         dict(_elementary._LOG2),
+        dict(logsine_closed_form._LOG2_TERM),
+        dict(logsine_closed_form._ZETA_TERMS),
         dict(logsine_closed_form._CLOSED_FORM),
         dict(contour_verifier._LEG_R_TERMS),
         dict(_precision._PREC_FOR),

@@ -20,7 +20,7 @@ from logsine.contour_verifier import (
 )
 from logsine.errors import CertificationError
 from logsine.exact_core import bernoulli_table, verify_recurrence
-from logsine.logsine_closed_form import _closed_form_terms, logsine_numeric, logsine_symbolic
+from logsine.logsine_closed_form import _log2_term, logsine_numeric, logsine_symbolic
 from logsine.quadrature_oracle import QuadratureSettings, integrate_logsine
 from logsine.zeta_engine import _term_prec
 
@@ -121,7 +121,7 @@ class TestLegH:
         unit = Fraction(1, 2 ** (prec + _precision._GUARD))
         for n in range(13):
             oracle = integrate_logsine(n, settings)
-            value, bound = _closed_form_terms(n, prec)[0]  # the log-2 term, negated
+            value, bound = _log2_term(n, prec)  # the closed form's, negated
             re = float(-value * unit + Fraction(oracle.value))
             half_ulp = 0.5 * math.ulp(abs(re) if re else 1e-300)
             re_bound = math.nextafter(

@@ -387,6 +387,22 @@ def test_unhashable_real_target_runs_the_rule_afresh(name, cold_caches):
     assert afresh == _AT_TARGET[name](1e-8)
 
 
+@pytest.mark.parametrize("target", [1e-8, _Unhashable(1e-8)], ids=["hashable", "unhashable"])
+def test_a_type_error_inside_the_rule_reaches_the_caller(target, cold_caches):
+    # the fallback serves a target the result cache cannot hash; a
+    # TypeError the rule itself raises is not taken for that, nor is the
+    # rule run again
+    runs = []
+
+    def broken(prec):
+        runs.append(prec)
+        raise TypeError("from the rule")
+
+    with pytest.raises(TypeError, match="^from the rule$"):
+        quadrature_oracle._integral(broken, (), target)
+    assert len(runs) == 1
+
+
 # each call that takes a QuadratureSettings or None
 _WITH_SETTINGS = {
     "integrate_logsine": lambda s: integrate_logsine(3, s),

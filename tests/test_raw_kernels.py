@@ -555,15 +555,15 @@ def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
     components; they are what ``_leg`` rounds for one summand, leg_L and
     leg_R, signed, each component once, and a component with no term not
     at all.  Summand k = 2j - 1 < n is the closed form's zeta(2j+1)
-    summand, read from its row at phase 2."""
+    term, read from its table at phase 2."""
     prec = _term_prec(tol)
     _check_inputs(prec)
     reached = 0
     for n in LEG_N:
         sums, errs, exact = [0, 0], [0, 0], [Fraction(0), Fraction(0)]
         row = contour_verifier._leg_r_terms(n, prec)
-        closed = logsine_closed_form._closed_form_terms(n, prec)
-        assert len(row) == n + 1 and len(closed) == n // 2 + 1, n
+        closed = logsine_closed_form._zeta_terms(n, prec)
+        assert len(row) == n + 1 and len(closed) == n // 2, n
         for k in range(n + 1):
             rounded.clear()
             _run(lambda: contour_verifier._leg([row[k]], prec))
@@ -572,7 +572,7 @@ def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
             shared = k % 2 == 1 and k < n
             assert phase == (2 if shared else (k + 3) % 4), (n, k)
             if shared:
-                assert (value, bound) == closed[(k + 1) // 2], (n, k)
+                assert (value, bound) == closed[(k - 1) // 2], (n, k)
             assert rounded == [_raw(sign * value, bound, prec)], (n, k)
             # the term i^(k+3) num/den pi^(n-k) zeta(k+2) adds sign_k * T
             # to the component, and the library adds sign * value
@@ -601,12 +601,12 @@ def test_leg_r_summands_match_mpf_reference(cold_caches, rounded, tol):
 
 @pytest.mark.parametrize("tol", LEG_TOLERANCES)
 def test_log2_terms_match_mpf_reference(cold_caches, tol):
-    """The log-2 term of Re(H_n), the closed form's first summand negated,
-    and Im(H_n) = r pi^(n+2) for n <= 40 lie within their counted units of
-    the reference."""
+    """The log-2 term of Re(H_n), the closed form's negated, and Im(H_n)
+    = r pi^(n+2) for n <= 40 lie within their counted units of the
+    reference."""
     prec = _term_prec(tol)
     for n in LEG_N:
-        value, bound = logsine_closed_form._closed_form_terms(n, prec)[0]
+        value, bound = logsine_closed_form._log2_term(n, prec)
         _check_term(prec, 1, n + 1, n + 1, "log2", (-value, bound))
         r = Fraction(n, 2 * (n + 1) * (n + 2))
         im = zeta_engine._fixed_term(r.numerator, r.denominator, n + 2, None, prec)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from logsine import _precision, contour_verifier, logsine_closed_form
+from logsine import _precision, contour_verifier, logsine_closed_form, zeta_engine
 from logsine._precision import prec_for
 from logsine.contour_verifier import leg_H, leg_L, leg_R, verify_real_part
 from logsine.errors import CertificationError
@@ -74,6 +74,20 @@ def test_leg_r_reads_its_odd_summands_from_the_closed_form(n, cold_caches, kerne
     assert [n - m for _, _, m, _, _ in kernel_calls] == [
         k for k in range(n + 1) if k % 2 == 0 or k == n
     ]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_cold_legs_build_only_their_own_terms(n, cold_caches, kernel_calls):
+    # a cold leg R builds the closed form's zeta terms, pi^(n-k) for odd
+    # k < n, but not its log-2 term, pi^(n+1); a cold leg H builds that
+    # log-2 term and Im(H_n) and no zeta value
+    leg_R(n, T1)
+    assert sorted(m for _, _, m, _, _ in kernel_calls) == list(range(n + 1))
+    cold_caches()
+    kernel_calls.clear()
+    leg_H(n, QuadratureSettings(T1))
+    assert [m for _, _, m, _, _ in kernel_calls] == [n + 1, n + 2]
+    assert zeta_engine._ZETA_TABLE == {}
 
 
 def test_kept_sum_still_checks_the_target(cold_caches):
