@@ -17,8 +17,8 @@ in the unit to a ``RealApprox`` and checks it against its target.
 The working precision is a plain number of bits, chosen from the target
 by ``prec_for`` and passed to every routine.  Nothing process-wide holds
 it, so calls in different threads cannot change each other's arithmetic;
-``prec_for`` keeps each precision in a table keyed by its arguments, and
-an entry depends on its key alone.
+``prec_for`` keeps each precision in a table keyed by its arguments, the
+target as its checked double, and an entry depends on its key alone.
 """
 
 from __future__ import annotations
@@ -31,27 +31,23 @@ from .errors import CertificationError, _require_positive
 _GUARD = 16  # fractional bits of the fixed-point integers beyond the working precision
 
 
-# (target, extra digits, least digits) -> precision in bits; equal targets
-# such as 1 and 1.0 share a key and have one precision
+# (target as the largest double at most it, extra digits, least digits) ->
+# precision in bits; equal targets such as 1 and 1.0 share a key
 _PREC_FOR: dict[tuple[float, int, int], int] = {}
 
 
 def prec_for(target_abs_error: float, extra_digits: int, min_dps: int) -> int:
     """The working precision in bits for a target absolute error:
     ``extra_digits`` decimal digits below the target, and never fewer than
-    ``min_dps``; memoized, after the target is checked."""
-    _require_positive(target_abs_error, "target absolute error")
-    key = (target_abs_error, extra_digits, min_dps)
-    try:
-        prec = _PREC_FOR.get(key)
-    except TypeError:  # an unhashable real is worked out afresh
-        key = prec = None
+    ``min_dps``; memoized by the checked target's double."""
+    target = _require_positive(target_abs_error, "target absolute error")
+    key = (target, extra_digits, min_dps)
+    prec = _PREC_FOR.get(key)
     if prec is None:
-        digits = -math.log10(target_abs_error) if target_abs_error < 1 else 0.0
+        digits = -math.log10(target) if target < 1 else 0.0
         dps = max(min_dps, int(math.ceil(digits)) + extra_digits)
         prec = max(1, round((dps + 1) * 3.3219280948873626))  # log2(10) bits per digit
-        if key is not None:
-            prec = _PREC_FOR.setdefault(key, prec)
+        prec = _PREC_FOR.setdefault(key, prec)
     return prec
 
 

@@ -36,7 +36,6 @@ tolerance check run on every call.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -237,20 +236,18 @@ def verify_null(n: int, tol: float) -> ContourReport:
 def verify_real_part(n: int, tol: float) -> RealApprox:
     """Re(K_n) with I_n substituted from the closed form, certified near 0.
 
-    As the legs read the closed form's terms, they cancel on integers,
-    but for the log-2 term, taken at tol's precision, not tol/4's: this
-    checks the terms' signs in the legs, that term and the four roundings
-    to double, not the paper's derivation, which verify_null checks.
+    As the legs read the closed form's terms, they cancel on integers:
+    this checks the terms' signs in the legs and the four roundings to
+    double, not the paper's derivation, which verify_null checks.
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    _require_positive(tol, "target absolute error")
-    quarter = min(tol, sys.float_info.max) / 4  # capped, as it may be a huge int
+    quarter = _require_positive(tol, "target absolute error") / 4
     if not quarter:
         raise CertificationError(f"a quarter of {tol!r} underflows to 0")
     L = leg_L(n, quarter)
     R = leg_R(n, quarter)
     closed = logsine_numeric(n, quarter)
-    prec = _term_prec(tol)
+    prec = _term_prec(quarter)
     value, bound = _log2_term(n, prec)
     return _sum_components([L.re, R.re, certify(-value, bound, prec), closed])
 

@@ -133,8 +133,7 @@ def default_semi_infinite_cutoff_policy(n: int, target_abs_error: float) -> floa
     CertificationError when target/2 is not above the smallest normal
     double, under which the tail bound never falls."""
     _require_int(n, 0, "n must be a nonnegative integer")
-    _require_positive(target_abs_error, "target absolute error")
-    half = min(target_abs_error, sys.float_info.max) / 2  # capped, as it may be a huge int
+    half = _require_positive(target_abs_error, "target absolute error") / 2
     if half <= sys.float_info.min:
         raise CertificationError(f"no cutoff brings the tail bound under {half!r}")
     cutoff = max(20.0, 5.0 * n)
@@ -156,10 +155,11 @@ class QuadratureSettings:
 def _target(
     settings: QuadratureSettings | None, default: float = QuadratureSettings.target_abs_error
 ) -> float:
-    """The target of ``settings``, ``default`` for None; anything else,
-    even a falsy value or a bare number, raises ValueError."""
+    """The target of ``settings`` as ``_require_positive``'s double,
+    ``default`` for None; anything else, even a falsy value or a bare
+    number, raises ValueError."""
     if isinstance(settings, QuadratureSettings):
-        return settings.target_abs_error
+        return _require_positive(settings.target_abs_error, "target_abs_error")
     if settings is None:
         return default
     raise ValueError(f"settings must be a QuadratureSettings or None, not {settings!r}")
@@ -297,24 +297,10 @@ def _certified(integrand: Callable[..., Integrand], args: tuple, target: float) 
     and the units."""
     prec = prec_for(target, extra_digits=12, min_dps=25)
     f, b, left_out, r = integrand(prec, *args)
-    # a target past the largest double is capped there before it is quartered
-    rule_target = _units_below(min(target, sys.float_info.max) / 4, prec)
+    rule_target = _units_below(target / 4, prec)
     value, rule_est, mass, units = _tanh_sinh(f, b, rule_target, prec)
     units += ((mass + units + 1) >> (r - 1)) + 1
     return certify(value, rule_est + left_out + units, prec, target=target, what="quadrature")
-
-
-def _integral(integrand: Callable[..., Integrand], args: tuple, target: float) -> RealApprox:
-    """``_certified``'s memoized result; a target that cannot be hashed,
-    such as a real that defines ``__eq__`` alone, runs the rule afresh."""
-    try:
-        return _certified(integrand, args, target)
-    except TypeError:
-        try:
-            hash(target)
-        except TypeError:  # the cache's key raised, before the rule ran
-            return _certified.__wrapped__(integrand, args, target)
-        raise
 
 
 def _log_sin(d: Distance, frac: int) -> tuple[int, int]:
@@ -457,12 +443,12 @@ def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> Rea
     double-exponential nodes absorb them (see module docstring).
     """
     _require_int(n, 0, "n must be a nonnegative integer")
-    return _integral(_logsine, (n,), _target(settings))
+    return _certified(_logsine, (n,), _target(settings))
 
 
 def integrate_logsquared(settings: QuadratureSettings | None = None) -> RealApprox:
     """int_0^{pi/2} (log(2 sin x))^2 dx; log-squared singularity at x = 0."""
-    return _integral(_logsquared, (), _target(settings))
+    return _certified(_logsquared, (), _target(settings))
 
 
 def integrate_vertical_leg(n: int, settings: QuadratureSettings | None = None) -> RealApprox:
@@ -470,7 +456,7 @@ def integrate_vertical_leg(n: int, settings: QuadratureSettings | None = None) -
     cutoff policy with the dropped tail added to the bound."""
     _require_int(n, 0, "n must be a nonnegative integer")
     target = _target(settings)
-    return _integral(_vertical_leg, (n, target), target)
+    return _certified(_vertical_leg, (n, target), target)
 
 
 def cosine_moment(l: int, power: int, settings: QuadratureSettings | None = None) -> RealApprox:
@@ -483,7 +469,7 @@ def cosine_moment(l: int, power: int, settings: QuadratureSettings | None = None
     _require_int(power, 0, "power must be 0 or 1")
     if power > 1:
         raise ValueError("power must be 0 or 1")
-    return _integral(_cosine_moment, (l, power), _target(settings, 1e-12))
+    return _certified(_cosine_moment, (l, power), _target(settings, 1e-12))
 
 
 def cosine_orthogonality(
@@ -493,4 +479,4 @@ def cosine_orthogonality(
     zero otherwise."""
     for value in (l, l_prime):
         _require_int(value, 1, "l and l' must be positive integers")
-    return _integral(_cosine_orth, (l, l_prime), _target(settings, 1e-12))
+    return _certified(_cosine_orth, (l, l_prime), _target(settings, 1e-12))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsine._precision import prec_for
-from logsine.errors import CertificationError
+from logsine.errors import CertificationError, _require_positive
 from logsine.contour_verifier import (
     leg_H,
     leg_L,
@@ -107,10 +107,32 @@ def test_tolerance_must_be_positive_and_finite(call, value):
         call(value)
 
 
+class _Unhashable(float):
+    """A real whose ``__eq__`` leaves it without a hash."""
+
+    def __eq__(self, other):
+        return float(self) == other
+
+
+# the one check a tolerance passes returns the largest double at most it,
+# and the largest double for a value past it
+@pytest.mark.parametrize(
+    "value",
+    [1e-8, 1, Fraction(1, 3), Fraction(1, 10), 2**53 + 1, 10**400, _Unhashable(1e-8)],
+    ids=["float", "int", "third", "tenth", "2**53+1", "10**400", "unhashable"],
+)
+def test_a_tolerance_is_checked_into_the_largest_double_at_most_it(value):
+    double = _require_positive(value, "tol")
+    assert type(double) is float
+    assert double <= value
+    assert math.nextafter(double, math.inf) > value or double == sys.float_info.max
+
+
 # a tolerance past the largest double, an int such as 10**400, raised a bare
-# OverflowError where a routine quartered or halved it; it now certifies as
-# the largest double does.  logsine_numeric, zeta_numeric, leg_L and leg_R
-# never divide it, and returned already.
+# OverflowError where a routine quartered or halved it, and an unhashable
+# real raised TypeError from the quadrature's result cache; each certifies
+# as the largest double at most it does.  logsine_numeric, zeta_numeric,
+# leg_L and leg_R never divide a tolerance, and returned already.
 @pytest.mark.parametrize(
     "call",
     [
@@ -137,7 +159,13 @@ def test_tolerance_must_be_positive_and_finite(call, value):
     ],
 )
 def test_tolerance_past_the_double_range_certifies(call):
-    assert call(10**400) == call(sys.float_info.max)
+    pairs = [
+        (10**400, sys.float_info.max),
+        (_Unhashable(1e-8), 1e-8),
+        (Fraction(1, 3 * 10**8), 3.333333333333333e-09),  # the double below it
+    ]
+    for given, double in pairs:
+        assert call(given) == call(double), given
 
 
 # a Fraction tolerance certifies like a float; one that cannot be met

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp, workdps
 
 from logsine import quadrature_oracle
-from logsine.contour_verifier import leg_H, verify_null
+from logsine.contour_verifier import leg_H
 from logsine.errors import CertificationError, RefinementExhausted
 from logsine.logsine_closed_form import logsine_numeric
 from logsine.quadrature_oracle import (
@@ -357,50 +357,6 @@ def test_shared_geometry_is_independent_of_call_order(cold_caches, node_keys):
     assert tables() == (nodes, log_sin)
     assert len({prec for prec, _ in nodes}) == 1  # one working precision
     assert {prec for prec, _ in log_sin} == {prec for prec, _ in nodes}
-
-
-class _Unhashable(float):
-    """A real whose ``__eq__`` leaves it without a hash."""
-
-    def __eq__(self, other):
-        return float(self) == other
-
-
-# each call at a quadrature target given as a real
-_AT_TARGET = {
-    "integrate_logsine": lambda tol: integrate_logsine(3, QuadratureSettings(tol)),
-    "integrate_logsquared": lambda tol: integrate_logsquared(QuadratureSettings(tol)),
-    "integrate_vertical_leg": lambda tol: integrate_vertical_leg(2, QuadratureSettings(tol)),
-    "cosine_moment": lambda tol: cosine_moment(2, 1, QuadratureSettings(tol)),
-    "cosine_orthogonality": lambda tol: cosine_orthogonality(1, 2, QuadratureSettings(tol)),
-    "leg_H": lambda tol: leg_H(3, QuadratureSettings(tol)),
-    "verify_null": lambda tol: verify_null(3, tol),
-}
-
-
-@pytest.mark.parametrize("name", list(_AT_TARGET))
-def test_unhashable_real_target_runs_the_rule_afresh(name, cold_caches):
-    # the result cache raised a bare TypeError: unhashable type
-    assert _Unhashable.__hash__ is None
-    afresh = _AT_TARGET[name](_Unhashable(1e-8))
-    assert quadrature_oracle._certified.cache_info().currsize == 0
-    assert afresh == _AT_TARGET[name](1e-8)
-
-
-@pytest.mark.parametrize("target", [1e-8, _Unhashable(1e-8)], ids=["hashable", "unhashable"])
-def test_a_type_error_inside_the_rule_reaches_the_caller(target, cold_caches):
-    # the fallback serves a target the result cache cannot hash; a
-    # TypeError the rule itself raises is not taken for that, nor is the
-    # rule run again
-    runs = []
-
-    def broken(prec):
-        runs.append(prec)
-        raise TypeError("from the rule")
-
-    with pytest.raises(TypeError, match="^from the rule$"):
-        quadrature_oracle._integral(broken, (), target)
-    assert len(runs) == 1
 
 
 # each call that takes a QuadratureSettings or None

@@ -90,6 +90,16 @@ def test_cold_legs_build_only_their_own_terms(n, cold_caches, kernel_calls):
     assert zeta_engine._ZETA_TABLE == {}
 
 
+def test_verify_real_part_takes_its_terms_at_one_precision(cold_caches):
+    # H's log-2 term was taken at tol's precision and L, R and the closed
+    # form at tol/4's, two precisions where those differ, as at 3e-9
+    assert _term_prec(3e-9) != _term_prec(3e-9 / 4)
+    for n in range(13):
+        verify_real_part(n, 3e-9)
+    prec = _term_prec(3e-9 / 4)
+    assert sorted(logsine_closed_form._LOG2_TERM) == [(n, prec) for n in range(13)]
+
+
 def test_kept_sum_still_checks_the_target(cold_caches):
     # the sums for n = 13 are kept from a met target; an unmet one at the
     # same precision raises with the message a cold call gives
