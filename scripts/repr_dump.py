@@ -14,9 +14,9 @@ entry is the integers of its value and bound in units of 2^-(prec + 16),
 prec the key's precision.  The counted routines' pi and log 2 are listed
 by their precision in bits.  The tanh-sinh engine's tables are the
 log-sin values and its nodes.  The log-sin values, kept by (prec, level),
-one per node of ``_nodes(prec, level)``, are listed by precision and node
-distance d = pi g from the nearer end of [0, pi], with g = gm 2^ge from
-the node and pi at the precision's unit.  The nodes are listed as the
+one per node of ``_nodes(prec, level)``, are listed as (log sin, units)
+by precision and node distance d = pi g from the nearer end of [0, pi],
+with g = gm 2^ge from the node and pi at the precision's unit.  The nodes are listed as the
 integers (gm, ge, cm, wm, ws) the engine sums with, as ``nodes`` for each
 (prec, level) that the calls ask ``_nodes`` for.  The two dumps are
 compared entry by entry.  Each checkout is then dumped again in a fresh
@@ -140,9 +140,11 @@ def dump(reverse: bool) -> None:
 
 def log_sin_entries(table: dict, node_table) -> dict:
     """The log-sin table {(prec, level): row}, row[i] the entry of the node
-    node_table(prec, level)[i] = (gm, ge, ...), as {(prec, d): entry}, d
-    = (pi gm, ge - V) the exact distance from the nearer end of [0, pi],
-    V = prec + _GUARD and pi at V bits."""
+    node_table(prec, level)[i] = (gm, ge, ...), as {(prec, d): (log_sin,
+    units)}, the entry's last two integers, d = (pi gm, ge - V) the exact
+    distance from the nearer end of [0, pi], V = prec + _GUARD and pi at V
+    bits.  An entry that also holds the pair's abscissae, cut from pi gm
+    and pi cm, lists the same pair as one that holds the log sin alone."""
     from logsine import _elementary, _precision
 
     flat = {}
@@ -150,7 +152,7 @@ def log_sin_entries(table: dict, node_table) -> dict:
         frac = prec + _precision._GUARD
         pi = _elementary.pi(frac)[0]
         for (gm, ge, *_), entry in zip(node_table(prec, level), entries, strict=True):
-            flat[prec, (pi * gm, ge - frac)] = entry
+            flat[prec, (pi * gm, ge - frac)] = tuple(entry[-2:])
     return flat
 
 

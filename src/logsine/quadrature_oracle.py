@@ -46,14 +46,18 @@ cut's fraction are charged on the rule's |weight*f| mass.
 Results are memoized in one cache keyed by (integrand builder, its
 arguments, target), and the nodes in one table of the engine's integers
 keyed by (precision, level); every rule stops by level ``_MAX_DEPTH`` =
-12, so depth is no part of the key.  The engine passes each integrand the
-node's level and index beside x.  Both nodes of a pair lie b g from their
-nearer end, so the x^n log(sin x) integrand reads log(sin(b g)) from a
-table keyed by (precision, level) at the node's index: the moments for
-every n share one evaluation per pair.  The other integrands are
-functions of x alone, evaluated with the counted routines of
-``_elementary``.  Every rule runs at the working precision of its target,
-so every memoized value depends on its key alone.
+12, so depth is no part of the key.  The engine asks an integrand for a
+whole level in one call: given the level, it returns one (lo, hi, units)
+triple per node of ``_nodes(prec, level)``, in node order, lo and hi its
+integers at b g and b (1 - g) and units their summed units.  Both nodes
+of a pair lie b g from their nearer end, so the x^n log(sin x) integrand
+reads a level from one row kept per (precision, level): each pair's two
+abscissae, already cut to the working precision, and log(sin(b g)) with
+its units.  The moments for every n share one row.  The other integrands
+are functions of x alone, evaluated node by node with the counted
+routines of ``_elementary`` through one adapter, ``_pointwise``.  Every
+rule runs at the working precision of its target, so every memoized value
+depends on its key alone.
 """
 
 from __future__ import annotations
@@ -149,17 +153,20 @@ class QuadratureSettings:
     target_abs_error: float = 1e-10
 
     def __post_init__(self) -> None:
-        _require_positive(self.target_abs_error, "target_abs_error")
+        # the checked double, kept beside the fields so that repr, equality
+        # and hash see the target as given
+        checked = _require_positive(self.target_abs_error, "target_abs_error")
+        object.__setattr__(self, "_checked_target", checked)
 
 
 def _target(
     settings: QuadratureSettings | None, default: float = QuadratureSettings.target_abs_error
 ) -> float:
-    """The target of ``settings`` as ``_require_positive``'s double,
-    ``default`` for None; anything else, even a falsy value or a bare
-    number, raises ValueError."""
+    """The target of ``settings`` as ``_require_positive``'s double, checked
+    when the settings were made; ``default`` for None; anything else, even
+    a falsy value or a bare number, raises ValueError."""
     if isinstance(settings, QuadratureSettings):
-        return _require_positive(settings.target_abs_error, "target_abs_error")
+        return settings._checked_target
     if settings is None:
         return default
     raise ValueError(f"settings must be a QuadratureSettings or None, not {settings!r}")
@@ -172,10 +179,19 @@ def _target(
 
 # An exact nonnegative number man * 2^exp as the pair (man, exp).
 Distance = tuple[int, int]
-# (x, level, i) -> (value, units): f(x) on [0, b] within units of 2^-V of
-# the integer value, V = prec + _precision._GUARD, at x = b g or b (1 - g)
-# for the node g of _nodes(prec, level)[i]
-RawIntegrand = Callable[[Distance, int, int], tuple[int, int]]
+# level -> one (lo, hi, units) per node g of _nodes(prec, level), in node
+# order: f on [0, b] at x = b g and at x = b (1 - g) within lo's and hi's
+# units of 2^-V of the integers lo and hi, V = prec + _precision._GUARD,
+# and units the sum of those units
+RawIntegrand = Callable[[int], list[tuple[int, int, int]]]
+# x -> (value, units): f(x) within units of 2^-V of the integer value
+PointIntegrand = Callable[[Distance], tuple[int, int]]
+
+
+def _cut(x: Distance, bits: int) -> Distance:
+    """x with its mantissa cut to at most ``bits`` bits, rounded down."""
+    cut = max(x[0].bit_length() - bits, 0)
+    return x[0] >> cut, x[1] + cut
 
 
 def _t_limit(prec: int) -> int:
@@ -237,10 +253,11 @@ def _tanh_sinh(
     differ by <= rule_target, at ``prec`` bits; b is an exact pair and
     rule_target an integer in units of 2^-V, V = prec + _precision._GUARD.
 
-    The integrand takes a node's abscissa x = b g or b (1 - g) as an exact
-    pair, with the node's level and its index i in ``_nodes(prec, level)``,
-    and returns an integer and its units, both in units of 2^-V; each
-    product with a weight is rounded down to an integer and summed.
+    The integrand ``f(level)`` returns one (lo, hi, units) triple per node
+    of ``_nodes(prec, level)``, in node order: its integers at b g and
+    b (1 - g) and their summed units, all in units of 2^-V.  Each value's
+    product with its weight is rounded down once, the products are summed
+    in node order, and each pair counts its units and one more.
 
     Returns (value, rule error estimate, accumulated |weight*f| mass,
     counted units) as integers in units of 2^-V: the rule's sum over the
@@ -251,14 +268,12 @@ def _tanh_sinh(
     # sums of w f, |w f| and the units of the values plus one per pair
     total_sum = mass_sum = unit_sum = 0
     for level in range(_MAX_DEPTH + 1):
-        for i, (gm, ge, cm, wm, ws) in enumerate(_nodes(prec, level)):
-            lo, lo_units = f((bm * gm, be + ge), level, i)
-            hi, hi_units = f((bm * cm, be + ge), level, i)
+        for (lo, hi, units), (_, _, _, wm, ws) in zip(f(level), _nodes(prec, level), strict=True):
             lo = (wm * lo) >> ws
             hi = (wm * hi) >> ws
             total_sum += lo + hi
             mass_sum += abs(lo) + abs(hi)
-            unit_sum += lo_units + hi_units + 1
+            unit_sum += units + 1
         # the rule's value is (b/2) h total_sum with h = 2^-level
         total = _shift(bm * total_sum, be - level - 1)
         if level >= _MIN_ACCEPT_LEVEL:  # >= 1, so prev is set
@@ -316,41 +331,77 @@ def _log_sin(d: Distance, frac: int) -> tuple[int, int]:
 
 
 # (precision in bits, level) -> for each node g of _nodes(prec, level),
-# log(sin(pi g)) and its units in units of 2^-(prec + _precision._GUARD):
-# both nodes of its pair lie pi g from their nearer end of [0, pi]
-_LOGSIN_TABLE: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+# the pair's abscissae x = pi g and x = pi (1 - g), each cut to prec bits
+# as (man, exp), and log(sin(pi g)) and its units in units of
+# 2^-(prec + _precision._GUARD): (lo_man, lo_exp, hi_man, hi_exp, log_sin,
+# units).  Both nodes of the pair lie pi g from their nearer end of
+# [0, pi], pi at the precision's unit.
+_LOGSIN_TABLE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _logsin_row(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
+    """The ``_LOGSIN_TABLE`` row of (prec, level), built on its first visit."""
+    row = _LOGSIN_TABLE.get((prec, level))
+    if row is None:
+        frac = prec + _precision._GUARD
+        pi = _elementary.pi(frac)[0]
+        row = tuple(
+            (
+                *_cut((pi * gm, ge - frac), prec),
+                *_cut((pi * cm, ge - frac), prec),
+                *_log_sin((pi * gm, ge - frac), frac),
+            )
+            for gm, ge, cm, _, _ in _nodes(prec, level)
+        )
+        row = _LOGSIN_TABLE.setdefault((prec, level), row)
+    return row
 
 
 def _logsine(prec: int, n: int) -> Integrand:
     """x^n log(sin x) on [0, b], b at most pi and within u units of it.
 
     The integrand is x^n log(sin d), d = b g the distance of the node from
-    the nearer end of [0, b], read from ``_LOGSIN_TABLE`` by the node's
-    index; past b/2 it stands in for x^n log(sin(pi - x)).  The two
-    differ, with the sliver [b, pi], by under 3 pi^n delta (log(2/delta)
-    + 1) for delta = pi - b, under 3 pi^n u (V + 2) units.  x is cut to
-    prec bits, which moves x^n by under n 2^(1 - prec) of itself.
+    the nearer end of [0, b], read with both cut abscissae from the pair's
+    ``_LOGSIN_TABLE`` entry; past b/2 it stands in for x^n log(sin(pi -
+    x)).  The two differ, with the sliver [b, pi], by under 3 pi^n delta
+    (log(2/delta) + 1) for delta = pi - b, under 3 pi^n u (V + 2) units.
+    x is cut to prec bits, which moves x^n by under n 2^(1 - prec) of
+    itself.
     """
     frac = prec + _precision._GUARD
     pi_n = -(-(355**n) // 113**n)  # above pi^n, as 355/113 > pi
     pi, units = _elementary.pi(frac)
 
-    def f(x: Distance, level: int, i: int) -> tuple[int, int]:
-        # the level's row is built on its first visit at this precision,
-        # and read by every n
-        row = _LOGSIN_TABLE.get((prec, level))
-        if row is None:
-            nodes = _nodes(prec, level)
-            row = tuple(_log_sin((pi * gm, ge - frac), frac) for gm, ge, *_ in nodes)
-            row = _LOGSIN_TABLE.setdefault((prec, level), row)
-        log_sin, units = row[i]
-        # x ** n * log_sin, exact once x is cut to the working precision,
-        # then rounded down: x^n < pi^n times the log's units, and a unit
-        cut = max(x[0].bit_length() - prec, 0)
-        x_man, x_exp = x[0] >> cut, x[1] + cut
-        return _shift(x_man**n * log_sin, n * x_exp), pi_n * units + 1
+    def f(level: int) -> list[tuple[int, int, int]]:
+        # x ** n * log_sin, exact on the cut x, then rounded down: x^n <
+        # pi^n times the log's units, and a unit, at each node; x < 4, so
+        # n x_exp <= 0
+        return [
+            (
+                lo**n * log_sin >> -n * lo_exp,
+                hi**n * log_sin >> -n * hi_exp,
+                2 * (pi_n * log_units + 1),
+            )
+            for lo, lo_exp, hi, hi_exp, log_sin, log_units in _logsin_row(prec, level)
+        ]
 
     return f, (pi, -frac), 3 * pi_n * units * (frac + 2), prec - 1 - n.bit_length()
+
+
+def _pointwise(point: PointIntegrand, b: Distance, prec: int) -> RawIntegrand:
+    """The level function of ``point`` on [0, b]: ``point`` at b g and at
+    b (1 - g) for each node g of the level, with their summed units."""
+    bm, be = b
+
+    def f(level: int) -> list[tuple[int, int, int]]:
+        out = []
+        for gm, ge, cm, _, _ in _nodes(prec, level):
+            lo, lo_units = point((bm * gm, be + ge))
+            hi, hi_units = point((bm * cm, be + ge))
+            out.append((lo, hi, lo_units + hi_units))
+        return out
+
+    return f
 
 
 def _logsquared(prec: int) -> Integrand:
@@ -359,7 +410,7 @@ def _logsquared(prec: int) -> Integrand:
     frac = prec + _precision._GUARD
     log2, log2_units = _elementary.log2(frac)
 
-    def f(x: Distance, level: int, i: int) -> tuple[int, int]:
+    def f(x: Distance) -> tuple[int, int]:
         # log(2 * sin(x)) ** 2: y within u units squares to within
         # (2 |y| + u) u, then rounds down
         log_sin, units = _log_sin(x, frac)
@@ -367,7 +418,8 @@ def _logsquared(prec: int) -> Integrand:
         return y * y >> frac, ((2 * abs(y) + units) * units >> frac) + 2
 
     half_pi, units = _elementary.pi(frac - 1)  # pi/2 in units of 2^-frac
-    return f, (half_pi, -frac), units, frac
+    b = (half_pi, -frac)
+    return _pointwise(f, b, prec), b, units, frac
 
 
 def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
@@ -385,9 +437,8 @@ def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
     cutoff = default_semi_infinite_cutoff_policy(n, target)
     keep = frac + (n + 4 * math.ceil(cutoff) + 3).bit_length() + 2
 
-    def f(x: Distance, level: int, i: int) -> tuple[int, int]:
-        cut = max(x[0].bit_length() - keep, 0)
-        y_man, y_exp = x[0] >> cut, x[1] + cut
+    def f(x: Distance) -> tuple[int, int]:
+        y_man, y_exp = _cut(x, keep)
         # y_exp < 0, and y_man may be past the double range
         y = y_man / (1 << -y_exp)
         k = int(y * 2.8853900817779268)  # 2y / log 2
@@ -400,7 +451,8 @@ def _vertical_leg(prec: int, n: int, target: float) -> Integrand:
 
     num, den = cutoff.as_integer_ratio()
     left_out = -_units_below(-vertical_tail_bound(n, cutoff), prec)
-    return f, (num, 1 - den.bit_length()), left_out, frac
+    b = (num, 1 - den.bit_length())
+    return _pointwise(f, b, prec), b, left_out, frac
 
 
 def _cosine_moment(prec: int, l: int, power: int) -> Integrand:
@@ -408,7 +460,7 @@ def _cosine_moment(prec: int, l: int, power: int) -> Integrand:
     units of it; |integrand| < 4, so [b, pi] leaves out under 4 u units."""
     frac = prec + _precision._GUARD
 
-    def f(x: Distance, level: int, i: int) -> tuple[int, int]:
+    def f(x: Distance) -> tuple[int, int]:
         # x ** power * cos(2 * l * x): x < 4 times the cosine's units, and
         # a unit for the floor
         value, units = _elementary.sin_cos((x[0] * 2 * l, x[1]), frac, 1)
@@ -417,7 +469,8 @@ def _cosine_moment(prec: int, l: int, power: int) -> Integrand:
         return value, units
 
     pi, units = _elementary.pi(frac)
-    return f, (pi, -frac), 4 * units, frac
+    b = (pi, -frac)
+    return _pointwise(f, b, prec), b, 4 * units, frac
 
 
 def _cosine_orth(prec: int, l: int, lp: int) -> Integrand:
@@ -425,7 +478,7 @@ def _cosine_orth(prec: int, l: int, lp: int) -> Integrand:
     u units of it; |integrand| <= 1, so [b, pi] leaves out under u units."""
     frac = prec + _precision._GUARD
 
-    def f(x: Distance, level: int, i: int) -> tuple[int, int]:
+    def f(x: Distance) -> tuple[int, int]:
         # cos(2 * l * x) * cos(2 * lp * x): cosines within u and u' units
         # multiply to within u + u' + 1, then round down
         cos_l, units_l = _elementary.sin_cos((x[0] * 2 * l, x[1]), frac, 1)
@@ -433,7 +486,8 @@ def _cosine_orth(prec: int, l: int, lp: int) -> Integrand:
         return cos_l * cos_lp >> frac, units_l + units_lp + 2
 
     pi, units = _elementary.pi(frac)
-    return f, (pi, -frac), units, frac
+    b = (pi, -frac)
+    return _pointwise(f, b, prec), b, units, frac
 
 
 def integrate_logsine(n: int, settings: QuadratureSettings | None = None) -> RealApprox:

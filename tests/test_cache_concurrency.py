@@ -2,9 +2,9 @@
 returns, leave the global mpmath precision alone, and fill the zeta table,
 the series' coefficient table, the integer table of pi^m, the counted
 routines' tables of pi and log 2, the term sums of the closed form and
-the legs, the precision memo, the log-sin node table, the engine's node
-table and the result caches with exactly the values a serial run
-computes at each entry's key.
+the legs, the precision memo, the log-sin rows of cut abscissae and log
+sin values, the engine's node table and the result caches with exactly
+the values a serial run computes at each entry's key.
 """
 
 import ast
@@ -128,16 +128,28 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
         for bits, entry in table.items():
             assert build(bits) == entry, bits
 
-    # each log-sin entry against the one computed afresh from its node
+    # each log-sin row entry against the one computed afresh from its node:
+    # the pair's abscissae pi g and pi (1 - g) cut to prec bits, and the
+    # log sin at pi g
     assert len(quadrature_oracle._LOGSIN_TABLE) > 0
     for (prec, level), row in quadrature_oracle._LOGSIN_TABLE.items():
         frac = prec + _precision._GUARD
         pi = _elementary.pi(frac)[0]
         nodes = _nodes.__wrapped__(prec, level)
         assert len(row) == len(nodes), (prec, level)
-        for i, ((gm, ge, *_), log_sin) in enumerate(zip(nodes, row)):
-            d = (pi * gm, ge - frac)
-            assert log_sin == quadrature_oracle._log_sin(d, frac), (prec, level, i)
+        for i, ((gm, ge, cm, _, _), entry) in enumerate(zip(nodes, row)):
+            lo, hi = pi * gm, pi * cm
+            lo_cut = max(lo.bit_length() - prec, 0)
+            hi_cut = max(hi.bit_length() - prec, 0)
+            d = (lo, ge - frac)
+            expected = (
+                lo >> lo_cut,
+                ge - frac + lo_cut,
+                hi >> hi_cut,
+                ge - frac + hi_cut,
+                *quadrature_oracle._log_sin(d, frac),
+            )
+            assert entry == expected, (prec, level, i)
 
     assert len(node_keys) > 0
     for prec, level in node_keys:

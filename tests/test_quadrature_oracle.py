@@ -4,7 +4,7 @@ import sys
 import pytest
 from mpmath import mp, workdps
 
-from logsine import quadrature_oracle
+from logsine import errors, quadrature_oracle
 from logsine.contour_verifier import leg_H
 from logsine.errors import CertificationError, RefinementExhausted
 from logsine.logsine_closed_form import logsine_numeric
@@ -36,6 +36,30 @@ class TestSettings:
             QuadratureSettings(target_abs_error=0.0)
         with pytest.raises(ValueError):
             QuadratureSettings(target_abs_error=math.inf)
+
+    def test_target_reads_the_double_checked_at_construction(self, monkeypatch):
+        # the frozen target was checked when the settings were made;
+        # reading it runs no check again, and repr, equality and hash see
+        # the fields alone
+        settings = QuadratureSettings(target_abs_error=3)
+        calls = []
+        check = errors._require_positive
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(errors, "_require_positive", counting)
+        monkeypatch.setattr(quadrature_oracle, "_require_positive", counting)
+        target = quadrature_oracle._target(settings)
+        assert (type(target), target, calls) == (float, 3.0, [])
+        assert repr(settings) == "QuadratureSettings(target_abs_error=3)"
+        assert settings == QuadratureSettings(target_abs_error=3.0)
+        assert hash(settings) == hash(QuadratureSettings(target_abs_error=3.0))
+        calls.clear()
+        with pytest.raises(ValueError):
+            QuadratureSettings(target_abs_error=-1e-8)
+        assert calls == [(-1e-8, "target_abs_error")]
 
     def test_cutoff_policy_meets_tail_budget(self):
         for n in (0, 3, 8):

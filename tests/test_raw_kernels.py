@@ -236,29 +236,22 @@ def test_node_past_its_count_raises(cold_caches, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _nearer(b: tuple[int, int], x: tuple[int, int]) -> tuple[int, int]:
-    """The exact distance of x from the nearer end of [0, b], as a pair
-    with x's exponent."""
-    rest = (b[0] << (b[1] - x[1])) - x[0]
-    return (rest, x[1]) if rest < x[0] else x
-
-
 @pytest.fixture
 def engine_runs(cold_caches, monkeypatch):
     """Every call into the tanh-sinh engine from empty caches: its
-    arguments, each integrand call's (x, (level, i), d, value, units),
-    (level, i) the node's place the engine passed and d the distance from
-    the nearer end, and its result."""
+    arguments, each integrand call's (level, triples), the level the engine
+    asked for and the (lo, hi, units) triples the integrand returned, and
+    its result."""
     runs = []
     engine = quadrature_oracle._tanh_sinh
 
     def recording(f, b, rule_target, prec):
         seen = []
 
-        def g(x, level, i):
-            value = f(x, level, i)
-            seen.append((x, (level, i), _nearer(b, x), *value))
-            return value
+        def g(level):
+            triples = list(f(level))
+            seen.append((level, triples))
+            return triples
 
         out = engine(g, b, rule_target, prec)
         runs.append((b, rule_target, prec, seen, out))
@@ -281,38 +274,42 @@ def _pair(pair: tuple[int, int]) -> Fraction:
     return man * Fraction(2) ** exp
 
 
+def _node_points(b, prec, level):
+    """For each node g of a level, in node order: the exact pairs b g and
+    b (1 - g), where the integrand is taken, with the node's weight w; b g
+    is both nodes' distance from the nearer end of [0, b]."""
+    bm, be = b
+    for gm, ge, cm, wm, ws in quadrature_oracle._nodes(prec, level):
+        yield (bm * gm, be + ge), (bm * cm, be + ge), _pair((wm, -ws))
+
+
 def _check_rule(b, rule_target, prec, seen, out) -> Fraction:
-    """The engine's nodes, and its sums against exact sums of the same
+    """The engine's levels, and its sums against exact sums of the same
     integrand values: the rule's exact sum lies within the counted units of
     the value, and the mass within them of the exact mass, the estimate
     within twice them, and the rule stops at the first level from
     ``_MIN_ACCEPT_LEVEL`` on whose estimate meets the target; all in units
-    of 2^-V.  Each node's integrand call names the node's level and index.
-    Returns the value's distance from the exact sum."""
+    of 2^-V.  The engine asks for each level once, in order, and the
+    integrand returns one triple per node.  Returns the value's distance
+    from the exact sum."""
     value, estimate, mass, units = out
     half_b = _pair(b) / 2
-    calls = iter(seen)
+    assert [level for level, _ in seen] == list(range(len(seen)))
     totals, masses = [], []
     total_sum = mass_sum = Fraction(0)
-    evals = unit_sum = level = 0
-    while evals < len(seen):
-        for i, (gm, ge, _, wm, ws) in enumerate(quadrature_oracle._nodes(prec, level)):
-            # the center node g = 1/2, its own mirror, holds half its weight
-            g, w = _pair((gm, ge)), _pair((wm, -ws))
-            # the lower node at b g, then its mirror at b (1 - g)
-            for x_exact in (2 * half_b * g, 2 * half_b * (1 - g)):
-                x, place, d, v, u = next(calls)
-                assert place == (level, i)
-                assert (_pair(x), _pair(d)) == (x_exact, 2 * half_b * g), (level, i)
-                total_sum += w * v
-                mass_sum += abs(w * v)
-                unit_sum += 2 * u + 1
-                evals += 1
+    unit_sum = 0
+    for level, triples in seen:
+        points = list(_node_points(b, prec, level))
+        assert len(triples) == len(points), level
+        # the center node g = 1/2, its own mirror, holds half its weight
+        for (lo, hi, u), (_, _, w) in zip(triples, points):
+            total_sum += w * lo + w * hi
+            mass_sum += abs(w * lo) + abs(w * hi)
+            # 2 u' + 1 for each of the two values, u' its own units
+            unit_sum += 2 * u + 2
         totals.append(half_b * total_sum / 2**level)
         masses.append(half_b * mass_sum / 2**level)
-        level += 1
-    assert next(calls, None) is None
-    last = level - 1
+    last = len(seen) - 1
     assert last >= _MIN_ACCEPT_LEVEL
     assert abs(value - totals[last]) <= units
     assert abs(mass - masses[last]) <= units
@@ -342,10 +339,10 @@ def _engine_error(value, b, prec) -> tuple[Fraction, int]:
     checked by ``_check_rule``, and the engine's count."""
     seen = []
 
-    def f(x, level, i):
-        v = value(x)
-        seen.append((x, (level, i), _nearer(b, x), v, 0))
-        return v, 0
+    def f(level):
+        triples = [(value(lo), value(hi), 0) for lo, hi, _ in _node_points(b, prec, level)]
+        seen.append((level, triples))
+        return triples
 
     out = quadrature_oracle._tanh_sinh(f, b, 1 << GUARD, prec)
     return _check_rule(b, 1 << GUARD, prec, seen, out), out[3]
@@ -370,17 +367,29 @@ def test_engine_final_floors_within_their_count(cold_caches, prec):
     assert error > units - 2
 
 
-def _check_values(prec, seen, reference, rel=None) -> None:
+def _value_error(fine, prec, reference, v, x, d, rel) -> tuple[Fraction, Fraction]:
+    """The distance of the value v, in units of 2^-V, from
+    ``reference(fine, x, d)`` at the exact pairs x and d, and where the
+    integrand cuts x, 2^-rel of the reference."""
+    expected = reference(fine, fine.ldexp(*x), fine.ldexp(*d))
+    expected = _fraction(expected._mpf_) * 2 ** (prec + GUARD)
+    return abs(v - expected), abs(expected) / 2**rel if rel is not None else Fraction(0)
+
+
+def _check_values(prec, b, seen, reference, rel=None) -> None:
     """Each integrand value against ``reference(fine, x, d)`` at the exact
-    x and d, computed in a context 64 bits finer: within its stated units,
-    and where the integrand cuts x, 2^-rel of the reference more."""
+    x and d, computed in a context 64 bits finer: the two values of a pair
+    lie within their summed units, and where the integrand cuts x, 2^-rel
+    of the reference more, both distances together."""
     fine = _context(prec + 64)
-    fbits = prec + GUARD
-    for x, _, d, v, u in seen:
-        x_f, d_f = (fine.ldexp(*p) for p in (x, d))
-        expected = _fraction(reference(fine, x_f, d_f)._mpf_) * 2**fbits
-        slack = abs(expected) / 2**rel if rel is not None else 0
-        assert abs(v - expected) <= u + slack + Fraction(1, 2**30), (x, d)
+    for level, triples in seen:
+        points = _node_points(b, prec, level)
+        for (lo, hi, u), (x_lo, x_hi, _) in zip(triples, points, strict=True):
+            # both nodes lie b g = x_lo from their nearer end
+            lo_error, lo_slack = _value_error(fine, prec, reference, lo, x_lo, x_lo, rel)
+            hi_error, hi_slack = _value_error(fine, prec, reference, hi, x_hi, x_lo, rel)
+            error, slack = lo_error + hi_error, lo_slack + hi_slack
+            assert error <= u + slack + Fraction(1, 2**29), (level, x_lo)
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
@@ -392,6 +401,7 @@ def test_logsine_moments_match_mpf_reference(engine_runs, tol):
         _check_rule(b, target, prec, seen, out)
         _check_values(
             prec,
+            b,
             seen,
             lambda fine, x, d: x**n * fine.log(fine.sin(d)),
             prec - 1 - n.bit_length(),
@@ -401,19 +411,65 @@ def test_logsine_moments_match_mpf_reference(engine_runs, tol):
 @pytest.mark.parametrize("tol", TOLERANCES)
 def test_log_sin_table_holds_one_value_per_node_pair(engine_runs, tol):
     """Each (prec, level) the engine visited holds one entry per node, and
-    entry i is ``_log_sin`` at the nearer-end distance, derived from x, of
-    both nodes of pair i; at n = 0 the integrand returns that entry, with
-    one unit more, at both."""
+    entry i ends in ``_log_sin`` at the nearer-end distance b g of both
+    nodes of pair i; at n = 0 the integrand returns that value at both, with
+    one unit more at each."""
     integrate_logsine(0, QuadratureSettings(target_abs_error=tol))
-    _, _, prec, seen, _ = engine_runs.pop()
+    b, _, prec, seen, _ = engine_runs.pop()
     table = quadrature_oracle._LOGSIN_TABLE
-    assert set(table) == {(prec, place[0]) for _, place, *_ in seen}
+    assert set(table) == {(prec, level) for level, _ in seen}
     for key, row in table.items():
         assert len(row) == len(quadrature_oracle._nodes(*key)), key
-    for _, (level, i), d, v, u in seen:
-        log_sin, units = table[prec, level][i]
-        assert (log_sin, units) == quadrature_oracle._log_sin(d, prec + GUARD), (level, i)
-        assert (v, u) == (log_sin, units + 1), (level, i)
+    for level, triples in seen:
+        for i, ((lo, hi, u), (d, _, _)) in enumerate(zip(triples, _node_points(b, prec, level))):
+            *_, log_sin, units = table[prec, level][i]
+            assert (log_sin, units) == quadrature_oracle._log_sin(d, prec + GUARD), (level, i)
+            assert (lo, hi, u) == (log_sin, log_sin, 2 * (units + 1)), (level, i)
+
+
+def _cut_to(x: tuple[int, int], bits: int) -> tuple[int, int]:
+    """The pair x with its mantissa's low bits dropped past ``bits``."""
+    man, exp = x
+    drop = max(man.bit_length() - bits, 0)
+    return man >> drop, exp + drop
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_log_sin_rows_and_level_function_are_exact(cold_caches, tol):
+    """At every (prec, level) the moments visit, each row entry holds the
+    pair's abscissae pi g and pi (1 - g) cut to prec bits, pi from
+    ``_elementary.pi`` at V bits and g from ``_nodes``; and for n = 0..12
+    each triple of the level function is x^n log(sin(pi g)) rounded down
+    at each cut abscissa, with pi^n (bounded by 355/113) times the log's
+    units and one more per value."""
+    settings = QuadratureSettings(target_abs_error=tol)
+    for n in range(13):
+        _run(lambda: integrate_logsine(n, settings))
+    prec = prec_for(tol, 12, 25)
+    frac = prec + GUARD
+    pi = _elementary.pi(frac)[0]
+    rows = quadrature_oracle._LOGSIN_TABLE
+    assert {key[0] for key in rows} == {prec} and len(rows) > _MIN_ACCEPT_LEVEL
+    for level in sorted(level for _, level in rows):
+        row = rows[prec, level]
+        nodes = quadrature_oracle._nodes(prec, level)
+        assert len(row) == len(nodes), level
+        for i, ((gm, ge, cm, _, _), entry) in enumerate(zip(nodes, row)):
+            lo, hi = _cut_to((pi * gm, ge - frac), prec), _cut_to((pi * cm, ge - frac), prec)
+            assert entry[:4] == (*lo, *hi), (level, i)
+        for n in range(13):
+            f, *_ = quadrature_oracle._logsine(prec, n)
+            pi_n = -(-(355**n) // 113**n)
+            expected = []
+            for lo_man, lo_exp, hi_man, hi_exp, log_sin, units in row:
+                expected.append(
+                    (
+                        _shift(lo_man**n * log_sin, n * lo_exp),
+                        _shift(hi_man**n * log_sin, n * hi_exp),
+                        2 * (pi_n * units + 1),
+                    )
+                )
+            assert list(f(level)) == expected, (level, n)
 
 
 def _leg_integrand(n):
@@ -453,18 +509,30 @@ def test_other_integrands_match_mpf_reference(engine_runs, tol):
         _run(call)
         b, target, prec, seen, out = engine_runs.pop()
         _check_rule(b, target, prec, seen, out)
-        _check_values(prec, seen, reference, rel)
+        _check_values(prec, b, seen, reference, rel)
 
 
-def test_leg_integrand_past_the_double_range(cold_caches):
+def test_leg_integrand_past_the_double_range(cold_caches, monkeypatch):
     """At 1e-290 the leg's cut ordinate has a mantissa of over 1024 bits,
-    which raised OverflowError when made a double; the integrand at the
-    center node lies within its units of the reference."""
+    which raised OverflowError when made a double; the per-point integrand
+    at the center node lies within its units of the reference."""
+    points = []
+    pointwise = quadrature_oracle._pointwise
+
+    def recording(point, b, prec):
+        points.append(point)
+        return pointwise(point, b, prec)
+
+    monkeypatch.setattr(quadrature_oracle, "_pointwise", recording)
     prec = prec_for(1e-290, 12, 25)
-    f, (bm, be), _, _ = quadrature_oracle._vertical_leg(prec, 3, 1e-290)
+    _, (bm, be), _, _ = quadrature_oracle._vertical_leg(prec, 3, 1e-290)
+    (point,) = points
     gm, ge, *_ = quadrature_oracle._nodes(prec, 0)[0]
     near = (bm * gm, be + ge)
-    _check_values(prec, [(near, (0, 0), near, *f(near, 0, 0))], _leg_integrand(3), prec + GUARD)
+    v, u = point(near)
+    fine = _context(prec + 64)
+    error, slack = _value_error(fine, prec, _leg_integrand(3), v, near, near, prec + GUARD)
+    assert error <= u + slack + Fraction(1, 2**30)
 
 
 # ---------------------------------------------------------------------------
