@@ -237,11 +237,36 @@ def test_node_past_its_count_raises(cold_caches, monkeypatch):
 
 
 @pytest.fixture
-def engine_runs(cold_caches, monkeypatch):
+def pointwise_calls(monkeypatch):
+    """Every level function ``_pointwise`` builds, mapped to its per-point
+    function and that function's calls, each (x, value, units), in call
+    order."""
+    made = {}
+    pointwise = quadrature_oracle._pointwise
+
+    def recording(point, b, prec):
+        calls = []
+
+        def p(x):
+            value = point(x)
+            calls.append((x, *value))
+            return value
+
+        f = pointwise(p, b, prec)
+        made[f] = (point, calls)
+        return f
+
+    monkeypatch.setattr(quadrature_oracle, "_pointwise", recording)
+    return made
+
+
+@pytest.fixture
+def engine_runs(cold_caches, pointwise_calls, monkeypatch):
     """Every call into the tanh-sinh engine from empty caches: its
     arguments, each integrand call's (level, triples), the level the engine
-    asked for and the (lo, hi, units) triples the integrand returned, and
-    its result."""
+    asked for and the (lo, hi, units) triples the integrand returned, the
+    per-point calls behind them (None for x^n log sin x, which has none),
+    and its result."""
     runs = []
     engine = quadrature_oracle._tanh_sinh
 
@@ -254,7 +279,8 @@ def engine_runs(cold_caches, monkeypatch):
             return triples
 
         out = engine(g, b, rule_target, prec)
-        runs.append((b, rule_target, prec, seen, out))
+        calls = pointwise_calls[f][1] if f in pointwise_calls else None
+        runs.append((b, rule_target, prec, seen, calls, out))
         return out
 
     monkeypatch.setattr(quadrature_oracle, "_tanh_sinh", recording)
@@ -367,29 +393,42 @@ def test_engine_final_floors_within_their_count(cold_caches, prec):
     assert error > units - 2
 
 
-def _value_error(fine, prec, reference, v, x, d, rel) -> tuple[Fraction, Fraction]:
-    """The distance of the value v, in units of 2^-V, from
-    ``reference(fine, x, d)`` at the exact pairs x and d, and where the
-    integrand cuts x, 2^-rel of the reference."""
-    expected = reference(fine, fine.ldexp(*x), fine.ldexp(*d))
-    expected = _fraction(expected._mpf_) * 2 ** (prec + GUARD)
-    return abs(v - expected), abs(expected) / 2**rel if rel is not None else Fraction(0)
-
-
-def _check_values(prec, b, seen, reference, rel=None) -> None:
-    """Each integrand value against ``reference(fine, x, d)`` at the exact
-    x and d, computed in a context 64 bits finer: the two values of a pair
-    lie within their summed units, and where the integrand cuts x, 2^-rel
-    of the reference more, both distances together."""
-    fine = _context(prec + 64)
+def _values(b, prec, seen, calls) -> list:
+    """Each value the engine was given, as (x, d, value, units): the exact
+    abscissa x, its distance d from the nearer end of [0, b], the value and
+    its own units.  A pointwise integrand's per-point ``calls`` must make
+    up its triples, one call at b g and one at b (1 - g) per node, and give
+    each value's units; x^n log sin x, with ``calls`` None, gives both
+    values of a pair the same units, half the triple's."""
+    calls = None if calls is None else iter(calls)
+    out = []
     for level, triples in seen:
-        points = _node_points(b, prec, level)
-        for (lo, hi, u), (x_lo, x_hi, _) in zip(triples, points, strict=True):
+        for (lo, hi, u), (x_lo, x_hi, _) in zip(triples, _node_points(b, prec, level), strict=True):
+            if calls is None:
+                assert u % 2 == 0, level
+                lo_units = hi_units = u // 2
+            else:
+                (at_lo, v_lo, lo_units), (at_hi, v_hi, hi_units) = next(calls), next(calls)
+                assert (at_lo, at_hi, v_lo, v_hi) == (x_lo, x_hi, lo, hi), level
+                assert lo_units + hi_units == u, level
             # both nodes lie b g = x_lo from their nearer end
-            lo_error, lo_slack = _value_error(fine, prec, reference, lo, x_lo, x_lo, rel)
-            hi_error, hi_slack = _value_error(fine, prec, reference, hi, x_hi, x_lo, rel)
-            error, slack = lo_error + hi_error, lo_slack + hi_slack
-            assert error <= u + slack + Fraction(1, 2**29), (level, x_lo)
+            out += [(x_lo, x_lo, lo, lo_units), (x_hi, x_lo, hi, hi_units)]
+    assert calls is None or next(calls, None) is None
+    return out
+
+
+def _check_values(prec, values, reference, rel=None) -> None:
+    """Each integrand value (x, d, value, units) against ``reference(fine,
+    x, d)`` at the exact x and d, computed in a context 64 bits finer:
+    within its own units, and where the integrand cuts x, 2^-rel of the
+    reference more."""
+    fine = _context(prec + 64)
+    fbits = prec + GUARD
+    for x, d, v, u in values:
+        x_f, d_f = (fine.ldexp(*p) for p in (x, d))
+        expected = _fraction(reference(fine, x_f, d_f)._mpf_) * 2**fbits
+        slack = abs(expected) / 2**rel if rel is not None else 0
+        assert abs(v - expected) <= u + slack + Fraction(1, 2**30), (x, d)
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
@@ -397,12 +436,11 @@ def test_logsine_moments_match_mpf_reference(engine_runs, tol):
     settings = QuadratureSettings(target_abs_error=tol)
     for n in range(13):
         _run(lambda: integrate_logsine(n, settings))
-        b, target, prec, seen, out = engine_runs.pop()
+        b, target, prec, seen, calls, out = engine_runs.pop()
         _check_rule(b, target, prec, seen, out)
         _check_values(
             prec,
-            b,
-            seen,
+            _values(b, prec, seen, calls),
             lambda fine, x, d: x**n * fine.log(fine.sin(d)),
             prec - 1 - n.bit_length(),
         )
@@ -415,7 +453,7 @@ def test_log_sin_table_holds_one_value_per_node_pair(engine_runs, tol):
     nodes of pair i; at n = 0 the integrand returns that value at both, with
     one unit more at each."""
     integrate_logsine(0, QuadratureSettings(target_abs_error=tol))
-    b, _, prec, seen, _ = engine_runs.pop()
+    b, _, prec, seen, _, _ = engine_runs.pop()
     table = quadrature_oracle._LOGSIN_TABLE
     assert set(table) == {(prec, level) for level, _ in seen}
     for key, row in table.items():
@@ -507,32 +545,22 @@ def test_other_integrands_match_mpf_reference(engine_runs, tol):
         ),
     ):
         _run(call)
-        b, target, prec, seen, out = engine_runs.pop()
+        b, target, prec, seen, calls, out = engine_runs.pop()
+        assert calls is not None  # each value's units come from its own call
         _check_rule(b, target, prec, seen, out)
-        _check_values(prec, b, seen, reference, rel)
+        _check_values(prec, _values(b, prec, seen, calls), reference, rel)
 
 
-def test_leg_integrand_past_the_double_range(cold_caches, monkeypatch):
+def test_leg_integrand_past_the_double_range(cold_caches, pointwise_calls):
     """At 1e-290 the leg's cut ordinate has a mantissa of over 1024 bits,
     which raised OverflowError when made a double; the per-point integrand
     at the center node lies within its units of the reference."""
-    points = []
-    pointwise = quadrature_oracle._pointwise
-
-    def recording(point, b, prec):
-        points.append(point)
-        return pointwise(point, b, prec)
-
-    monkeypatch.setattr(quadrature_oracle, "_pointwise", recording)
     prec = prec_for(1e-290, 12, 25)
     _, (bm, be), _, _ = quadrature_oracle._vertical_leg(prec, 3, 1e-290)
-    (point,) = points
+    ((point, _),) = pointwise_calls.values()
     gm, ge, *_ = quadrature_oracle._nodes(prec, 0)[0]
     near = (bm * gm, be + ge)
-    v, u = point(near)
-    fine = _context(prec + 64)
-    error, slack = _value_error(fine, prec, _leg_integrand(3), v, near, near, prec + GUARD)
-    assert error <= u + slack + Fraction(1, 2**30)
+    _check_values(prec, [(near, near, *point(near))], _leg_integrand(3), prec + GUARD)
 
 
 # ---------------------------------------------------------------------------
