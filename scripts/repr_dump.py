@@ -9,9 +9,14 @@ lists every entry of the working-precision memo tables the calls filled
 (``RAW_TABLES``), one line per key in sorted key order with the entry's
 integers, or the sha256 of their repr when that is long, so an error in
 bits that rounding to double hides still shows; a table that a checkout
-lacks, or whose module it lacks, is listed as ``absent``.  Each zeta
-entry is the integers of its value and bound in units of 2^-(prec + 16),
-prec the key's precision.  The counted routines' pi and log 2 are listed
+lacks, or whose module it lacks, is listed as ``absent``.  The
+precision memo maps (target, extra digits, least digits) to bits.  Each
+zeta entry is the integers of its value and bound in units of
+2^-(prec + 16), prec the key's precision, and so is each term of the
+closed form and of legs R and H, kept by (n, prec): the log-2 term, the
+zeta terms, their sum, R's summands with their phases and Im(H).  A
+one-unit move in any of them shows here, even where rounding to double
+hides it in the results.  The counted routines' pi and log 2 are listed
 by their precision in bits.  The tanh-sinh engine's tables are the
 log-sin values and its nodes.  The log-sin values, kept by (prec, level),
 one per node of ``_nodes(prec, level)``, are listed as (log sin, units)
@@ -52,11 +57,17 @@ S_RANGE = range(2, 31)
 L_RANGE = range(1, 4)
 # (module, table); _LOGSIN_TABLE is flattened by ``log_sin_entries``
 RAW_TABLES = (
+    ("_precision", "_PREC_FOR"),
     ("_elementary", "_PI"),
     ("_elementary", "_LOG2"),
     ("zeta_engine", "_ZETA_TABLE"),
     ("zeta_engine", "_PI_FIXED"),
     ("zeta_engine", "_BORWEIN_D"),
+    ("logsine_closed_form", "_LOG2_TERM"),
+    ("logsine_closed_form", "_ZETA_TERMS"),
+    ("logsine_closed_form", "_CLOSED_FORM"),
+    ("contour_verifier", "_LEG_R_TERMS"),
+    ("contour_verifier", "_LEG_H_IM"),
     ("quadrature_oracle", "_LOGSIN_TABLE"),
 )
 TABLES_MARK = "-- raw tables --"  # the line between results and table entries

@@ -73,7 +73,7 @@ def _arctan_inverse(k: int, bits: int, hyperbolic: bool) -> tuple[int, int]:
 
 def _constant(table: dict, bits: int, build) -> tuple[int, int]:
     """A table's constant in units of 2^-bits: (A, e)."""
-    key = (bits | 127) + 129  # at least 129 bits more
+    key = (bits | 127) + 129  # not ``kept``: a 128-bit step 129+ bits up, on the hot path
     entry = table.get(key)
     if entry is None:
         entry = table.setdefault(key, build(key))

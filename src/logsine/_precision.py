@@ -16,19 +16,39 @@ in the unit to a ``RealApprox`` and checks it against its target.
 
 The working precision is a plain number of bits, chosen from the target
 by ``prec_for`` and passed to every routine.  Nothing process-wide holds
-it, so calls in different threads cannot change each other's arithmetic;
-``prec_for`` keeps each precision in a table keyed by its arguments, the
-target as its checked double, and an entry depends on its key alone.
+it, so calls in different threads cannot change each other's arithmetic.
+Every dict memo table keeps one rule, through ``kept`` unless noted: an
+entry depends on its key alone, and the first entry stored wins.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import CertificationError, _require_positive
 
 _GUARD = 16  # fractional bits of the fixed-point integers beyond the working precision
+
+
+def kept(table: dict) -> Callable[[Callable], Callable]:
+    """Keep a builder's entries in ``table`` by argument tuple: a miss
+    builds one and publishes it with ``setdefault``, so threads that build
+    a key at once all return the first entry stored; one that raises
+    stores nothing.  The builder stays on ``__wrapped__``."""
+
+    def keep(build: Callable) -> Callable:
+        @functools.wraps(build)
+        def lookup(*key):
+            if (entry := table.get(key)) is None:
+                entry = table.setdefault(key, build(*key))
+            return entry
+
+        return lookup
+
+    return keep
 
 
 # (target as the largest double at most it, extra digits, least digits) ->
@@ -41,7 +61,7 @@ def prec_for(target_abs_error: float, extra_digits: int, min_dps: int) -> int:
     ``extra_digits`` decimal digits below the target, and never fewer than
     ``min_dps``; memoized by the checked target's double."""
     target = _require_positive(target_abs_error, "target absolute error")
-    key = (target, extra_digits, min_dps)
+    key = (target, extra_digits, min_dps)  # not ``kept``: keyed by the checked double
     prec = _PREC_FOR.get(key)
     if prec is None:
         digits = -math.log10(target) if target < 1 else 0.0

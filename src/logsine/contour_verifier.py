@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._precision import RealApprox, _sum_components, certify
+from ._precision import RealApprox, _sum_components, certify, kept
 from .errors import CertificationError, _require_int, _require_positive
 from .exact_core import BernoulliTable
 from .logsine_closed_form import _log2_term, _zeta_terms, logsine_numeric
@@ -129,19 +129,16 @@ def _leg_r_term(n: int, k: int, prec: int) -> tuple[int, int, int]:
 _LEG_R_TERMS: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
 
 
+@kept(_LEG_R_TERMS)
 def _leg_r_terms(n: int, prec: int) -> tuple[tuple[int, int, int], ...]:
     """The right leg's n + 1 summands at ``prec`` bits, built once per key;
     summand k = 2j - 1 < n, i^(k+3) = -(-1)^j, is the closed form's zeta(2j+1)
     term at phase 2."""
-    entry = _LEG_R_TERMS.get((n, prec))
-    if entry is None:
-        closed = _zeta_terms(n, prec)
-        row = tuple(
-            (2, *closed[k // 2]) if k % 2 and k < n else _leg_r_term(n, k, prec)
-            for k in range(n + 1)
-        )
-        entry = _LEG_R_TERMS.setdefault((n, prec), row)
-    return entry
+    closed = _zeta_terms(n, prec)
+    return tuple(
+        (2, *closed[k // 2]) if k % 2 and k < n else _leg_r_term(n, k, prec)
+        for k in range(n + 1)
+    )
 
 
 def leg_R(n: int, tol: float) -> ComplexApprox:
@@ -156,14 +153,11 @@ def leg_R(n: int, tol: float) -> ComplexApprox:
 _LEG_H_IM: dict[tuple[int, int], tuple[int, int]] = {}
 
 
+@kept(_LEG_H_IM)
 def _leg_h_im(n: int, prec: int) -> tuple[int, int]:
     """Im(H_n) at ``prec`` bits, built once per key."""
-    entry = _LEG_H_IM.get((n, prec))
-    if entry is None:
-        # unreduced: a factor common to num and den moves no floor of num X / den
-        im = _fixed_term(n, 2 * (n + 1) * (n + 2), n + 2, None, prec)
-        entry = _LEG_H_IM.setdefault((n, prec), im)
-    return entry
+    # unreduced: a factor common to num and den moves no floor of num X / den
+    return _fixed_term(n, 2 * (n + 1) * (n + 2), n + 2, None, prec)
 
 
 def leg_H(n: int, settings: QuadratureSettings | None = None) -> ComplexApprox:

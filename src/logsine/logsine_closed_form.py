@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from ._precision import RealApprox, certify
+from ._precision import RealApprox, certify, kept
 from .errors import _require_int
 from .zeta_engine import _fixed_term, _log2_fixed, _term_prec, _zeta_fixed
 
@@ -81,14 +81,11 @@ def logsine_symbolic(n: int) -> SymbolicLogSine:
 _LOG2_TERM: dict[tuple[int, int], tuple[int, int]] = {}
 
 
+@kept(_LOG2_TERM)
 def _log2_term(n: int, prec: int) -> tuple[int, int]:
     """The closed form's log-2 term at ``prec`` bits, built once per key."""
-    entry = _LOG2_TERM.get((n, prec))
-    if entry is None:
-        c0 = logsine_symbolic(n).log2_coefficient
-        term = _fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)
-        entry = _LOG2_TERM.setdefault((n, prec), term)
-    return entry
+    c0 = logsine_symbolic(n).log2_coefficient
+    return _fixed_term(c0.numerator, c0.denominator, n + 1, _log2_fixed(prec), prec)
 
 
 # (n, precision in bits) -> the closed form's zeta(2k+1) terms for
@@ -97,17 +94,14 @@ def _log2_term(n: int, prec: int) -> tuple[int, int]:
 _ZETA_TERMS: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
 
+@kept(_ZETA_TERMS)
 def _zeta_terms(n: int, prec: int) -> tuple[tuple[int, int], ...]:
     """The closed form's floor(n/2) zeta terms at ``prec`` bits, built once per key."""
-    entry = _ZETA_TERMS.get((n, prec))
-    if entry is None:
-        sym = logsine_symbolic(n)
-        row = tuple(
-            _fixed_term(c.numerator, c.denominator, sym.pi_power(s), _zeta_fixed(s, prec), prec)
-            for s, c in sym.zeta_terms
-        )
-        entry = _ZETA_TERMS.setdefault((n, prec), row)
-    return entry
+    sym = logsine_symbolic(n)
+    return tuple(
+        _fixed_term(c.numerator, c.denominator, sym.pi_power(s), _zeta_fixed(s, prec), prec)
+        for s, c in sym.zeta_terms
+    )
 
 
 # (n, precision in bits) -> the closed form's (total, bound) in units of
@@ -115,14 +109,11 @@ def _zeta_terms(n: int, prec: int) -> tuple[tuple[int, int], ...]:
 _CLOSED_FORM: dict[tuple[int, int], tuple[int, int]] = {}
 
 
+@kept(_CLOSED_FORM)
 def _closed_form_fixed(n: int, prec: int) -> tuple[int, int]:
     """The floor(n/2)+1 summands of I_n and their bounds, summed exactly at
     ``prec`` bits: (total, bound) in units of 2^-(prec + 16)."""
-    entry = _CLOSED_FORM.get((n, prec))
-    if entry is None:
-        total = tuple(map(sum, zip(_log2_term(n, prec), *_zeta_terms(n, prec))))
-        entry = _CLOSED_FORM.setdefault((n, prec), total)
-    return entry
+    return tuple(map(sum, zip(_log2_term(n, prec), *_zeta_terms(n, prec))))
 
 
 def logsine_numeric(n: int, target_abs_error: float) -> RealApprox:

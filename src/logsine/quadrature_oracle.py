@@ -71,7 +71,7 @@ from typing import Callable
 
 from . import _elementary, _precision
 from ._elementary import _shift
-from ._precision import RealApprox, _units_below, certify, prec_for
+from ._precision import RealApprox, _units_below, certify, kept, prec_for
 from .errors import CertificationError, RefinementExhausted, _require_int, _require_positive
 
 __all__ = [
@@ -339,22 +339,19 @@ def _log_sin(d: Distance, frac: int) -> tuple[int, int]:
 _LOGSIN_TABLE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
+@kept(_LOGSIN_TABLE)
 def _logsin_row(prec: int, level: int) -> tuple[tuple[int, ...], ...]:
     """The ``_LOGSIN_TABLE`` row of (prec, level), built on its first visit."""
-    row = _LOGSIN_TABLE.get((prec, level))
-    if row is None:
-        frac = prec + _precision._GUARD
-        pi = _elementary.pi(frac)[0]
-        row = tuple(
-            (
-                *_cut((pi * gm, ge - frac), prec),
-                *_cut((pi * cm, ge - frac), prec),
-                *_log_sin((pi * gm, ge - frac), frac),
-            )
-            for gm, ge, cm, _, _ in _nodes(prec, level)
+    frac = prec + _precision._GUARD
+    pi = _elementary.pi(frac)[0]
+    return tuple(
+        (
+            *_cut((pi * gm, ge - frac), prec),
+            *_cut((pi * cm, ge - frac), prec),
+            *_log_sin((pi * gm, ge - frac), frac),
         )
-        row = _LOGSIN_TABLE.setdefault((prec, level), row)
-    return row
+        for gm, ge, cm, _, _ in _nodes(prec, level)
+    )
 
 
 def _logsine(prec: int, n: int) -> Integrand:

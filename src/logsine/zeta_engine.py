@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _elementary
-from ._precision import _GUARD, RealApprox, certify, prec_for
+from ._precision import _GUARD, RealApprox, certify, kept, prec_for
 from .errors import _require_int
 from .exact_core import BernoulliTable
 
@@ -99,7 +99,7 @@ def _borwein_table(prec: int) -> tuple[tuple[int, ...], int]:
     each summand is the one before times 4 (n+i-1)(n-i+1) / ((2i-1) 2i),
     an exact integer division.
     """
-    entry = _BORWEIN_D.get(prec)
+    entry = _BORWEIN_D.get(prec)  # not ``kept``: repr_dump.py labels the bare precision
     if entry is None:
         goal = 6 << (prec + 4)
         n, a_prev, a_n = 1, 2, 6
@@ -145,13 +145,10 @@ def _euler_maclaurin(s: int, prec: int) -> tuple[int, int]:
 _ZETA_TABLE: dict[tuple[int, int], tuple[int, int]] = {}
 
 
+@kept(_ZETA_TABLE)
 def _zeta_fixed(s: int, prec: int) -> tuple[int, int]:
     """zeta(s) at ``prec`` bits in units of 2^-(prec + 16): (value, bound)."""
-    key = (s, prec)
-    entry = _ZETA_TABLE.get(key)
-    if entry is None:
-        entry = _ZETA_TABLE.setdefault(key, _euler_maclaurin(s, prec))
-    return entry
+    return _euler_maclaurin(s, prec)  # by its global name, which the benchmark tracer rebinds
 
 
 # (precision in bits, m >= 1) -> (P_m, e_m), pi^m as ``_pi_fixed`` gives it
@@ -169,7 +166,7 @@ def _pi_fixed(m: int, prec: int) -> tuple[int, int]:
     2^-F plus the floor's unit.
     """
     fbits = prec + _GUARD
-    entry = (1 << fbits, 0) if m == 0 else _PI_FIXED.get((prec, m))
+    entry = (1 << fbits, 0) if m == 0 else _PI_FIXED.get((prec, m))  # not ``kept``: fills 1..m
     if entry is None:
         pi, units = _elementary.pi(fbits)
         allowance, power, err = max(units, 2), 1 << fbits, 0

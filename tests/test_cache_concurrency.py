@@ -4,7 +4,10 @@ the series' coefficient table, the integer table of pi^m, the counted
 routines' tables of pi and log 2, the term sums of the closed form and
 the legs, the precision memo, the log-sin rows of cut abscissae and log
 sin values, the engine's node table and the result caches with exactly
-the values a serial run computes at each entry's key.
+the values a serial run computes at each entry's key.  Each audit
+rebuilds an entry past its table, through the builder on ``__wrapped__``
+or from an emptied table, so no entry is compared with itself.  The rule
+the kept tables share, ``_precision.kept``, is tested on its own.
 """
 
 import ast
@@ -13,6 +16,7 @@ import subprocess
 import sys
 import threading
 
+import pytest
 from mpmath import mp
 
 from logsine import (
@@ -90,7 +94,7 @@ def test_tables_match_serial_values_under_threads(cold_caches, node_keys):
 
     assert len(zeta_engine._ZETA_TABLE) > 0
     for (s, prec), entry in zeta_engine._ZETA_TABLE.items():
-        assert entry == zeta_engine._euler_maclaurin(s, prec), (s, prec)
+        assert entry == zeta_engine._zeta_fixed.__wrapped__(s, prec), (s, prec)
 
     # each entry against one built afresh from an empty table
     built = dict(zeta_engine._BORWEIN_D)
@@ -192,27 +196,34 @@ def _outcome(call):
 
 
 def _outcomes(tol: float) -> dict:
-    """Every result, or the error text, of four numeric calls for n = 0..12."""
+    """Every result, or the error text, of five numeric calls for n = 0..12."""
     settings = QuadratureSettings(target_abs_error=tol)
     out = {}
     for n in range(13):
         out["logsine_numeric", n] = _outcome(lambda: logsine_numeric(n, tol))
         out["leg_R", n] = _outcome(lambda: leg_R(n, tol))
         out["integrate_logsine", n] = _outcome(lambda: integrate_logsine(n, settings))
+        out["leg_H", n] = _outcome(lambda: leg_H(n, settings))
         out["zeta_numeric", n] = _outcome(lambda: zeta_numeric(n + 2, tol))
     return out
 
 
 def _tables() -> list[dict]:
-    """Copies of the routines' pi and log 2 tables, the terms and sums of
-    the closed form and leg R, the precision memo and the log-sin table."""
+    """Copies of every dict table the calls of ``_outcomes`` fill: the
+    routines' pi and log 2, the zeta values, the series' coefficients, pi^m,
+    the terms and sums of the closed form and legs R and H, the precision
+    memo and the log-sin rows."""
     return [
         dict(_elementary._PI),
         dict(_elementary._LOG2),
+        dict(zeta_engine._ZETA_TABLE),
+        dict(zeta_engine._BORWEIN_D),
+        dict(zeta_engine._PI_FIXED),
         dict(logsine_closed_form._LOG2_TERM),
         dict(logsine_closed_form._ZETA_TERMS),
         dict(logsine_closed_form._CLOSED_FORM),
         dict(contour_verifier._LEG_R_TERMS),
+        dict(contour_verifier._LEG_H_IM),
         dict(_precision._PREC_FOR),
         dict(quadrature_oracle._LOGSIN_TABLE),
     ]
@@ -281,3 +292,46 @@ def test_threaded_vertical_legs_leave_shared_contexts_fixed(cold_caches):
         sys.setswitchinterval(saved_interval)
 
     assert threaded == serial
+
+
+def test_kept_publishes_the_first_entry_stored():
+    # each build waits for the other thread's, so both threads miss and
+    # build equal but distinct entries; both must return the one stored first
+    table: dict = {}
+    start = threading.Barrier(2, timeout=60)
+
+    def build(n, prec):
+        start.wait()
+        return [n, prec]
+
+    lookup = _precision.kept(table)(build)
+    got = []
+    threads = [
+        threading.Thread(target=lambda: got.append(lookup(3, 100)), daemon=True)
+        for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert len(got) == 2 and got[0] is got[1] is table[3, 100]
+    assert len(table) == 1
+    assert lookup.__wrapped__ is build
+    assert not hasattr(lookup, "cache_info")  # perfbench counts those as result caches
+
+    # a build that raises stores nothing; the next call builds again
+    built = []
+
+    def fails_once(n):
+        built.append(n)
+        if len(built) == 1:
+            raise CertificationError("first build")
+        return (n,)
+
+    table = {}
+    lookup = _precision.kept(table)(fails_once)
+    with pytest.raises(CertificationError):
+        lookup(5)
+    assert table == {}
+    assert lookup(5) == (5,) and table == {(5,): (5,)} and built == [5, 5]
